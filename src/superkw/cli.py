@@ -16,9 +16,15 @@ from .chargeom import BudgetExceeded
 from .classical import CatalogError, baby_verma, catalog
 from .lsa import LsaError, NeedsFieldExtension
 from .lsafile import LsaParseError, parse_lsa_path, write_lsa
-from .modules import is_graded_irreducible, validate_module
+from .modules import MeataxeFailure, is_graded_irreducible, validate_module
 from .penv import minimal_p_envelope, verify_envelope
-from .report import OracleCache, conjecture_report, mdim_fragment, render_report
+from .report import (
+    CacheError,
+    OracleCache,
+    conjecture_report,
+    mdim_fragment,
+    render_report,
+)
 from .solvable import ConstructionFailure, construct_irreducible
 
 EXIT_OK = 0
@@ -117,7 +123,11 @@ def cmd_conjecture(args) -> int:
     if bad:
         print(f"INVALID input algebra: {bad[0]}", file=sys.stderr)
         return EXIT_VIOLATION
-    cache = OracleCache(args.cache) if args.cache else None
+    try:
+        cache = OracleCache(args.cache) if args.cache else None
+    except CacheError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         doc = conjecture_report(
             af,
@@ -284,6 +294,9 @@ def main(argv=None) -> int:
     except NeedsFieldExtension as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    except MeataxeFailure as exc:
+        print(f"budget: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ scalar.  Matrices are numpy int64 arrays of codes; all arithmetic is exact.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -150,15 +150,21 @@ def smallest_irreducible(p: int, k: int) -> tuple:
     """Lex-smallest monic irreducible of degree k over GF(p)."""
     if (p, k) in DEFAULT_MODULI:
         return DEFAULT_MODULI[(p, k)]
-    from itertools import product
-
-    for tail in product(range(p), repeat=k):
-        if tail[0] == 0:
-            continue
-        f = tail + (1,)
+    # lexicographic odometer over the lower coefficients, constant term
+    # slowest, starting at constant term 1 (a zero constant term makes x a
+    # factor); degree 1 stops at once with x + 1.  Nothing of size p is built.
+    tail = [1] + [0] * (k - 1)
+    while True:
+        f = tuple(tail) + (1,)
         if is_irreducible(f, p):
             return f
-    raise FieldError(f"no irreducible of degree {k} over GF({p})")
+        i = k - 1
+        while i >= 0 and tail[i] == p - 1:
+            tail[i] = 0
+            i -= 1
+        if i < 0:
+            raise FieldError(f"no irreducible of degree {k} over GF({p})")
+        tail[i] += 1
 
 
 class Field:
@@ -169,9 +175,15 @@ class Field:
             raise FieldError(f"p must be an odd prime, got {p}")
         if k < 1:
             raise FieldError(f"extension degree must be >= 1, got {k}")
+        if k * (p - 1) ** 2 >= 2**63 or p**k >= 2**63:
+            # elementwise products (summed over k digit pairs when k > 1)
+            # and the codes themselves must fit in int64
+            raise FieldError(f"GF({p}^{k}) is too large for exact int64 arithmetic")
         self.p = p
         self.k = k
         self.q = p**k
+        # longest inner dimension with inner * (p-1)^2 < 2^53
+        self._float_inner = (2**53 - 1) // (p - 1) ** 2
         if modulus is None:
             modulus = smallest_irreducible(p, k)
         self.modulus = tuple(int(c) % p for c in modulus)
@@ -286,6 +298,8 @@ class Field:
         return self.undigits(-self.digits(a))
 
     def sub_arr(self, a, b):
+        if self.k == 1:
+            return (np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)) % self.p
         return self.add_arr(a, self.neg_arr(b))
 
     def mul_arr(self, a, b):
@@ -351,24 +365,43 @@ class Field:
         return np.eye(n, dtype=np.int64)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact matrix product; float64 BLAS is safe since entries < p and
-        accumulated sums stay far below 2^53 at the dimensions used here."""
+        """Exact matrix product.
+
+        Entries (for k > 1, their power-basis digits) lie in [0, p), so
+        float64 BLAS is exact while inner * (p-1)^2 < 2^53; beyond that
+        the products are summed in int64 by `_chunked_dot`."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        exact = a.shape[-1] <= self._float_inner
         if self.k == 1:
-            c = np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-            return c % self.p
+            if exact:
+                c = np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+                return c % self.p
+            return self._chunked_dot(a, b)
+        p, k = self.p, self.k
         da, db = self.digits(a), self.digits(b)
-        k = self.k
+        if exact:
+            da, db = da.astype(np.float64), db.astype(np.float64)
         prod = np.zeros(a.shape[:-1] + b.shape[1:] + (2 * k - 1,), dtype=np.int64)
         for i in range(k):
             for j in range(k):
-                t = np.rint(
-                    da[..., i].astype(np.float64) @ db[..., j].astype(np.float64)
-                ).astype(np.int64)
-                prod[..., i + j] += t % self.p
-        prod %= self.p
+                if exact:
+                    t = np.rint(da[..., i] @ db[..., j]).astype(np.int64)
+                else:
+                    t = self._chunked_dot(da[..., i], db[..., j])
+                prod[..., i + j] += t % p
+        prod %= p
         return self._reduce_digits(prod)
+
+    def _chunked_dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Product mod p of int64 matrices with entries in [0, p), summed in
+        chunks short enough that no int64 partial sum overflows."""
+        p = self.p
+        chunk = (2**63 - 1) // (p - 1) ** 2  # >= 1: Field rejects larger p
+        acc = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+        for s in range(0, a.shape[-1], chunk):
+            acc = (acc + (a[..., s : s + chunk] @ b[s : s + chunk]) % p) % p
+        return acc
 
     def mat_pow(self, a: np.ndarray, e: int) -> np.ndarray:
         n = a.shape[0]
@@ -408,13 +441,16 @@ def rref(f: Field, m: np.ndarray):
         raise ValueError("rref expects a 2-d matrix")
     rows, cols = m.shape
     pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
+    r = c = 0
+    while r < rows and c < cols:
         nz = np.nonzero(m[r:, c])[0]
         if nz.size == 0:
-            continue
+            # skip to the next column with a nonzero entry below row r
+            ahead = np.nonzero(np.any(m[r:, c + 1 :], axis=0))[0]
+            if ahead.size == 0:
+                break
+            c += 1 + int(ahead[0])
+            nz = np.nonzero(m[r:, c])[0]
         piv = r + nz[0]
         if piv != r:
             m[[r, piv]] = m[[piv, r]]
@@ -427,6 +463,7 @@ def rref(f: Field, m: np.ndarray):
             m[other] = f.sub_arr(m[other], f.mul_arr(factors[:, None], m[r][None, :]))
         pivots.append(c)
         r += 1
+        c += 1
     return m, pivots
 
 
@@ -476,13 +513,9 @@ def inv_matrix(f: Field, m: np.ndarray) -> np.ndarray:
     return r[:, n:]
 
 
-def row_space_contains(f: Field, basis_rref: np.ndarray, v: np.ndarray) -> bool:
-    """Membership test against a basis already in rref."""
-    return not np.any(reduce_vector(f, basis_rref, v))
-
-
 def reduce_vector(f: Field, basis_rref: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Residue of v after elimination by an rref basis."""
+    """Residue of v after elimination by an rref basis, one row at a time
+    (the reference for `Echelon.reduce`)."""
     v = np.array(v, dtype=np.int64)
     for row in basis_rref:
         nz = np.nonzero(row)[0]
@@ -494,9 +527,74 @@ def reduce_vector(f: Field, basis_rref: np.ndarray, v: np.ndarray) -> np.ndarray
     return v
 
 
-def coords_in_rowspace(f: Field, basis: np.ndarray, v: np.ndarray) -> Optional[np.ndarray]:
-    """Coefficients x with x @ basis = v, or None if v is outside the span."""
-    return solve(f, np.asarray(basis, dtype=np.int64).T, np.asarray(v, dtype=np.int64))
+class Echelon:
+    """A row space kept in reduced echelon form.
+
+    ``basis`` rows are sorted by pivot column; ``pivots[i]`` is the column of
+    the leading 1 of row i, and every other row is zero there.  The reduced
+    echelon form of a subspace is unique, so however the space was grown,
+    ``basis`` equals ``rref`` of any spanning set, truncated to its rank.
+    """
+
+    def __init__(self, field: Field, ambient: int, rows=None):
+        self.field = field
+        self.ambient = ambient
+        self.basis = np.zeros((0, ambient), dtype=np.int64)
+        self.pivots: List[int] = []
+        if rows is not None:
+            self.extend(rows)
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, block) -> np.ndarray:
+        """Residues of the rows of ``block`` (or of one vector) modulo the
+        space: ``block - block[:, pivots] @ basis``, one field product."""
+        block = np.array(block, dtype=np.int64)
+        if not self.pivots:
+            return block
+        f = self.field
+        return f.sub_arr(block, f.matmul(block[..., self.pivots], self.basis))
+
+    def extend(self, block) -> np.ndarray:
+        """Add the rows of ``block`` to the space.  Returns the new basis
+        rows: the reduced echelon form of the residues, which is zero on the
+        old pivot columns."""
+        f = self.field
+        block = np.asarray(block, dtype=np.int64)
+        if block.size == 0:
+            return np.zeros((0, self.ambient), dtype=np.int64)
+        res = self.reduce(block.reshape(-1, self.ambient))
+        res = res[np.any(res, axis=1)]
+        if res.shape[0] == 0:
+            return res
+        r, piv = rref(f, res)
+        new = r[: len(piv)]
+        old = self.basis
+        if self.pivots:
+            # clear the new pivot columns from the old rows
+            old = f.sub_arr(old, f.matmul(old[:, piv], new))
+        pivots = self.pivots + piv
+        order = np.argsort(pivots)
+        self.basis = np.vstack([old, new])[order]
+        self.pivots = [pivots[i] for i in order]
+        return new
+
+    def contains(self, v) -> bool:
+        return not np.any(self.reduce(v))
+
+    def coords(self, v) -> Optional[np.ndarray]:
+        """Coefficients x with x @ basis = v, or None if v is outside the
+        span; in reduced echelon form they are the entries at the pivots."""
+        v = np.asarray(v, dtype=np.int64)
+        if not self.contains(v):
+            return None
+        return v[self.pivots]
+
+    def complement_columns(self) -> List[int]:
+        piv = set(self.pivots)
+        return [c for c in range(self.ambient) if c not in piv]
 
 
 # ---------------------------------------------------------------------------

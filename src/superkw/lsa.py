@@ -16,13 +16,11 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from .gflin import (
+    Echelon,
     Field,
-    coords_in_rowspace,
     find_embedding,
     inv_matrix,
     nullspace,
-    reduce_vector,
-    rref,
 )
 
 
@@ -48,7 +46,7 @@ class Violation:
         return f"[{self.axiom}] {self.message} (witness {self.witness})"
 
 
-class Subspace:
+class Subspace(Echelon):
     """Graded subspace of the ambient algebra, basis kept in rref.
 
     Every basis row is parity-homogeneous; rows with pivots in the even
@@ -57,18 +55,8 @@ class Subspace:
     """
 
     def __init__(self, field: Field, s_even: int, ambient: int, basis: np.ndarray):
-        self.field = field
+        super().__init__(field, ambient, basis)
         self.s_even = s_even
-        self.ambient = ambient
-        basis = np.asarray(basis, dtype=np.int64)
-        if basis.size == 0:
-            basis = np.zeros((0, ambient), dtype=np.int64)
-        else:
-            basis = basis.reshape(-1, ambient)
-        r, pivots = rref(field, basis)
-        r = r[: len(pivots)]
-        self.basis = r
-        self.pivots = pivots
         for row in self.basis:
             if np.any(row[:s_even]) and np.any(row[s_even:]):
                 raise LsaError("subspace basis row is not parity-homogeneous")
@@ -99,10 +87,6 @@ class Subspace:
     def full(cls, field, s_even, ambient) -> "Subspace":
         return cls(field, s_even, ambient, field.eye(ambient))
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
     def row_parity(self, r: int) -> int:
         return 0 if self.pivots[r] < self.s_even else 1
 
@@ -119,17 +103,10 @@ class Subspace:
         even = sum(1 for p in self.pivots if p < self.s_even)
         return self.basis[even:]
 
-    def contains(self, v: np.ndarray) -> bool:
-        return not np.any(reduce_vector(self.field, self.basis, v))
-
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis)
+        return self.contains(other.basis)
 
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        return reduce_vector(self.field, self.basis, v)
-
-    def coords_of(self, v: np.ndarray) -> Optional[np.ndarray]:
-        return coords_in_rowspace(self.field, self.basis, v)
+    coords_of = Echelon.coords
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         return Subspace(
@@ -138,9 +115,6 @@ class Subspace:
             self.ambient,
             np.vstack([self.basis, other.basis]),
         )
-
-    def complement_columns(self) -> list:
-        return [c for c in range(self.ambient) if c not in self.pivots]
 
     def __eq__(self, other):
         return (

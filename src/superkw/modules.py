@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .gflin import Field, nullspace, rref, reduce_vector
+from .gflin import Echelon, Field, nullspace
 from .lsa import LieSuperAlgebra, LsaError, Subspace, Violation
 
 ENDO_DIM_CAP = 20
@@ -64,38 +64,12 @@ class SuperModule:
         )
 
 
-class RowSpace:
-    """Echelonized span of module vectors (rows)."""
+# echelonized span of module vectors (rows)
+RowSpace = Echelon
 
-    def __init__(self, field: Field, dim: int, rows: np.ndarray):
-        self.field = field
-        self.ambient = dim
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            rows = np.zeros((0, dim), dtype=np.int64)
-        r, piv = rref(field, rows.reshape(-1, dim))
-        self.basis = r[: len(piv)]
-        self.pivots = piv
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def contains(self, v) -> bool:
-        return not np.any(reduce_vector(self.field, self.basis, v))
-
-    def reduce(self, v):
-        return reduce_vector(self.field, self.basis, v)
-
-    def complement_columns(self):
-        return [c for c in range(self.ambient) if c not in self.pivots]
-
-    def is_homogeneous(self, parities: np.ndarray) -> bool:
-        for row in self.basis:
-            vals = set(int(parities[i]) for i in np.nonzero(row)[0])
-            if len(vals) > 1:
-                return False
-        return True
+class MeataxeFailure(RuntimeError):
+    """The graded Meataxe exhausted its attempts without a verdict."""
 
 
 def validate_module(M: SuperModule) -> List[Violation]:
@@ -156,45 +130,27 @@ def validate_module(M: SuperModule) -> List[Violation]:
 
 def spin(M: SuperModule, v: np.ndarray) -> RowSpace:
     """Smallest action-invariant subspace containing a homogeneous vector."""
-    f = M.alg.field
     v = np.asarray(v, dtype=np.int64)
     if not np.any(v):
         raise LsaError("cannot spin the zero vector")
     pars = set(int(M.parities[i]) for i in np.nonzero(v)[0])
     if len(pars) > 1:
         raise LsaError("spin needs a parity-homogeneous vector")
-    space = RowSpace(f, M.dim, v[None, :])
-    fresh = space.basis
-    while fresh.shape[0]:
-        images = []
-        for i in range(M.alg.n):
-            img = f.matmul(fresh, M.action[i].T)
-            images.append(img)
-        cand = np.vstack(images)
-        new_rows = []
-        for row in cand:
-            red = space.reduce(row)
-            if np.any(red):
-                space = RowSpace(f, M.dim, np.vstack([space.basis, red[None, :]]))
-                new_rows.append(red)
-        fresh = np.array(new_rows, dtype=np.int64) if new_rows else np.zeros((0, M.dim), dtype=np.int64)
-    return space
+    return spin_many(M, v[None, :])
 
 
 def spin_many(M: SuperModule, rows: np.ndarray) -> RowSpace:
+    """Smallest action-invariant subspace containing the given rows.
+
+    Breadth first: each level applies every generator to the rows the
+    previous level added, and adds their images in one block."""
     f = M.alg.field
-    space = RowSpace(f, M.dim, rows)
-    fresh = space.basis
-    while fresh.shape[0]:
-        images = [f.matmul(fresh, M.action[i].T) for i in range(M.alg.n)]
-        cand = np.vstack(images)
-        new_rows = []
-        for row in cand:
-            red = space.reduce(row)
-            if np.any(red):
-                space = RowSpace(f, M.dim, np.vstack([space.basis, red[None, :]]))
-                new_rows.append(red)
-        fresh = np.array(new_rows, dtype=np.int64) if new_rows else np.zeros((0, M.dim), dtype=np.int64)
+    space = RowSpace(f, M.dim)
+    fresh = space.extend(rows)
+    while fresh.shape[0] and space.dim < M.dim:
+        # (n, dim, m) images, one row per (generator, fresh row)
+        images = f.matmul(M.action, fresh.T)
+        fresh = space.extend(images.transpose(0, 2, 1).reshape(-1, M.dim))
     return space
 
 
@@ -524,7 +480,7 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> Optional[RowSpace]:
                     if W.dim < dim:
                         return W
                 return None
-    raise RuntimeError(
+    raise MeataxeFailure(
         f"graded Meataxe could not certify a verdict after {MEATAXE_ATTEMPTS} attempts"
     )
 
@@ -586,42 +542,24 @@ def _is_p_m_2_n(d: int, p: int) -> bool:
 
 def submodule_module(M: SuperModule, W: RowSpace) -> SuperModule:
     f = M.alg.field
-    r = W.dim
-    action = np.zeros((M.alg.n, r, r), dtype=np.int64)
-    for i in range(M.alg.n):
-        imgs = f.matmul(W.basis, M.action[i].T)
-        B = np.zeros((r, r), dtype=np.int64)
-        for a in range(r):
-            x = _coords_in_rows(f, W, imgs[a])
-            if x is None:
-                raise LsaError("row space is not action-invariant")
-            B[a] = x
-        action[i] = B.T
-    parities = np.array(
-        [int(M.parities[np.nonzero(row)[0][0]]) for row in W.basis], dtype=np.int64
-    )
-    return SuperModule(alg=M.alg, chi=M.chi, parities=parities, action=action)
-
-
-def _coords_in_rows(f: Field, W: RowSpace, v: np.ndarray) -> Optional[np.ndarray]:
-    # rref rows: coefficients are read off at the pivot columns
-    if np.any(reduce_vector(f, W.basis, v)):
-        return None
-    return np.array([v[c] for c in W.pivots], dtype=np.int64)
+    # images[i, :, b]: generator i applied to basis row b of W
+    images = f.matmul(M.action, W.basis.T)
+    if np.any(W.reduce(images.transpose(0, 2, 1).reshape(-1, M.dim))):
+        raise LsaError("row space is not action-invariant")
+    # in reduced echelon form, coordinates are the entries at the pivots
+    action = images[:, W.pivots, :]
+    return SuperModule(alg=M.alg, chi=M.chi, parities=M.parities[W.pivots], action=action)
 
 
 def quotient_module(M: SuperModule, W: RowSpace) -> SuperModule:
-    f = M.alg.field
     keep = W.complement_columns()
     r = len(keep)
-    action = np.zeros((M.alg.n, r, r), dtype=np.int64)
-    for i in range(M.alg.n):
-        for col_idx, c in enumerate(keep):
-            img = M.action[i][:, c]
-            red = W.reduce(img)
-            action[i][:, col_idx] = red[keep]
-    parities = np.array([int(M.parities[c]) for c in keep], dtype=np.int64)
-    return SuperModule(alg=M.alg, chi=M.chi, parities=parities, action=action)
+    n = M.alg.n
+    # row (i, j): the image of the kept basis vector keep[j] under generator i
+    images = M.action[:, :, keep].transpose(0, 2, 1).reshape(n * r, M.dim)
+    red = W.reduce(images)[:, keep].reshape(n, r, r)
+    action = red.transpose(0, 2, 1).copy()
+    return SuperModule(alg=M.alg, chi=M.chi, parities=M.parities[keep], action=action)
 
 
 def endomorphism_dims(M: SuperModule) -> Tuple[Optional[int], Optional[int]]:

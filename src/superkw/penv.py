@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .gflin import rref, solve as lin_solve
+from .gflin import Echelon, rref, solve as lin_solve
 from .lsa import (
     LieSuperAlgebra,
     LsaError,
@@ -52,37 +52,24 @@ def minimal_p_envelope(g: LieSuperAlgebra) -> Envelope:
     ad_rows = np.array([_ad_flat(g, i) for i in range(s)], dtype=np.int64)
     if ad_rows.size == 0:
         ad_rows = np.zeros((0, n * n), dtype=np.int64)
-    ad_rref, ad_piv = rref(f, ad_rows)
-    ad_rref = ad_rref[: len(ad_piv)]
+    ad = Echelon(f, n * n, ad_rows)
 
     # p-closure of the ad image under matrix p-th powers
-    W, piv = ad_rref.copy(), list(ad_piv)
+    W = Echelon(f, n * n, ad.basis)
     while True:
-        grew = False
-        for row in list(W):
-            Mp = f.mat_pow(row.reshape(n, n), f.p).ravel()
-            stacked = np.vstack([W, Mp[None, :]])
-            r2, p2 = rref(f, stacked)
-            if len(p2) > len(piv):
-                W, piv = r2[: len(p2)], p2
-                grew = True
-        if not grew:
+        powers = [f.mat_pow(row.reshape(n, n), f.p).ravel() for row in W.basis]
+        if not W.extend(np.array(powers).reshape(-1, n * n)).shape[0]:
             break
-    closure_dim = W.shape[0]
-    ad_dim = ad_rref.shape[0]
+    closure_dim = W.dim
+    ad_dim = ad.dim
 
     # complement generators: closure basis rows independent of ad(g_0)
     derivs: List[np.ndarray] = []
-    cur = ad_rref.copy()
-    for row in W:
-        stacked = np.vstack([cur, row[None, :]])
-        r2, p2 = rref(f, stacked)
-        if len(p2) > cur.shape[0]:
-            from .gflin import reduce_vector
-
-            res = reduce_vector(f, cur, row)
+    for row in W.basis:
+        res = ad.reduce(row)
+        if np.any(res):
             derivs.append(res)
-            cur = r2[: len(p2)]
+            ad.extend(res)
     m = len(derivs)
     if m != closure_dim - ad_dim:
         raise EnvelopeError("complement extraction lost track of dimensions")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -34,6 +35,10 @@ def _chi_list(chi) -> List[int]:
     return [int(c) for c in chi]
 
 
+class CacheError(ValueError):
+    """An oracle cache file that cannot be read back."""
+
+
 class OracleCache:
     """Composition-factor results keyed by (algebra hash, chi, seed, budget)."""
 
@@ -42,8 +47,14 @@ class OracleCache:
         self.data: Dict[str, dict] = {}
         self.hits = 0
         if path and os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                self.data = json.load(fh)
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    data = json.load(fh)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise CacheError(f"unreadable cache file {path}: {exc}") from exc
+            if not isinstance(data, dict):
+                raise CacheError(f"cache file {path} does not hold a JSON object")
+            self.data = data
 
     @staticmethod
     def key(algebra_hash: str, chi, seed: int, budget: int) -> str:
@@ -62,9 +73,22 @@ class OracleCache:
         self.data[key] = payload
 
     def save(self):
-        if self.path:
-            with open(self.path, "w", encoding="utf-8") as fh:
+        """Write the cache atomically: a reader sees the old file or the new
+        one, never a partial write."""
+        if not self.path:
+            return
+        path = os.path.abspath(self.path)
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(path), prefix=os.path.basename(path) + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(self.data, fh, sort_keys=True, indent=1)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def oracle_factors(

@@ -265,3 +265,47 @@ def test_cache_key_sensitivity():
 def test_chi_out_of_range_exit3(files):
     code, _ = run_cli(["solvable-irr", files["solv2"], "--chi", "0,9"])
     assert code == 3
+
+
+def test_corrupt_cache_exit3(files, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"abc": [1, 2')
+    code = main(["conjecture", files["oddheis"], "--cache", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    bad.write_text("[1, 2]")
+    assert main(["conjecture", files["oddheis"], "--cache", str(bad)]) == 3
+
+
+def test_cache_save_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "cache.json"
+    cache = OracleCache(str(path))
+    cache.put("k", {"dims": [1]})
+    cache.save()
+    assert json.loads(path.read_text()) == {"k": {"dims": [1]}}
+
+    def broken_dump(*args, **kwargs):
+        raise OSError("disk full")
+
+    cache.put("k2", {"dims": [2]})
+    monkeypatch.setattr(json, "dump", broken_dump)
+    with pytest.raises(OSError):
+        cache.save()
+    # the old file is intact and no temporary file is left behind
+    assert json.loads(path.read_text()) == {"k": {"dims": [1]}}
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+
+def test_meataxe_failure_exit2(files, monkeypatch, capsys):
+    import superkw.modules as modules
+
+    def give_up(M, seed):
+        raise modules.MeataxeFailure(
+            "graded Meataxe could not certify a verdict after 64 attempts")
+
+    monkeypatch.setattr(modules, "_find_proper_submodule", give_up)
+    code = main(["conjecture", files["oddheis"]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "could not certify" in err and "Traceback" not in err

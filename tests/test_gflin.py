@@ -187,3 +187,54 @@ def test_embedding_is_homomorphism():
         for b in range(9):
             assert table2[F9.add(a, b)] == big.add(int(table2[a]), int(table2[b]))
             assert table2[F9.mul(a, b)] == big.mul(int(table2[a]), int(table2[b]))
+
+
+def test_modulus_search_is_lex_smallest():
+    from itertools import product
+
+    for p, k in [(17, 2), (17, 3), (19, 2), (23, 2)]:
+        ref = next(t + (1,) for t in product(range(p), repeat=k)
+                   if t[0] != 0 and is_irreducible(t + (1,), p))
+        assert smallest_irreducible(p, k) == ref
+
+
+def test_degree_one_modulus_needs_no_search():
+    import time
+
+    t = time.perf_counter()
+    assert smallest_irreducible(1000000007, 1) == (1, 1)
+    assert Field(1000000007).modulus == (1, 1)
+    assert time.perf_counter() - t < 1.0
+
+
+def test_matmul_exact_for_large_prime():
+    # 64 * (p-1)^2 is far above 2^53, where float64 sums lose digits
+    p = 100000007
+    F = Field(p)
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, p, size=(64, 64))
+    b = rng.integers(0, p, size=(64, 64))
+    ref = [[sum(int(a[i, t]) * int(b[t, j]) for t in range(64)) % p
+            for j in range(64)] for i in range(64)]
+    assert F.matmul(a, b).tolist() == ref
+    # the same for the power-basis digits of GF(p^2)
+    F2 = Field(p, 2)
+    a = F2.rand(rng, (8, 64))
+    b = F2.rand(rng, (64, 8))
+    ref = F2.zeros(8, 8)
+    for i in range(8):
+        for j in range(8):
+            acc = 0
+            for t in range(64):
+                acc = F2.add(acc, F2.mul(int(a[i, t]), int(b[t, j])))
+            ref[i, j] = acc
+    assert np.array_equal(F2.matmul(a, b), ref)
+
+
+def test_field_rejects_inexact_sizes():
+    # (p-1)^2 >= 2^63: elementwise products overflow int64
+    with pytest.raises(FieldError):
+        Field(3037000507)
+    # p^k >= 2^63: codes do not fit in int64
+    with pytest.raises(FieldError):
+        Field(2147483647, 3)
