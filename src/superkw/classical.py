@@ -26,6 +26,7 @@ from .lsa import (
     as_subalgebra,
     extend_scalars,
     is_p_closed,
+    scalar_extensions,
 )
 from .modules import composition_factors, is_graded_irreducible, validate_module
 from .solvable import solve_weight_equations
@@ -418,17 +419,15 @@ def lambda_set(
     complete = len(sols) == expected
     degree = None
     if not complete:
-        d = 2
-        while g.field.k * d <= ext_cap:
-            big = Field(g.field.p, g.field.k * d)
-            gx, table = extend_scalars(g, big)
-            trix = _extend_triangular(tri, big, table, gx)
+        for d, gx, table in scalar_extensions(g, ext_cap):
+            if d == 1:
+                continue
+            trix = _extend_triangular(tri, gx.field, table, gx)
             subx = _cartan_sub(gx, trix)
             solx = solve_weight_equations(subx.alg, restrict_chi(table[chi], subx))
             if len(solx) == expected:
                 degree = d
                 break
-            d += 1
     return LambdaSetReport(sols, expected, complete, degree)
 
 

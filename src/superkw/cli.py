@@ -231,8 +231,17 @@ def cmd_penv(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: exit 3, not argparse's 2, which the
+    exit-code contract reserves for an exhausted budget."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="superkw",
         description="Workbench for restricted Lie superalgebras over GF(p^k): "
         "character geometry, reduced enveloping algebras, and "
@@ -245,8 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("file", help="algebra file (superkw-lsa v1)")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--budget", type=int, default=4000)
-        sp.add_argument("--ext-cap", dest="ext_cap", type=int, default=4)
         sp.add_argument("--report", default=None, help="write output to a file")
+
+    def ext_cap(sp):
+        sp.add_argument("--ext-cap", dest="ext_cap", type=int, default=4)
 
     sp = sub.add_parser("validate", help="check the axioms of an algebra file")
     common(sp)
@@ -260,6 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("conjecture", help="full per-character verification report")
     common(sp)
+    ext_cap(sp)
     sp.add_argument("--strategy", choices=["exhaustive", "random"], default="exhaustive")
     sp.add_argument("--samples", type=int, default=8)
     sp.add_argument("--cache", default=None, help="oracle result cache file")
@@ -267,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solvable-irr", help="construct an irreducible module")
     common(sp)
+    ext_cap(sp)
     sp.add_argument("--chi", required=True, help="comma-separated even values")
     sp.set_defaults(func=cmd_solvable_irr)
 
@@ -286,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code)

@@ -57,74 +57,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over the prime field GF(p) (little-endian int lists)
-
-def _pdeg(a):
-    d = len(a) - 1
-    while d >= 0 and a[d] == 0:
-        d -= 1
-    return d
-
-
-def _pmulmod(a, b, f, p):
-    k = len(f) - 1
-    r = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                r[i + j] = (r[i + j] + ai * bj) % p
-    for d in range(len(r) - 1, k - 1, -1):
-        c = r[d]
-        if c:
-            r[d] = 0
-            for j in range(k):
-                r[d - k + j] = (r[d - k + j] - c * f[j]) % p
-    r = r[:k]
-    r.extend([0] * (k - len(r)))
-    return r
-
-
-def _xpow(e, f, p):
-    k = len(f) - 1
-    if k == 1:
-        return [pow((-f[0]) % p, e, p)]
-    result = [1] + [0] * (k - 1)
-    base = [0, 1] + [0] * (k - 2)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, f, p)
-        base = _pmulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while _pdeg(b) >= 0:
-        da, db = _pdeg(a), _pdeg(b)
-        if da < db:
-            a, b = b, a
-            continue
-        c = (a[da] * pow(b[db], p - 2, p)) % p
-        sh = da - db
-        for j in range(db + 1):
-            a[j + sh] = (a[j + sh] - c * b[j]) % p
-    return a
-
-
 def is_irreducible(coeffs: Iterable[int], p: int) -> bool:
-    """Monic polynomial irreducibility over GF(p), little-endian coeffs."""
-    f = list(coeffs)
-    k = _pdeg(f)
-    if k < 1 or f[k] != 1:
+    """Monic polynomial irreducibility over GF(p), little-endian coeffs
+    (Rabin's test)."""
+    m = list(coeffs)
+    k = poly_deg(m)
+    if k < 1 or m[k] != 1:
         return False
     if k == 1:
         return True
-    if f[0] == 0:
+    if m[0] == 0:
         return False
-    xid = [0, 1] + [0] * (k - 2)
-    if _xpow(p**k, f, p) != xid:
+    # built only now: Field(p) checks its own modulus x + 1 through here
+    prime = Field(p)
+    x = [0, 1]
+    if powmod(prime, x, p**k, m) != x:
         return False
     n, primes = k, []
     d = 2
@@ -137,10 +84,10 @@ def is_irreducible(coeffs: Iterable[int], p: int) -> bool:
     if n > 1:
         primes.append(n)
     for r in primes:
-        g = _xpow(p ** (k // r), f, p)
-        g = list(g)
-        g[1] = (g[1] - 1) % p
-        if _pdeg(_pgcd(f, g, p)) != 0:
+        g = powmod(prime, x, p ** (k // r), m)
+        g = g + [0] * (2 - len(g))
+        g[1] = prime.sub(g[1], 1)
+        if poly_deg(poly_gcd(prime, m, g)) != 0:
             return False
     return True
 
@@ -432,6 +379,68 @@ class Field:
 
 
 # ---------------------------------------------------------------------------
+# polynomials over GF(q): little-endian lists of codes, trimmed of trailing
+# zeros (the zero polynomial is [])
+
+def poly_deg(a) -> int:
+    d = len(a) - 1
+    while d >= 0 and a[d] == 0:
+        d -= 1
+    return d
+
+
+def poly_trim(a) -> list:
+    return list(a[: poly_deg(a) + 1])
+
+
+def poly_mul(f: Field, a, b) -> list:
+    if not a or not b:
+        return []
+    r = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    r[i + j] = f.add(r[i + j], f.mul(ai, bj))
+    return poly_trim(r)
+
+
+def poly_mod(f: Field, a, m) -> list:
+    a = list(a)
+    dm = poly_deg(m)
+    inv = f.inv(m[dm])
+    while poly_deg(a) >= dm:
+        da = poly_deg(a)
+        c = f.mul(a[da], inv)
+        for j in range(dm + 1):
+            a[da - dm + j] = f.sub(a[da - dm + j], f.mul(c, m[j]))
+    return poly_trim(a)
+
+
+def poly_gcd(f: Field, a, b) -> list:
+    """Monic greatest common divisor ([] when both are zero)."""
+    a, b = poly_trim(a), poly_trim(b)
+    while b:
+        a, b = b, poly_mod(f, a, b)
+    if a:
+        inv = f.inv(a[-1])
+        a = [f.mul(c, inv) for c in a]
+    return a
+
+
+def powmod(f: Field, a, e: int, m) -> list:
+    """a^e mod m by square-and-multiply."""
+    acc = [1]
+    base = poly_mod(f, a, m)
+    while e:
+        if e & 1:
+            acc = poly_mod(f, poly_mul(f, acc, base), m)
+        base = poly_mod(f, poly_mul(f, base, base), m)
+        e >>= 1
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # echelon forms
 
 def rref(f: Field, m: np.ndarray):
@@ -638,7 +647,3 @@ def find_embedding(small: Field, big: Field) -> np.ndarray:
         table[a] = acc
     return table
 
-
-def extend_field(f: Field, degree: int) -> Field:
-    """GF(p^(k*degree)) with the canonical stored modulus."""
-    return Field(f.p, f.k * degree)

@@ -652,6 +652,21 @@ def extend_scalars(g: LieSuperAlgebra, big: Field):
     return LieSuperAlgebra(big, g.names, g.parities.copy(), structure, pmap), table
 
 
+def scalar_extensions(g: LieSuperAlgebra, ext_cap: int):
+    """(degree, base change of g, embedding table) for degree = 1, 2, ...
+    while the total degree over GF(p) stays within ext_cap; degree 1 is g
+    itself with the identity table.  Lazy, so a caller that stops early
+    builds no larger field."""
+    f = g.field
+    degree = 1
+    while f.k * degree <= ext_cap:
+        if degree == 1:
+            yield 1, g, np.arange(f.q, dtype=np.int64)
+        else:
+            yield (degree,) + extend_scalars(g, Field(f.p, f.k * degree))
+        degree += 1
+
+
 # ---------------------------------------------------------------------------
 # flags of ideals and codimension-one extensions (completely solvable)
 

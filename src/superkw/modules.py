@@ -15,7 +15,17 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .gflin import Echelon, Field, nullspace
+from .gflin import (
+    Echelon,
+    Field,
+    nullspace,
+    poly_deg,
+    poly_gcd,
+    poly_mod,
+    poly_trim,
+    powmod,
+    solve,
+)
 from .lsa import LieSuperAlgebra, LsaError, Subspace, Violation
 
 ENDO_DIM_CAP = 20
@@ -155,67 +165,14 @@ def spin_many(M: SuperModule, rows: np.ndarray) -> RowSpace:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over GF(q) (little-endian code lists)
-
-
-def _qdeg(a):
-    d = len(a) - 1
-    while d >= 0 and a[d] == 0:
-        d -= 1
-    return d
-
-
-def _qtrim(a):
-    return a[: _qdeg(a) + 1] if _qdeg(a) >= 0 else []
-
-
-def _qmul(f: Field, a, b):
-    if not a or not b:
-        return []
-    r = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    r[i + j] = f.add(r[i + j], f.mul(ai, bj))
-    return _qtrim(r)
-
-
-def _qmod(f: Field, a, m):
-    a = list(a)
-    dm = _qdeg(m)
-    inv = f.inv(m[dm])
-    while _qdeg(a) >= dm:
-        da = _qdeg(a)
-        c = f.mul(a[da], inv)
-        for j in range(dm + 1):
-            a[da - dm + j] = f.sub(a[da - dm + j], f.mul(c, m[j]))
-    return _qtrim(a)
-
-
-def _qgcd(f: Field, a, b):
-    a, b = _qtrim(list(a)), _qtrim(list(b))
-    while b:
-        a, b = b, _qmod(f, a, b)
-    if a:
-        inv = f.inv(a[_qdeg(a)])
-        a = [f.mul(c, inv) for c in a]
-    return a
+# polynomial steps of the Meataxe
 
 
 def _q_xqd_mod(f: Field, m, d: int):
     """x^(q^d) mod m via iterated q-th powers."""
-    r = _qmod(f, [0, 1], m)
+    r = poly_mod(f, [0, 1], m)
     for _ in range(d):
-        acc = [1]
-        base = r
-        e = f.q
-        while e:
-            if e & 1:
-                acc = _qmod(f, _qmul(f, acc, base), m)
-            base = _qmod(f, _qmul(f, base, base), m)
-            e >>= 1
-        r = acc
+        r = powmod(f, r, f.q, m)
     return r
 
 
@@ -262,32 +219,23 @@ def _poly_at_matrix(f: Field, coeffs, A: np.ndarray) -> np.ndarray:
 def _equal_degree_split(f: Field, m, d: int, rng) -> Optional[list]:
     """Proper monic divisor of m, all of whose irreducible factors have
     degree d and at least two are distinct (Cantor-Zassenhaus, odd q)."""
-    dm = _qdeg(m)
+    dm = poly_deg(m)
     e = (f.q**d - 1) // 2
     for _ in range(80):
-        u = [int(f.rand(rng)) for _ in range(dm)]
-        u = _qtrim(u)
-        if _qdeg(u) < 1:
+        u = poly_trim([int(f.rand(rng)) for _ in range(dm)])
+        if poly_deg(u) < 1:
             continue
-        g = _qgcd(f, m, u)
-        if 0 < _qdeg(g) < dm:
+        g = poly_gcd(f, m, u)
+        if 0 < poly_deg(g) < dm:
             return g
-        # u^e mod m, then gcd(u^e - 1, m)
-        acc = [1]
-        base = _qmod(f, u, m)
-        ee = e
-        while ee:
-            if ee & 1:
-                acc = _qmod(f, _qmul(f, acc, base), m)
-            base = _qmod(f, _qmul(f, base, base), m)
-            ee >>= 1
+        # gcd(u^e - 1, m)
+        acc = powmod(f, u, e, m)
         if acc:
-            acc = list(acc)
             acc[0] = f.sub(acc[0], 1)
         else:
             acc = [f.neg(1)]
-        g = _qgcd(f, m, acc)
-        if 0 < _qdeg(g) < dm:
+        g = poly_gcd(f, m, acc)
+        if 0 < poly_deg(g) < dm:
             return g
     return None
 
@@ -379,7 +327,7 @@ def _find_singular_even(M: SuperModule, rng) -> Optional[np.ndarray]:
     if not np.any(v):
         return None
     m = _minimal_poly(M, theta, v)
-    dm = _qdeg(m)
+    dm = poly_deg(m)
     if dm <= 0:
         return None
     for d in range(2, dm + 1):
@@ -388,8 +336,8 @@ def _find_singular_even(M: SuperModule, rng) -> Optional[np.ndarray]:
         if len(g) < 2:
             g = g + [0] * (2 - len(g))
         g[1] = f.sub(g[1], 1)
-        fac = _qgcd(f, m, g)
-        df = _qdeg(fac)
+        fac = poly_gcd(f, m, g)
+        df = poly_deg(fac)
         if 0 < df < dm:
             return _poly_at_matrix(f, fac, theta)
         if df == dm:
@@ -528,16 +476,21 @@ class CompositionReport:
             out[d] = out.get(d, 0) + 1
         return out
 
-    def all_dims_p_m_2_n(self, p: int) -> bool:
-        return all(_is_p_m_2_n(d, p) for d in self.geometric_dims)
 
 
-def _is_p_m_2_n(d: int, p: int) -> bool:
-    while d % p == 0:
-        d //= p
-    while d % 2 == 0:
-        d //= 2
-    return d == 1
+def verify_dim_form(dims, p: int) -> bool:
+    """Every dimension factors as p^m * 2^n."""
+    for d in dims:
+        d = int(d)
+        if d <= 0:
+            return False
+        while d % p == 0:
+            d //= p
+        while d % 2 == 0:
+            d //= 2
+        if d != 1:
+            return False
+    return True
 
 
 def submodule_module(M: SuperModule, W: RowSpace) -> SuperModule:
@@ -727,9 +680,7 @@ def degree_reduction_check(
                 mat[j, r] = chi_of(g.bracket(I_even[r], induced.even_cobasis[j]))
         rhs = np.zeros(c0, dtype=np.int64)
         rhs[i] = 1
-        from .gflin import solve as _solve
-
-        x = _solve(f, mat, rhs)
+        x = solve(f, mat, rhs)
         if x is None:
             raise LsaError("pairing elements not found: the form degenerates "
                            "between the ideal and the even cobasis")
@@ -742,9 +693,7 @@ def degree_reduction_check(
                 mat[k, r] = chi_of(g.bracket(induced.odd_cobasis[k], I_odd[r]))
         rhs = np.zeros(c1, dtype=np.int64)
         rhs[j] = 1
-        from .gflin import solve as _solve
-
-        x = _solve(f, mat, rhs)
+        x = solve(f, mat, rhs)
         if x is None:
             raise LsaError("pairing elements not found: the form degenerates "
                            "between the ideal and the odd cobasis")

@@ -13,18 +13,21 @@ import hashlib
 import json
 import os
 import tempfile
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from .chargeom import chi_geometry, max_exponents
+from .chargeom import BudgetExceeded, SuperDim, check_chi, chi_geometry, max_exponents
 from .classical import kw_divisibility_check
 from .env import ReducedAlgebra, regular_module
 from .lsa import LieSuperAlgebra
-from .modules import composition_factors
-from .solvable import verify_dim_form
+from .modules import composition_factors, verify_dim_form
 
 REPORT_HEADER = "superkw-report v1"
+# layout version of the cached oracle payload; part of every cache key, so a
+# cache written under another layout is recomputed instead of served
+CACHE_SCHEMA = 1
 
 
 def tagged(value, provenance: str) -> Dict:
@@ -40,7 +43,8 @@ class CacheError(ValueError):
 
 
 class OracleCache:
-    """Composition-factor results keyed by (algebra hash, chi, seed, budget)."""
+    """Composition-factor results keyed by (payload schema, algebra hash,
+    chi, seed, budget)."""
 
     def __init__(self, path: Optional[str]):
         self.path = path
@@ -59,7 +63,8 @@ class OracleCache:
     @staticmethod
     def key(algebra_hash: str, chi, seed: int, budget: int) -> str:
         blob = json.dumps(
-            [algebra_hash, _chi_list(chi), seed, budget], separators=(",", ":")
+            [CACHE_SCHEMA, algebra_hash, _chi_list(chi), seed, budget],
+            separators=(",", ":")
         )
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -127,6 +132,60 @@ def oracle_factors(
     return payload
 
 
+def chi_verdict(g: LieSuperAlgebra, chi, payload: dict) -> dict:
+    """The per-character fields of a report: block ranks and the predicted
+    dimension from the character geometry, the oracle's factors, and the
+    verdicts comparing the two."""
+    geo = chi_geometry(g, chi)
+    gd = payload["geometric_dims"]
+    predicted = geo.value(g.field.p)
+    return {
+        "chi": _chi_list(chi),
+        "b0": tagged(geo.even_rank, "computed"),
+        "b1": tagged(geo.odd_rank, "computed"),
+        "exp_pair": [geo.exp_pair.even, geo.exp_pair.odd],
+        "predicted_dim": tagged(predicted, "predicted"),
+        "factor_dims": tagged(payload["dims"], "oracle"),
+        "geometric_factor_dims": tagged(gd, "oracle"),
+        "factors": payload["factors"],
+        "equidimensional": len(set(gd)) <= 1,
+        "thm_agrees": all(d == predicted for d in gd),
+        "dim_form_ok": verify_dim_form(gd, g.field.p),
+        "kw_divisible": kw_divisibility_check(g, chi, gd),
+    }
+
+
+@dataclass
+class EquidimReport:
+    predicted_exponents: SuperDim
+    predicted_dim: int
+    factor_dims: List[int]           # raw dimensions over the working field
+    geometric_dims: List[int]        # divided by even endomorphism degree
+    equidimensional: bool
+    agrees_with_prediction: bool
+    dim_form_ok: bool
+
+
+def equidim_probe(g: LieSuperAlgebra, chi, seed: int = 0, budget: int = 4000) -> EquidimReport:
+    """Compare the character-geometry prediction with the oracle's factors.
+
+    This is a report, never an assertion: the prediction can fail over a
+    non-closed field or for characters whose p-center behaviour depends on
+    the choice of p-operation, and the point of the probe is to record that
+    faithfully."""
+    chi = check_chi(g, chi)
+    v = chi_verdict(g, chi, oracle_factors(g, chi, seed, budget))
+    return EquidimReport(
+        predicted_exponents=SuperDim(*v["exp_pair"]),
+        predicted_dim=v["predicted_dim"]["value"],
+        factor_dims=v["factor_dims"]["value"],
+        geometric_dims=v["geometric_factor_dims"]["value"],
+        equidimensional=v["equidimensional"],
+        agrees_with_prediction=v["thm_agrees"],
+        dim_form_ok=v["dim_form_ok"],
+    )
+
+
 def mdim_fragment(g: LieSuperAlgebra, strategy, budget, seed, samples) -> dict:
     rep = max_exponents(g, strategy=strategy, budget=budget, seed=seed, samples=samples)
     return {
@@ -191,37 +250,17 @@ def conjecture_report(
     algebra_hash = af.content_hash()
     dim_total = p**g.s_even * 2**g.t_odd
     if dim_total > budget:
-        from .chargeom import BudgetExceeded
-
         raise BudgetExceeded(
             f"regular module dimension {dim_total} exceeds budget {budget}")
     mfrag = mdim_fragment(g, "exhaustive" if f.q**g.s_even <= 10**6 else "random",
                           10**6, seed, samples=max(samples, 64))
     chis, exhaustive = _chi_scan_set(g, mfrag, strategy, samples, seed)
     per_chi = []
-    max_factor = 0
     for chi in chis:
-        geo = chi_geometry(g, chi)
         payload = oracle_factors(g, chi, seed, budget, cache, algebra_hash)
-        gd = payload["geometric_dims"]
-        predicted = geo.value(p)
-        max_factor = max(max_factor, max(gd))
-        per_chi.append(
-            {
-                "chi": _chi_list(chi),
-                "b0": tagged(geo.even_rank, "computed"),
-                "b1": tagged(geo.odd_rank, "computed"),
-                "exp_pair": [geo.exp_pair.even, geo.exp_pair.odd],
-                "predicted_dim": tagged(predicted, "predicted"),
-                "factor_dims": tagged(payload["dims"], "oracle"),
-                "geometric_factor_dims": tagged(gd, "oracle"),
-                "factors": payload["factors"],
-                "equidimensional": len(set(gd)) <= 1,
-                "thm_agrees": all(d == predicted for d in gd),
-                "dim_form_ok": verify_dim_form(gd, p),
-                "kw_divisible": kw_divisibility_check(g, chi, gd),
-            }
-        )
+        per_chi.append(chi_verdict(g, chi, payload))
+    max_factor = max((max(row["geometric_factor_dims"]["value"]) for row in per_chi),
+                     default=0)
     mval = mfrag["value"]["value"]
     status = "agree" if max_factor == mval else "disagree"
     return {

@@ -1,6 +1,6 @@
 """Irreducible-module engine for solvable restricted Lie superalgebras:
-ideal descent with induction, one-dimensional base characters, the
-equidimensionality probe, and polarization-induced modules.
+ideal descent with induction, one-dimensional base characters, and
+polarization-induced modules.
 
 The descent mirrors the effective content of the inductive construction:
 find an abelian ideal on which the character geometry is nontrivial, pass to
@@ -8,8 +8,9 @@ its stabilizer, recurse, and induce.  Where the literal recipe does not
 apply (the base weight has no solution over the working field, or no usable
 ideal exists) the engine extends the field up to a cap, falls over to the
 polarization route for completely solvable inputs, and finally to the brute
-force oracle; every produced module is re-validated and its irreducibility
-re-checked, so wrong answers cannot escape, only honest fallbacks.
+force oracle (the largest composition factor of the regular module); every
+produced module is re-validated and its irreducibility re-checked, so wrong
+answers cannot escape, only honest fallbacks.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ import numpy as np
 
 from .chargeom import (
     BudgetExceeded,
-    CharacterGeometry,
     SuperDim,
     check_chi,
-    chi_geometry,
     polarization,
     restrict_chi,
 )
@@ -40,7 +39,6 @@ from .lsa import (
     bracket_span,
     derived_series,
     derived_subalgebra,
-    extend_scalars,
     intersect_spaces,
     is_completely_solvable,
     is_ideal,
@@ -48,10 +46,11 @@ from .lsa import (
     is_p_closed,
     is_solvable,
     one_dim_ideal_flag,
+    scalar_extensions,
 )
 from .modules import (
     SuperModule,
-    composition_factors,
+    composition_factor_modules,
     is_graded_irreducible,
     validate_module,
 )
@@ -279,30 +278,24 @@ def construct_irreducible(
     chi = check_chi(g, chi)
     if not is_solvable(g) or not g.restricted:
         raise LsaError("the engine handles solvable restricted algebras")
-    base_field = g.field
     last_exc: Optional[Exception] = None
-    degree = 1
-    while base_field.k * degree <= ext_cap:
-        if degree == 1:
-            gx, chix = g, chi
-        else:
-            big = Field(base_field.p, base_field.k * degree)
-            gx, table = extend_scalars(g, big)
-            chix = table[chi]
+    for degree, gx, table in scalar_extensions(g, ext_cap):
         try:
-            M, trace = _construct(gx, chix, seed, budget, pins=())
+            M, trace = _construct(gx, table[chi], seed, budget, pins=())
             trace.extension_degree = degree
             return M, trace
         except (NeedsFieldExtension, ConstructionFailure) as exc:
             last_exc = exc
-            degree += 1
-    # out of extensions: fall back to the oracle over the base field
+    # out of extensions: the largest composition factor of the regular
+    # module over the base field (the first one found on a tie)
     try:
-        return _oracle_fallback(g, chi, seed, budget)
+        reg = regular_module(ReducedAlgebra(g, chi), budget=budget)
     except BudgetExceeded:
         raise ConstructionFailure(
             f"constructive routes exhausted ({last_exc}) and the oracle "
             "budget is insufficient")
+    best = max(composition_factor_modules(reg.module, seed), key=lambda F: F.dim)
+    return best, DescentTrace(terminal="oracle", fallback=True)
 
 
 def _construct(g, chi, seed, budget, pins) -> Tuple[SuperModule, DescentTrace]:
@@ -467,81 +460,8 @@ def _mu_stabilizer(g: LieSuperAlgebra, I: Subspace, mu_vals: np.ndarray) -> Subs
     return Subspace(f, g.s_even, g.n, nullspace(f, K))
 
 
-def _oracle_fallback(g, chi, seed, budget) -> Tuple[SuperModule, DescentTrace]:
-    ralg = ReducedAlgebra(g, chi)
-    reg = regular_module(ralg, budget=budget)
-    best = None
-    stack = [reg.module]
-    from .modules import _find_proper_submodule, quotient_module, submodule_module
-
-    while stack:
-        cur = stack.pop()
-        if cur.dim == 0:
-            continue
-        W = _find_proper_submodule(cur, seed)
-        if W is None:
-            if best is None or cur.dim > best.dim:
-                best = cur
-            continue
-        stack.append(submodule_module(cur, W))
-        stack.append(quotient_module(cur, W))
-    trace = DescentTrace(terminal="oracle", fallback=True)
-    return best, trace
-
-
 # ---------------------------------------------------------------------------
-# probes
-
-
-def verify_dim_form(dims, p: int) -> bool:
-    """Every dimension factors as p^m * 2^n."""
-    for d in dims:
-        d = int(d)
-        if d <= 0:
-            return False
-        while d % p == 0:
-            d //= p
-        while d % 2 == 0:
-            d //= 2
-        if d != 1:
-            return False
-    return True
-
-
-@dataclass
-class EquidimReport:
-    predicted_exponents: SuperDim
-    predicted_dim: int
-    factor_dims: List[int]           # raw dimensions over the working field
-    geometric_dims: List[int]        # divided by even endomorphism degree
-    equidimensional: bool
-    agrees_with_prediction: bool
-    dim_form_ok: bool
-
-
-def equidim_probe(g: LieSuperAlgebra, chi, seed: int = 0, budget: int = 4000) -> EquidimReport:
-    """Compare the character-geometry prediction with the oracle's factors.
-
-    This is a report, never an assertion: the prediction can fail over a
-    non-closed field or for characters whose p-center behaviour depends on
-    the choice of p-operation, and the point of the probe is to record that
-    faithfully."""
-    chi = check_chi(g, chi)
-    geo = chi_geometry(g, chi)
-    ralg = ReducedAlgebra(g, chi)
-    reg = regular_module(ralg, budget=budget)
-    rep = composition_factors(reg.module, seed)
-    predicted = geo.value(g.field.p)
-    gd = rep.geometric_dims
-    return EquidimReport(
-        predicted_exponents=geo.exp_pair,
-        predicted_dim=predicted,
-        factor_dims=rep.dims,
-        geometric_dims=gd,
-        equidimensional=len(set(gd)) <= 1,
-        agrees_with_prediction=all(d == predicted for d in gd),
-        dim_form_ok=verify_dim_form(gd, g.field.p),
-    )
+# polarization modules
 
 
 def _polarization_module_inner(g, chi, seed, budget):
@@ -581,16 +501,9 @@ def polarization_module(
     chi = check_chi(g, chi)
     if not is_completely_solvable(g):
         raise LsaError("polarization modules need a completely solvable algebra")
-    base_field = g.field
-    degree = 1
     last = None
-    while base_field.k * degree <= ext_cap:
-        if degree == 1:
-            gx, chix = g, chi
-        else:
-            big = Field(base_field.p, base_field.k * degree)
-            gx, table = extend_scalars(g, big)
-            chix = table[chi]
+    for degree, gx, table in scalar_extensions(g, ext_cap):
+        chix = table[chi]
         try:
             M, lam = _polarization_module_inner(gx, chix, seed, budget)
             h_sd = SuperDim(*polarization(gx, chix).superdim)
@@ -603,5 +516,4 @@ def polarization_module(
             )
         except NeedsFieldExtension as exc:
             last = exc
-            degree += 1
     raise ConstructionFailure(f"field extension cap reached: {last}")

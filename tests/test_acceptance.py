@@ -28,8 +28,8 @@ from superkw.modules import (
     validate_module,
 )
 from superkw.penv import minimal_p_envelope, verify_envelope
-from superkw.report import conjecture_report
-from superkw.solvable import equidim_probe, polarization_module
+from superkw.report import conjecture_report, equidim_probe
+from superkw.solvable import polarization_module
 
 from conftest import pair_algebra
 

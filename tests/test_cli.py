@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 from contextlib import redirect_stdout
@@ -254,12 +255,18 @@ def test_cache_hit_equals_recompute(files, tmp_path):
     assert bare == first
 
 
-def test_cache_key_sensitivity():
+def test_cache_key_sensitivity(monkeypatch):
+    import superkw.report as report
+
     k1 = OracleCache.key("abc", np.array([1, 0]), 0, 4000)
     k2 = OracleCache.key("abc", np.array([0, 1]), 0, 4000)
     k3 = OracleCache.key("abc", np.array([1, 0]), 1, 4000)
     k4 = OracleCache.key("abd", np.array([1, 0]), 0, 4000)
-    assert len({k1, k2, k3, k4}) == 4
+    k5 = OracleCache.key("abc", np.array([1, 0]), 0, 4001)
+    # a payload written under another layout is never served
+    monkeypatch.setattr(report, "CACHE_SCHEMA", report.CACHE_SCHEMA + 1)
+    k6 = OracleCache.key("abc", np.array([1, 0]), 0, 4000)
+    assert len({k1, k2, k3, k4, k5, k6}) == 6
 
 
 def test_chi_out_of_range_exit3(files):
@@ -309,3 +316,33 @@ def test_meataxe_failure_exit2(files, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "could not certify" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{heis}", "--bogus"],
+    ["solvable-irr", "{heis}"],               # --chi missing
+    ["mdim", "{heis}", "--seed", "x"],
+    ["validate", "{heis}", "--ext-cap", "3"],  # read by no validation
+    [],
+])
+def test_usage_error_exit3(files, argv, capsys):
+    code = main([a.format(**files) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "usage:" in err and "Traceback" not in err
+
+
+def test_help_exit0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["conjecture", "--help"]) == 0
+    assert "--ext-cap" in capsys.readouterr().out
+
+
+def test_ext_cap_only_where_read():
+    from superkw.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    have = sorted(name for name, sp in sub.choices.items()
+                  if "--ext-cap" in sp._option_string_actions)
+    assert have == ["conjecture", "solvable-irr"]

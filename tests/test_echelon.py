@@ -108,6 +108,10 @@ def test_spin_matches_reference(name, chi):
 GOLDEN = {
     "oddheis_p3": "432b7972fc47bed66030dce8af960eb71bc7320c4b3d3357e171aa3192493f3f",
     "gl1_1_p3": "98db4cb6094af9c466a76f1ca53ce5c93f5838f343a976da86704534ca8bf6c2",
+    # recorded before the polynomial, decomposition, extension and verdict
+    # duplicates were merged
+    "heis_p3": "76d7da7274d59b9834109c9aa66657d83582d8531f306fe4fb38e81504a2b1d3",
+    "solv2_p5": "7cef992dd65eba30398f7b806d86815c802014ee9f8127e302d494285580c8c0",
 }
 
 

@@ -9,6 +9,8 @@ from superkw.gflin import (
     inv_matrix,
     is_irreducible,
     nullspace,
+    poly_gcd,
+    powmod,
     rank,
     rref,
     smallest_irreducible,
@@ -238,3 +240,112 @@ def test_field_rejects_inexact_sizes():
     # p^k >= 2^63: codes do not fit in int64
     with pytest.raises(FieldError):
         Field(2147483647, 3)
+
+
+# ---------------------------------------------------------------------------
+# polynomial toolkit
+
+
+def _rem_mod_p(a, m, p):
+    """Remainder of a by a monic m over GF(p), in plain integers."""
+    a, k = list(a), len(m) - 1
+    for d in range(len(a) - 1, k - 1, -1):
+        c = a[d] % p
+        if c:
+            for j in range(k + 1):
+                a[d - k + j] = (a[d - k + j] - c * m[j]) % p
+    return [c % p for c in a[:k]]
+
+
+@st.composite
+def monic_over_small_prime(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    k = draw(st.integers(1, 4))
+    tail = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+    return p, tuple(tail) + (1,)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(monic_over_small_prime())
+def test_is_irreducible_matches_trial_division(case):
+    from itertools import product
+
+    p, poly = case
+    k = len(poly) - 1
+    has_factor = any(
+        not any(_rem_mod_p(poly, low + (1,), p))
+        for d in range(1, k // 2 + 1)
+        for low in product(range(p), repeat=d)
+    )
+    assert is_irreducible(poly, p) == (not has_factor)
+
+
+# naive GF(9) polynomial arithmetic on untrimmed lists, from the scalar tables
+ADD9 = [[F9.add(a, b) for b in range(9)] for a in range(9)]
+MUL9 = [[F9.mul(a, b) for b in range(9)] for a in range(9)]
+NEG9 = [F9.neg(a) for a in range(9)]
+INV9 = [None] + [F9.inv(a) for a in range(1, 9)]
+
+
+def _trim9(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _mul9(a, b):
+    r = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            r[i + j] = ADD9[r[i + j]][MUL9[x][y]]
+    return r
+
+
+def _rem9(a, m):
+    a, m = _trim9(a), _trim9(m)
+    inv = INV9[m[-1]]
+    while len(a) >= len(m):
+        c = MUL9[a[-1]][inv]
+        sh = len(a) - len(m)
+        for j, y in enumerate(m):
+            a[sh + j] = ADD9[a[sh + j]][NEG9[MUL9[c][y]]]
+        a = _trim9(a)
+    return a
+
+
+def _naive_gcd9(a, b):
+    """The monic divisor of largest degree common to a and b, by search."""
+    from itertools import product
+
+    a, b = _trim9(a), _trim9(b)
+    if not a and not b:
+        return []
+    top = min(len(x) - 1 for x in (a, b) if x)
+    for d in range(top, -1, -1):
+        for low in product(range(9), repeat=d):
+            c = list(low) + [1]
+            if not _rem9(a, c) and not _rem9(b, c):
+                return c
+    raise AssertionError("1 divides everything")
+
+
+poly9 = st.lists(st.integers(0, 8), max_size=3)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(poly9, poly9, poly9)
+def test_gf9_gcd_matches_search(c, u, v):
+    # a shared factor c makes nontrivial gcds common
+    a, b = _mul9(c, u), _mul9(c, v)
+    assert poly_gcd(F9, a, b) == _naive_gcd9(a, b)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(poly9, st.integers(0, 30), st.lists(st.integers(0, 8), min_size=1, max_size=3))
+def test_gf9_powmod_matches_repeated_product(a, e, low):
+    m = low + [1]
+    prod = [1]
+    for _ in range(e):
+        prod = _mul9(prod, a)
+    assert powmod(F9, a, e, m) == _rem9(prod, m)

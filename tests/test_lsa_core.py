@@ -23,6 +23,7 @@ from superkw.lsa import (
     is_solvable,
     is_subalgebra,
     one_dim_ideal_flag,
+    scalar_extensions,
     subalgebra_closure,
 )
 
@@ -361,3 +362,23 @@ def test_quotient_is_lie(gl11):
     assert q.n == 3
     # quotient of a solvable algebra is solvable
     assert is_solvable(q)
+
+
+@pytest.mark.parametrize("k,cap", [(1, 4), (2, 4), (2, 5), (1, 1), (2, 1)])
+def test_scalar_extensions(k, cap):
+    f = Field(3, k)
+    # odd Heisenberg: [y, y] = z
+    g = pair_algebra(f, ["z", "y"], [0, 1], [(1, 1, [1, 0])])
+    degrees = []
+    for degree, gx, table in scalar_extensions(g, cap):
+        degrees.append(degree)
+        big = gx.field
+        assert big == Field(3, k * degree)
+        if degree == 1:
+            assert gx is g and table.tolist() == list(range(f.q))
+        for a in range(f.q):
+            for b in range(f.q):
+                assert table[f.add(a, b)] == big.add(int(table[a]), int(table[b]))
+                assert table[f.mul(a, b)] == big.mul(int(table[a]), int(table[b]))
+        assert np.array_equal(gx.structure, table[g.structure])
+    assert degrees == list(range(1, cap // k + 1))

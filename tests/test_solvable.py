@@ -5,15 +5,19 @@ from superkw.chargeom import SuperDim
 from superkw.env import ReducedAlgebra, regular_module
 from superkw.gflin import Field
 from superkw.lsa import LsaError, Subspace
-from superkw.modules import composition_factors, is_graded_irreducible, validate_module
+from superkw.modules import (
+    composition_factors,
+    is_graded_irreducible,
+    validate_module,
+    verify_dim_form,
+)
+from superkw.report import equidim_probe
 from superkw.solvable import (
     DescentTrace,
     construct_irreducible,
-    equidim_probe,
     i_chi,
     polarization_module,
     solve_weight_equations,
-    verify_dim_form,
 )
 
 from conftest import pair_algebra
