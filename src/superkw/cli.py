@@ -249,28 +249,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
+    # each flag is registered only on the commands that read it
     def common(sp, with_file=True):
         if with_file:
             sp.add_argument("file", help="algebra file (superkw-lsa v1)")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--budget", type=int, default=4000)
         sp.add_argument("--report", default=None, help="write output to a file")
+
+    def seed(sp):
+        sp.add_argument("--seed", type=int, default=0)
+
+    def budget(sp):
+        sp.add_argument("--budget", type=int, default=4000)
 
     def ext_cap(sp):
         sp.add_argument("--ext-cap", dest="ext_cap", type=int, default=4)
 
     sp = sub.add_parser("validate", help="check the axioms of an algebra file")
     common(sp)
+    seed(sp)
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("mdim", help="maximal-dimension invariant scan")
     common(sp)
+    seed(sp)
+    budget(sp)
     sp.add_argument("--strategy", choices=["exhaustive", "random"], default="exhaustive")
     sp.add_argument("--samples", type=int, default=200)
     sp.set_defaults(func=cmd_mdim)
 
     sp = sub.add_parser("conjecture", help="full per-character verification report")
     common(sp)
+    seed(sp)
+    budget(sp)
     ext_cap(sp)
     sp.add_argument("--strategy", choices=["exhaustive", "random"], default="exhaustive")
     sp.add_argument("--samples", type=int, default=8)
@@ -279,12 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solvable-irr", help="construct an irreducible module")
     common(sp)
+    seed(sp)
+    budget(sp)
     ext_cap(sp)
     sp.add_argument("--chi", required=True, help="comma-separated even values")
     sp.set_defaults(func=cmd_solvable_irr)
 
     sp = sub.add_parser("baby-verma", help="induced highest-weight module")
     common(sp, with_file=False)
+    seed(sp)
+    budget(sp)
     sp.add_argument("--algebra", required=True, help="catalog name, e.g. gl(1|1)")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, default=1)

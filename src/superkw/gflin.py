@@ -405,16 +405,23 @@ def poly_mul(f: Field, a, b) -> list:
     return poly_trim(r)
 
 
-def poly_mod(f: Field, a, m) -> list:
+def poly_divmod(f: Field, a, m) -> tuple:
+    """Quotient and remainder of a by m."""
     a = list(a)
     dm = poly_deg(m)
     inv = f.inv(m[dm])
+    quo = [0] * max(poly_deg(a) - dm + 1, 0)
     while poly_deg(a) >= dm:
         da = poly_deg(a)
         c = f.mul(a[da], inv)
+        quo[da - dm] = c
         for j in range(dm + 1):
             a[da - dm + j] = f.sub(a[da - dm + j], f.mul(c, m[j]))
-    return poly_trim(a)
+    return poly_trim(quo), poly_trim(a)
+
+
+def poly_mod(f: Field, a, m) -> list:
+    return poly_divmod(f, a, m)[1]
 
 
 def poly_gcd(f: Field, a, b) -> list:

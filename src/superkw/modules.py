@@ -1,7 +1,7 @@
 """Graded modules over a reduced enveloping algebra: validation, spinning,
-graded irreducibility (randomized Meataxe with a transpose certificate),
-composition factors, simultaneous eigenspaces, and the degree-reduction
-filtration check for induced modules.
+graded irreducibility (randomized Meataxe with the Holt-Rees test and a
+transpose certificate), composition factors, simultaneous eigenspaces, and
+the degree-reduction filtration check for induced modules.
 
 Module vectors are column vectors; a set of module vectors is handled as a
 row-space in reduced echelon form.  Because action matrices are parity
@@ -11,6 +11,7 @@ homogeneous, every computed subspace has a parity-homogeneous echelon basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product as iproduct
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -20,6 +21,7 @@ from .gflin import (
     Field,
     nullspace,
     poly_deg,
+    poly_divmod,
     poly_gcd,
     poly_mod,
     poly_trim,
@@ -29,7 +31,6 @@ from .gflin import (
 from .lsa import LieSuperAlgebra, LsaError, Subspace, Violation
 
 ENDO_DIM_CAP = 20
-EXHAUSTIVE_DIM_CAP = 12
 KERNEL_ENUM_CAP = 4000
 MEATAXE_ATTEMPTS = 64
 
@@ -168,14 +169,6 @@ def spin_many(M: SuperModule, rows: np.ndarray) -> RowSpace:
 # polynomial steps of the Meataxe
 
 
-def _q_xqd_mod(f: Field, m, d: int):
-    """x^(q^d) mod m via iterated q-th powers."""
-    r = poly_mod(f, [0, 1], m)
-    for _ in range(d):
-        r = powmod(f, r, f.q, m)
-    return r
-
-
 def _minimal_poly(M: SuperModule, theta: np.ndarray, v: np.ndarray):
     """Minimal polynomial of theta relative to the vector v (Krylov)."""
     f = M.alg.field
@@ -240,6 +233,44 @@ def _equal_degree_split(f: Field, m, d: int, rng) -> Optional[list]:
     return None
 
 
+def _equal_degree_factors(f: Field, g, d: int, rng):
+    """The irreducible factors of a squarefree monic g whose irreducible
+    factors all have degree d."""
+    if poly_deg(g) == d:
+        yield g
+        return
+    h = _equal_degree_split(f, g, d, rng)
+    if h is None:
+        return
+    yield from _equal_degree_factors(f, h, d, rng)
+    yield from _equal_degree_factors(f, poly_divmod(f, g, h)[0], d, rng)
+
+
+def _irreducible_factors(f: Field, m, rng):
+    """The distinct monic irreducible factors of a monic m, lazily and by
+    increasing degree (distinct-degree, then equal-degree splitting)."""
+    rem = poly_trim(m)
+    xqd = [0, 1]  # x^(q^d) mod rem
+    d = 0
+    while poly_deg(rem) > 0:
+        d += 1
+        if 2 * d > poly_deg(rem):
+            # every factor of rem has degree >= d, so there is only one
+            yield rem
+            return
+        xqd = powmod(f, xqd, f.q, rem)
+        g = xqd + [0] * (2 - len(xqd))
+        g[1] = f.sub(g[1], 1)
+        g = poly_gcd(f, rem, g)  # the factors of degree d, once each
+        if poly_deg(g) <= 0:
+            continue
+        yield from _equal_degree_factors(f, g, d, rng)
+        while poly_deg(g) > 0:
+            rem = poly_divmod(f, rem, g)[0]
+            g = poly_gcd(f, rem, g)
+        xqd = poly_mod(f, xqd, rem)
+
+
 # ---------------------------------------------------------------------------
 # graded Meataxe
 
@@ -264,28 +295,29 @@ def _random_even_element(M: SuperModule, rng: np.random.Generator) -> np.ndarray
 
 
 def _homogeneous_kernel_vectors(M: SuperModule, ker: np.ndarray):
-    """Projective list of parity-homogeneous vectors in a graded kernel."""
+    """One vector per projective point of a graded kernel, given by a
+    parity-homogeneous echelon basis: the basis rows first, then, when
+    neither parity side has more than KERNEL_ENUM_CAP points, every other
+    point.  Returns (lazy vectors, whether every point is among them)."""
     f = M.alg.field
     par = M.parities
-    even_rows = [r for r in ker if not np.any(r[par == 1])]
-    odd_rows = [r for r in ker if not np.any(r[par == 0])]
-    out = []
-    for side in (even_rows, odd_rows):
-        k = len(side)
-        if k == 0:
-            continue
-        count = (f.q**k - 1) // (f.q - 1)
-        if count > KERNEL_ENUM_CAP:
-            return None
-        side = np.array(side)
-        from itertools import product as iproduct
+    sides = [ker[~np.any(ker[:, par == 1], axis=1)],
+             ker[~np.any(ker[:, par == 0], axis=1)]]
+    complete = all((f.q ** len(s) - 1) // (f.q - 1) <= KERNEL_ENUM_CAP for s in sides)
 
-        for t in range(k):
-            for tail in iproduct(range(f.q), repeat=k - t - 1):
-                coeffs = np.array((0,) * t + (1,) + tail, dtype=np.int64)
-                v = f.matmul(coeffs[None, :], side).ravel()
-                out.append(v)
-    return out
+    def points():
+        yield from ker
+        if not complete:
+            return
+        for side in sides:
+            k = len(side)
+            for t in range(k - 1):
+                for tail in iproduct(range(f.q), repeat=k - t - 1):
+                    if any(tail):
+                        coeffs = np.array((0,) * t + (1,) + tail, dtype=np.int64)
+                        yield f.matmul(coeffs[None, :], side).ravel()
+
+    return points(), complete
 
 
 def _split_kernel_by_parity(M: SuperModule, ker: np.ndarray) -> np.ndarray:
@@ -305,8 +337,16 @@ def _split_kernel_by_parity(M: SuperModule, ker: np.ndarray) -> np.ndarray:
     return space.basis
 
 
-def _find_singular_even(M: SuperModule, rng) -> Optional[np.ndarray]:
-    """Some even element of the acting algebra with a proper nonzero kernel."""
+def _find_singular_even(M: SuperModule, rng):
+    """A singular even element a = f(theta), for a random even theta of the
+    acting algebra and a monic irreducible factor f of its minimal
+    polynomial, as (a, ker(a), holt_rees); holt_rees says dim ker(a) = deg f.
+    Without that, ker(a) is proper and the smallest found; None when theta
+    gives neither.
+
+    Eigenvalues in GF(q) come first.  Factors of higher degree, taken from
+    the Krylov polynomial of a random vector, are tried only when theta has
+    no eigenvalue with a proper kernel."""
     f = M.alg.field
     dim = M.dim
     theta = _random_even_element(M, rng)
@@ -315,119 +355,87 @@ def _find_singular_even(M: SuperModule, rng) -> Optional[np.ndarray]:
     for lam in scan:
         a = f.sub_arr(theta, f.mul_arr(lam, f.eye(dim)))
         ker = nullspace(f, a)
+        if ker.shape[0] == 1:
+            return a, ker, True
         if 0 < ker.shape[0] < dim:
             if best is None or ker.shape[0] < best[1].shape[0]:
-                best = (a, ker)
-            if ker.shape[0] <= 2:
+                best = (a, ker, False)
+            if ker.shape[0] == 2:
                 break
     if best is not None:
-        return best[0]
-    # no eigenvalue in GF(q): split off a factor of the minimal polynomial
+        return best
     v = f.rand(rng, dim)
     if not np.any(v):
         return None
-    m = _minimal_poly(M, theta, v)
-    dm = poly_deg(m)
-    if dm <= 0:
-        return None
-    for d in range(2, dm + 1):
-        xq = _q_xqd_mod(f, m, d)
-        g = list(xq)
-        if len(g) < 2:
-            g = g + [0] * (2 - len(g))
-        g[1] = f.sub(g[1], 1)
-        fac = poly_gcd(f, m, g)
-        df = poly_deg(fac)
-        if 0 < df < dm:
-            return _poly_at_matrix(f, fac, theta)
-        if df == dm:
-            if dm == d:
-                # minimal polynomial is irreducible: theta generates a field
-                return None
-            split = _equal_degree_split(f, m, d, rng)
-            if split is not None:
-                return _poly_at_matrix(f, split, theta)
-            return None
-    return None
+    for fac in _irreducible_factors(f, _minimal_poly(M, theta, v), rng):
+        a = _poly_at_matrix(f, fac, theta)
+        ker = nullspace(f, a)
+        if ker.shape[0] == poly_deg(fac):
+            return a, ker, True
+        if ker.shape[0] < dim and (best is None or ker.shape[0] < best[1].shape[0]):
+            best = (a, ker, False)
+    return best
 
 
 def _find_proper_submodule(M: SuperModule, seed: int) -> Optional[RowSpace]:
     """A proper nonzero graded submodule, or None once irreducibility is
     certified.
 
-    Certificate: for a singular even a, a proper graded submodule U either
-    meets ker(a) (then some homogeneous kernel vector spins inside U) or is
-    disjoint from it, in which case ker(a^T) lies in the annihilator of U
-    and any homogeneous transpose-kernel vector spins properly in the
-    transpose module.  So exhausting homogeneous kernel vectors on one side
-    and a single one on the other decides the question for any such a.
+    Certificate: take a singular even a in the acting algebra.  A proper
+    graded submodule U either meets ker(a), and then contains a nonzero
+    homogeneous vector of ker(a), whose spin lies in U; or it does not, and
+    then a maps U onto itself, so ker(a^T) annihilates U and any homogeneous
+    vector of ker(a^T) spins properly in the transpose module.  So spinning
+    every homogeneous kernel vector (one per projective point) and a single
+    transpose-kernel vector decides the question.
+
+    Holt-Rees: when a = f(theta) with theta even, f irreducible and
+    dim ker(a) = deg f, one kernel vector stands for every one.  Through
+    theta, ker(a) is a vector space over K = GF(q)[x]/(f) of K-dimension 1.
+    As theta is even, ker(a) is the direct sum of its even and odd parts,
+    each a K-subspace, so one of them is zero and every kernel vector is
+    homogeneous.  A graded U that meets ker(a) meets it in a nonzero
+    K-subspace, so contains all of it.  Only where no such f turns up, as
+    for factors that are not absolutely irreducible, are kernels enumerated.
     """
     f = M.alg.field
     dim = M.dim
     if dim <= 1:
         return None
-    for i in range(min(dim, 8)):
-        v = np.zeros(dim, dtype=np.int64)
-        v[i] = 1
-        W = spin(M, v)
-        if 0 < W.dim < dim:
-            return W
     rng = np.random.default_rng(seed)
     MT = M.transpose_module()
-    for attempt in range(MEATAXE_ATTEMPTS):
-        a = _find_singular_even(M, rng)
-        if a is None:
-            continue
-        ker = nullspace(f, a)
-        if ker.shape[0] == 0 or ker.shape[0] == dim:
-            continue
-        homog = _split_kernel_by_parity(M, ker)
-        # cheap reducibility probe: individual kernel basis vectors often
-        # already generate proper submodules, and large kernels (which defeat
-        # projective enumeration) almost always do
-        for v in homog:
-            W = spin(M, v)
-            if 0 < W.dim < dim:
-                return W
-        vecs = _homogeneous_kernel_vectors(M, homog)
-        if vecs is None:
-            continue
-        reducible_witness = None
+
+    def singular():
+        for _ in range(MEATAXE_ATTEMPTS):
+            found = _find_singular_even(M, rng)
+            if found is not None:
+                yield found
+        # last resort, for modules on which no even element has a proper
+        # nonzero kernel (the even part acting by scalars, or a direct sum of
+        # copies of one factor): a = 0, whose kernel is the whole module
+        yield np.zeros((dim, dim), dtype=np.int64), f.eye(dim), False
+
+    for a, ker, holt_rees in singular():
+        if holt_rees:
+            vecs, complete = ker[:1], True
+        else:
+            vecs, complete = _homogeneous_kernel_vectors(M, _split_kernel_by_parity(M, ker))
         for v in vecs:
             W = spin(M, v)
             if W.dim < dim:
-                reducible_witness = W
-                break
-        if reducible_witness is not None:
-            return reducible_witness
-        kerT = nullspace(f, a.T)
-        vecsT = _homogeneous_kernel_vectors(M, _split_kernel_by_parity(M, kerT))
-        if vecsT is None or not vecsT:
+                return W
+        if not complete:
             continue
-        WT = spin(MT, vecsT[0])
+        WT = spin(MT, _split_kernel_by_parity(M, nullspace(f, a.T))[0])
         if WT.dim == dim:
             return None  # irreducible, certified
         # proper transpose submodule = proper quotient; its annihilator in M
         # is a proper nonzero submodule
-        ann = nullspace(f, WT.basis)
-        ann = _split_kernel_by_parity(M, ann)
+        ann = _split_kernel_by_parity(M, nullspace(f, WT.basis))
         W = spin_many(M, ann)
         if 0 < W.dim < dim:
             return W
         raise RuntimeError("transpose witness did not yield a submodule")
-    # deterministic last resort for small modules
-    if dim <= EXHAUSTIVE_DIM_CAP:
-        count_even = sum(1 for x in M.parities if x == 0)
-        count_odd = dim - count_even
-        if max(count_even, count_odd) <= 8 or f.q ** max(count_even, count_odd) < 10**6:
-            full = f.eye(dim)
-            vecs = _homogeneous_kernel_vectors(M, full)
-            if vecs is not None:
-                for v in vecs:
-                    W = spin(M, v)
-                    if W.dim < dim:
-                        return W
-                return None
     raise MeataxeFailure(
         f"graded Meataxe could not certify a verdict after {MEATAXE_ATTEMPTS} attempts"
     )
@@ -527,14 +535,15 @@ def endomorphism_dims(M: SuperModule) -> Tuple[Optional[int], Optional[int]]:
     d = M.dim
     par = M.parities
     eye = np.eye(d, dtype=np.int64)
-    rowsets = []
-    for i in range(M.alg.n):
-        A = M.action[i]
+    # the intersection of the generators' centralizers, one generator at a
+    # time, each solved on the solutions so far (rows of sol)
+    sol = f.eye(d * d)
+    for A in M.action:
+        if not sol.shape[0]:
+            break
         # T A - A T = 0 on row-major vec(T): kron placement, field subtraction
         block = f.sub_arr(np.kron(eye, A.T), np.kron(A, eye))
-        rowsets.append(block)
-    big = np.vstack(rowsets)
-    sol = nullspace(f, big)
+        sol = f.matmul(nullspace(f, f.matmul(block, sol.T)), sol)
     even = odd = 0
     if sol.shape[0]:
         # commutant solutions split into parity-homogeneous components, and
@@ -578,7 +587,12 @@ def composition_factors(M: SuperModule, seed: int = 0) -> CompositionReport:
         ee, eo = endomorphism_dims(fac)
         geo = fac.dim // ee if ee else fac.dim
         records.append(FactorRecord(fac.dim, fac.superdim, ee, eo, geo))
-    records.sort(key=lambda r: (r.dim, r.superdim))
+    # by the whole record, so that the order does not depend on the path the
+    # Meataxe took; an unknown endomorphism dimension (None) sorts first
+    records.sort(key=lambda r: (r.dim, r.superdim,
+                                -1 if r.endo_even is None else r.endo_even,
+                                -1 if r.endo_odd is None else r.endo_odd,
+                                r.geometric_dim))
     total = sum(r.dim for r in records)
     if total != M.dim:
         raise RuntimeError("composition factor dimensions do not sum correctly")
@@ -702,8 +716,6 @@ def degree_reduction_check(
     rng = np.random.default_rng(seed)
     degrees = np.array([induced.degree(i) for i in range(M.dim)])
     checked = 0
-    from itertools import product as iproduct
-
     all_alpha = list(iproduct(range(f.p), repeat=c0))
     all_gamma = list(iproduct(range(2), repeat=c1))
     cases = [

@@ -356,7 +356,7 @@ def test_criterion_11_determinism(tmp_path):
         ["solvable-irr", files["solv2"], "--chi", "0,1", "--seed", "3"],
         ["baby-verma", "--algebra", "gl(1|1)", "--p", "3", "--chi", "0,0",
          "--lam", "2,1", "--seed", "3"],
-        ["penv", str(cyc), "--seed", "3"],
+        ["penv", str(cyc)],
     ]
     identical = True
     for args in commands:

@@ -323,6 +323,8 @@ def test_meataxe_failure_exit2(files, monkeypatch, capsys):
     ["solvable-irr", "{heis}"],               # --chi missing
     ["mdim", "{heis}", "--seed", "x"],
     ["validate", "{heis}", "--ext-cap", "3"],  # read by no validation
+    ["validate", "{heis}", "--budget", "1"],   # validation builds no module
+    ["penv", "{heis}", "--seed", "9"],         # the envelope is deterministic
     [],
 ])
 def test_usage_error_exit3(files, argv, capsys):
@@ -346,3 +348,17 @@ def test_ext_cap_only_where_read():
     have = sorted(name for name, sp in sub.choices.items()
                   if "--ext-cap" in sp._option_string_actions)
     assert have == ["conjecture", "solvable-irr"]
+
+
+def test_seed_and_budget_only_where_read():
+    from superkw.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    have = {flag: sorted(name for name, sp in sub.choices.items()
+                         if flag in sp._option_string_actions)
+            for flag in ("--seed", "--budget")}
+    assert have == {
+        "--seed": ["baby-verma", "conjecture", "mdim", "solvable-irr", "validate"],
+        "--budget": ["baby-verma", "conjecture", "mdim", "solvable-irr"],
+    }

@@ -9,6 +9,7 @@ from superkw.gflin import (
     inv_matrix,
     is_irreducible,
     nullspace,
+    poly_divmod,
     poly_gcd,
     powmod,
     rank,
@@ -349,3 +350,15 @@ def test_gf9_powmod_matches_repeated_product(a, e, low):
     for _ in range(e):
         prod = _mul9(prod, a)
     assert powmod(F9, a, e, m) == _rem9(prod, m)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(poly9, st.lists(st.integers(0, 8), max_size=3), st.integers(1, 8))
+def test_gf9_divmod_reconstructs(a, low, lead):
+    m = low + [lead]
+    quo, rem = poly_divmod(F9, a, m)
+    assert len(rem) < len(m)
+    back = _mul9(quo, m) + [0] * len(a)
+    for i, c in enumerate(rem):
+        back[i] = ADD9[back[i]][c]
+    assert _trim9(back) == _trim9(a)

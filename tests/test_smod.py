@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superkw.chargeom import restrict_chi
 from superkw.classical import baby_verma
@@ -273,6 +274,118 @@ def test_meataxe_agrees_with_brute_force(gl11, oddheis_p3):
     assert checked >= 20
 
 
+def _artin_schreier_factor(solv2_p5):
+    """A 5-dim factor of the solv2_p5 regular module at chi = (1, 0): its
+    weight equation is Artin-Schreier, so its endomorphism field is
+    GF(5^5) and no even element has a proper nonzero kernel."""
+    reg = regular_module(ReducedAlgebra(solv2_p5.algebra, vec(1, 0)))
+    fac = composition_factor_modules(reg.module, 0)[0]
+    assert fac.dim == 5 and endomorphism_dims(fac) == (5, 0)
+    return fac
+
+
+def test_holt_rees_certifies_with_one_spin_per_side(solv2_p5, monkeypatch):
+    from superkw import modules
+
+    fac = _artin_schreier_factor(solv2_p5)
+    calls = []
+    orig = modules.spin
+
+    def counting(M, v):
+        calls.append(M.dim)
+        return orig(M, v)
+
+    monkeypatch.setattr(modules, "spin", counting)
+    for seed in range(4):
+        calls.clear()
+        assert is_graded_irreducible(fac, seed)
+        assert 1 <= len(calls) <= 2, calls
+
+
+def test_square_of_artin_schreier_factor_reducible(solv2_p5):
+    # theta acts on both summands alike, so its Krylov polynomial has degree
+    # 5 < 10 and the Holt-Rees condition never holds
+    from superkw.modules import _find_proper_submodule
+
+    fac = _artin_schreier_factor(solv2_p5)
+    M = direct_sum(fac, fac)
+    for seed in (0, 1):
+        assert not is_graded_irreducible(M, seed)
+        W = _find_proper_submodule(M, seed)
+        assert 0 < W.dim < M.dim
+        for row in W.basis:
+            assert len({int(M.parities[i]) for i in np.nonzero(row)[0]}) == 1
+        assert validate_module(submodule_module(M, W)) == []
+
+
+def test_meataxe_agrees_with_brute_force_on_catalog_factors(gl11, heis_p3):
+    from itertools import product
+
+    rng = np.random.default_rng(23)
+    checked = 0
+    for ent in (gl11, heis_p3):
+        g = ent.algebra
+        for chi in product(range(g.field.q), repeat=g.s_even):
+            reg = regular_module(ReducedAlgebra(g, np.array(chi, dtype=np.int64)))
+            pieces = composition_factor_modules(reg.module, 0)
+            cases = [m for m in pieces if m.dim > 1]
+            for _ in range(2):
+                a, b = (pieces[int(i)] for i in rng.integers(0, len(pieces), size=2))
+                cases.append(direct_sum(a, b))
+            for m in cases:
+                got = is_graded_irreducible(m, seed=int(rng.integers(0, 1000)))
+                assert got == _brute_graded_irreducible(m), (chi, m.dim, tuple(m.parities))
+                checked += 1
+    assert checked >= 100
+
+
+def _naive_factors(f, g):
+    """Distinct monic irreducible factors of a monic g of degree <= 3 or a
+    product of such, by root search and synthetic division."""
+    out = set()
+    stack = [list(g)]
+    while stack:
+        g = stack.pop()
+        if len(g) == 2:
+            out.add(tuple(g))
+            continue
+        for r in range(f.q):
+            val = 0
+            for c in reversed(g):
+                val = f.add(f.mul(val, r), c)
+            if val == 0:
+                quo, acc = [0] * (len(g) - 1), 0
+                for i in range(len(g) - 1, 0, -1):
+                    acc = f.add(f.mul(acc, r), g[i])
+                    quo[i - 1] = acc
+                stack += [[f.neg(r), 1], quo]
+                break
+        else:
+            assert len(g) <= 4, "no root and degree > 3: not decided by roots"
+            out.add(tuple(g))
+    return out
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2)]),
+       st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=3), min_size=1, max_size=3),
+       st.integers(0, 2**31))
+def test_irreducible_factors_match_root_search(pk, lows, seed):
+    from superkw.gflin import poly_deg, poly_mul
+    from superkw.modules import _irreducible_factors
+
+    f = Field(*pk)
+    pieces = [[c % f.q for c in low] + [1] for low in lows]
+    m = [1]
+    for piece in pieces:
+        m = poly_mul(f, m, piece)
+    got = list(_irreducible_factors(f, m, np.random.default_rng(seed)))
+    assert len(set(map(tuple, got))) == len(got)
+    assert set(map(tuple, got)) == set().union(*(_naive_factors(f, x) for x in pieces))
+    degs = [poly_deg(x) for x in got]
+    assert degs == sorted(degs)
+
+
 def test_composition_one_dim(gl11):
     g = gl11.algebra
     sub = as_subalgebra(g, g.full_space())
@@ -305,6 +418,19 @@ def test_composition_factors_are_irreducible(gl11):
     for m in mods:
         assert is_graded_irreducible(m, 3)
         assert validate_module(m) == []
+
+
+def test_factor_order_canonical(osp12):
+    # factors that tie on (dim, superdim) but differ in endomorphism data
+    # are listed in record order, whatever path the Meataxe took
+    from superkw.report import oracle_factors
+
+    payloads = [oracle_factors(osp12.algebra, vec(0, 0, 1), seed, 4000) for seed in (0, 1, 2)]
+    key = [(r["dim"], r["superdim"], r["endo_even"], r["endo_odd"], r["geometric_dim"])
+           for r in payloads[0]["factors"]]
+    assert key == sorted(key)
+    assert len({r["endo_odd"] for r in payloads[0]["factors"]}) > 1
+    assert payloads[1] == payloads[0] and payloads[2] == payloads[0]
 
 
 def test_factor_dims_bounded(gl11, oddheis_p3):
