@@ -7,7 +7,8 @@ Words are straightened rightmost-disorder-first; the relations used are the
 super-commutation swap, the odd-square rule y*y = (1/2)[y,y], and the even
 p-th power rule x^p = x^[p] + chi(x)^p.  Termination follows from the
 (degree, inversion-count) measure: swaps lower inversions, everything else
-lowers degree.
+lowers degree.  Normal forms are memoised per word, so a word that many
+rewrites reach is rewritten once.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ class ReducedAlgebra:
                 nz = np.nonzero(g.structure[i, j])[0]
                 if nz.size:
                     self.pair[(i, j)] = [(int(l), int(g.structure[i, j, l])) for l in nz]
+        # word -> normal form, filled by straighten
+        self._memo: Dict[Word, Dict[Word, int]] = {}
 
     @property
     def dim_exponents(self) -> tuple:
@@ -67,45 +70,86 @@ class ReducedAlgebra:
 
     def straighten(self, words: Dict[Word, int]) -> Dict[Word, int]:
         """Rewrite a scalar combination of words into sorted reduced words."""
-        f = self.field
-        p = f.p
-        par = self.g.parities
-        key = self.order_key
         out: Dict[Word, int] = {}
-        agenda: List[Tuple[Word, int]] = [(w, c) for w, c in words.items() if c]
-        while agenda:
-            w, c = agenda.pop()
-            if not c:
-                continue
-            m = self._rightmost_violation(w)
-            if m is None:
-                run = self._even_p_run(w)
-                if run is None:
-                    out[w] = f.add(out.get(w, 0), c)
-                    if not out[w]:
-                        del out[w]
-                    continue
-                start, gen = run
-                rest = w[:start] + w[start + p :]
-                for l, cl in self._pmap_terms(gen):
-                    agenda.append((self._insert_sorted_later(rest, start, l), f.mul(c, cl)))
-                cp = int(self.chi_p[gen])
-                if cp:
-                    agenda.append((rest, f.mul(c, cp)))
-                continue
-            a, b = w[m], w[m + 1]
-            if a == b:
-                # adjacent equal odd generators: the square rule
-                for l, cl in self.pair.get((a, a), []):
-                    agenda.append(
-                        (w[:m] + (l,) + w[m + 2 :], f.mul(c, f.mul(self.half, cl)))
-                    )
-                continue
-            sign_c = f.neg(c) if (par[a] * par[b]) % 2 == 1 else c
-            agenda.append((w[:m] + (b, a) + w[m + 2 :], sign_c))
-            for l, cl in self.pair.get((a, b), []):
-                agenda.append((w[:m] + (l,) + w[m + 2 :], f.mul(c, cl)))
+        for w, c in words.items():
+            if c:
+                self._add_scaled(out, c, self._normal_terms(w))
         return out
+
+    def _add_scaled(self, acc: Dict[Word, int], c: int, form: Dict[Word, int]) -> None:
+        """acc += c * form, dropping coefficients that cancel."""
+        f = self.field
+        for w, d in form.items():
+            v = f.add(acc.get(w, 0), f.mul(c, d))
+            if v:
+                acc[w] = v
+            else:
+                acc.pop(w, None)
+
+    def _normal_terms(self, word: Word) -> Dict[Word, int]:
+        """Normal form of one word, from the memo or by a post-order walk
+        over its rewrite children.  PBW normal forms are unique, so a word's
+        form is the sum of its children's forms, whichever path reached it;
+        every word is rewritten once per instance.  The memoised dicts are
+        shared: callers must not change them."""
+        memo = self._memo
+        if word in memo:
+            return memo[word]
+        children: Dict[Word, list] = {}
+        stack = [word]
+        while stack:
+            w = stack[-1]
+            if w in memo:
+                stack.pop()
+                continue
+            kids = children.get(w)
+            if kids is None:
+                kids = self._rewrite_step(w)
+                if kids is None:
+                    memo[w] = {w: 1}
+                    stack.pop()
+                    continue
+                children[w] = kids
+                pending = [v for v, _ in kids if v not in memo]
+                if pending:
+                    stack.extend(pending)
+                    continue
+            # every child is memoised: it was pushed above w and popped
+            # only once its own form was stored
+            stack.pop()
+            del children[w]
+            acc: Dict[Word, int] = {}
+            for v, c in kids:
+                self._add_scaled(acc, c, memo[v])
+            memo[w] = acc
+        return memo[word]
+
+    def _rewrite_step(self, w: Word) -> Optional[List[Tuple[Word, int]]]:
+        """One relation applied at the rightmost disorder (or, in an ordered
+        word, the rightmost run of p equal generators), as (word, coefficient)
+        children; None when w is already a sorted reduced word."""
+        f = self.field
+        m = self._rightmost_violation(w)
+        if m is None:
+            run = self._even_p_run(w)
+            if run is None:
+                return None
+            start, gen = run
+            rest = w[:start] + w[start + f.p :]
+            kids = [(rest[:start] + (l,) + rest[start:], cl) for l, cl in self._pmap_terms(gen)]
+            cp = int(self.chi_p[gen])
+            if cp:
+                kids.append((rest, cp))
+            return kids
+        a, b = w[m], w[m + 1]
+        if a == b:
+            # adjacent equal odd generators: the square rule
+            return [(w[:m] + (l,) + w[m + 2 :], f.mul(self.half, cl))
+                    for l, cl in self.pair.get((a, a), [])]
+        par = self.g.parities
+        sign = f.neg(1) if (par[a] * par[b]) % 2 == 1 else 1
+        return [(w[:m] + (b, a) + w[m + 2 :], sign)] + [
+            (w[:m] + (l,) + w[m + 2 :], cl) for l, cl in self.pair.get((a, b), [])]
 
     def _rightmost_violation(self, w: Word) -> Optional[int]:
         par = self.g.parities
@@ -129,10 +173,6 @@ class ReducedAlgebra:
             else:
                 count = 1
         return None
-
-    @staticmethod
-    def _insert_sorted_later(rest: Word, pos: int, l: int) -> Word:
-        return rest[:pos] + (l,) + rest[pos:]
 
     def _pmap_terms(self, gen: int):
         row = self.g.pmap[gen]
@@ -386,16 +426,24 @@ def induce(
         pos += 1
     A = ReducedAlgebra(g2, chi2, order_key=key)
 
-    # map h generator index in g2 to the base module's generator index
-    def h_action(word):
-        mat = f.eye(S.dim)
-        for gi in word:
-            if gi < s:
-                k = gi - c0
-            else:
-                k = (s - c0) + (gi - s - c1)
-            mat = f.matmul(mat, S.action[k])
-        return mat
+    # nonzero entries (row, col, value) of the matrix by which an h-word
+    # acts on S, one computation per distinct word
+    h_blocks: Dict[Word, list] = {}
+
+    def h_block(word):
+        blk = h_blocks.get(word)
+        if blk is None:
+            mat = f.eye(S.dim)
+            for gi in word:
+                # h generator index in g2 -> the base module's generator index
+                if gi < s:
+                    k = gi - c0
+                else:
+                    k = (s - c0) + (gi - s - c1)
+                mat = f.matmul(mat, S.action[k])
+            rr, cc = np.nonzero(mat)
+            blk = h_blocks[word] = list(zip(rr.tolist(), cc.tolist(), mat[rr, cc].tolist()))
+        return blk
 
     from itertools import product as iproduct
 
@@ -409,50 +457,60 @@ def induce(
         odd_cobasis=P[s : s + c1].copy(),
     )
 
-    action2 = np.zeros((n, dim, dim), dtype=np.int64)
-    for u in range(n):
-        mat = action2[u]
-        for alpha in blocks:
-            for gamma in gbits:
-                word = [u]
-                for i, a in enumerate(alpha):
-                    word.extend([i] * a)
-                for j, cb in enumerate(gamma):
-                    if cb:
-                        word.append(s + j)
-                res = A.straighten({tuple(word): 1})
-                col0 = induced.index(alpha, gamma, 0)
-                for w, c in res.items():
-                    cut = len(w)
-                    for pos2, gi in enumerate(w):
-                        if not (gi < c0 or (s <= gi < s + c1)):
-                            cut = pos2
-                            break
-                    prefix, suffix = w[:cut], w[cut:]
-                    a2 = [0] * c0
-                    g2bits = [0] * c1
-                    for gi in prefix:
-                        if gi < c0:
-                            a2[gi] += 1
-                        else:
-                            g2bits[gi - s] += 1
-                    row0 = induced.index(a2, g2bits, 0)
-                    hmat = h_action(suffix)
-                    block = f.mul_arr(c, hmat)
-                    mat[row0 : row0 + S.dim, col0 : col0 + S.dim] = f.add_arr(
-                        mat[row0 : row0 + S.dim, col0 : col0 + S.dim], block
-                    )
+    # column (alpha, gamma, 0) is the image of the word e^alpha f^gamma
+    columns = []
+    for alpha in blocks:
+        for gamma in gbits:
+            tail = [i for i, a in enumerate(alpha) for _ in range(a)]
+            tail += [s + j for j, cb in enumerate(gamma) if cb]
+            columns.append((tuple(tail), induced.index(alpha, gamma, 0)))
 
-    # back to the original generators
+    # a normal word is (cobasis monomial) * (h-word): its row block and the
+    # h-word's entries, once per distinct word
+    placed: Dict[Word, tuple] = {}
+
+    def place(w):
+        cut = len(w)
+        for pos2, gi in enumerate(w):
+            if not (gi < c0 or (s <= gi < s + c1)):
+                cut = pos2
+                break
+        a2 = [0] * c0
+        g2bits = [0] * c1
+        for gi in w[:cut]:
+            if gi < c0:
+                a2[gi] += 1
+            else:
+                g2bits[gi - s] += 1
+        placed[w] = (induced.index(a2, g2bits, 0), h_block(w[cut:]))
+        return placed[w]
+
+    # the action of g2's generators as triples (generator, row, col, coeff,
+    # h-entry); the entry's value is coeff * h-entry
+    triples = []
+    for u in range(n):
+        for tail, col0 in columns:
+            res = A.straighten({(u,) + tail: 1})
+            for w, c in res.items():
+                row0, blk = placed.get(w) or place(w)
+                for r, cc, hv in blk:
+                    triples.append((u, row0 + r, col0 + cc, c, hv))
+
+    # back to the original generators: x_i = sum_a Pinv[i, a] x'_a, applied
+    # to the triples; entries that meet at one position are summed in GF(q)
     Pinv = inv_matrix(f, P)
-    action = np.zeros_like(action2)
+    T = np.array(triples, dtype=np.int64).reshape(-1, 5)
+    gen, pos = T[:, 0], T[:, 1] * dim + T[:, 2]
+    val = f.mul_arr(T[:, 3], T[:, 4])
+    keys, vals = [], []
     for i in range(n):
-        acc = np.zeros((dim, dim), dtype=np.int64)
-        for a in range(n):
-            cval = int(Pinv[i, a])
-            if cval:
-                acc = f.add_arr(acc, f.mul_arr(cval, action2[a]))
-        action[i] = acc
+        coef = Pinv[i, gen]
+        sel = np.nonzero(coef)[0]
+        keys.append(i * dim * dim + pos[sel])
+        vals.append(f.mul_arr(coef[sel], val[sel]))
+    flat, where = np.unique(np.concatenate(keys), return_inverse=True)
+    action = np.zeros((n, dim, dim), dtype=np.int64)
+    action.reshape(-1)[flat] = f.sum_at(where, np.concatenate(vals), flat.size)
 
     parities = np.zeros(dim, dtype=np.int64)
     for alpha in blocks:

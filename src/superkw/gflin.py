@@ -141,6 +141,7 @@ class Field:
         self._add_table = None
         self._mul_table = None
         self._neg_table = None
+        self._add_rows = self._mul_rows = self._neg_list = self._inv_list = None
         if k > 1:
             # row i: x^(k+i) mod modulus, as a k-vector; products of two
             # degree-<k polynomials need degrees up to 2k-2
@@ -163,6 +164,12 @@ class Field:
                 self._add_table = self.undigits(self.digits(a) + self.digits(b))
                 self._mul_table = self._mul_digits(a, b)
                 self._neg_table = self.undigits(-self.digits(codes))
+                # list copies for the scalar methods: a list lookup returns a
+                # plain int, where a 0-d numpy call costs microseconds
+                self._add_rows = self._add_table.tolist()
+                self._mul_rows = self._mul_table.tolist()
+                self._neg_list = self._neg_table.tolist()
+                self._inv_list = [0] + np.argmax(self._mul_table[1:] == 1, axis=1).tolist()
 
     # -- code <-> power-basis digits ------------------------------------
 
@@ -189,11 +196,15 @@ class Field:
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
+        if self._add_rows is not None:
+            return self._add_rows[a][b]
         return int(self.add_arr(np.int64(a), np.int64(b)))
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
+        if self._neg_list is not None:
+            return self._neg_list[a]
         return int(self.neg_arr(np.int64(a)))
 
     def sub(self, a: int, b: int) -> int:
@@ -202,6 +213,8 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
+        if self._mul_rows is not None:
+            return self._mul_rows[a][b]
         return int(self.mul_arr(np.int64(a), np.int64(b)))
 
     def inv(self, a: int) -> int:
@@ -209,6 +222,8 @@ class Field:
             raise ZeroDivisionError("inverse of zero in GF(q)")
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
+        if self._inv_list is not None:
+            return self._inv_list[a]
         return self.pow(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:
@@ -299,6 +314,19 @@ class Field:
             base = self.mul_arr(base, base)
             e >>= 1
         return r
+
+    def sum_at(self, index, vals, size: int) -> np.ndarray:
+        """Length-`size` array whose entry j is the GF(q) sum of the `vals`
+        with index j.  Digits are summed in int64 and reduced once, exact
+        while no entry gathers 2^63 / p terms."""
+        index = np.asarray(index, dtype=np.intp)
+        if self.k == 1:
+            out = np.zeros(size, dtype=np.int64)
+            np.add.at(out, index, np.asarray(vals, dtype=np.int64))
+            return out % self.p
+        out = np.zeros((size, self.k), dtype=np.int64)
+        np.add.at(out, index, self.digits(vals))
+        return self.undigits(out)
 
     def rand(self, rng: np.random.Generator, shape=()) -> np.ndarray:
         return rng.integers(0, self.q, size=shape, dtype=np.int64)

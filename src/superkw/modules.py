@@ -30,7 +30,9 @@ from .gflin import (
 )
 from .lsa import LieSuperAlgebra, LsaError, Subspace, Violation
 
-ENDO_DIM_CAP = 20
+# largest d^2 x d^2 Kronecker block of endomorphism_dims, in bytes of int64:
+# d <= 45
+ENDO_BLOCK_BYTES = 32 * 2**20
 KERNEL_ENUM_CAP = 4000
 MEATAXE_ATTEMPTS = 64
 
@@ -337,6 +339,18 @@ def _split_kernel_by_parity(M: SuperModule, ker: np.ndarray) -> np.ndarray:
     return space.basis
 
 
+def _even_part_scalar(M: SuperModule) -> bool:
+    """Every even generator and every product of two odd generators acts by
+    a scalar.  Then so does every even element of the acting algebra: in an
+    even word the even letters are scalars and the odd ones pair up."""
+    f = M.alg.field
+    par = M.alg.parities
+    even = [M.action[i] for i in range(M.alg.n) if par[i] == 0]
+    odd = [M.action[i] for i in range(M.alg.n) if par[i] == 1]
+    mats = even + [f.matmul(x, y) for x in odd for y in odd]
+    return all(np.array_equal(A, A[0, 0] * np.eye(M.dim, dtype=np.int64)) for A in mats)
+
+
 def _find_singular_even(M: SuperModule, rng):
     """A singular even element a = f(theta), for a random even theta of the
     acting algebra and a monic irreducible factor f of its minimal
@@ -406,10 +420,13 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> Optional[RowSpace]:
     MT = M.transpose_module()
 
     def singular():
-        for _ in range(MEATAXE_ATTEMPTS):
-            found = _find_singular_even(M, rng)
-            if found is not None:
-                yield found
+        # with the even part acting by scalars every theta is scalar, so no
+        # attempt can find a proper kernel
+        if not _even_part_scalar(M):
+            for _ in range(MEATAXE_ATTEMPTS):
+                found = _find_singular_even(M, rng)
+                if found is not None:
+                    yield found
         # last resort, for modules on which no even element has a proper
         # nonzero kernel (the even part acting by scalars, or a direct sum of
         # copies of one factor): a = 0, whose kernel is the whole module
@@ -528,8 +545,9 @@ def endomorphism_dims(M: SuperModule) -> Tuple[Optional[int], Optional[int]]:
 
     For a graded-simple module the even commutant is a finite division ring,
     hence a field, so its dimension divides the module dimension and the
-    quotient is the dimension over the splitting field."""
-    if M.dim > ENDO_DIM_CAP:
+    quotient is the dimension over the splitting field.  (None, None) when
+    one generator's d^2 x d^2 block would exceed ENDO_BLOCK_BYTES."""
+    if 8 * M.dim**4 > ENDO_BLOCK_BYTES:
         return None, None
     f = M.alg.field
     d = M.dim

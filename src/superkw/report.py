@@ -24,9 +24,10 @@ from .lsa import LieSuperAlgebra
 from .modules import composition_factors, verify_dim_form
 
 REPORT_HEADER = "superkw-report v1"
-# layout version of the cached oracle payload; part of every cache key, so a
-# cache written under another layout is recomputed instead of served
-CACHE_SCHEMA = 2
+# version of the cached oracle payload, bumped when its layout or any answer
+# in it changes; part of every cache key, so a cache written under another
+# version is recomputed instead of served
+CACHE_SCHEMA = 3
 
 
 def tagged(value, provenance: str) -> Dict:

@@ -362,3 +362,20 @@ def test_gf9_divmod_reconstructs(a, low, lead):
     for i, c in enumerate(rem):
         back[i] = ADD9[back[i]][c]
     assert _trim9(back) == _trim9(a)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3)])
+def test_scalar_ops_match_array_ops(p, k):
+    f = Field(p, k)
+    codes = np.arange(f.q, dtype=np.int64)
+    a, b = np.meshgrid(codes, codes, indexing="ij")
+    add, mul, neg = f.add_arr(a, b), f.mul_arr(a, b), f.neg_arr(codes)
+    for x in range(f.q):
+        assert type(f.neg(x)) is int and f.neg(x) == neg[x]
+        for y in range(f.q):
+            s, m = f.add(x, y), f.mul(x, y)
+            assert type(s) is int and type(m) is int
+            assert (s, m) == (add[x, y], mul[x, y])
+        if x:
+            inv = f.inv(x)
+            assert type(inv) is int and mul[x, inv] == 1

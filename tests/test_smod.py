@@ -318,6 +318,47 @@ def test_square_of_artin_schreier_factor_reducible(solv2_p5):
         assert validate_module(submodule_module(M, W)) == []
 
 
+def test_scalar_even_part_skips_singular_search(gl11, monkeypatch):
+    # on the sum of two trivial modules every even element is a scalar, so
+    # the Meataxe goes straight to its a = 0 last resort
+    from superkw import modules
+
+    trivial = SuperModule(alg=gl11.algebra, chi=vec(0, 0), parities=vec(0),
+                          action=np.zeros((4, 1, 1), dtype=np.int64))
+    M = direct_sum(trivial, trivial)
+    calls = []
+    orig = modules._find_singular_even
+
+    def counting(M, rng):
+        calls.append(M.dim)
+        return orig(M, rng)
+
+    monkeypatch.setattr(modules, "_find_singular_even", counting)
+    W = modules._find_proper_submodule(M, 0)
+    assert W is not None and W.dim == 1
+    assert calls == []
+
+
+def test_endomorphism_dims_unknown_only_above_block_limit(gl11):
+    from superkw import modules
+
+    def zero_module(d):
+        return SuperModule(alg=gl11.algebra, chi=vec(0, 0), parities=np.zeros(d, dtype=np.int64),
+                           action=np.zeros((4, d, d), dtype=np.int64))
+
+    assert 8 * 45**4 <= modules.ENDO_BLOCK_BYTES < 8 * 46**4
+    assert endomorphism_dims(zero_module(46)) == (None, None)
+    assert endomorphism_dims(zero_module(21)) == (21 * 21, 0)
+
+
+def test_sl2_p5_artin_schreier_factors_geometric_dim_5(sl2_p5):
+    # the 25-dim factors at chi = (1, 0, 0) have endomorphism field GF(5^5)
+    rep = composition_factors(regular_module(ReducedAlgebra(sl2_p5.algebra, vec(1, 0, 0))).module, 0)
+    assert rep.dims == [25] * 5
+    assert [(r.endo_even, r.endo_odd) for r in rep.factors] == [(5, 0)] * 5
+    assert rep.geometric_dims == [5] * 5
+
+
 def test_meataxe_agrees_with_brute_force_on_catalog_factors(gl11, heis_p3):
     from itertools import product
 
