@@ -340,7 +340,7 @@ class Field:
         return np.eye(n, dtype=np.int64)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact matrix product.
+        """Exact matrix product, with the shape rules of ``np.matmul``.
 
         Entries (for k > 1, their power-basis digits) lie in [0, p), so
         float64 BLAS is exact while inner * (p-1)^2 < 2^53; beyond that
@@ -357,25 +357,35 @@ class Field:
         da, db = self.digits(a), self.digits(b)
         if exact:
             da, db = da.astype(np.float64), db.astype(np.float64)
-        prod = np.zeros(a.shape[:-1] + b.shape[1:] + (2 * k - 1,), dtype=np.int64)
+        prod = None
         for i in range(k):
             for j in range(k):
                 if exact:
                     t = np.rint(da[..., i] @ db[..., j]).astype(np.int64)
                 else:
                     t = self._chunked_dot(da[..., i], db[..., j])
+                if prod is None:
+                    # the first product has the output's shape
+                    prod = np.zeros(t.shape + (2 * k - 1,), dtype=np.int64)
                 prod[..., i + j] += t % p
         prod %= p
         return self._reduce_digits(prod)
 
     def _chunked_dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Product mod p of int64 matrices with entries in [0, p), summed in
-        chunks short enough that no int64 partial sum overflows."""
+        """Product mod p of int64 arrays with entries in [0, p), summed in
+        chunks of the contraction axis short enough that no int64 partial
+        sum overflows."""
         p = self.p
         chunk = (2**63 - 1) // (p - 1) ** 2  # >= 1: Field rejects larger p
-        acc = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+
+        def part(s, e):
+            # the contraction axis of b is its last but one (its only one
+            # for a vector)
+            return a[..., s:e] @ (b[s:e] if b.ndim == 1 else b[..., s:e, :])
+
+        acc = part(0, 0)  # zeros of the product's shape
         for s in range(0, a.shape[-1], chunk):
-            acc = (acc + (a[..., s : s + chunk] @ b[s : s + chunk]) % p) % p
+            acc = (acc + part(s, s + chunk) % p) % p
         return acc
 
     def mat_pow(self, a: np.ndarray, e: int) -> np.ndarray:

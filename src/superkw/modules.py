@@ -1,7 +1,8 @@
 """Graded modules over a reduced enveloping algebra: validation, spinning,
 graded irreducibility (randomized Meataxe with the Holt-Rees test and a
-transpose certificate), composition factors, simultaneous eigenspaces, and
-the degree-reduction filtration check for induced modules.
+transpose certificate), composition factors grouped into isomorphism classes
+by the standard-basis test, simultaneous eigenspaces, and the
+degree-reduction filtration check for induced modules.
 
 Module vectors are column vectors; a set of module vectors is handled as a
 row-space in reduced echelon form.  Because action matrices are parity
@@ -19,6 +20,7 @@ import numpy as np
 from .gflin import (
     Echelon,
     Field,
+    inv_matrix,
     nullspace,
     poly_deg,
     poly_divmod,
@@ -26,6 +28,7 @@ from .gflin import (
     poly_mod,
     poly_trim,
     powmod,
+    rref,
     solve,
 )
 from .lsa import LieSuperAlgebra, LsaError, Subspace, Violation
@@ -277,22 +280,35 @@ def _irreducible_factors(f: Field, m, rng):
 # graded Meataxe
 
 
-def _random_even_element(M: SuperModule, rng: np.random.Generator) -> np.ndarray:
-    """Random parity-even element of the acting algebra (with identity term)."""
+def _random_even_recipe(M: SuperModule, rng: np.random.Generator) -> tuple:
+    """A random parity-even element of the acting algebra (with identity
+    term), as its recipe (scalar, ((word, coefficient), ...)): the element
+    is scalar + sum of coefficient * product of the word's generators."""
     f = M.alg.field
     g = M.alg
-    dim = M.dim
-    theta = f.mul_arr(int(f.rand(rng)), f.eye(dim))
-    terms = int(rng.integers(1, 4))
-    for _ in range(terms):
+    scalar = int(f.rand(rng))
+    terms = []
+    for _ in range(int(rng.integers(1, 4))):
         length = int(rng.integers(1, 4))
-        word = [int(rng.integers(0, g.n)) for _ in range(length)]
+        word = tuple(int(rng.integers(0, g.n)) for _ in range(length))
         if sum(int(g.parities[i]) for i in word) % 2 != 0:
             continue
-        mat = f.eye(dim)
+        terms.append((word, int(f.rand(rng))))
+    return scalar, tuple(terms)
+
+
+def _even_element(M: SuperModule, recipe: tuple) -> np.ndarray:
+    """The action on M of the element a recipe describes."""
+    f = M.alg.field
+    scalar, terms = recipe
+    theta = f.mul_arr(scalar, f.eye(M.dim))
+    for word, coeff in terms:
+        if not coeff:
+            continue
+        mat = f.eye(M.dim)
         for i in word:
             mat = f.matmul(mat, M.action[i])
-        theta = f.add_arr(theta, f.mul_arr(int(f.rand(rng)), mat))
+        theta = f.add_arr(theta, f.mul_arr(coeff, mat))
     return theta
 
 
@@ -354,26 +370,27 @@ def _even_part_scalar(M: SuperModule) -> bool:
 def _find_singular_even(M: SuperModule, rng):
     """A singular even element a = f(theta), for a random even theta of the
     acting algebra and a monic irreducible factor f of its minimal
-    polynomial, as (a, ker(a), holt_rees); holt_rees says dim ker(a) = deg f.
-    Without that, ker(a) is proper and the smallest found; None when theta
-    gives neither.
+    polynomial, as (recipe of theta, f, a, ker(a), holt_rees); holt_rees
+    says dim ker(a) = deg f.  Without that, ker(a) is proper and the
+    smallest found; None when theta gives neither.
 
     Eigenvalues in GF(q) come first.  Factors of higher degree, taken from
     the Krylov polynomial of a random vector, are tried only when theta has
     no eigenvalue with a proper kernel."""
     f = M.alg.field
     dim = M.dim
-    theta = _random_even_element(M, rng)
+    recipe = _random_even_recipe(M, rng)
+    theta = _even_element(M, recipe)
     best = None
     scan = range(f.q) if f.q <= 512 else [int(f.rand(rng)) for _ in range(64)]
     for lam in scan:
         a = f.sub_arr(theta, f.mul_arr(lam, f.eye(dim)))
         ker = nullspace(f, a)
         if ker.shape[0] == 1:
-            return a, ker, True
+            return recipe, [f.neg(lam), 1], a, ker, True
         if 0 < ker.shape[0] < dim:
-            if best is None or ker.shape[0] < best[1].shape[0]:
-                best = (a, ker, False)
+            if best is None or ker.shape[0] < best[3].shape[0]:
+                best = (recipe, [f.neg(lam), 1], a, ker, False)
             if ker.shape[0] == 2:
                 break
     if best is not None:
@@ -385,15 +402,28 @@ def _find_singular_even(M: SuperModule, rng):
         a = _poly_at_matrix(f, fac, theta)
         ker = nullspace(f, a)
         if ker.shape[0] == poly_deg(fac):
-            return a, ker, True
-        if ker.shape[0] < dim and (best is None or ker.shape[0] < best[1].shape[0]):
-            best = (a, ker, False)
+            return recipe, fac, a, ker, True
+        if ker.shape[0] < dim and (best is None or ker.shape[0] < best[3].shape[0]):
+            best = (recipe, fac, a, ker, False)
     return best
 
 
-def _find_proper_submodule(M: SuperModule, seed: int) -> Optional[RowSpace]:
-    """A proper nonzero graded submodule, or None once irreducibility is
-    certified.
+@dataclass
+class Certificate:
+    """How the Meataxe certified a module S graded-simple: the recipe of an
+    even theta, a monic irreducible f, the nullity of f(theta) on S, and a
+    parity-homogeneous vector w of ker f(theta) that spins to all of S."""
+
+    recipe: tuple
+    poly: list
+    nullity: int
+    w: np.ndarray
+
+
+def _find_proper_submodule(M: SuperModule, seed: int) -> RowSpace | Certificate | None:
+    """A proper nonzero graded submodule (a RowSpace), or, once
+    irreducibility is certified, the Certificate; None instead of a
+    Certificate for dim <= 1 and for the a = 0 last resort.
 
     Certificate: take a singular even a in the acting algebra.  A proper
     graded submodule U either meets ker(a), and then contains a nonzero
@@ -430,22 +460,26 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> Optional[RowSpace]:
         # last resort, for modules on which no even element has a proper
         # nonzero kernel (the even part acting by scalars, or a direct sum of
         # copies of one factor): a = 0, whose kernel is the whole module
-        yield np.zeros((dim, dim), dtype=np.int64), f.eye(dim), False
+        yield None, None, np.zeros((dim, dim), dtype=np.int64), f.eye(dim), False
 
-    for a, ker, holt_rees in singular():
+    for recipe, poly, a, ker, holt_rees in singular():
         if holt_rees:
             vecs, complete = ker[:1], True
         else:
             vecs, complete = _homogeneous_kernel_vectors(M, _split_kernel_by_parity(M, ker))
+        w = None
         for v in vecs:
             W = spin(M, v)
             if W.dim < dim:
                 return W
+            if w is None:
+                w = v
         if not complete:
             continue
         WT = spin(MT, _split_kernel_by_parity(M, nullspace(f, a.T))[0])
         if WT.dim == dim:
-            return None  # irreducible, certified
+            # irreducible, certified
+            return None if recipe is None else Certificate(recipe, poly, ker.shape[0], w)
         # proper transpose submodule = proper quotient; its annihilator in M
         # is a proper nonzero submodule
         ann = _split_kernel_by_parity(M, nullspace(f, WT.basis))
@@ -461,7 +495,7 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> Optional[RowSpace]:
 def is_graded_irreducible(M: SuperModule, seed: int = 0) -> bool:
     """No proper nonzero graded submodule.  The answer does not depend on the
     seed; the seed only steers how fast a certificate is found."""
-    return _find_proper_submodule(M, seed) is None
+    return not isinstance(_find_proper_submodule(M, seed), RowSpace)
 
 
 # ---------------------------------------------------------------------------
@@ -576,33 +610,149 @@ def endomorphism_dims(M: SuperModule) -> Tuple[Optional[int], Optional[int]]:
     return even, odd
 
 
-def composition_factor_modules(M: SuperModule, seed: int = 0) -> List[SuperModule]:
-    """The graded composition factors themselves, by repeated splitting."""
-    factors: List[SuperModule] = []
+def _standard_basis(M: SuperModule, w: np.ndarray):
+    """Spin w, which generates M, into a basis B of M (as columns, B[:, 0] =
+    w) breadth first.  Each level is a pair of arrays (generators, sources):
+    its columns are the images of the given earlier columns under the given
+    generators, the first images, in order, that enlarge the span."""
+    f = M.alg.field
+    n, d = M.alg.n, M.dim
+    space = RowSpace(f, d, w[None, :])
+    cols = [w]
+    levels = []
+    lo = 0
+    while len(cols) < d:
+        hi = len(cols)
+        # row (t, i): generator i applied to column lo + t
+        rows = f.matmul(M.action, np.array(cols[lo:hi]).T).transpose(2, 0, 1).reshape(-1, d)
+        # the pivot columns of the transposed residues are the rows, in
+        # order, that are independent modulo the span so far
+        _, piv = rref(f, space.reduce(rows).T)
+        if not piv:
+            raise LsaError("vector does not generate the module")
+        space.extend(rows[piv])
+        cols.extend(rows[piv])
+        keep = np.array(piv)
+        levels.append((keep % n, lo + keep // n))
+        lo = hi
+    return np.array(cols).T, levels
+
+
+def _basis_from_words(M: SuperModule, w: np.ndarray, levels) -> np.ndarray:
+    """The columns that the levels of a standard basis spin from w in M."""
+    f = M.alg.field
+    B = np.zeros((M.dim, M.dim), dtype=np.int64)
+    B[:, 0] = w
+    lo, hi = 0, 1
+    for gens, srcs in levels:
+        images = f.matmul(M.action, B[:, lo:hi])
+        B[:, hi : hi + len(gens)] = images[gens, :, srcs - lo].T
+        lo, hi = hi, hi + len(gens)
+    return B
+
+
+class FactorClass:
+    """An isomorphism class of graded composition factors, up to parity
+    shift, kept as its first member S with S's Certificate, the standard
+    basis B that spinning the certificate's w gives, the generators in that
+    basis C_i = B^-1 A_i B, and End(S), solved once.
+
+    A module M of S's dimension is accepted when, for a homogeneous w' of
+    ker f(theta) on M, the matrix B' spun from w' by the same words
+    satisfies A'_i B' = B' C_i for every generator.  B' is then a nonzero
+    module map from the simple S, so injective, and M has S's dimension, so
+    it is an isomorphism: an even one when w' has the parity of w, else one
+    from the parity shift of S.  Either way M has S's endomorphism
+    dimensions.  If phi: S -> M is an isomorphism, the w' that work include
+    phi(d w) for every nonzero d in D = End_even(S), and ker f(theta') =
+    phi(ker f(theta)) is a vector space over D; when nullity f(theta) =
+    dim D it is one D-line, so any one w' decides."""
+
+    def __init__(self, module: SuperModule, cert: Optional[Certificate]):
+        self.module = module
+        self.cert = cert
+        self._endo = None
+        if cert is not None:
+            f = module.alg.field
+            B, self.levels = _standard_basis(module, cert.w)
+            self.C = f.matmul(inv_matrix(f, B), f.matmul(module.action, B))
+
+    def endo(self) -> Tuple[Optional[int], Optional[int]]:
+        if self._endo is None:
+            self._endo = endomorphism_dims(self.module)
+        return self._endo
+
+    def accepts(self, M: SuperModule) -> bool:
+        """M is isomorphic to S or to its parity shift, by an explicit
+        isomorphism; False when that is disproved or the test inconclusive."""
+        cert = self.cert
+        sd = self.module.superdim
+        if cert is None or M.dim != self.module.dim or M.superdim not in (sd, sd[::-1]):
+            return False
+        f = M.alg.field
+        a = _poly_at_matrix(f, cert.poly, _even_element(M, cert.recipe))
+        ker = nullspace(f, a)
+        if ker.shape[0] != cert.nullity:
+            return False
+        ker = _split_kernel_by_parity(M, ker)
+        if cert.nullity == 1 or cert.nullity == self.endo()[0]:
+            vecs = ker[:1]
+        else:
+            vecs, _ = _homogeneous_kernel_vectors(M, ker)
+        for v in vecs:
+            B = _basis_from_words(M, v, self.levels)
+            if np.array_equal(f.matmul(M.action, B), f.matmul(B, self.C)):
+                return True
+        return False
+
+
+def _piece_seed(seed: int, index: int) -> int:
+    """The Meataxe seed of the index-th piece of a composition series, so
+    that pieces alike in shape do not all repeat one random path."""
+    return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
+
+
+def composition_series(M: SuperModule, seed: int = 0) -> List[Tuple[SuperModule, FactorClass]]:
+    """The graded composition factors by repeated splitting, each with its
+    isomorphism class.  A piece isomorphic to a class found before is
+    recognised by the class's isomorphism test, without the Meataxe."""
+    factors: List[Tuple[SuperModule, FactorClass]] = []
+    classes: List[FactorClass] = []
     stack = [M]
-    guard = 0
+    index = 0
     while stack:
         cur = stack.pop()
-        guard += 1
-        if guard > 4 * max(M.dim, 1):
+        index += 1
+        if index > 4 * max(M.dim, 1):
             raise RuntimeError("composition recursion failed to terminate")
         if cur.dim == 0:
             continue
-        W = _find_proper_submodule(cur, seed)
-        if W is None:
-            factors.append(cur)
+        known = next((K for K in classes if K.accepts(cur)), None)
+        if known is not None:
+            factors.append((cur, known))
             continue
-        stack.append(submodule_module(cur, W))
-        stack.append(quotient_module(cur, W))
+        W = _find_proper_submodule(cur, _piece_seed(seed, index))
+        if isinstance(W, RowSpace):
+            stack.append(submodule_module(cur, W))
+            stack.append(quotient_module(cur, W))
+            continue
+        known = FactorClass(cur, W)
+        classes.append(known)
+        factors.append((cur, known))
     return factors
 
 
+def composition_factor_modules(M: SuperModule, seed: int = 0) -> List[SuperModule]:
+    """The graded composition factors themselves, by repeated splitting."""
+    return [fac for fac, _ in composition_series(M, seed)]
+
+
 def composition_factors(M: SuperModule, seed: int = 0) -> CompositionReport:
-    """Multiset of graded composition factors by repeated Meataxe splitting."""
-    factors = composition_factor_modules(M, seed)
+    """Multiset of graded composition factors by repeated Meataxe splitting;
+    the endomorphism dimensions are solved once per isomorphism class."""
     records = []
-    for fac in factors:
-        ee, eo = endomorphism_dims(fac)
+    for fac, known in composition_series(M, seed):
+        ee, eo = known.endo()
         geo = fac.dim // ee if ee else fac.dim
         records.append(FactorRecord(fac.dim, fac.superdim, ee, eo, geo))
     # by the whole record, so that the order does not depend on the path the

@@ -112,6 +112,11 @@ GOLDEN = {
     # duplicates were merged
     "heis_p3": "76d7da7274d59b9834109c9aa66657d83582d8531f306fe4fb38e81504a2b1d3",
     "solv2_p5": "7cef992dd65eba30398f7b806d86815c802014ee9f8127e302d494285580c8c0",
+    # recorded before composition factors were grouped into isomorphism
+    # classes
+    "osp1_2_p3": "ce099c14e7e1f1660c18cb2b74c3b0d5061aece607148d5f76c52ae3fa7663f2",
+    "sl2_p5": "2214411b72013d176c4a2e4fb0f4fa4590dbca1bb007dab1484deba59b3df261",
+    "osp1_2_p3k2": "19907857e7eb34f116d5d1f6d524bc3ac53f87397ec6b0ed3c4b9d56b02981d9",
 }
 
 

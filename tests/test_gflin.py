@@ -379,3 +379,28 @@ def test_scalar_ops_match_array_ops(p, k):
         if x:
             inv = f.inv(x)
             assert type(inv) is int and mul[x, inv] == 1
+
+
+@st.composite
+def batched_products(draw):
+    # 2^31 - 1 gives chunks of two terms, so the chunked sum runs along b's
+    # contraction axis more than once
+    f = draw(st.sampled_from([F3, F9, Field(100000007), Field(2147483647)]))
+    batch, rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(4))
+    batched = draw(st.sampled_from(["right", "left", "both"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = f.rand(rng, ((batch,) if batched != "right" else ()) + (rows, inner))
+    b = f.rand(rng, ((batch,) if batched != "left" else ()) + (inner, cols))
+    return f, a, b
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(batched_products())
+def test_matmul_batched_matches_slices(case):
+    f, a, b = case
+    got = f.matmul(a, b)
+    batch = max(a.shape[0] if a.ndim == 3 else 1, b.shape[0] if b.ndim == 3 else 1)
+    ref = np.array([f.matmul(a[i] if a.ndim == 3 else a, b[i] if b.ndim == 3 else b)
+                    for i in range(batch)])
+    assert got.shape == np.matmul(a, b).shape
+    assert np.array_equal(got, ref)

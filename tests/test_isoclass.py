@@ -1,0 +1,225 @@
+"""Isomorphism classes in the composition loop: the standard-basis test that
+lets a piece inherit a certified factor's class, and its endomorphism data."""
+
+import os
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from superkw import modules
+from superkw.classical import catalog
+from superkw.env import ReducedAlgebra, regular_module
+from superkw.gflin import inv_matrix, nullspace, rank
+from superkw.lsafile import parse_lsa_path
+from superkw.modules import (
+    RowSpace,
+    SuperModule,
+    composition_factors,
+    composition_series,
+    endomorphism_dims,
+    quotient_module,
+    submodule_module,
+)
+
+ALGEBRAS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "algebras")
+
+
+@lru_cache(maxsize=None)
+def _algebra(name):
+    if name == "gl(1|1) GF(9)":
+        return catalog("gl(1|1)", 3, 2).algebra
+    return parse_lsa_path(os.path.join(ALGEBRAS, f"{name}.lsa")).algebra
+
+
+@lru_cache(maxsize=None)
+def _regular(name, chi):
+    return regular_module(ReducedAlgebra(_algebra(name), np.array(chi, dtype=np.int64))).module
+
+
+def _classes(series):
+    out = []
+    for _, known in series:
+        if all(known is not K for K in out):
+            out.append(known)
+    return out
+
+
+def _direct_sum(*mods):
+    a = mods[0]
+    dim = sum(m.dim for m in mods)
+    action = np.zeros((a.alg.n, dim, dim), dtype=np.int64)
+    at = 0
+    for m in mods:
+        action[:, at : at + m.dim, at : at + m.dim] = m.action
+        at += m.dim
+    return SuperModule(alg=a.alg, chi=a.chi,
+                       parities=np.concatenate([m.parities for m in mods]), action=action)
+
+
+def _hom_dims(S, T):
+    """Dimensions of the even and odd module maps S -> T, by the Kronecker
+    solve of A_T X = X A_S on row-major vec(X)."""
+    f = S.alg.field
+    eye_s = np.eye(S.dim, dtype=np.int64)
+    eye_t = np.eye(T.dim, dtype=np.int64)
+    sol = f.eye(S.dim * T.dim)
+    for A_s, A_t in zip(S.action, T.action):
+        block = f.sub_arr(np.kron(A_t, eye_s), np.kron(eye_t, A_s.T))
+        sol = f.matmul(nullspace(f, f.matmul(block, sol.T)), sol)
+    same = (T.parities[:, None] == S.parities[None, :]).ravel()
+    even, odd = sol.copy(), sol.copy()
+    even[:, ~same] = 0
+    odd[:, same] = 0
+    return (RowSpace(f, S.dim * T.dim, even).dim, RowSpace(f, S.dim * T.dim, odd).dim)
+
+
+def _random_even_basis_change(M, rng):
+    """M conjugated by a random invertible matrix that keeps the parities."""
+    f = M.alg.field
+    P = np.zeros((M.dim, M.dim), dtype=np.int64)
+    for par in (0, 1):
+        idx = np.nonzero(M.parities == par)[0]
+        while True:
+            block = f.rand(rng, (len(idx), len(idx)))
+            if rank(f, block) == len(idx):
+                break
+        P[np.ix_(idx, idx)] = block
+    action = f.matmul(inv_matrix(f, P), f.matmul(M.action, P))
+    return SuperModule(alg=M.alg, chi=M.chi, parities=M.parities.copy(), action=action)
+
+
+CERTIFIED = [("osp1_2_p3", (1, 1, 0)), ("gl(1|1) GF(9)", (0, 1)),
+             ("gl1_1_p3", (1, 0)), ("heis_p3", (1, 0, 1)), ("osp1_2_p3", (0, 1, 0))]
+
+
+@pytest.mark.parametrize("name,chi", CERTIFIED)
+def test_conjugated_factor_recognised(name, chi):
+    rng = np.random.default_rng(17)
+    classes = _classes(composition_series(_regular(name, chi), 0))
+    assert all(K.cert is not None for K in classes)
+    for K in classes:
+        for _ in range(2):
+            M = _random_even_basis_change(K.module, rng)
+            assert K.accepts(M)
+            # the parity shift has the same endomorphism dimensions
+            shifted = SuperModule(alg=M.alg, chi=M.chi, parities=1 - M.parities,
+                                  action=M.action)
+            assert K.accepts(shifted)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7])
+def test_gl11_gf9_classes_never_merged(seed):
+    series = composition_series(_regular("gl(1|1) GF(9)", (0, 1)), seed)
+    classes = _classes(series)
+    # three classes alike in dimension, superdimension and nullity
+    assert len(classes) == 3
+    assert {(K.module.dim, K.module.superdim, K.cert.nullity) for K in classes} == {(6, (3, 3), 3)}
+    for K in classes:
+        for L in classes:
+            if K is not L:
+                assert not L.accepts(K.module)
+                assert _hom_dims(K.module, L.module) == (0, 0)
+    # every member maps isomorphically to its class, evenly or oddly
+    for fac, K in series:
+        assert _hom_dims(K.module, fac) in ((3, 0), (0, 3))
+
+
+def _sum_of_smaller(S, facs):
+    """A direct sum of factors smaller than S with S's superdimension, or
+    None."""
+    small = [F for F in facs if F.dim < S.dim]
+
+    def search(start, need):
+        if need == (0, 0):
+            return []
+        for j in range(start, len(small)):
+            e, o = small[j].superdim
+            if e <= need[0] and o <= need[1]:
+                rest = search(j + 1, (need[0] - e, need[1] - o))
+                if rest is not None:
+                    return [small[j]] + rest
+        return None
+
+    parts = search(0, S.superdim)
+    return _direct_sum(*parts) if parts else None
+
+
+def test_same_shape_non_isomorphic_never_accepted():
+    sums = 0
+    for name, chi in [("gl(1|1) GF(9)", (0, 1)), ("osp1_2_p3", (1, 1, 0)),
+                      ("gl1_1_p3", (0, 0)), ("osp1_2_p3", (0, 0, 0))]:
+        series = composition_series(_regular(name, chi), 0)
+        classes = [K for K in _classes(series) if K.cert is not None]
+        assert classes
+        for K in classes:
+            S = K.module
+            zero = SuperModule(alg=S.alg, chi=S.chi, parities=S.parities.copy(),
+                               action=np.zeros_like(S.action))
+            assert not K.accepts(zero)
+            M = _sum_of_smaller(S, [fac for fac, _ in series])
+            if M is not None:
+                assert M.superdim == S.superdim
+                assert not K.accepts(M)
+                sums += 1
+    # the 2-dim classes of gl1_1_p3 and the 3- and 5-dim ones of osp1_2_p3
+    assert sums >= 3
+
+
+@pytest.mark.parametrize("name,chi,expect", [("osp1_2_p3", (1, 1, 0), 1),
+                                             ("gl(1|1) GF(9)", (0, 1), 3)])
+def test_endomorphism_dims_once_per_class(monkeypatch, name, chi, expect):
+    calls = []
+    orig = modules.endomorphism_dims
+
+    def counting(M):
+        calls.append(M.dim)
+        return orig(M)
+
+    monkeypatch.setattr(modules, "endomorphism_dims", counting)
+    for seed in (0, 3):
+        calls.clear()
+        rep = composition_factors(_regular(name, chi), seed)
+        assert len(rep.factors) == 6
+        assert len(calls) == expect
+
+
+def reference_records(M, seed):
+    """The composition loop before isomorphism classes: the Meataxe
+    certifies every factor, at one seed for every piece, and End is solved
+    for every factor."""
+    factors, stack = [], [M]
+    while stack:
+        cur = stack.pop()
+        if cur.dim == 0:
+            continue
+        W = modules._find_proper_submodule(cur, seed)
+        if isinstance(W, RowSpace):
+            stack.append(submodule_module(cur, W))
+            stack.append(quotient_module(cur, W))
+        else:
+            factors.append(cur)
+    out = []
+    for fac in factors:
+        ee, eo = endomorphism_dims(fac)
+        out.append((fac.dim, fac.superdim, ee, eo, fac.dim // ee if ee else fac.dim))
+    return sorted(out)
+
+
+@st.composite
+def characters(draw):
+    name = draw(st.sampled_from(["gl1_1_p3", "heis_p3", "osp1_2_p3"]))
+    g = _algebra(name)
+    chi = tuple(draw(st.integers(0, g.field.p - 1)) for _ in range(g.s_even))
+    return name, chi, draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(characters())
+def test_dedup_matches_reference(case):
+    name, chi, seed = case
+    M = _regular(name, chi)
+    got = [(r.dim, r.superdim, r.endo_even, r.endo_odd, r.geometric_dim)
+           for r in composition_factors(M, seed).factors]
+    assert sorted(got) == reference_records(M, seed)
