@@ -135,7 +135,6 @@ def cmd_conjecture(args) -> int:
             budget=args.budget,
             strategy=args.strategy,
             samples=args.samples,
-            ext_cap=args.ext_cap,
             cache=cache,
         )
     except BudgetExceeded as exc:
@@ -261,9 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     def budget(sp):
         sp.add_argument("--budget", type=int, default=4000)
 
-    def ext_cap(sp):
-        sp.add_argument("--ext-cap", dest="ext_cap", type=int, default=4)
-
     sp = sub.add_parser("validate", help="check the axioms of an algebra file")
     common(sp)
     seed(sp)
@@ -281,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     seed(sp)
     budget(sp)
-    ext_cap(sp)
     sp.add_argument("--strategy", choices=["exhaustive", "random"], default="exhaustive")
     sp.add_argument("--samples", type=int, default=8)
     sp.add_argument("--cache", default=None, help="oracle result cache file")
@@ -291,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     seed(sp)
     budget(sp)
-    ext_cap(sp)
+    sp.add_argument("--ext-cap", dest="ext_cap", type=int, default=4)
     sp.add_argument("--chi", required=True, help="comma-separated even values")
     sp.set_defaults(func=cmd_solvable_irr)
 

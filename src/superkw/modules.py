@@ -1,7 +1,8 @@
 """Graded modules over a reduced enveloping algebra: validation, spinning,
 graded irreducibility (randomized Meataxe with the Holt-Rees test and a
-transpose certificate), composition factors grouped into isomorphism classes
-by the standard-basis test, simultaneous eigenspaces, and the
+transpose certificate), composition factors grouped into isomorphism classes,
+Hom(S, M) and End(S) of a certified simple S as one linear solve from its
+certificate (the standard-basis method), simultaneous eigenspaces, and the
 degree-reduction filtration check for induced modules.
 
 Module vectors are column vectors; a set of module vectors is handled as a
@@ -28,14 +29,12 @@ from .gflin import (
     poly_mod,
     poly_trim,
     powmod,
+    rank,
     rref,
     solve,
 )
 from .lsa import LieSuperAlgebra, LsaError, Subspace, Violation
 
-# largest d^2 x d^2 Kronecker block of endomorphism_dims, in bytes of int64:
-# d <= 45
-ENDO_BLOCK_BYTES = 32 * 2**20
 KERNEL_ENUM_CAP = 4000
 MEATAXE_ATTEMPTS = 64
 
@@ -412,7 +411,9 @@ def _find_singular_even(M: SuperModule, rng):
 class Certificate:
     """How the Meataxe certified a module S graded-simple: the recipe of an
     even theta, a monic irreducible f, the nullity of f(theta) on S, and a
-    parity-homogeneous vector w of ker f(theta) that spins to all of S."""
+    parity-homogeneous vector w of ker f(theta) that spins to all of S.
+    Where no theta served (dim 1, or the a = 0 last resort), theta = 0 and
+    f = x, so ker f(theta) is all of S."""
 
     recipe: tuple
     poly: list
@@ -420,10 +421,9 @@ class Certificate:
     w: np.ndarray
 
 
-def _find_proper_submodule(M: SuperModule, seed: int) -> RowSpace | Certificate | None:
+def _find_proper_submodule(M: SuperModule, seed: int) -> RowSpace | Certificate:
     """A proper nonzero graded submodule (a RowSpace), or, once
-    irreducibility is certified, the Certificate; None instead of a
-    Certificate for dim <= 1 and for the a = 0 last resort.
+    irreducibility is certified, the Certificate.
 
     Certificate: take a singular even a in the acting algebra.  A proper
     graded submodule U either meets ker(a), and then contains a nonzero
@@ -444,8 +444,8 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> RowSpace | Certificate 
     """
     f = M.alg.field
     dim = M.dim
-    if dim <= 1:
-        return None
+    if dim == 1:
+        return Certificate((0, ()), [0, 1], 1, f.eye(1)[0])
     rng = np.random.default_rng(seed)
     MT = M.transpose_module()
 
@@ -460,7 +460,7 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> RowSpace | Certificate 
         # last resort, for modules on which no even element has a proper
         # nonzero kernel (the even part acting by scalars, or a direct sum of
         # copies of one factor): a = 0, whose kernel is the whole module
-        yield None, None, np.zeros((dim, dim), dtype=np.int64), f.eye(dim), False
+        yield (0, ()), [0, 1], np.zeros((dim, dim), dtype=np.int64), f.eye(dim), False
 
     for recipe, poly, a, ker, holt_rees in singular():
         if holt_rees:
@@ -479,7 +479,7 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> RowSpace | Certificate 
         WT = spin(MT, _split_kernel_by_parity(M, nullspace(f, a.T))[0])
         if WT.dim == dim:
             # irreducible, certified
-            return None if recipe is None else Certificate(recipe, poly, ker.shape[0], w)
+            return Certificate(recipe, poly, ker.shape[0], w)
         # proper transpose submodule = proper quotient; its annihilator in M
         # is a proper nonzero submodule
         ann = _split_kernel_by_parity(M, nullspace(f, WT.basis))
@@ -502,12 +502,12 @@ def is_graded_irreducible(M: SuperModule, seed: int = 0) -> bool:
 # composition series
 
 
-@dataclass
+@dataclass(order=True)
 class FactorRecord:
     dim: int
     superdim: tuple
-    endo_even: Optional[int]
-    endo_odd: Optional[int]
+    endo_even: int
+    endo_odd: int
     geometric_dim: int
 
 
@@ -574,42 +574,6 @@ def quotient_module(M: SuperModule, W: RowSpace) -> SuperModule:
     return SuperModule(alg=M.alg, chi=M.chi, parities=M.parities[keep], action=action)
 
 
-def endomorphism_dims(M: SuperModule) -> Tuple[Optional[int], Optional[int]]:
-    """Dimensions of the parity-even and parity-odd commutants.
-
-    For a graded-simple module the even commutant is a finite division ring,
-    hence a field, so its dimension divides the module dimension and the
-    quotient is the dimension over the splitting field.  (None, None) when
-    one generator's d^2 x d^2 block would exceed ENDO_BLOCK_BYTES."""
-    if 8 * M.dim**4 > ENDO_BLOCK_BYTES:
-        return None, None
-    f = M.alg.field
-    d = M.dim
-    par = M.parities
-    eye = np.eye(d, dtype=np.int64)
-    # the intersection of the generators' centralizers, one generator at a
-    # time, each solved on the solutions so far (rows of sol)
-    sol = f.eye(d * d)
-    for A in M.action:
-        if not sol.shape[0]:
-            break
-        # T A - A T = 0 on row-major vec(T): kron placement, field subtraction
-        block = f.sub_arr(np.kron(eye, A.T), np.kron(A, eye))
-        sol = f.matmul(nullspace(f, f.matmul(block, sol.T)), sol)
-    even = odd = 0
-    if sol.shape[0]:
-        # commutant solutions split into parity-homogeneous components, and
-        # both components are again solutions
-        same = (par[:, None] == par[None, :]).ravel()
-        ev_rows = sol.copy()
-        ev_rows[:, ~same] = 0
-        od_rows = sol.copy()
-        od_rows[:, same] = 0
-        even = RowSpace(f, d * d, ev_rows).dim
-        odd = RowSpace(f, d * d, od_rows).dim
-    return even, odd
-
-
 def _standard_basis(M: SuperModule, w: np.ndarray):
     """Spin w, which generates M, into a basis B of M (as columns, B[:, 0] =
     w) breadth first.  Each level is a pair of arrays (generators, sources):
@@ -638,72 +602,91 @@ def _standard_basis(M: SuperModule, w: np.ndarray):
     return np.array(cols).T, levels
 
 
-def _basis_from_words(M: SuperModule, w: np.ndarray, levels) -> np.ndarray:
-    """The columns that the levels of a standard basis spin from w in M."""
+def _words_applied(M: SuperModule, V: np.ndarray, levels) -> np.ndarray:
+    """The images in M of the rows of V under the words of a standard basis
+    (the levels of `_standard_basis`): out[k, :, j] is word k applied to
+    V[j], so out[:, :, j].T is the basis the words spin from V[j]."""
     f = M.alg.field
-    B = np.zeros((M.dim, M.dim), dtype=np.int64)
-    B[:, 0] = w
+    n, dim, r = M.alg.n, M.dim, V.shape[0]
+    out = np.zeros((1 + sum(len(gens) for gens, _ in levels), dim, r), dtype=np.int64)
+    out[0] = V.T
     lo, hi = 0, 1
     for gens, srcs in levels:
-        images = f.matmul(M.action, B[:, lo:hi])
-        B[:, hi : hi + len(gens)] = images[gens, :, srcs - lo].T
+        # images[i, :, t, j]: generator i applied to word lo + t of V[j]
+        images = f.matmul(M.action, out[lo:hi].transpose(1, 0, 2).reshape(dim, -1))
+        images = images.reshape(n, dim, hi - lo, r)
+        out[hi : hi + len(gens)] = images[gens, :, srcs - lo]
         lo, hi = hi, hi + len(gens)
-    return B
+    return out
 
 
 class FactorClass:
     """An isomorphism class of graded composition factors, up to parity
     shift, kept as its first member S with S's Certificate, the standard
-    basis B that spinning the certificate's w gives, the generators in that
-    basis C_i = B^-1 A_i B, and End(S), solved once.
+    basis B that spinning the certificate's w gives, and the generators in
+    that basis C_i = B^-1 A_i B.
 
-    A module M of S's dimension is accepted when, for a homogeneous w' of
-    ker f(theta) on M, the matrix B' spun from w' by the same words
-    satisfies A'_i B' = B' C_i for every generator.  B' is then a nonzero
-    module map from the simple S, so injective, and M has S's dimension, so
-    it is an isomorphism: an even one when w' has the parity of w, else one
-    from the parity shift of S.  Either way M has S's endomorphism
-    dimensions.  If phi: S -> M is an isomorphism, the w' that work include
-    phi(d w) for every nonzero d in D = End_even(S), and ker f(theta') =
-    phi(ker f(theta)) is a vector space over D; when nullity f(theta) =
-    dim D it is one D-line, so any one w' decides."""
+    Hom(S, M) is one linear solve (Parker's standard-basis method).  A
+    module map T: S -> M is fixed by v = Tw, and f(theta) v = T f(theta) w
+    = 0.  Conversely a v in ker f(theta) on M extends to a map exactly when
+    the matrix B' spun from v by B's words satisfies A'_i B' = B' C_i for
+    every generator, and then T = B' B^-1.  B' is linear in v, so over a
+    parity-homogeneous basis of ker f(theta) the maps are the null space of
+    the stacked residuals: nullity f(theta) unknowns, not dim^2.  T is even
+    exactly when v has the parity of w."""
 
-    def __init__(self, module: SuperModule, cert: Optional[Certificate]):
+    def __init__(self, module: SuperModule, cert: Certificate):
+        f = module.alg.field
         self.module = module
         self.cert = cert
+        self.w_parity = int(module.parities[np.flatnonzero(cert.w)[0]])
+        B, self.levels = _standard_basis(module, cert.w)
+        self.C = f.matmul(inv_matrix(f, B), f.matmul(module.action, B))
         self._endo = None
-        if cert is not None:
-            f = module.alg.field
-            B, self.levels = _standard_basis(module, cert.w)
-            self.C = f.matmul(inv_matrix(f, B), f.matmul(module.action, B))
 
-    def endo(self) -> Tuple[Optional[int], Optional[int]]:
+    def hom_dims(self, M: SuperModule) -> Tuple[int, int]:
+        """Dimensions of the even and the odd module maps S -> M, for M of
+        S's dimension.  A nonzero map from the simple S is then an
+        isomorphism, so a nullity of f(theta) on M other than on S means
+        there is none."""
+        f = M.alg.field
+        cert = self.cert
+        ker = nullspace(f, _poly_at_matrix(f, cert.poly, _even_element(M, cert.recipe)))
+        if ker.shape[0] != cert.nullity:
+            return 0, 0
+        ker = _split_kernel_by_parity(M, ker)
+        d, r = M.dim, ker.shape[0]
+        Y = _words_applied(M, ker, self.levels)
+        # column k of A'_i B' - B' C_i is A'_i Y[k] - sum_l C_i[l, k] Y[l]
+        AY = f.matmul(M.action, Y.transpose(1, 0, 2).reshape(d, -1)).reshape(-1, d, d, r)
+        YC = f.matmul(self.C.transpose(0, 2, 1), Y.reshape(d, -1)).reshape(-1, d, d, r)
+        res = f.sub_arr(AY, YC.transpose(0, 2, 1, 3)).reshape(-1, r)
+        same = M.parities[np.argmax(ker != 0, axis=1)] == self.w_parity
+        even = int(same.sum()) - rank(f, res[:, same])
+        odd = int((~same).sum()) - rank(f, res[:, ~same])
+        return even, odd
+
+    def endo(self) -> Tuple[int, int]:
         if self._endo is None:
-            self._endo = endomorphism_dims(self.module)
+            self._endo = endomorphism_dims(self)
         return self._endo
 
     def accepts(self, M: SuperModule) -> bool:
-        """M is isomorphic to S or to its parity shift, by an explicit
-        isomorphism; False when that is disproved or the test inconclusive."""
-        cert = self.cert
+        """M is isomorphic to S or to its parity shift: a nonzero homogeneous
+        map from the simple S to a module of S's dimension is one."""
         sd = self.module.superdim
-        if cert is None or M.dim != self.module.dim or M.superdim not in (sd, sd[::-1]):
-            return False
-        f = M.alg.field
-        a = _poly_at_matrix(f, cert.poly, _even_element(M, cert.recipe))
-        ker = nullspace(f, a)
-        if ker.shape[0] != cert.nullity:
-            return False
-        ker = _split_kernel_by_parity(M, ker)
-        if cert.nullity == 1 or cert.nullity == self.endo()[0]:
-            vecs = ker[:1]
-        else:
-            vecs, _ = _homogeneous_kernel_vectors(M, ker)
-        for v in vecs:
-            B = _basis_from_words(M, v, self.levels)
-            if np.array_equal(f.matmul(M.action, B), f.matmul(B, self.C)):
-                return True
-        return False
+        return (M.dim == self.module.dim and M.superdim in (sd, sd[::-1])
+                and any(self.hom_dims(M)))
+
+
+def endomorphism_dims(K: FactorClass) -> Tuple[int, int]:
+    """Dimensions of the parity-even and parity-odd commutants of a class's
+    simple module S, solved from its certificate.
+
+    The even commutant is a finite division ring, hence a field, so its
+    dimension divides dim S and the quotient is the dimension over the
+    splitting field."""
+    return K.hom_dims(K.module)
 
 
 def _piece_seed(seed: int, index: int) -> int:
@@ -753,14 +736,10 @@ def composition_factors(M: SuperModule, seed: int = 0) -> CompositionReport:
     records = []
     for fac, known in composition_series(M, seed):
         ee, eo = known.endo()
-        geo = fac.dim // ee if ee else fac.dim
-        records.append(FactorRecord(fac.dim, fac.superdim, ee, eo, geo))
+        records.append(FactorRecord(fac.dim, fac.superdim, ee, eo, fac.dim // ee))
     # by the whole record, so that the order does not depend on the path the
-    # Meataxe took; an unknown endomorphism dimension (None) sorts first
-    records.sort(key=lambda r: (r.dim, r.superdim,
-                                -1 if r.endo_even is None else r.endo_even,
-                                -1 if r.endo_odd is None else r.endo_odd,
-                                r.geometric_dim))
+    # Meataxe took
+    records.sort()
     total = sum(r.dim for r in records)
     if total != M.dim:
         raise RuntimeError("composition factor dimensions do not sum correctly")

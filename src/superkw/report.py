@@ -27,7 +27,7 @@ REPORT_HEADER = "superkw-report v1"
 # version of the cached oracle payload, bumped when its layout or any answer
 # in it changes; part of every cache key, so a cache written under another
 # version is recomputed instead of served
-CACHE_SCHEMA = 3
+CACHE_SCHEMA = 4
 
 
 def tagged(value, provenance: str) -> Dict:
@@ -239,7 +239,6 @@ def conjecture_report(
     budget: int = 4000,
     strategy: str = "exhaustive",
     samples: int = 8,
-    ext_cap: int = 4,
     cache: Optional[OracleCache] = None,
 ) -> dict:
     """Full per-character scan: geometry, oracle factors, equidimensionality
@@ -281,7 +280,6 @@ def conjecture_report(
         },
         "seed": seed,
         "budget": budget,
-        "ext_cap": ext_cap,
         "scan": {
             "strategy": strategy,
             "samples": samples,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from superkw.classical import catalog
+from superkw.gflin import Echelon, nullspace
 from superkw.lsa import LieSuperAlgebra
 
 
@@ -21,6 +22,32 @@ def pair_algebra(field, names, parities, pairs, pmap_rows=None):
     if pmap_rows is not None:
         pmap = np.asarray(pmap_rows, dtype=np.int64) % p
     return LieSuperAlgebra(field, names, parities, c, pmap)
+
+
+def kronecker_hom_dims(S, T):
+    """Dimensions of the even and odd module maps S -> T, by the Kronecker
+    solve of A_T X = X A_S on row-major vec(X), one generator at a time on
+    the solutions so far: dim S * dim T unknowns, a reference for small
+    modules."""
+    f = S.alg.field
+    eye_s = np.eye(S.dim, dtype=np.int64)
+    eye_t = np.eye(T.dim, dtype=np.int64)
+    sol = f.eye(S.dim * T.dim)
+    for A_s, A_t in zip(S.action, T.action):
+        block = f.sub_arr(np.kron(A_t, eye_s), np.kron(eye_t, A_s.T))
+        sol = f.matmul(nullspace(f, f.matmul(block, sol.T)), sol)
+    # the parity-homogeneous components of a solution are again solutions
+    same = (T.parities[:, None] == S.parities[None, :]).ravel()
+    even, odd = sol.copy(), sol.copy()
+    even[:, ~same] = 0
+    odd[:, same] = 0
+    return (Echelon(f, S.dim * T.dim, even).dim, Echelon(f, S.dim * T.dim, odd).dim)
+
+
+def kronecker_endomorphism_dims(M):
+    """Dimensions of the even and odd commutants of M, by the Kronecker
+    solve."""
+    return kronecker_hom_dims(M, M)
 
 
 @pytest.fixture(scope="session")

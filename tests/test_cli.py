@@ -326,6 +326,7 @@ def test_meataxe_failure_exit2(files, monkeypatch, capsys):
     ["validate", "{heis}", "--budget", "1"],   # validation builds no module
     ["penv", "{heis}", "--seed", "9"],         # the envelope is deterministic
     [],
+    ["conjecture", "{heis}", "--ext-cap", "3"],  # read by no step of the scan
 ])
 def test_usage_error_exit3(files, argv, capsys):
     code = main([a.format(**files) for a in argv])
@@ -336,7 +337,7 @@ def test_usage_error_exit3(files, argv, capsys):
 
 def test_help_exit0(capsys):
     assert main(["--help"]) == 0
-    assert main(["conjecture", "--help"]) == 0
+    assert main(["solvable-irr", "--help"]) == 0
     assert "--ext-cap" in capsys.readouterr().out
 
 
@@ -347,7 +348,7 @@ def test_ext_cap_only_where_read():
                if isinstance(a, argparse._SubParsersAction))
     have = sorted(name for name, sp in sub.choices.items()
                   if "--ext-cap" in sp._option_string_actions)
-    assert have == ["conjecture", "solvable-irr"]
+    assert have == ["solvable-irr"]
 
 
 def test_seed_and_budget_only_where_read():

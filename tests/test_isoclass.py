@@ -1,5 +1,6 @@
-"""Isomorphism classes in the composition loop: the standard-basis test that
-lets a piece inherit a certified factor's class, and its endomorphism data."""
+"""Isomorphism classes in the composition loop: the Hom solve from a class's
+certificate that lets a piece inherit a certified factor's class, and gives
+the class's endomorphism data."""
 
 import os
 from functools import lru_cache
@@ -11,17 +12,18 @@ from hypothesis import given, settings, strategies as st
 from superkw import modules
 from superkw.classical import catalog
 from superkw.env import ReducedAlgebra, regular_module
-from superkw.gflin import inv_matrix, nullspace, rank
+from superkw.gflin import inv_matrix, rank
 from superkw.lsafile import parse_lsa_path
 from superkw.modules import (
     RowSpace,
     SuperModule,
     composition_factors,
     composition_series,
-    endomorphism_dims,
     quotient_module,
     submodule_module,
 )
+
+from conftest import kronecker_endomorphism_dims, kronecker_hom_dims
 
 ALGEBRAS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "algebras")
 
@@ -58,21 +60,8 @@ def _direct_sum(*mods):
                        parities=np.concatenate([m.parities for m in mods]), action=action)
 
 
-def _hom_dims(S, T):
-    """Dimensions of the even and odd module maps S -> T, by the Kronecker
-    solve of A_T X = X A_S on row-major vec(X)."""
-    f = S.alg.field
-    eye_s = np.eye(S.dim, dtype=np.int64)
-    eye_t = np.eye(T.dim, dtype=np.int64)
-    sol = f.eye(S.dim * T.dim)
-    for A_s, A_t in zip(S.action, T.action):
-        block = f.sub_arr(np.kron(A_t, eye_s), np.kron(eye_t, A_s.T))
-        sol = f.matmul(nullspace(f, f.matmul(block, sol.T)), sol)
-    same = (T.parities[:, None] == S.parities[None, :]).ravel()
-    even, odd = sol.copy(), sol.copy()
-    even[:, ~same] = 0
-    odd[:, same] = 0
-    return (RowSpace(f, S.dim * T.dim, even).dim, RowSpace(f, S.dim * T.dim, odd).dim)
+def _shift(M):
+    return SuperModule(alg=M.alg, chi=M.chi, parities=1 - M.parities, action=M.action)
 
 
 def _random_even_basis_change(M, rng):
@@ -104,9 +93,7 @@ def test_conjugated_factor_recognised(name, chi):
             M = _random_even_basis_change(K.module, rng)
             assert K.accepts(M)
             # the parity shift has the same endomorphism dimensions
-            shifted = SuperModule(alg=M.alg, chi=M.chi, parities=1 - M.parities,
-                                  action=M.action)
-            assert K.accepts(shifted)
+            assert K.accepts(_shift(M))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 7])
@@ -120,10 +107,12 @@ def test_gl11_gf9_classes_never_merged(seed):
         for L in classes:
             if K is not L:
                 assert not L.accepts(K.module)
-                assert _hom_dims(K.module, L.module) == (0, 0)
+                assert kronecker_hom_dims(K.module, L.module) == (0, 0)
+                assert L.hom_dims(K.module) == (0, 0)
     # every member maps isomorphically to its class, evenly or oddly
     for fac, K in series:
-        assert _hom_dims(K.module, fac) in ((3, 0), (0, 3))
+        assert kronecker_hom_dims(K.module, fac) in ((3, 0), (0, 3))
+        assert K.hom_dims(fac) == kronecker_hom_dims(K.module, fac)
 
 
 def _sum_of_smaller(S, facs):
@@ -151,17 +140,22 @@ def test_same_shape_non_isomorphic_never_accepted():
     for name, chi in [("gl(1|1) GF(9)", (0, 1)), ("osp1_2_p3", (1, 1, 0)),
                       ("gl1_1_p3", (0, 0)), ("osp1_2_p3", (0, 0, 0))]:
         series = composition_series(_regular(name, chi), 0)
-        classes = [K for K in _classes(series) if K.cert is not None]
+        classes = _classes(series)
         assert classes
         for K in classes:
             S = K.module
             zero = SuperModule(alg=S.alg, chi=S.chi, parities=S.parities.copy(),
                                action=np.zeros_like(S.action))
-            assert not K.accepts(zero)
+            # the zero action is S's own only on a trivial 1-dim S
+            assert K.accepts(zero) == (not np.any(S.action))
+            # the parity shift swaps the even and the odd maps
+            ee, eo = K.endo()
+            assert ee > 0 and K.hom_dims(_shift(S)) == (eo, ee)
             M = _sum_of_smaller(S, [fac for fac, _ in series])
             if M is not None:
                 assert M.superdim == S.superdim
                 assert not K.accepts(M)
+                assert K.hom_dims(M) == (0, 0) == kronecker_hom_dims(S, M)
                 sums += 1
     # the 2-dim classes of gl1_1_p3 and the 3- and 5-dim ones of osp1_2_p3
     assert sums >= 3
@@ -173,9 +167,9 @@ def test_endomorphism_dims_once_per_class(monkeypatch, name, chi, expect):
     calls = []
     orig = modules.endomorphism_dims
 
-    def counting(M):
-        calls.append(M.dim)
-        return orig(M)
+    def counting(K):
+        calls.append(K.module.dim)
+        return orig(K)
 
     monkeypatch.setattr(modules, "endomorphism_dims", counting)
     for seed in (0, 3):
@@ -202,8 +196,8 @@ def reference_records(M, seed):
             factors.append(cur)
     out = []
     for fac in factors:
-        ee, eo = endomorphism_dims(fac)
-        out.append((fac.dim, fac.superdim, ee, eo, fac.dim // ee if ee else fac.dim))
+        ee, eo = kronecker_endomorphism_dims(fac)
+        out.append((fac.dim, fac.superdim, ee, eo, fac.dim // ee))
     return sorted(out)
 
 
@@ -223,3 +217,39 @@ def test_dedup_matches_reference(case):
     got = [(r.dim, r.superdim, r.endo_even, r.endo_odd, r.geometric_dim)
            for r in composition_factors(M, seed).factors]
     assert sorted(got) == reference_records(M, seed)
+
+
+@st.composite
+def class_cases(draw):
+    name = draw(st.sampled_from(["gl1_1_p3", "heis_p3", "solv2_p5", "osp1_2_p3",
+                                 "gl(1|1) GF(9)"]))
+    g = _algebra(name)
+    chi = tuple(draw(st.integers(0, g.field.q - 1)) for _ in range(g.s_even))
+    return name, chi, draw(st.integers(0, 10**6))
+
+
+def _check_against_kronecker(series):
+    for K in _classes(series):
+        assert K.endo() == kronecker_endomorphism_dims(K.module)
+    # every member, evenly or oddly isomorphic to its class
+    for fac, K in series:
+        assert K.hom_dims(fac) == kronecker_hom_dims(K.module, fac)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(class_cases())
+def test_endo_matches_kronecker(case):
+    name, chi, seed = case
+    _check_against_kronecker(composition_series(_regular(name, chi), seed))
+
+
+@pytest.mark.parametrize("chi", [(0,), (1,), (2,)])
+def test_endo_matches_kronecker_oddheis(chi):
+    # the 1-dim class at chi = 0 and the (1|1) classes, certified through
+    # theta = 0, with an odd endomorphism
+    series = composition_series(_regular("oddheis_p3", chi), 0)
+    classes = _classes(series)
+    assert all(K.cert.recipe == (0, ()) and K.cert.poly == [0, 1] for K in classes)
+    assert [K.endo() for K in classes] == ([(1, 0)] if chi == (0,) else [(1, 1)])
+    _check_against_kronecker(series)
+

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superkw.chargeom import restrict_chi
-from superkw.classical import baby_verma
+from superkw.classical import baby_verma, catalog
 from superkw.env import ReducedAlgebra, character_module, induce, regular_module
 from superkw.gflin import Field
 from superkw.lsa import LsaError, Subspace, as_subalgebra
@@ -12,8 +12,8 @@ from superkw.modules import (
     SuperModule,
     composition_factor_modules,
     composition_factors,
+    FactorRecord,
     degree_reduction_check,
-    endomorphism_dims,
     is_graded_irreducible,
     restrict_module,
     spin,
@@ -22,6 +22,8 @@ from superkw.modules import (
     validate_module,
 )
 from superkw.solvable import i_chi, solve_weight_equations
+
+from conftest import kronecker_endomorphism_dims
 
 
 F3 = Field(3)
@@ -256,7 +258,7 @@ def test_meataxe_agrees_with_brute_force(gl11, oddheis_p3):
         from superkw.modules import _find_proper_submodule, quotient_module
 
         W = _find_proper_submodule(reg.module, 0)
-        if W is not None and reg.module.dim - W.dim <= 6:
+        if isinstance(W, RowSpace) and reg.module.dim - W.dim <= 6:
             pool.append(quotient_module(reg.module, W))
     checked = 0
     for _ in range(30):
@@ -280,7 +282,7 @@ def _artin_schreier_factor(solv2_p5):
     GF(5^5) and no even element has a proper nonzero kernel."""
     reg = regular_module(ReducedAlgebra(solv2_p5.algebra, vec(1, 0)))
     fac = composition_factor_modules(reg.module, 0)[0]
-    assert fac.dim == 5 and endomorphism_dims(fac) == (5, 0)
+    assert fac.dim == 5 and kronecker_endomorphism_dims(fac) == (5, 0)
     return fac
 
 
@@ -339,16 +341,16 @@ def test_scalar_even_part_skips_singular_search(gl11, monkeypatch):
     assert calls == []
 
 
-def test_endomorphism_dims_unknown_only_above_block_limit(gl11):
-    from superkw import modules
-
-    def zero_module(d):
-        return SuperModule(alg=gl11.algebra, chi=vec(0, 0), parities=np.zeros(d, dtype=np.int64),
-                           action=np.zeros((4, d, d), dtype=np.int64))
-
-    assert 8 * 45**4 <= modules.ENDO_BLOCK_BYTES < 8 * 46**4
-    assert endomorphism_dims(zero_module(46)) == (None, None)
-    assert endomorphism_dims(zero_module(21)) == (21 * 21, 0)
+def test_endomorphism_dims_exact_on_125_dim_simple_module():
+    # the baby Verma of sl(3) at p = 5 for the regular nilpotent character
+    # E21* + E32* and weight 0 is simple and absolutely irreducible; the
+    # Kronecker solve would have 125^2 unknowns
+    ent = catalog("sl(3|0)", 5)
+    g = ent.algebra
+    chi = np.zeros(g.s_even, dtype=np.int64)
+    chi[[g.names.index("E21"), g.names.index("E32")]] = 1
+    M = baby_verma(g, ent.triangular, chi, vec(0, 0)).module
+    assert composition_factors(M, 0).factors == [FactorRecord(125, (125, 0), 1, 0, 125)]
 
 
 def test_sl2_p5_artin_schreier_factors_geometric_dim_5(sl2_p5):
@@ -489,7 +491,7 @@ def test_endomorphism_dims_typical_factor(gl11):
     reg = regular_module(ReducedAlgebra(gl11.algebra, vec(1, 0)))
     mods = composition_factor_modules(reg.module, 0)
     assert {m.dim for m in mods} == {6}
-    ee, eo = endomorphism_dims(mods[0])
+    ee, eo = kronecker_endomorphism_dims(mods[0])
     assert ee == 3
     rep = composition_factors(reg.module, 0)
     assert rep.geometric_multiset() == {2: 6}

@@ -20,7 +20,7 @@ from superkw.solvable import (
     solve_weight_equations,
 )
 
-from conftest import pair_algebra
+from conftest import kronecker_endomorphism_dims, pair_algebra
 
 F3 = Field(3)
 F5 = Field(5)
@@ -133,9 +133,7 @@ def test_engine_2dim_solvable_nilpotent_character(solv2_p5):
     # rational factor (dimension 5 over GF(5), geometrically a line)
     M, tr = construct_irreducible(g, vec(2, 0))
     assert tr.fallback and M.dim == 5
-    from superkw.modules import endomorphism_dims
-
-    ee, _ = endomorphism_dims(M)
+    ee, _ = kronecker_endomorphism_dims(M)
     assert ee == 5
     # with the cap raised the constructive route reaches the weight
     M5, tr5 = construct_irreducible(g, vec(2, 0), ext_cap=5)
