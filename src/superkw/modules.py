@@ -1,9 +1,11 @@
 """Graded modules over a reduced enveloping algebra: validation, spinning,
-graded irreducibility (randomized Meataxe with the Holt-Rees test and a
-transpose certificate), composition factors grouped into isomorphism classes,
-Hom(S, M) and End(S) of a certified simple S as one linear solve from its
-certificate (the standard-basis method), simultaneous eigenspaces, and the
-degree-reduction filtration check for induced modules.
+graded irreducibility (a randomized Meataxe that spins one kernel vector per
+parity side and one transpose-kernel vector, then certifies by the Holt-Rees
+test or, where that fails, from the module's even commutant), composition
+factors grouped into isomorphism classes, Hom(S, M) and End(S) of a
+certified simple S as one linear solve from its certificate (the
+standard-basis method), simultaneous eigenspaces, and the degree-reduction
+filtration check for induced modules.
 
 Module vectors are column vectors; a set of module vectors is handled as a
 row-space in reduced echelon form.  Because action matrices are parity
@@ -35,7 +37,6 @@ from .gflin import (
 )
 from .lsa import LieSuperAlgebra, LsaError, Subspace, Violation
 
-KERNEL_ENUM_CAP = 4000
 MEATAXE_ATTEMPTS = 64
 
 
@@ -311,32 +312,6 @@ def _even_element(M: SuperModule, recipe: tuple) -> np.ndarray:
     return theta
 
 
-def _homogeneous_kernel_vectors(M: SuperModule, ker: np.ndarray):
-    """One vector per projective point of a graded kernel, given by a
-    parity-homogeneous echelon basis: the basis rows first, then, when
-    neither parity side has more than KERNEL_ENUM_CAP points, every other
-    point.  Returns (lazy vectors, whether every point is among them)."""
-    f = M.alg.field
-    par = M.parities
-    sides = [ker[~np.any(ker[:, par == 1], axis=1)],
-             ker[~np.any(ker[:, par == 0], axis=1)]]
-    complete = all((f.q ** len(s) - 1) // (f.q - 1) <= KERNEL_ENUM_CAP for s in sides)
-
-    def points():
-        yield from ker
-        if not complete:
-            return
-        for side in sides:
-            k = len(side)
-            for t in range(k - 1):
-                for tail in iproduct(range(f.q), repeat=k - t - 1):
-                    if any(tail):
-                        coeffs = np.array((0,) * t + (1,) + tail, dtype=np.int64)
-                        yield f.matmul(coeffs[None, :], side).ravel()
-
-    return points(), complete
-
-
 def _split_kernel_by_parity(M: SuperModule, ker: np.ndarray) -> np.ndarray:
     """Echelonize a graded kernel so every row is parity-homogeneous."""
     par = M.parities
@@ -369,9 +344,9 @@ def _even_part_scalar(M: SuperModule) -> bool:
 def _find_singular_even(M: SuperModule, rng):
     """A singular even element a = f(theta), for a random even theta of the
     acting algebra and a monic irreducible factor f of its minimal
-    polynomial, as (recipe of theta, f, a, ker(a), holt_rees); holt_rees
-    says dim ker(a) = deg f.  Without that, ker(a) is proper and the
-    smallest found; None when theta gives neither.
+    polynomial, as (recipe of theta, f, a, ker(a)) with ker(a) proper and
+    nonzero: one with dim ker(a) = deg f (the Holt-Rees test) where one
+    turns up, else the smallest found; None when theta gives none.
 
     Eigenvalues in GF(q) come first.  Factors of higher degree, taken from
     the Krylov polynomial of a random vector, are tried only when theta has
@@ -386,10 +361,10 @@ def _find_singular_even(M: SuperModule, rng):
         a = f.sub_arr(theta, f.mul_arr(lam, f.eye(dim)))
         ker = nullspace(f, a)
         if ker.shape[0] == 1:
-            return recipe, [f.neg(lam), 1], a, ker, True
+            return recipe, [f.neg(lam), 1], a, ker
         if 0 < ker.shape[0] < dim:
             if best is None or ker.shape[0] < best[3].shape[0]:
-                best = (recipe, [f.neg(lam), 1], a, ker, False)
+                best = (recipe, [f.neg(lam), 1], a, ker)
             if ker.shape[0] == 2:
                 break
     if best is not None:
@@ -401,9 +376,9 @@ def _find_singular_even(M: SuperModule, rng):
         a = _poly_at_matrix(f, fac, theta)
         ker = nullspace(f, a)
         if ker.shape[0] == poly_deg(fac):
-            return recipe, fac, a, ker, True
+            return recipe, fac, a, ker
         if ker.shape[0] < dim and (best is None or ker.shape[0] < best[3].shape[0]):
-            best = (recipe, fac, a, ker, False)
+            best = (recipe, fac, a, ker)
     return best
 
 
@@ -425,22 +400,33 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> RowSpace | Certificate:
     """A proper nonzero graded submodule (a RowSpace), or, once
     irreducibility is certified, the Certificate.
 
-    Certificate: take a singular even a in the acting algebra.  A proper
-    graded submodule U either meets ker(a), and then contains a nonzero
-    homogeneous vector of ker(a), whose spin lies in U; or it does not, and
-    then a maps U onto itself, so ker(a^T) annihilates U and any homogeneous
-    vector of ker(a^T) spins properly in the transpose module.  So spinning
-    every homogeneous kernel vector (one per projective point) and a single
-    transpose-kernel vector decides the question.
+    Each attempt takes a singular even a = f(theta) and spins the first
+    vector of each parity side of ker(a) in M, and one homogeneous vector
+    of ker(a^T) in the transpose module.  A proper graded submodule U
+    either meets ker(a), and then contains a nonzero homogeneous vector of
+    ker(a), whose spin lies in U; or it does not, and then a maps U onto
+    itself, so ker(a^T) annihilates U and every vector of ker(a^T) spins
+    properly in the transpose module.  Once no spin is proper, M is simple
+    if every homogeneous vector of ker(a) spins to M:
 
-    Holt-Rees: when a = f(theta) with theta even, f irreducible and
-    dim ker(a) = deg f, one kernel vector stands for every one.  Through
-    theta, ker(a) is a vector space over K = GF(q)[x]/(f) of K-dimension 1.
-    As theta is even, ker(a) is the direct sum of its even and odd parts,
-    each a K-subspace, so one of them is zero and every kernel vector is
-    homogeneous.  A graded U that meets ker(a) meets it in a nonzero
-    K-subspace, so contains all of it.  Only where no such f turns up, as
-    for factors that are not absolutely irreducible, are kernels enumerated.
+    - Holt-Rees: when dim ker(a) = deg f, ker(a) has dimension 1 over
+      K = GF(q)[x]/(f) through theta.  As theta is even, the two parity
+      sides of ker(a) are K-subspaces, so one of them is zero, and a
+      graded U that meets ker(a) meets it in a nonzero K-subspace, so
+      contains all of it.
+    - Otherwise, as for factors that are not absolutely irreducible, the
+      even commutant E = End_even(M) is solved from the residual system
+      of the class M would have (`FactorClass`), with w the first kernel
+      vector.  Take a random T in E and its minimal polynomial mu relative
+      to w, which is T's minimal polynomial on M since w generates M.  A
+      proper factor g of mu makes g(T) a nonzero endomorphism that is not
+      invertible, so g(T)M, spun from g(T)w, is a proper submodule.  If mu
+      is irreducible of degree dim E, then E = GF(q)[T] is a field.  E maps
+      each parity side of ker(a) into itself, and for the spun vector u of
+      a side, T -> Tu is injective on the field E; so a side of dimension
+      dim E is E.u, and each of its nonzero vectors Tu spins to T M = M.
+      When every side has dimension dim E, M is certified; otherwise the
+      next theta is tried.
     """
     f = M.alg.field
     dim = M.dim
@@ -460,33 +446,39 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> RowSpace | Certificate:
         # last resort, for modules on which no even element has a proper
         # nonzero kernel (the even part acting by scalars, or a direct sum of
         # copies of one factor): a = 0, whose kernel is the whole module
-        yield (0, ()), [0, 1], np.zeros((dim, dim), dtype=np.int64), f.eye(dim), False
+        yield (0, ()), [0, 1], np.zeros((dim, dim), dtype=np.int64), f.eye(dim)
 
-    for recipe, poly, a, ker, holt_rees in singular():
-        if holt_rees:
-            vecs, complete = ker[:1], True
-        else:
-            vecs, complete = _homogeneous_kernel_vectors(M, _split_kernel_by_parity(M, ker))
-        w = None
-        for v in vecs:
-            W = spin(M, v)
+    for recipe, poly, a, ker in singular():
+        ker = _split_kernel_by_parity(M, ker)
+        odd = M.parities[np.argmax(ker != 0, axis=1)] == 1
+        sides = [side for side in (ker[~odd], ker[odd]) if len(side)]
+        for side in sides:
+            W = spin(M, side[0])
             if W.dim < dim:
                 return W
-            if w is None:
-                w = v
-        if not complete:
-            continue
         WT = spin(MT, _split_kernel_by_parity(M, nullspace(f, a.T))[0])
-        if WT.dim == dim:
-            # irreducible, certified
-            return Certificate(recipe, poly, ker.shape[0], w)
-        # proper transpose submodule = proper quotient; its annihilator in M
-        # is a proper nonzero submodule
-        ann = _split_kernel_by_parity(M, nullspace(f, WT.basis))
-        W = spin_many(M, ann)
-        if 0 < W.dim < dim:
-            return W
-        raise RuntimeError("transpose witness did not yield a submodule")
+        if WT.dim < dim:
+            # proper transpose submodule = proper quotient; its annihilator
+            # in M is a proper nonzero submodule
+            W = spin_many(M, _split_kernel_by_parity(M, nullspace(f, WT.basis)))
+            if 0 < W.dim < dim:
+                return W
+            raise RuntimeError("transpose witness did not yield a submodule")
+        cert = Certificate(recipe, poly, len(ker), sides[0][0])
+        if len(ker) == poly_deg(poly):
+            # Holt-Rees
+            return cert
+        T, dim_e = FactorClass(M, cert).random_endomorphism(ker, rng)
+        mu = _minimal_poly(M, T, cert.w)
+        g = next(_irreducible_factors(f, mu, rng), None)
+        if g is None:
+            # equal-degree splitting gave up: mu is undecided
+            continue
+        if poly_deg(g) < poly_deg(mu):
+            # g(T) is a zero divisor of E
+            return spin(M, f.matmul(_poly_at_matrix(f, g, T), cert.w))
+        if poly_deg(mu) == dim_e and all(len(side) == dim_e for side in sides):
+            return cert
     raise MeataxeFailure(
         f"graded Meataxe could not certify a verdict after {MEATAXE_ATTEMPTS} attempts"
     )
@@ -641,8 +633,24 @@ class FactorClass:
         self.cert = cert
         self.w_parity = int(module.parities[np.flatnonzero(cert.w)[0]])
         B, self.levels = _standard_basis(module, cert.w)
-        self.C = f.matmul(inv_matrix(f, B), f.matmul(module.action, B))
+        self.B_inv = inv_matrix(f, B)
+        self.C = f.matmul(self.B_inv, f.matmul(module.action, B))
         self._endo = None
+
+    def _residuals(self, M: SuperModule, ker: np.ndarray):
+        """For the parity-homogeneous rows v of ker, a basis of ker f(theta)
+        on M: the words of S applied to them (Y, from `_words_applied`), the
+        residuals A'_i B'(v) - B'(v) C_i of all generators stacked as the
+        columns of one system, and which rows have w's parity."""
+        f = M.alg.field
+        d, r = M.dim, ker.shape[0]
+        Y = _words_applied(M, ker, self.levels)
+        # column k of A'_i B' - B' C_i is A'_i Y[k] - sum_l C_i[l, k] Y[l]
+        AY = f.matmul(M.action, Y.transpose(1, 0, 2).reshape(d, -1)).reshape(-1, d, d, r)
+        YC = f.matmul(self.C.transpose(0, 2, 1), Y.reshape(d, -1)).reshape(-1, d, d, r)
+        res = f.sub_arr(AY, YC.transpose(0, 2, 1, 3)).reshape(-1, r)
+        same = M.parities[np.argmax(ker != 0, axis=1)] == self.w_parity
+        return Y, res, same
 
     def hom_dims(self, M: SuperModule) -> Tuple[int, int]:
         """Dimensions of the even and the odd module maps S -> M, for M of
@@ -654,17 +662,24 @@ class FactorClass:
         ker = nullspace(f, _poly_at_matrix(f, cert.poly, _even_element(M, cert.recipe)))
         if ker.shape[0] != cert.nullity:
             return 0, 0
-        ker = _split_kernel_by_parity(M, ker)
-        d, r = M.dim, ker.shape[0]
-        Y = _words_applied(M, ker, self.levels)
-        # column k of A'_i B' - B' C_i is A'_i Y[k] - sum_l C_i[l, k] Y[l]
-        AY = f.matmul(M.action, Y.transpose(1, 0, 2).reshape(d, -1)).reshape(-1, d, d, r)
-        YC = f.matmul(self.C.transpose(0, 2, 1), Y.reshape(d, -1)).reshape(-1, d, d, r)
-        res = f.sub_arr(AY, YC.transpose(0, 2, 1, 3)).reshape(-1, r)
-        same = M.parities[np.argmax(ker != 0, axis=1)] == self.w_parity
+        _, res, same = self._residuals(M, _split_kernel_by_parity(M, ker))
         even = int(same.sum()) - rank(f, res[:, same])
         odd = int((~same).sum()) - rank(f, res[:, ~same])
         return even, odd
+
+    def random_endomorphism(self, ker: np.ndarray, rng) -> Tuple[np.ndarray, int]:
+        """A random element T of E = End_even(S), and dim E, where ker is a
+        parity-split basis of ker f(theta) on S.  The null vectors of the
+        residual columns of w's parity are a basis of E, each giving Tw in
+        coordinates over those kernel rows; then T = B'(Tw) B^-1."""
+        f = self.module.alg.field
+        d = self.module.dim
+        Y, res, same = self._residuals(self.module, ker)
+        E = nullspace(f, res[:, same])
+        x = f.matmul(f.rand(rng, len(E)), E)
+        # row k: word k applied to Tw, which is column k of B'(Tw) = T B
+        TB = f.matmul(Y[:, :, same].reshape(-1, len(x)), x).reshape(d, d).T
+        return f.matmul(TB, self.B_inv), len(E)
 
     def endo(self) -> Tuple[int, int]:
         if self._endo is None:

@@ -50,6 +50,25 @@ def kronecker_endomorphism_dims(M):
     return kronecker_hom_dims(M, M)
 
 
+def meataxe_inputs(M, seed, monkeypatch):
+    """The modules the Meataxe is given while M is decomposed (the reducible
+    pieces and the first member of each class), and the composition
+    factors."""
+    from superkw import modules
+
+    seen = []
+    orig = modules._find_proper_submodule
+
+    def spy(N, s):
+        seen.append(N)
+        return orig(N, s)
+
+    monkeypatch.setattr(modules, "_find_proper_submodule", spy)
+    factors = modules.composition_factor_modules(M, seed)
+    monkeypatch.undo()
+    return seen, factors
+
+
 @pytest.fixture(scope="session")
 def gl11():
     return catalog("gl(1|1)", 3)

@@ -1,6 +1,7 @@
 """Isomorphism classes in the composition loop: the Hom solve from a class's
-certificate that lets a piece inherit a certified factor's class, and gives
-the class's endomorphism data."""
+certificate that lets a piece inherit a certified factor's class, gives the
+class's endomorphism data, and lets the Meataxe decide modules that are not
+absolutely irreducible from their even commutant."""
 
 import os
 from functools import lru_cache
@@ -23,7 +24,7 @@ from superkw.modules import (
     submodule_module,
 )
 
-from conftest import kronecker_endomorphism_dims, kronecker_hom_dims
+from conftest import kronecker_endomorphism_dims, kronecker_hom_dims, meataxe_inputs
 
 ALGEBRAS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "algebras")
 
@@ -253,3 +254,38 @@ def test_endo_matches_kronecker_oddheis(chi):
     assert [K.endo() for K in classes] == ([(1, 0)] if chi == (0,) else [(1, 1)])
     _check_against_kronecker(series)
 
+
+def test_zero_divisor_of_even_commutant_splits(monkeypatch):
+    # a reducible 9-dim (9|0) piece of heis_p3 at chi = (1, 0, 0): f(theta)
+    # has a 3-dim kernel, the first vector of it spins to the whole piece,
+    # and the even commutant E is 3-dim, as is the kernel, but E is not a
+    # field.  Only a zero divisor of E finds the submodule.
+    seen, _ = meataxe_inputs(_regular("heis_p3", (1, 0, 0)), 0, monkeypatch)
+    P = next(N for N in seen if N.superdim == (9, 0))
+    assert kronecker_endomorphism_dims(P) == (3, 0)
+    orig = modules.FactorClass.random_endomorphism
+    dims = []
+
+    def spy(K, ker, rng):
+        T, dim_e = orig(K, ker, rng)
+        dims.append((ker.shape[0], dim_e))
+        return T, dim_e
+
+    monkeypatch.setattr(modules.FactorClass, "random_endomorphism", spy)
+    for seed in (0, 3, 4, 5):
+        dims.clear()
+        W = modules._find_proper_submodule(P, seed)
+        assert dims == [(3, 3)]
+        assert isinstance(W, RowSpace) and 0 < W.dim < P.dim
+        for row in W.basis:
+            assert len({int(P.parities[i]) for i in np.nonzero(row)[0]}) == 1
+        assert modules.validate_module(submodule_module(P, W)) == []
+
+
+@pytest.mark.parametrize("chi", [(0, 4, 8), (0, 8, 4), (7, 1, 7)])
+def test_osp12_gf9_decomposes_at_seed_0(chi):
+    # at seed 0, the smallest kernels of f(theta) found on a 36-dim (18|18)
+    # piece here have parity sides of dimension 6 or more over GF(9), too
+    # many points to spin one by one
+    rep = composition_factors(_regular("osp1_2_p3k2", chi), 0)
+    assert rep.factors == [modules.FactorRecord(18, (9, 9), 3, 0, 6)] * 6

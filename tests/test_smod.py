@@ -23,7 +23,7 @@ from superkw.modules import (
 )
 from superkw.solvable import i_chi, solve_weight_equations
 
-from conftest import kronecker_endomorphism_dims
+from conftest import kronecker_endomorphism_dims, meataxe_inputs
 
 
 F3 = Field(3)
@@ -245,7 +245,7 @@ def _brute_graded_irreducible(M):
     return True
 
 
-def test_meataxe_agrees_with_brute_force(gl11, oddheis_p3):
+def test_meataxe_agrees_with_brute_force(gl11, oddheis_p3, osp12, solv2_p5, monkeypatch):
     # randomized cross-validation of the certificate machinery on small
     # modules where exhaustive spinning is feasible
     rng = np.random.default_rng(99)
@@ -274,6 +274,30 @@ def test_meataxe_agrees_with_brute_force(gl11, oddheis_p3):
         assert got == expect, (a.dim, tuple(a.parities))
         checked += 1
     assert checked >= 20
+
+    # pieces around the Meataxe's End(M) step, up to dim 12: factors that
+    # are not absolutely irreducible, (3|3) osp(1|2) factors with an odd
+    # endomorphism, the reducible pieces around them, and direct sums
+    wide = [_artin_schreier_factor(solv2_p5)]
+    for ent, chis in ((gl11, [(0, 1), (1, 1), (1, 2)]), (osp12, [(0, 2, 0), (0, 1, 2), (1, 2, 1)])):
+        for chi in chis:
+            reg = regular_module(ReducedAlgebra(ent.algebra, vec(*chi))).module
+            seen, factors = meataxe_inputs(reg, 0, monkeypatch)
+            shapes = {m.superdim: m for m in factors}
+            wide.extend(m for m in seen + list(shapes.values()) if m.dim <= 12)
+    small = [m for m in wide if m.dim <= 6]
+    sums = []
+    for _ in range(len(wide)):
+        a, b = (small[int(i)] for i in rng.integers(0, len(small), size=2))
+        if a.alg is b.alg:
+            sums.append(direct_sum(a, b))
+    checked = 0
+    for m in wide + sums:
+        expect = _brute_graded_irreducible(m)
+        for seed in rng.integers(0, 1000, size=3):
+            assert is_graded_irreducible(m, int(seed)) == expect, (m.dim, tuple(m.parities), seed)
+            checked += 1
+    assert checked >= 200
 
 
 def _artin_schreier_factor(solv2_p5):
