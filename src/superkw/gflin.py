@@ -389,7 +389,8 @@ class Field:
         return acc
 
     def mat_pow(self, a: np.ndarray, e: int) -> np.ndarray:
-        n = a.shape[0]
+        """a^e for a square matrix, or for each of a stack of them."""
+        n = a.shape[-1]
         r = self.eye(n)
         base = a
         while e:

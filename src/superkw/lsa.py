@@ -6,6 +6,11 @@ all (i, j); the validator enforces the sign rule rather than deriving half
 the table, so corrupt input fails loudly.  The p-operation is given on even
 basis elements and extended to arbitrary even vectors through the standard
 expansion of (x + y)^[p] by the s_i corrections.
+
+`ad_matrix`, `s_corrections` and `p_power` take a single coordinate vector
+or a stack of them (shape (..., n)), so that `validate` checks its sampled
+p-map rules, and the super-Jacobi identity on all basis triples, in a few
+batched field products rather than one small product per vector.
 """
 
 from __future__ import annotations
@@ -204,13 +209,11 @@ class LieSuperAlgebra:
         return f.matmul(y[None, :], t).ravel()
 
     def ad_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of ad(x): column j holds [x, e_j]."""
-        f = self.field
+        """Matrix of ad(x): column j holds [x, e_j].  For a stack of vectors
+        (shape (..., n)), the stack of their matrices (..., n, n)."""
         x = np.asarray(x, dtype=np.int64)
-        t = f.matmul(x[None, :], self.structure.reshape(self.n, -1)).reshape(
-            self.n, self.n
-        )
-        return t.T
+        t = self.field.matmul(x, self.structure.reshape(self.n, -1))
+        return t.reshape(x.shape[:-1] + (self.n, self.n)).swapaxes(-1, -2)
 
     def pair_bracket(self, i: int, j: int) -> np.ndarray:
         return self.structure[i, j].copy()
@@ -218,167 +221,201 @@ class LieSuperAlgebra:
     # -- p-operation -------------------------------------------------------
 
     def s_corrections(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Sum of the correction terms in the expansion of (x + y)^[p].
+        """Sum of the correction terms in the expansion of (x + y)^[p], for
+        two vectors or two stacks of them of one shape (..., n).
 
         The individual terms are read off as coefficients of powers of the
         auxiliary indeterminate in the (p-1)-fold application of
-        ad(x t + y) to x, each divided by its index.
+        ad(x t + y) to x, each divided by its index.  Every term has degree
+        at least one in x, so the sum vanishes when x does.
         """
-        f, p = self.field, self.field.p
-        adx = self.ad_matrix(x)
-        ady = self.ad_matrix(y)
-        w = np.zeros((self.n, p), dtype=np.int64)
-        w[:, 0] = x
+        f, p, n = self.field, self.field.p, self.n
+        x = np.asarray(x, dtype=np.int64)
+        xs = x.reshape(-1, n)
+        # ads[0] = ad(x), ads[1] = ad(y), one product for the whole stack
+        ads = self.ad_matrix(np.stack([xs, np.asarray(y, dtype=np.int64).reshape(-1, n)]))
+        # w[s, :, e]: coefficient of t^e after the steps so far, for row s
+        w = np.zeros((xs.shape[0], n, p), dtype=np.int64)
+        w[:, :, 0] = xs
         for _ in range(p - 1):
+            both = f.matmul(ads, w)
             shifted = np.zeros_like(w)
-            shifted[:, 1:] = f.matmul(adx, w)[:, :-1]
-            w = f.add_arr(shifted, f.matmul(ady, w))
-        total = np.zeros(self.n, dtype=np.int64)
-        for i in range(1, p):
-            coeff = f.inv(i % p)
-            total = f.add_arr(total, f.mul_arr(coeff, w[:, i - 1]))
-        return total
+            shifted[:, :, 1:] = both[0][:, :, :-1]
+            w = f.add_arr(shifted, both[1])
+        inverses = np.array([f.inv(i) for i in range(1, p)], dtype=np.int64)
+        return f.matmul(w[:, :, :-1], inverses).reshape(x.shape)
 
     def p_power(self, x: np.ndarray) -> np.ndarray:
-        """x^[p] for an even coordinate vector, from the stored basis values."""
+        """x^[p] for an even coordinate vector, or row by row for a stack of
+        them (shape (..., n)), from the stored basis values.
+
+        The even coordinates are added one at a time in basis order, each
+        step adding the new term's stored p-th power and the s_i corrections
+        against the sum so far.  A stack walks the coordinates once; a row
+        whose coordinate is zero is left as it is, so every row gets what
+        the call on that row alone returns."""
         if self.pmap is None:
             raise LsaError("algebra has no p-operation")
-        f, p = self.field, self.field.p
+        f, p, n = self.field, self.field.p, self.n
         x = np.asarray(x, dtype=np.int64)
-        if np.any(x[self.s_even :]):
+        if np.any(x[..., self.s_even :]):
             raise LsaError("p-power is defined on even vectors only")
-        support = [i for i in range(self.s_even) if x[i]]
-        if not support:
-            return np.zeros(self.n, dtype=np.int64)
-        acc = None
-        acc_pow = None
-        for i in support:
-            term = np.zeros(self.n, dtype=np.int64)
-            term[i] = x[i]
-            term_pow = f.mul_arr(f.pow(int(x[i]), p), self.pmap[i])
-            if acc is None:
-                acc, acc_pow = term, term_pow
-            else:
-                corr = self.s_corrections(acc, term)
-                acc_pow = f.add_arr(f.add_arr(acc_pow, term_pow), corr)
-                acc = f.add_arr(acc, term)
-        return acc_pow
+        xs = x.reshape(-1, n)
+        acc = np.zeros_like(xs)
+        out = np.zeros_like(xs)
+        for i in range(self.s_even):
+            rows = np.flatnonzero(xs[:, i])
+            if not len(rows):
+                continue
+            term = np.zeros((len(rows), n), dtype=np.int64)
+            term[:, i] = xs[rows, i]
+            step = f.mul_arr(f.pow_arr(xs[rows, i], p)[:, None], self.pmap[i])
+            if np.any(acc[rows]):
+                # zero for the rows whose sum so far is still zero
+                step = f.add_arr(step, self.s_corrections(acc[rows], term))
+            out[rows] = f.add_arr(out[rows], step)
+            acc[rows] = f.add_arr(acc[rows], term)
+        return out.reshape(x.shape)
 
     # -- validation ----------------------------------------------------------
 
     def validate(self, samples: int = 200, seed: int = 0) -> List[Violation]:
+        """Axiom violations, in a fixed order: grading, super-skew,
+        super-Jacobi on every basis triple, then for a p-operation its
+        parity, ad(x_i^[p]) = ad(x_i)^p on the even basis, and, when all of
+        that holds, the scalar rule and the additive expansion on `samples`
+        random vectors each, drawn from `seed`.  Each sampled rule reports
+        its first failing sample only."""
         f = self.field
         n, s = self.n, self.s_even
         out: List[Violation] = []
         par = self.parities
+        c = self.structure
+        names = self.names
 
-        for i in range(n):
-            for j in range(n):
-                target = (par[i] + par[j]) % 2
-                for l in range(n):
-                    if self.structure[i, j, l] and par[l] != target:
-                        out.append(
-                            Violation(
-                                "grading",
-                                (i, j, l),
-                                f"[{self.names[i]},{self.names[j]}] has a "
-                                f"component of wrong parity on {self.names[l]}",
-                            )
-                        )
+        target = (par[:, None, None] + par[None, :, None]) % 2
+        for i, j, l in np.argwhere((c != 0) & (par[None, None, :] != target)).tolist():
+            out.append(
+                Violation(
+                    "grading",
+                    (i, j, l),
+                    f"[{names[i]},{names[j]}] has a "
+                    f"component of wrong parity on {names[l]}",
+                )
+            )
 
-        for i in range(n):
-            for j in range(i, n):
-                if (par[i] * par[j]) % 2 == 0:
-                    expect = f.neg_arr(self.structure[i, j])
-                else:
-                    expect = self.structure[i, j]
-                if not np.array_equal(self.structure[j, i], expect):
-                    out.append(
-                        Violation(
-                            "super-skew",
-                            (i, j),
-                            f"[{self.names[j]},{self.names[i]}] disagrees with the "
-                            f"sign rule applied to [{self.names[i]},{self.names[j]}]",
-                        )
-                    )
+        odd_pair = (par[:, None] * par[None, :]) % 2 == 1
+        # expect[i, j] is what the sign rule makes of [x_i, x_j] for [x_j, x_i]
+        expect = np.where(odd_pair[:, :, None], c, f.neg_arr(c))
+        skew_bad = np.any(c.transpose(1, 0, 2) != expect, axis=2)
+        for i, j in np.argwhere(np.triu(skew_bad)).tolist():
+            out.append(
+                Violation(
+                    "super-skew",
+                    (i, j),
+                    f"[{names[j]},{names[i]}] disagrees with the "
+                    f"sign rule applied to [{names[i]},{names[j]}]",
+                )
+            )
 
-        for i in range(n):
-            for j in range(n):
-                for l in range(n):
-                    lhs = self.bracket(self.basis_vector(i), self.structure[j, l])
-                    t1 = self.bracket(self.structure[i, j], self.basis_vector(l))
-                    t2 = self.bracket(self.basis_vector(j), self.structure[i, l])
-                    if (par[i] * par[j]) % 2 == 1:
-                        t2 = f.neg_arr(t2)
-                    if not np.array_equal(lhs, f.add_arr(t1, t2)):
-                        out.append(
-                            Violation(
-                                "super-jacobi",
-                                (i, j, l),
-                                "Jacobi identity fails on basis triple "
-                                f"({self.names[i]},{self.names[j]},{self.names[l]})",
-                            )
-                        )
+        # [x_i,[x_j,x_l]] = [[x_i,x_j],x_l] + sign [x_j,[x_i,x_l]], one l at a
+        # time so that no intermediate has more than n^3 entries
+        jacobi_bad = np.zeros((n, n, n), dtype=bool)
+        flat = c.reshape(n * n, n)
+        for l in range(n):
+            # nested[i, j] = [x_i, [x_j, x_l]]
+            nested = f.matmul(c[:, l, :], c)
+            # first[i, j] = [[x_i, x_j], x_l]
+            first = f.matmul(flat, c[:, l, :]).reshape(n, n, n)
+            swapped = nested.transpose(1, 0, 2)
+            second = np.where(odd_pair[:, :, None], f.neg_arr(swapped), swapped)
+            jacobi_bad[:, :, l] = np.any(nested != f.add_arr(first, second), axis=2)
+        for i, j, l in np.argwhere(jacobi_bad).tolist():
+            out.append(
+                Violation(
+                    "super-jacobi",
+                    (i, j, l),
+                    "Jacobi identity fails on basis triple "
+                    f"({names[i]},{names[j]},{names[l]})",
+                )
+            )
 
         if self.pmap is not None:
-            for i in range(s):
-                if np.any(self.pmap[i, s:]):
-                    out.append(
-                        Violation(
-                            "pmap-parity",
-                            (i,),
-                            f"{self.names[i]}^[p] has odd components",
-                        )
+            for i in np.flatnonzero(np.any(self.pmap[:, s:], axis=1)).tolist():
+                out.append(
+                    Violation(
+                        "pmap-parity",
+                        (i,),
+                        f"{names[i]}^[p] has odd components",
                     )
-            for i in range(s):
-                adp = f.mat_pow(self.ad_matrix(self.basis_vector(i)), f.p)
-                adq = self.ad_matrix(self.pmap[i])
-                if not np.array_equal(adp, adq):
-                    out.append(
-                        Violation(
-                            "p-map-ad",
-                            (i,),
-                            f"ad({self.names[i]}^[p]) differs from ad({self.names[i]})^p",
-                        )
+                )
+            # ad(x_i) for the even basis is the transposed slice c[i]
+            adp = f.mat_pow(c[:s].transpose(0, 2, 1), f.p)
+            adq = self.ad_matrix(self.pmap)
+            for i in np.flatnonzero(np.any(adp != adq, axis=(1, 2))).tolist():
+                out.append(
+                    Violation(
+                        "p-map-ad",
+                        (i,),
+                        f"ad({names[i]}^[p]) differs from ad({names[i]})^p",
                     )
+                )
+            if not out and s > 0:
+                out.extend(self._sampled_pmap_rules(samples, seed))
+        return out
+
+    def _sampled_pmap_rules(self, samples: int, seed: int) -> List[Violation]:
+        """The scalar rule (c x)^[p] = c^p x^[p], then the additive expansion
+        (x + y)^[p] = x^[p] + y^[p] + s(x, y), each on one stack of `samples`
+        random even vectors.  The draws are those of checking one sample at
+        a time and stopping at the first failure: when the scalar rule fails
+        at sample t, the additive samples are drawn after sample t's."""
+        f, p, n, s = self.field, self.field.p, self.n, self.s_even
+        out: List[Violation] = []
+
+        def scalar_samples(rng, count):
+            X = np.zeros((count, n), dtype=np.int64)
+            C = np.zeros(count, dtype=np.int64)
+            for t in range(count):
+                X[t, :s] = f.rand(rng, s)
+                C[t] = int(f.rand(rng))
+            return X, C
+
+        rng = np.random.default_rng(seed)
+        X, C = scalar_samples(rng, samples)
+        lhs = self.p_power(f.mul_arr(C[:, None], X))
+        rhs = f.mul_arr(f.pow_arr(C, p)[:, None], self.p_power(X))
+        bad = np.flatnonzero(np.any(lhs != rhs, axis=1))
+        if len(bad):
+            t = int(bad[0])
+            out.append(
+                Violation(
+                    "p-map-scalar",
+                    (t,),
+                    "scalar-multiple rule (kx)^[p] = k^p x^[p] fails "
+                    f"for sampled k={int(C[t])}",
+                )
+            )
+            # replay the draws up to the failing sample
             rng = np.random.default_rng(seed)
-            ok_shapes = not out
-            if ok_shapes and s > 0:
-                for t in range(samples):
-                    x = np.zeros(n, dtype=np.int64)
-                    x[:s] = f.rand(rng, s)
-                    c = int(f.rand(rng))
-                    lhs = self.p_power(f.mul_arr(c, x))
-                    rhs = f.mul_arr(f.pow(c, f.p), self.p_power(x))
-                    if not np.array_equal(lhs, rhs):
-                        out.append(
-                            Violation(
-                                "p-map-scalar",
-                                (t,),
-                                "scalar-multiple rule (kx)^[p] = k^p x^[p] fails "
-                                f"for sampled k={c}",
-                            )
-                        )
-                        break
-                for t in range(samples):
-                    x = np.zeros(n, dtype=np.int64)
-                    y = np.zeros(n, dtype=np.int64)
-                    x[:s] = f.rand(rng, s)
-                    y[:s] = f.rand(rng, s)
-                    lhs = self.p_power(f.add_arr(x, y))
-                    rhs = f.add_arr(
-                        f.add_arr(self.p_power(x), self.p_power(y)),
-                        self.s_corrections(x, y),
-                    )
-                    if not np.array_equal(lhs, rhs):
-                        out.append(
-                            Violation(
-                                "p-map-sum",
-                                (t,),
-                                "additive expansion of (x+y)^[p] fails on a sample",
-                            )
-                        )
-                        break
+            scalar_samples(rng, t + 1)
+
+        X = np.zeros((samples, n), dtype=np.int64)
+        Y = np.zeros((samples, n), dtype=np.int64)
+        for t in range(samples):
+            X[t, :s] = f.rand(rng, s)
+            Y[t, :s] = f.rand(rng, s)
+        pw = self.p_power(np.stack([f.add_arr(X, Y), X, Y]))
+        rhs = f.add_arr(f.add_arr(pw[1], pw[2]), self.s_corrections(X, Y))
+        bad = np.flatnonzero(np.any(pw[0] != rhs, axis=1))
+        if len(bad):
+            out.append(
+                Violation(
+                    "p-map-sum",
+                    (int(bad[0]),),
+                    "additive expansion of (x+y)^[p] fails on a sample",
+                )
+            )
         return out
 
     def __repr__(self):
@@ -500,10 +537,7 @@ def is_p_closed(g: LieSuperAlgebra, S: Subspace) -> bool:
     subalgebra, by the additive expansion."""
     if g.pmap is None:
         raise LsaError("p-closure needs a p-operation")
-    for u in S.even_rows():
-        if not S.contains(g.p_power(u)):
-            return False
-    return True
+    return S.contains(g.p_power(S.even_rows()))
 
 
 def restricted_closure(g: LieSuperAlgebra, S: Subspace) -> Subspace:
@@ -512,10 +546,8 @@ def restricted_closure(g: LieSuperAlgebra, S: Subspace) -> Subspace:
     while True:
         grown = cur.sum_with(bracket_span(g, cur, cur))
         if g.pmap is not None:
-            rows = [grown.basis]
-            for u in grown.even_rows():
-                rows.append(g.p_power(u)[None, :])
-            grown = Subspace(g.field, g.s_even, g.n, np.vstack(rows))
+            rows = np.vstack([grown.basis, g.p_power(grown.even_rows())])
+            grown = Subspace(g.field, g.s_even, g.n, rows)
         if grown.dim == cur.dim:
             return cur
         cur = grown
@@ -580,9 +612,7 @@ def change_basis(g: LieSuperAlgebra, P: np.ndarray, names=None) -> LieSuperAlgeb
             structure[a, b] = to_new(g.bracket(P[a], P[b]))
     pmap = None
     if g.pmap is not None:
-        pmap = np.zeros((s, n), dtype=np.int64)
-        for a in range(s):
-            pmap[a] = to_new(g.p_power(P[a]))
+        pmap = f.matmul(g.p_power(P[:s]), Pinv)
     names = names or [f"b{a}" for a in range(n)]
     return LieSuperAlgebra(f, names, g.parities.copy(), structure, pmap)
 
@@ -632,8 +662,7 @@ def as_subalgebra(g: LieSuperAlgebra, S: Subspace, with_pmap: bool = True) -> Su
     pmap = None
     if with_pmap and g.pmap is not None:
         pmap = np.zeros((s_ev, m), dtype=np.int64)
-        for a in range(s_ev):
-            w = g.p_power(rows[a])
+        for a, w in enumerate(g.p_power(rows[:s_ev])):
             c = S.coords_of(w)
             if c is None:
                 # not p-closed: present it as a plain Lie superalgebra

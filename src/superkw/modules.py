@@ -15,6 +15,7 @@ homogeneous, every computed subspace has a parity-homogeneous echelon basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Tuple
 
@@ -338,7 +339,12 @@ def _even_part_scalar(M: SuperModule) -> bool:
     even = [M.action[i] for i in range(M.alg.n) if par[i] == 0]
     odd = [M.action[i] for i in range(M.alg.n) if par[i] == 1]
     mats = even + [f.matmul(x, y) for x in odd for y in odd]
-    return all(np.array_equal(A, A[0, 0] * np.eye(M.dim, dtype=np.int64)) for A in mats)
+    return all(_is_scalar(A) for A in mats)
+
+
+def _is_scalar(A: np.ndarray) -> bool:
+    """A is c * identity for some c (codes: c on the diagonal, 0 off it)."""
+    return np.array_equal(A, A[0, 0] * np.eye(A.shape[0], dtype=np.int64))
 
 
 def _find_singular_even(M: SuperModule, rng):
@@ -350,13 +356,21 @@ def _find_singular_even(M: SuperModule, rng):
 
     Eigenvalues in GF(q) come first.  Factors of higher degree, taken from
     the Krylov polynomial of a random vector, are tried only when theta has
-    no eigenvalue with a proper kernel."""
+    no eigenvalue with a proper kernel.
+
+    A scalar theta = c on a module of dimension above 1 gives none: f(theta)
+    is 0 for f = x - c and invertible for every other f.  It returns None
+    at once, after the draws the full search would make, so that the
+    random stream, and every later result, is the same."""
     f = M.alg.field
     dim = M.dim
     recipe = _random_even_recipe(M, rng)
     theta = _even_element(M, recipe)
     best = None
     scan = range(f.q) if f.q <= 512 else [int(f.rand(rng)) for _ in range(64)]
+    if dim > 1 and _is_scalar(theta):
+        f.rand(rng, dim)  # the Krylov vector
+        return None
     for lam in scan:
         a = f.sub_arr(theta, f.mul_arr(lam, f.eye(dim)))
         ker = nullspace(f, a)
@@ -396,9 +410,11 @@ class Certificate:
     w: np.ndarray
 
 
-def _find_proper_submodule(M: SuperModule, seed: int) -> RowSpace | Certificate:
+def _find_proper_submodule(M: SuperModule, seed: int) -> RowSpace | FactorClass:
     """A proper nonzero graded submodule (a RowSpace), or, once
-    irreducibility is certified, the Certificate.
+    irreducibility is certified, M's isomorphism class, built on the
+    Certificate (with its standard basis already spun where the End(M)
+    step below needed it).
 
     Each attempt takes a singular even a = f(theta) and spins the first
     vector of each parity side of ker(a) in M, and one homogeneous vector
@@ -431,7 +447,7 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> RowSpace | Certificate:
     f = M.alg.field
     dim = M.dim
     if dim == 1:
-        return Certificate((0, ()), [0, 1], 1, f.eye(1)[0])
+        return FactorClass(M, Certificate((0, ()), [0, 1], 1, f.eye(1)[0]))
     rng = np.random.default_rng(seed)
     MT = M.transpose_module()
 
@@ -464,21 +480,21 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> RowSpace | Certificate:
             if 0 < W.dim < dim:
                 return W
             raise RuntimeError("transpose witness did not yield a submodule")
-        cert = Certificate(recipe, poly, len(ker), sides[0][0])
+        K = FactorClass(M, Certificate(recipe, poly, len(ker), sides[0][0]))
         if len(ker) == poly_deg(poly):
             # Holt-Rees
-            return cert
-        T, dim_e = FactorClass(M, cert).random_endomorphism(ker, rng)
-        mu = _minimal_poly(M, T, cert.w)
+            return K
+        T, dim_e = K.random_endomorphism(ker, rng)
+        mu = _minimal_poly(M, T, K.cert.w)
         g = next(_irreducible_factors(f, mu, rng), None)
         if g is None:
             # equal-degree splitting gave up: mu is undecided
             continue
         if poly_deg(g) < poly_deg(mu):
             # g(T) is a zero divisor of E
-            return spin(M, f.matmul(_poly_at_matrix(f, g, T), cert.w))
+            return spin(M, f.matmul(_poly_at_matrix(f, g, T), K.cert.w))
         if poly_deg(mu) == dim_e and all(len(side) == dim_e for side in sides):
-            return cert
+            return K
     raise MeataxeFailure(
         f"graded Meataxe could not certify a verdict after {MEATAXE_ATTEMPTS} attempts"
     )
@@ -625,17 +641,24 @@ class FactorClass:
     every generator, and then T = B' B^-1.  B' is linear in v, so over a
     parity-homogeneous basis of ker f(theta) the maps are the null space of
     the stacked residuals: nullity f(theta) unknowns, not dim^2.  T is even
-    exactly when v has the parity of w."""
+    exactly when v has the parity of w.
+
+    The standard basis is spun on first use, once per class, so that a
+    certificate only asked whether S is simple costs no spin."""
 
     def __init__(self, module: SuperModule, cert: Certificate):
-        f = module.alg.field
         self.module = module
         self.cert = cert
         self.w_parity = int(module.parities[np.flatnonzero(cert.w)[0]])
-        B, self.levels = _standard_basis(module, cert.w)
-        self.B_inv = inv_matrix(f, B)
-        self.C = f.matmul(self.B_inv, f.matmul(module.action, B))
         self._endo = None
+
+    @cached_property
+    def _standard(self):
+        """(levels, B^-1, C) of the standard basis B spun from w."""
+        f = self.module.alg.field
+        B, levels = _standard_basis(self.module, self.cert.w)
+        B_inv = inv_matrix(f, B)
+        return levels, B_inv, f.matmul(B_inv, f.matmul(self.module.action, B))
 
     def _residuals(self, M: SuperModule, ker: np.ndarray):
         """For the parity-homogeneous rows v of ker, a basis of ker f(theta)
@@ -644,10 +667,11 @@ class FactorClass:
         columns of one system, and which rows have w's parity."""
         f = M.alg.field
         d, r = M.dim, ker.shape[0]
-        Y = _words_applied(M, ker, self.levels)
+        levels, _, C = self._standard
+        Y = _words_applied(M, ker, levels)
         # column k of A'_i B' - B' C_i is A'_i Y[k] - sum_l C_i[l, k] Y[l]
         AY = f.matmul(M.action, Y.transpose(1, 0, 2).reshape(d, -1)).reshape(-1, d, d, r)
-        YC = f.matmul(self.C.transpose(0, 2, 1), Y.reshape(d, -1)).reshape(-1, d, d, r)
+        YC = f.matmul(C.transpose(0, 2, 1), Y.reshape(d, -1)).reshape(-1, d, d, r)
         res = f.sub_arr(AY, YC.transpose(0, 2, 1, 3)).reshape(-1, r)
         same = M.parities[np.argmax(ker != 0, axis=1)] == self.w_parity
         return Y, res, same
@@ -679,7 +703,7 @@ class FactorClass:
         x = f.matmul(f.rand(rng, len(E)), E)
         # row k: word k applied to Tw, which is column k of B'(Tw) = T B
         TB = f.matmul(Y[:, :, same].reshape(-1, len(x)), x).reshape(d, d).T
-        return f.matmul(TB, self.B_inv), len(E)
+        return f.matmul(TB, self._standard[1]), len(E)
 
     def endo(self) -> Tuple[int, int]:
         if self._endo is None:
@@ -729,12 +753,11 @@ def composition_series(M: SuperModule, seed: int = 0) -> List[Tuple[SuperModule,
         if known is not None:
             factors.append((cur, known))
             continue
-        W = _find_proper_submodule(cur, _piece_seed(seed, index))
-        if isinstance(W, RowSpace):
-            stack.append(submodule_module(cur, W))
-            stack.append(quotient_module(cur, W))
+        known = _find_proper_submodule(cur, _piece_seed(seed, index))
+        if isinstance(known, RowSpace):
+            stack.append(submodule_module(cur, known))
+            stack.append(quotient_module(cur, known))
             continue
-        known = FactorClass(cur, W)
         classes.append(known)
         factors.append((cur, known))
     return factors

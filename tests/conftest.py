@@ -50,6 +50,185 @@ def kronecker_endomorphism_dims(M):
     return kronecker_hom_dims(M, M)
 
 
+def reference_s_corrections(g, x, y):
+    """The correction terms of (x + y)^[p] for one pair of vectors, one
+    small product per step: a reference for `LieSuperAlgebra.s_corrections`."""
+    f, p = g.field, g.field.p
+    adx = reference_ad(g, x)
+    ady = reference_ad(g, y)
+    w = np.zeros((g.n, p), dtype=np.int64)
+    w[:, 0] = x
+    for _ in range(p - 1):
+        shifted = np.zeros_like(w)
+        shifted[:, 1:] = f.matmul(adx, w)[:, :-1]
+        w = f.add_arr(shifted, f.matmul(ady, w))
+    total = np.zeros(g.n, dtype=np.int64)
+    for i in range(1, p):
+        total = f.add_arr(total, f.mul_arr(f.inv(i % p), w[:, i - 1]))
+    return total
+
+
+def reference_ad(g, x):
+    t = g.field.matmul(np.asarray(x, dtype=np.int64)[None, :],
+                       g.structure.reshape(g.n, -1)).reshape(g.n, g.n)
+    return t.T
+
+
+def reference_bracket(g, x, y):
+    t = g.field.matmul(x[None, :], g.structure.reshape(g.n, -1)).reshape(g.n, g.n)
+    return g.field.matmul(y[None, :], t).ravel()
+
+
+def reference_p_power(g, x):
+    """x^[p] for one even vector, term by term over its support: a
+    reference for `LieSuperAlgebra.p_power`."""
+    f, p = g.field, g.field.p
+    x = np.asarray(x, dtype=np.int64)
+    acc = acc_pow = None
+    for i in [i for i in range(g.s_even) if x[i]]:
+        term = np.zeros(g.n, dtype=np.int64)
+        term[i] = x[i]
+        term_pow = f.mul_arr(f.pow(int(x[i]), p), g.pmap[i])
+        if acc is None:
+            acc, acc_pow = term, term_pow
+        else:
+            corr = reference_s_corrections(g, acc, term)
+            acc_pow = f.add_arr(f.add_arr(acc_pow, term_pow), corr)
+            acc = f.add_arr(acc, term)
+    return np.zeros(g.n, dtype=np.int64) if acc is None else acc_pow
+
+
+def reference_validate(g, samples=200, seed=0, p_power=reference_p_power):
+    """`LieSuperAlgebra.validate` in loop form: one bracket per basis
+    triple, one vector per sample, stopping each sampled rule at its first
+    failure.  A reference for the batched checks; returns (axiom, witness,
+    message) triples."""
+    from superkw.lsa import Violation
+
+    f = g.field
+    n, s = g.n, g.s_even
+    out = []
+    par = g.parities
+    e = np.eye(n, dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            target = (par[i] + par[j]) % 2
+            for l in range(n):
+                if g.structure[i, j, l] and par[l] != target:
+                    out.append(Violation(
+                        "grading", (i, j, l),
+                        f"[{g.names[i]},{g.names[j]}] has a "
+                        f"component of wrong parity on {g.names[l]}"))
+    for i in range(n):
+        for j in range(i, n):
+            if (par[i] * par[j]) % 2 == 0:
+                expect = f.neg_arr(g.structure[i, j])
+            else:
+                expect = g.structure[i, j]
+            if not np.array_equal(g.structure[j, i], expect):
+                out.append(Violation(
+                    "super-skew", (i, j),
+                    f"[{g.names[j]},{g.names[i]}] disagrees with the "
+                    f"sign rule applied to [{g.names[i]},{g.names[j]}]"))
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                lhs = reference_bracket(g, e[i], g.structure[j, l])
+                t1 = reference_bracket(g, g.structure[i, j], e[l])
+                t2 = reference_bracket(g, e[j], g.structure[i, l])
+                if (par[i] * par[j]) % 2 == 1:
+                    t2 = f.neg_arr(t2)
+                if not np.array_equal(lhs, f.add_arr(t1, t2)):
+                    out.append(Violation(
+                        "super-jacobi", (i, j, l),
+                        "Jacobi identity fails on basis triple "
+                        f"({g.names[i]},{g.names[j]},{g.names[l]})"))
+    if g.pmap is not None:
+        for i in range(s):
+            if np.any(g.pmap[i, s:]):
+                out.append(Violation("pmap-parity", (i,),
+                                     f"{g.names[i]}^[p] has odd components"))
+        for i in range(s):
+            adp = f.eye(n)
+            for _ in range(f.p):
+                adp = f.matmul(adp, reference_ad(g, e[i]))
+            if not np.array_equal(adp, reference_ad(g, g.pmap[i])):
+                out.append(Violation(
+                    "p-map-ad", (i,),
+                    f"ad({g.names[i]}^[p]) differs from ad({g.names[i]})^p"))
+        rng = np.random.default_rng(seed)
+        if not out and s > 0:
+            for t in range(samples):
+                x = np.zeros(n, dtype=np.int64)
+                x[:s] = f.rand(rng, s)
+                c = int(f.rand(rng))
+                lhs = p_power(g, f.mul_arr(c, x))
+                rhs = f.mul_arr(f.pow(c, f.p), p_power(g, x))
+                if not np.array_equal(lhs, rhs):
+                    out.append(Violation(
+                        "p-map-scalar", (t,),
+                        "scalar-multiple rule (kx)^[p] = k^p x^[p] fails "
+                        f"for sampled k={c}"))
+                    break
+            for t in range(samples):
+                x = np.zeros(n, dtype=np.int64)
+                y = np.zeros(n, dtype=np.int64)
+                x[:s] = f.rand(rng, s)
+                y[:s] = f.rand(rng, s)
+                lhs = p_power(g, f.add_arr(x, y))
+                rhs = f.add_arr(f.add_arr(p_power(g, x), p_power(g, y)),
+                                reference_s_corrections(g, x, y))
+                if not np.array_equal(lhs, rhs):
+                    out.append(Violation(
+                        "p-map-sum", (t,),
+                        "additive expansion of (x+y)^[p] fails on a sample"))
+                    break
+    return [(v.axiom, v.witness, v.message) for v in out]
+
+
+def reference_find_singular_even(M, rng):
+    """`modules._find_singular_even` without the early return for a scalar
+    theta: the full eigenvalue scan and Krylov search on every attempt."""
+    from superkw.gflin import nullspace, poly_deg
+    from superkw.modules import (
+        _even_element,
+        _irreducible_factors,
+        _minimal_poly,
+        _poly_at_matrix,
+        _random_even_recipe,
+    )
+
+    f = M.alg.field
+    dim = M.dim
+    recipe = _random_even_recipe(M, rng)
+    theta = _even_element(M, recipe)
+    best = None
+    scan = range(f.q) if f.q <= 512 else [int(f.rand(rng)) for _ in range(64)]
+    for lam in scan:
+        a = f.sub_arr(theta, f.mul_arr(lam, f.eye(dim)))
+        ker = nullspace(f, a)
+        if ker.shape[0] == 1:
+            return recipe, [f.neg(lam), 1], a, ker
+        if 0 < ker.shape[0] < dim:
+            if best is None or ker.shape[0] < best[3].shape[0]:
+                best = (recipe, [f.neg(lam), 1], a, ker)
+            if ker.shape[0] == 2:
+                break
+    if best is not None:
+        return best
+    v = f.rand(rng, dim)
+    if not np.any(v):
+        return None
+    for fac in _irreducible_factors(f, _minimal_poly(M, theta, v), rng):
+        a = _poly_at_matrix(f, fac, theta)
+        ker = nullspace(f, a)
+        if ker.shape[0] == poly_deg(fac):
+            return recipe, fac, a, ker
+        if ker.shape[0] < dim and (best is None or ker.shape[0] < best[3].shape[0]):
+            best = (recipe, fac, a, ker)
+    return best
+
+
 def meataxe_inputs(M, seed, monkeypatch):
     """The modules the Meataxe is given while M is decomposed (the reducible
     pieces and the first member of each class), and the composition

@@ -24,7 +24,12 @@ from superkw.modules import (
     submodule_module,
 )
 
-from conftest import kronecker_endomorphism_dims, kronecker_hom_dims, meataxe_inputs
+from conftest import (
+    kronecker_endomorphism_dims,
+    kronecker_hom_dims,
+    meataxe_inputs,
+    reference_find_singular_even,
+)
 
 ALGEBRAS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "algebras")
 
@@ -289,3 +294,74 @@ def test_osp12_gf9_decomposes_at_seed_0(chi):
     # many points to spin one by one
     rep = composition_factors(_regular("osp1_2_p3k2", chi), 0)
     assert rep.factors == [modules.FactorRecord(18, (9, 9), 3, 0, 6)] * 6
+
+
+def test_meataxe_class_is_the_series_class(monkeypatch):
+    # heis_p3 at chi = (1,0,0) has factors certified in the End(M) step,
+    # whose standard basis the Meataxe already spun: the composition loop
+    # takes the class the Meataxe built and spins no certificate twice
+    made, returned = [], []
+    init = modules.FactorClass.__init__
+    meataxe = modules._find_proper_submodule
+    spun = []
+    standard_basis = modules._standard_basis
+
+    def counting_init(K, module, cert):
+        made.append(K)
+        init(K, module, cert)
+
+    def spy(M, seed):
+        out = meataxe(M, seed)
+        if isinstance(out, modules.FactorClass):
+            assert out.module is M
+            returned.append(out)
+        return out
+
+    def counting_spin(M, w):
+        spun.append(1)
+        return standard_basis(M, w)
+
+    monkeypatch.setattr(modules.FactorClass, "__init__", counting_init)
+    monkeypatch.setattr(modules, "_find_proper_submodule", spy)
+    monkeypatch.setattr(modules, "_standard_basis", counting_spin)
+    for seed in (0, 3):
+        made.clear(), returned.clear(), spun.clear()
+        classes = _classes(composition_series(_regular("heis_p3", (1, 0, 0)), seed))
+        assert any("_standard" in K.__dict__ for K in returned)
+        assert all(any(K is R for R in returned) for K in classes)
+        assert len({id(K.cert) for K in made}) == len(made)
+        assert len(spun) == sum("_standard" in K.__dict__ for K in made)
+
+
+def test_scalar_theta_skip_keeps_results_and_stream():
+    # on these factors many random even elements act by a scalar; the
+    # search must give what the full scan gives and draw the same numbers
+    pool = []
+    for name, chis in (("heis_p3", [(0, 0, 0), (1, 0, 0), (2, 1, 0)]),
+                       ("gl1_1_p3", [(0, 0), (0, 1), (1, 2)]),
+                       ("solv2_p5", [(0, 0), (1, 0), (0, 1)])):
+        for chi in chis:
+            seen = set()
+            for fac in modules.composition_factor_modules(_regular(name, chi), 0):
+                if fac.superdim not in seen:
+                    seen.add(fac.superdim)
+                    pool.append(fac)
+    scalar = 0
+    for M in pool:
+        for seed in range(200):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = modules._find_singular_even(M, rng)
+            want = reference_find_singular_even(M, ref_rng)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert (got is None) == (want is None)
+            if got is None:
+                continue
+            (recipe, poly, a, ker), (recipe2, poly2, a2, ker2) = got, want
+            assert recipe == recipe2 and list(poly) == list(poly2)
+            assert np.array_equal(a, a2) and np.array_equal(ker, ker2)
+        theta = modules._even_element
+        scalar += sum(
+            M.dim > 1 and modules._is_scalar(
+                theta(M, modules._random_even_recipe(M, np.random.default_rng(seed))))
+            for seed in range(200))
+    assert scalar > 0
