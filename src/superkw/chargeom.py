@@ -118,17 +118,15 @@ def isotropy_profile(geo: CharacterGeometry) -> tuple:
     return geo.max_isotropic, geo.exp_pair
 
 
+def chi_value(g: LieSuperAlgebra, chi: np.ndarray, x: np.ndarray) -> int:
+    """chi(x): the value of chi on the even part of x."""
+    return int(g.field.matmul(x[None, : g.s_even], chi.reshape(-1, 1)).ravel()[0])
+
+
 def restrict_chi(chi: np.ndarray, sub: Subalgebra) -> np.ndarray:
     """Values of chi on the even basis rows of a subalgebra."""
-    g = sub.parent
-    s_sub = sub.alg.s_even
-    out = np.zeros(s_sub, dtype=np.int64)
-    for a in range(s_sub):
-        row = sub.rows[a]
-        out[a] = int(
-            g.field.matmul(row[None, : g.s_even], chi.reshape(-1, 1)).ravel()[0]
-        )
-    return out
+    rows = sub.rows[: sub.alg.s_even]
+    return np.array([chi_value(sub.parent, chi, row) for row in rows], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +241,7 @@ def is_degraded(g: LieSuperAlgebra, chi, S: Subspace, geo: Optional[CharacterGeo
         raise LsaError("degradedness is only defined for subalgebras")
     geo = geo or chi_geometry(g, chi)
     derived = bracket_span(g, S, S)
-    chi_kills = all(
-        int(g.field.matmul(row[None, : g.s_even], chi.reshape(-1, 1)).ravel()[0]) == 0
-        for row in derived.even_rows()
-    )
+    chi_kills = all(chi_value(g, chi, row) == 0 for row in derived.even_rows())
     verdict = (SuperDim(*S.superdim) == geo.max_isotropic) and chi_kills
     diagnostics = {
         "superdim": SuperDim(*S.superdim),

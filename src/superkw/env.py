@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chargeom import BudgetExceeded, check_chi
+from .chargeom import BudgetExceeded, check_chi, chi_value
 from .gflin import inv_matrix
 from .lsa import LieSuperAlgebra, LsaError, Subalgebra, as_subalgebra, change_basis
 from .modules import SuperModule
@@ -404,10 +404,7 @@ def induce(
     rows.extend(h_odd)
     P = np.array(rows, dtype=np.int64)
     g2 = change_basis(g, P)
-    chi2 = np.array(
-        [int(f.matmul(P[a][None, :s], chi.reshape(-1, 1)).ravel()[0]) for a in range(s)],
-        dtype=np.int64,
-    )
+    chi2 = np.array([chi_value(g, chi, P[a]) for a in range(s)], dtype=np.int64)
 
     # straightening priority: even cobasis, odd cobasis, then h generators
     key = [0] * n

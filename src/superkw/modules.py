@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .chargeom import chi_value, restrict_chi
 from .gflin import (
     Echelon,
     Field,
@@ -206,13 +207,16 @@ def _minimal_poly(M: SuperModule, theta: np.ndarray, v: np.ndarray):
 
 
 def _poly_at_matrix(f: Field, coeffs, A: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    acc = np.zeros((n, n), dtype=np.int64)
-    for c in reversed(coeffs):
-        acc = f.matmul(acc, A)
-        if c:
-            acc = f.add_arr(acc, f.mul_arr(int(c), f.eye(n)))
-    return acc
+    """coeffs[0] + coeffs[1] A + ... by Horner's rule, started from the top
+    two terms, so a polynomial of degree d costs d - 1 products."""
+    *low, top = [int(c) for c in coeffs]
+    eye = f.eye(A.shape[0])
+    if not low:
+        return f.mul_arr(top, eye)
+    acc = f.mul_arr(top, A)
+    for c in reversed(low[1:]):
+        acc = f.matmul(f.add_arr(acc, f.mul_arr(c, eye)), A)
+    return f.add_arr(acc, f.mul_arr(low[0], eye))
 
 
 def _equal_degree_split(f: Field, m, d: int, rng) -> Optional[list]:
@@ -339,54 +343,32 @@ def _even_part_scalar(M: SuperModule) -> bool:
     even = [M.action[i] for i in range(M.alg.n) if par[i] == 0]
     odd = [M.action[i] for i in range(M.alg.n) if par[i] == 1]
     mats = even + [f.matmul(x, y) for x in odd for y in odd]
-    return all(_is_scalar(A) for A in mats)
-
-
-def _is_scalar(A: np.ndarray) -> bool:
-    """A is c * identity for some c (codes: c on the diagonal, 0 off it)."""
-    return np.array_equal(A, A[0, 0] * np.eye(A.shape[0], dtype=np.int64))
+    eye = np.eye(M.dim, dtype=np.int64)
+    return all(np.array_equal(A, A[0, 0] * eye) for A in mats)
 
 
 def _find_singular_even(M: SuperModule, rng):
     """A singular even element a = f(theta), for a random even theta of the
     acting algebra and a monic irreducible factor f of its minimal
-    polynomial, as (recipe of theta, f, a, ker(a)) with ker(a) proper and
-    nonzero: one with dim ker(a) = deg f (the Holt-Rees test) where one
-    turns up, else the smallest found; None when theta gives none.
+    polynomial, as (recipe of theta, f, a, ker(a)): one with dim ker(a) =
+    deg f (the Holt-Rees test) where one turns up, else the smallest proper
+    nonzero kernel found; None when theta gives none.  ker(a) is all of M
+    only when dim M = deg f, so that M is one-dimensional over GF(q)[theta].
 
-    Eigenvalues in GF(q) come first.  Factors of higher degree, taken from
-    the Krylov polynomial of a random vector, are tried only when theta has
-    no eigenvalue with a proper kernel.
-
-    A scalar theta = c on a module of dimension above 1 gives none: f(theta)
-    is 0 for f = x - c and invertible for every other f.  It returns None
-    at once, after the draws the full search would make, so that the
-    random stream, and every later result, is the same."""
+    The candidates are the distinct irreducible factors of the minimal
+    polynomial of theta relative to one random vector v (Krylov), in
+    increasing degree, so the eigenvalues of theta in GF(q) come first.
+    Each divides the minimal polynomial of theta, so each f(theta) is
+    singular.  A factor that v misses only leaves fewer candidates for this
+    theta; the Meataxe then draws the next one.  A scalar theta = c needs no
+    special case: its polynomial is x - c, and f(theta) = 0 has no proper
+    kernel."""
     f = M.alg.field
     dim = M.dim
     recipe = _random_even_recipe(M, rng)
     theta = _even_element(M, recipe)
     best = None
-    scan = range(f.q) if f.q <= 512 else [int(f.rand(rng)) for _ in range(64)]
-    if dim > 1 and _is_scalar(theta):
-        f.rand(rng, dim)  # the Krylov vector
-        return None
-    for lam in scan:
-        a = f.sub_arr(theta, f.mul_arr(lam, f.eye(dim)))
-        ker = nullspace(f, a)
-        if ker.shape[0] == 1:
-            return recipe, [f.neg(lam), 1], a, ker
-        if 0 < ker.shape[0] < dim:
-            if best is None or ker.shape[0] < best[3].shape[0]:
-                best = (recipe, [f.neg(lam), 1], a, ker)
-            if ker.shape[0] == 2:
-                break
-    if best is not None:
-        return best
-    v = f.rand(rng, dim)
-    if not np.any(v):
-        return None
-    for fac in _irreducible_factors(f, _minimal_poly(M, theta, v), rng):
+    for fac in _irreducible_factors(f, _minimal_poly(M, theta, f.rand(rng, dim)), rng):
         a = _poly_at_matrix(f, fac, theta)
         ker = nullspace(f, a)
         if ker.shape[0] == poly_deg(fac):
@@ -790,8 +772,6 @@ def restrict_module(M: SuperModule, sub) -> SuperModule:
     action = np.array([M.rho(row) for row in sub.rows], dtype=np.int64)
     if action.size == 0:
         action = np.zeros((0, M.dim, M.dim), dtype=np.int64)
-    from .chargeom import restrict_chi
-
     return SuperModule(
         alg=sub.alg,
         chi=restrict_chi(M.chi, sub) if M.chi.size else np.zeros(sub.alg.s_even, dtype=np.int64),
@@ -814,7 +794,7 @@ def v_i_chi(M: SuperModule, I: Subspace, chi) -> RowSpace:
         op = M.rho(row)
         scal = 0
         if g.parity_of(row) == 0:
-            scal = int(f.matmul(row[None, : g.s_even], chi.reshape(-1, 1)).ravel()[0])
+            scal = chi_value(g, chi, row)
         blocks.append(f.sub_arr(op, f.mul_arr(scal, f.eye(M.dim))))
     if not blocks:
         return RowSpace(f, M.dim, f.eye(M.dim))
@@ -855,7 +835,7 @@ def degree_reduction_check(
         op = M.rho(row)
         scal = 0
         if g.parity_of(row) == 0:
-            scal = int(f.matmul(row[None, : g.s_even], chi.reshape(-1, 1)).ravel()[0])
+            scal = chi_value(g, chi, row)
         for b in range(base.dim):
             idx = induced.index((0,) * c0, (0,) * c1, b)
             col = op[:, idx]
@@ -866,9 +846,6 @@ def degree_reduction_check(
                     "base block is not a chi-eigenspace for the ideal; "
                     "the filtration check does not apply")
 
-    def chi_of(v):
-        return int(f.matmul(v[None, : g.s_even], chi.reshape(-1, 1)).ravel()[0])
-
     I_even = I.even_rows()
     I_odd = I.odd_rows()
     Z = []
@@ -876,7 +853,7 @@ def degree_reduction_check(
         mat = np.zeros((c0, max(I_even.shape[0], 1)), dtype=np.int64)
         for j in range(c0):
             for r in range(I_even.shape[0]):
-                mat[j, r] = chi_of(g.bracket(I_even[r], induced.even_cobasis[j]))
+                mat[j, r] = chi_value(g, chi, g.bracket(I_even[r], induced.even_cobasis[j]))
         rhs = np.zeros(c0, dtype=np.int64)
         rhs[i] = 1
         x = solve(f, mat, rhs)
@@ -889,7 +866,7 @@ def degree_reduction_check(
         mat = np.zeros((c1, max(I_odd.shape[0], 1)), dtype=np.int64)
         for k in range(c1):
             for r in range(I_odd.shape[0]):
-                mat[k, r] = chi_of(g.bracket(induced.odd_cobasis[k], I_odd[r]))
+                mat[k, r] = chi_value(g, chi, g.bracket(induced.odd_cobasis[k], I_odd[r]))
         rhs = np.zeros(c1, dtype=np.int64)
         rhs[j] = 1
         x = solve(f, mat, rhs)
@@ -919,7 +896,7 @@ def degree_reduction_check(
             for i in range(c0):
                 if alpha[i] == 0:
                     continue
-                op = f.sub_arr(M.rho(Z[i]), f.mul_arr(chi_of(Z[i]), f.eye(M.dim)))
+                op = f.sub_arr(M.rho(Z[i]), f.mul_arr(chi_value(g, chi, Z[i]), f.eye(M.dim)))
                 got = op[:, idx].copy()
                 down = list(alpha)
                 down[i] -= 1

@@ -24,6 +24,7 @@ from .chargeom import (
     BudgetExceeded,
     SuperDim,
     check_chi,
+    chi_value,
     polarization,
     restrict_chi,
 )
@@ -247,10 +248,6 @@ def _abelian_ideal_candidates(g: LieSuperAlgebra) -> List[Subspace]:
     return cands
 
 
-def _chi_value(g: LieSuperAlgebra, chi: np.ndarray, v: np.ndarray) -> int:
-    return int(g.field.matmul(v[None, : g.s_even], chi.reshape(-1, 1)).ravel()[0])
-
-
 def _module_is_eigen(g, chi, I: Subspace, S: SuperModule, sub: Subalgebra, mu_vals) -> bool:
     """Whether every vector of S is a mu-eigenvector for the ideal."""
     f = g.field
@@ -301,9 +298,7 @@ def construct_irreducible(
 def _construct(g, chi, seed, budget, pins) -> Tuple[SuperModule, DescentTrace]:
     f = g.field
     derived = derived_subalgebra(g)
-    chi_kills_derived = all(
-        _chi_value(g, chi, row) == 0 for row in derived.even_rows()
-    )
+    chi_kills_derived = all(chi_value(g, chi, row) == 0 for row in derived.even_rows())
     whole = as_subalgebra(g, g.full_space())
     if chi_kills_derived and is_nilpotent_subalg(g, derived):
         sols = one_dim_weights(whole, chi, pins=_pins_to_sub(whole, pins))
@@ -320,7 +315,7 @@ def _construct(g, chi, seed, budget, pins) -> Tuple[SuperModule, DescentTrace]:
     pending_extension = None
     for I in _abelian_ideal_candidates(g):
         gram_nonzero = any(
-            _chi_value(g, chi, g.bracket(g.basis_vector(j), row))
+            chi_value(g, chi, g.bracket(g.basis_vector(j), row))
             for j in range(g.n)
             for row in I.basis
         )
@@ -330,9 +325,7 @@ def _construct(g, chi, seed, budget, pins) -> Tuple[SuperModule, DescentTrace]:
         sub_I = as_subalgebra(g, I)
         chi_I = restrict_chi(chi, sub_I)
         mu_list = []
-        chi_restr_ok = all(
-            _chi_value(g, chi, g.p_power(row)) == 0 for row in I.even_rows()
-        )
+        chi_restr_ok = all(chi_value(g, chi, g.p_power(row)) == 0 for row in I.even_rows())
         if chi_restr_ok:
             mu_list.append(chi_I)
         if sub_I.alg.restricted:

@@ -186,49 +186,6 @@ def reference_validate(g, samples=200, seed=0, p_power=reference_p_power):
     return [(v.axiom, v.witness, v.message) for v in out]
 
 
-def reference_find_singular_even(M, rng):
-    """`modules._find_singular_even` without the early return for a scalar
-    theta: the full eigenvalue scan and Krylov search on every attempt."""
-    from superkw.gflin import nullspace, poly_deg
-    from superkw.modules import (
-        _even_element,
-        _irreducible_factors,
-        _minimal_poly,
-        _poly_at_matrix,
-        _random_even_recipe,
-    )
-
-    f = M.alg.field
-    dim = M.dim
-    recipe = _random_even_recipe(M, rng)
-    theta = _even_element(M, recipe)
-    best = None
-    scan = range(f.q) if f.q <= 512 else [int(f.rand(rng)) for _ in range(64)]
-    for lam in scan:
-        a = f.sub_arr(theta, f.mul_arr(lam, f.eye(dim)))
-        ker = nullspace(f, a)
-        if ker.shape[0] == 1:
-            return recipe, [f.neg(lam), 1], a, ker
-        if 0 < ker.shape[0] < dim:
-            if best is None or ker.shape[0] < best[3].shape[0]:
-                best = (recipe, [f.neg(lam), 1], a, ker)
-            if ker.shape[0] == 2:
-                break
-    if best is not None:
-        return best
-    v = f.rand(rng, dim)
-    if not np.any(v):
-        return None
-    for fac in _irreducible_factors(f, _minimal_poly(M, theta, v), rng):
-        a = _poly_at_matrix(f, fac, theta)
-        ker = nullspace(f, a)
-        if ker.shape[0] == poly_deg(fac):
-            return recipe, fac, a, ker
-        if ker.shape[0] < dim and (best is None or ker.shape[0] < best[3].shape[0]):
-            best = (recipe, fac, a, ker)
-    return best
-
-
 def meataxe_inputs(M, seed, monkeypatch):
     """The modules the Meataxe is given while M is decomposed (the reducible
     pieces and the first member of each class), and the composition

@@ -102,11 +102,12 @@ def test_spin_matches_reference(name, chi):
     assert np.array_equal(W.basis, basis) and W.pivots == piv
 
 
-# sha256 of the rendered seed-0 reports.  The reduced echelon form is unique,
-# so every basis and therefore every random choice of the Meataxe must stay
-# the same.  Re-recorded when the unread "ext_cap" key left the report: each
-# report is the earlier one, kept since the incremental echelon kernel, with
-# that one line removed.
+# sha256 of the rendered seed-0 reports.  A report depends on the Meataxe
+# only through the factor records, which do not depend on its random choices:
+# a change of which elements and kernels the Meataxe tries must keep these.
+# Re-recorded when the unread "ext_cap" key left the report: each report is
+# the earlier one, kept since the incremental echelon kernel, with that one
+# line removed.
 GOLDEN = {
     "oddheis_p3": "7c5f5f32f5202aae1d0de556e7b4a85d30072db5d909f8ebb57c1b04d7633f42",
     "gl1_1_p3": "2b638c0b83e51248f601eb0ae719cd921d54e034fb8df36c931aeba344829c22",

@@ -5,6 +5,7 @@ absolutely irreducible from their even commutant."""
 
 import os
 from functools import lru_cache
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from superkw import modules
 from superkw.classical import catalog
 from superkw.env import ReducedAlgebra, regular_module
-from superkw.gflin import inv_matrix, rank
+from superkw.gflin import inv_matrix, nullspace, poly_deg, poly_mod, rank
 from superkw.lsafile import parse_lsa_path
 from superkw.modules import (
     RowSpace,
@@ -28,7 +29,6 @@ from conftest import (
     kronecker_endomorphism_dims,
     kronecker_hom_dims,
     meataxe_inputs,
-    reference_find_singular_even,
 )
 
 ALGEBRAS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "algebras")
@@ -277,7 +277,7 @@ def test_zero_divisor_of_even_commutant_splits(monkeypatch):
         return T, dim_e
 
     monkeypatch.setattr(modules.FactorClass, "random_endomorphism", spy)
-    for seed in (0, 3, 4, 5):
+    for seed in (0, 3, 5, 7):
         dims.clear()
         W = modules._find_proper_submodule(P, seed)
         assert dims == [(3, 3)]
@@ -333,9 +333,28 @@ def test_meataxe_class_is_the_series_class(monkeypatch):
         assert len(spun) == sum("_standard" in K.__dict__ for K in made)
 
 
-def test_scalar_theta_skip_keeps_results_and_stream():
-    # on these factors many random even elements act by a scalar; the
-    # search must give what the full scan gives and draw the same numbers
+@lru_cache(maxsize=None)
+def _irreducible(f, poly):
+    # no monic divisor of degree 1 .. deg/2, by enumeration (small q only)
+    d = poly_deg(poly)
+    return all(
+        poly_mod(f, list(poly), list(low) + [1])
+        for k in range(1, d // 2 + 1)
+        for low in iproduct(range(f.q), repeat=k))
+
+
+def _poly_at(f, poly, A):
+    # sum of poly[k] A^k from the powers of A
+    acc, power = f.zeros(*A.shape), f.eye(A.shape[0])
+    for c in poly:
+        acc = f.add_arr(acc, f.mul_arr(int(c), power))
+        power = f.matmul(power, A)
+    return acc
+
+
+def test_singular_even_is_a_factor_of_theta_with_a_proper_kernel():
+    # on these factors many random even elements act by a scalar, and some
+    # generate a field over which the factor is one-dimensional
     pool = []
     for name, chis in (("heis_p3", [(0, 0, 0), (1, 0, 0), (2, 1, 0)]),
                        ("gl1_1_p3", [(0, 0), (0, 1), (1, 2)]),
@@ -348,20 +367,23 @@ def test_scalar_theta_skip_keeps_results_and_stream():
                     pool.append(fac)
     scalar = 0
     for M in pool:
+        f = M.alg.field
         for seed in range(200):
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = modules._find_singular_even(M, rng)
-            want = reference_find_singular_even(M, ref_rng)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-            assert (got is None) == (want is None)
+            theta = modules._even_element(
+                M, modules._random_even_recipe(M, np.random.default_rng(seed)))
+            is_scalar = np.array_equal(theta, theta[0, 0] * f.eye(M.dim))
+            got = modules._find_singular_even(M, np.random.default_rng(seed))
+            if is_scalar and M.dim > 1:
+                scalar += 1
+                assert got is None
             if got is None:
                 continue
-            (recipe, poly, a, ker), (recipe2, poly2, a2, ker2) = got, want
-            assert recipe == recipe2 and list(poly) == list(poly2)
-            assert np.array_equal(a, a2) and np.array_equal(ker, ker2)
-        theta = modules._even_element
-        scalar += sum(
-            M.dim > 1 and modules._is_scalar(
-                theta(M, modules._random_even_recipe(M, np.random.default_rng(seed))))
-            for seed in range(200))
+            recipe, poly, a, ker = got
+            assert np.array_equal(modules._even_element(M, recipe), theta)
+            assert poly[-1] == 1 and poly_deg(poly) >= 1
+            assert _irreducible(f, tuple(poly))
+            assert np.array_equal(a, _poly_at(f, poly, theta))
+            assert np.array_equal(ker, nullspace(f, a))
+            # proper, or all of M when M is one-dimensional over GF(q)[theta]
+            assert 0 < ker.shape[0] < M.dim or ker.shape[0] == poly_deg(poly) == M.dim
     assert scalar > 0
