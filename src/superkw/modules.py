@@ -310,8 +310,8 @@ def _even_element(M: SuperModule, recipe: tuple) -> np.ndarray:
     for word, coeff in terms:
         if not coeff:
             continue
-        mat = f.eye(M.dim)
-        for i in word:
+        mat = M.action[word[0]]
+        for i in word[1:]:
             mat = f.matmul(mat, M.action[i])
         theta = f.add_arr(theta, f.mul_arr(coeff, mat))
     return theta
@@ -478,7 +478,8 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> RowSpace | FactorClass:
         if poly_deg(mu) == dim_e and all(len(side) == dim_e for side in sides):
             return K
     raise MeataxeFailure(
-        f"graded Meataxe could not certify a verdict after {MEATAXE_ATTEMPTS} attempts"
+        f"graded Meataxe could not certify a verdict after {MEATAXE_ATTEMPTS} attempts "
+        f"on a piece of superdimension {M.superdim} at chi = {[int(c) for c in M.chi]}"
     )
 
 
@@ -710,18 +711,24 @@ def endomorphism_dims(K: FactorClass) -> Tuple[int, int]:
     return K.hom_dims(K.module)
 
 
-def _piece_seed(seed: int, index: int) -> int:
-    """The Meataxe seed of the index-th piece of a composition series, so
-    that pieces alike in shape do not all repeat one random path."""
+def derived_seed(seed: int, index: int) -> int:
+    """The Meataxe seed of the index-th part of a computation at a seed (a
+    piece of a composition series, or one module of several), so that parts
+    alike in shape do not all repeat one random path."""
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
 
-def composition_series(M: SuperModule, seed: int = 0) -> List[Tuple[SuperModule, FactorClass]]:
+def composition_series(
+    M: SuperModule, seed: int = 0, classes: Optional[List[FactorClass]] = None
+) -> List[Tuple[SuperModule, FactorClass]]:
     """The graded composition factors by repeated splitting, each with its
     isomorphism class.  A piece isomorphic to a class found before is
-    recognised by the class's isomorphism test, without the Meataxe."""
+    recognised by the class's isomorphism test, without the Meataxe.
+
+    `classes`, when given, holds classes known from other modules over the
+    same algebra; it is searched first and extended in place."""
     factors: List[Tuple[SuperModule, FactorClass]] = []
-    classes: List[FactorClass] = []
+    classes = [] if classes is None else classes
     stack = [M]
     index = 0
     while stack:
@@ -735,7 +742,7 @@ def composition_series(M: SuperModule, seed: int = 0) -> List[Tuple[SuperModule,
         if known is not None:
             factors.append((cur, known))
             continue
-        known = _find_proper_submodule(cur, _piece_seed(seed, index))
+        known = _find_proper_submodule(cur, derived_seed(seed, index))
         if isinstance(known, RowSpace):
             stack.append(submodule_module(cur, known))
             stack.append(quotient_module(cur, known))
@@ -750,11 +757,14 @@ def composition_factor_modules(M: SuperModule, seed: int = 0) -> List[SuperModul
     return [fac for fac, _ in composition_series(M, seed)]
 
 
-def composition_factors(M: SuperModule, seed: int = 0) -> CompositionReport:
+def composition_factors(
+    M: SuperModule, seed: int = 0, classes: Optional[List[FactorClass]] = None
+) -> CompositionReport:
     """Multiset of graded composition factors by repeated Meataxe splitting;
-    the endomorphism dimensions are solved once per isomorphism class."""
+    the endomorphism dimensions are solved once per isomorphism class.
+    `classes` is passed on to `composition_series`."""
     records = []
-    for fac, known in composition_series(M, seed):
+    for fac, known in composition_series(M, seed, classes):
         ee, eo = known.endo()
         records.append(FactorRecord(fac.dim, fac.superdim, ee, eo, fac.dim // ee))
     # by the whole record, so that the order does not depend on the path the

@@ -13,15 +13,29 @@ import hashlib
 import json
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from .chargeom import BudgetExceeded, SuperDim, check_chi, chi_geometry, max_exponents
-from .env import ReducedAlgebra, regular_module
-from .lsa import LieSuperAlgebra
-from .modules import composition_factors, verify_dim_form
+from .chargeom import (
+    BudgetExceeded,
+    SuperDim,
+    check_chi,
+    chi_geometry,
+    max_exponents,
+    restrict_chi,
+)
+from .env import ReducedAlgebra, induce, regular_module
+from .lsa import LieSuperAlgebra, Subspace, as_subalgebra
+from .modules import (
+    CompositionReport,
+    composition_factors,
+    composition_series,
+    derived_seed,
+    verify_dim_form,
+)
 
 REPORT_HEADER = "superkw-report v1"
 # version of the cached oracle payload, bumped when its layout or any answer
@@ -96,6 +110,35 @@ class OracleCache:
             raise
 
 
+def oracle_composition(g: LieSuperAlgebra, chi, seed: int, budget: int) -> CompositionReport:
+    """Composition factors of the regular module of U_chi(g), in two levels.
+
+    U_chi(g) is free over U_chi(g0), g0 the even part, so the regular module
+    is induced from the regular module of U_chi(g0), and induction is exact:
+    [Reg g : S] = sum over S0 of [Reg g0 : S0] [Ind S0 : S].  The factors of
+    Reg g0 are found once, each class is induced once, and the factors of
+    its induced module count with the class's multiplicity.  g0 is purely
+    even, so every S0 is even and Ind S0 carries the grading of the regular
+    module: superdimensions and endomorphism degrees come out exactly.  The
+    induced modules share one list of classes, so a factor that an earlier
+    one found is recognised without the Meataxe.  When g0 = g or g0 = 0
+    there is nothing to gain: the regular module is decomposed itself."""
+    chi = check_chi(g, chi)
+    if g.t_odd == 0 or g.s_even == 0:
+        return composition_factors(regular_module(ReducedAlgebra(g, chi), budget).module, seed)
+    f, s = g.field, g.s_even
+    h = as_subalgebra(g, Subspace(f, s, g.n, f.eye(g.n)[:s]))
+    reg0 = regular_module(ReducedAlgebra(h.alg, restrict_chi(chi, h)), budget).module
+    # each class of g0 with its multiplicity, in the order found
+    multiplicity = Counter(K for _, K in composition_series(reg0, seed))
+    known = []
+    records = []
+    for index, (K, mult) in enumerate(multiplicity.items()):
+        ind = induce(g, chi, h, K.module, budget).module
+        records += composition_factors(ind, derived_seed(seed, index), known).factors * mult
+    return CompositionReport(sorted(records))
+
+
 def oracle_factors(
     g: LieSuperAlgebra,
     chi,
@@ -110,9 +153,7 @@ def oracle_factors(
         hit = cache.get(key)
         if hit is not None:
             return hit
-    rep = composition_factors(
-        regular_module(ReducedAlgebra(g, chi), budget=budget).module, seed
-    )
+    rep = oracle_composition(g, chi, seed, budget)
     payload = {
         "dims": rep.dims,
         "geometric_dims": rep.geometric_dims,
