@@ -118,15 +118,18 @@ def isotropy_profile(geo: CharacterGeometry) -> tuple:
     return geo.max_isotropic, geo.exp_pair
 
 
-def chi_value(g: LieSuperAlgebra, chi: np.ndarray, x: np.ndarray) -> int:
-    """chi(x): the value of chi on the even part of x."""
-    return int(g.field.matmul(x[None, : g.s_even], chi.reshape(-1, 1)).ravel()[0])
+def chi_value(g: LieSuperAlgebra, chi: np.ndarray, x: np.ndarray):
+    """chi(x): the value of chi on the even part of x, an int; for a stack
+    of vectors (shape (..., n)) the array of values (shape (...))."""
+    x = np.asarray(x, dtype=np.int64)
+    vals = g.field.matmul(x[..., : g.s_even], chi.reshape(-1, 1))[..., 0]
+    return int(vals) if x.ndim == 1 else vals
 
 
 def restrict_chi(chi: np.ndarray, sub: Subalgebra) -> np.ndarray:
     """Values of chi on the even basis rows of a subalgebra."""
     rows = sub.rows[: sub.alg.s_even]
-    return np.array([chi_value(sub.parent, chi, row) for row in rows], dtype=np.int64)
+    return chi_value(sub.parent, chi, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +210,8 @@ def max_exponents(
             witnesses.append(chi.copy())
         b0_max = max(b0_max, geo.even_rank)
         b1_max = max(b1_max, geo.odd_rank)
+    if not scanned:
+        raise ValueError("the scan covered no character")
     # second pass for a simultaneous maximizer of both ranks (cheap: ranks
     # were already maximal on the same grid)
     if exhaustive:

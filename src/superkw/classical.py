@@ -188,27 +188,7 @@ def _make_sl(field: Field, m: int, n: int) -> CatalogEntry:
     parities = [e[2] for e in ordered]
     g = algebra_from_matrices(field, mats, names, parities)
     positions = [e[3] for e in ordered]
-    f = field
-    cart, plusv, minusv = [], [], []
-    for idx, (i, j) in enumerate(positions):
-        v = g.basis_vector(idx)
-        if i == j:
-            cart.append(v)
-        elif i < j:
-            plusv.append(v)
-        else:
-            minusv.append(v)
-    tri = TriangularData(
-        Subspace.from_vectors(f, g.s_even, g.n, cart),
-        Subspace.from_vectors(f, g.s_even, g.n, plusv),
-        Subspace.from_vectors(f, g.s_even, g.n, minusv),
-        [],
-    )
-    for idx, (i, j) in enumerate(positions):
-        if i < j:
-            opp = positions.index((j, i))
-            h_alpha = g.bracket(g.basis_vector(idx), g.basis_vector(opp))
-            tri.roots.append(Root(idx, h_alpha, int(g.parities[idx])))
+    tri = _triangular_from_positions(g, positions)
     return CatalogEntry(g, tri, f"sl({m}|{n})")
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .chargeom import BudgetExceeded
 from .classical import CatalogError, baby_verma, catalog
+from .gflin import FieldError
 from .lsa import LsaError, NeedsFieldExtension
 from .lsafile import LsaParseError, parse_lsa_path, write_lsa
 from .modules import MeataxeFailure, is_graded_irreducible, validate_module
@@ -61,6 +62,14 @@ def _parse_chi(text: str, expected: int, q: int) -> np.ndarray:
               file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
     return np.array(vals, dtype=np.int64)
+
+
+def _sample_count(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _emit(text: str, path):
@@ -183,7 +192,7 @@ def cmd_solvable_irr(args) -> int:
 def cmd_baby_verma(args) -> int:
     try:
         entry = catalog(args.algebra, args.p, args.k)
-    except CatalogError as exc:
+    except (CatalogError, FieldError) as exc:
         print(f"catalog error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     g, tri = entry.algebra, entry.triangular
@@ -270,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed(sp)
     budget(sp)
     sp.add_argument("--strategy", choices=["exhaustive", "random"], default="exhaustive")
-    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--samples", type=_sample_count, default=200)
     sp.set_defaults(func=cmd_mdim)
 
     sp = sub.add_parser("conjecture", help="full per-character verification report")

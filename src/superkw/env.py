@@ -59,10 +59,6 @@ class ReducedAlgebra:
         # word -> normal form, filled by straighten
         self._memo: Dict[Word, Dict[Word, int]] = {}
 
-    @property
-    def dim_exponents(self) -> tuple:
-        return (self.g.s_even, self.g.t_odd)
-
     def dimension(self) -> int:
         return self.field.p ** self.g.s_even * 2 ** self.g.t_odd
 
@@ -402,9 +398,9 @@ def induce(
         v[c] = 1
         rows.append(v)
     rows.extend(h_odd)
-    P = np.array(rows, dtype=np.int64)
+    P = np.array(rows, dtype=np.int64).reshape(n, n)
     g2 = change_basis(g, P)
-    chi2 = np.array([chi_value(g, chi, P[a]) for a in range(s)], dtype=np.int64)
+    chi2 = chi_value(g, chi, P[:s])
 
     # straightening priority: even cobasis, odd cobasis, then h generators
     key = [0] * n
@@ -499,7 +495,8 @@ def induce(
     T = np.array(triples, dtype=np.int64).reshape(-1, 5)
     gen, pos = T[:, 0], T[:, 1] * dim + T[:, 2]
     val = f.mul_arr(T[:, 3], T[:, 4])
-    keys, vals = [], []
+    # one empty part, so that the zero algebra (n = 0) concatenates too
+    keys, vals = [pos[:0]], [val[:0]]
     for i in range(n):
         coef = Pinv[i, gen]
         sel = np.nonzero(coef)[0]

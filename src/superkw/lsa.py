@@ -7,10 +7,13 @@ the table, so corrupt input fails loudly.  The p-operation is given on even
 basis elements and extended to arbitrary even vectors through the standard
 expansion of (x + y)^[p] by the s_i corrections.
 
-`ad_matrix`, `s_corrections` and `p_power` take a single coordinate vector
-or a stack of them (shape (..., n)), so that `validate` checks its sampled
-p-map rules, and the super-Jacobi identity on all basis triples, in a few
-batched field products rather than one small product per vector.
+`bracket`, `ad_matrix`, `s_corrections` and `p_power` take a single
+coordinate vector or a stack of them (shape (..., n)).  So `validate` checks
+its sampled p-map rules, and the super-Jacobi identity on all basis triples,
+in a few batched field products rather than one small product per vector;
+and each structural query builds its bracket table (`bracket` broadcasts
+two stacks against each other) in one product and tests it with one
+containment check.
 """
 
 from __future__ import annotations
@@ -35,10 +38,6 @@ class LsaError(ValueError):
 
 class NeedsFieldExtension(Exception):
     """Raised when a search requires eigenvalues outside the working field."""
-
-    def __init__(self, message, degree_hint=2):
-        super().__init__(message)
-        self.degree_hint = degree_hint
 
 
 @dataclass
@@ -198,25 +197,21 @@ class LieSuperAlgebra:
     # -- bracket machinery -------------------------------------------------
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        f = self.field
+        """[x, y] for two coordinate vectors, or for two stacks of them whose
+        shapes (..., n) broadcast against each other: one field product."""
         x = np.asarray(x, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
-        if x.shape != (self.n,) or y.shape != (self.n,):
+        if x.shape[-1:] != (self.n,) or y.shape[-1:] != (self.n,):
             raise LsaError("bracket operands must be coordinate vectors of length n")
-        t = f.matmul(x[None, :], self.structure.reshape(self.n, -1)).reshape(
-            self.n, self.n
-        )
-        return f.matmul(y[None, :], t).ravel()
+        return self.field.matmul(self.ad_matrix(x), y[..., None])[..., 0]
 
     def ad_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix of ad(x): column j holds [x, e_j].  For a stack of vectors
         (shape (..., n)), the stack of their matrices (..., n, n)."""
+        n = self.n
         x = np.asarray(x, dtype=np.int64)
-        t = self.field.matmul(x, self.structure.reshape(self.n, -1))
-        return t.reshape(x.shape[:-1] + (self.n, self.n)).swapaxes(-1, -2)
-
-    def pair_bracket(self, i: int, j: int) -> np.ndarray:
-        return self.structure[i, j].copy()
+        t = self.field.matmul(x, self.structure.reshape(n, n * n))
+        return t.reshape(x.shape[:-1] + (n, n)).swapaxes(-1, -2)
 
     # -- p-operation -------------------------------------------------------
 
@@ -231,9 +226,11 @@ class LieSuperAlgebra:
         """
         f, p, n = self.field, self.field.p, self.n
         x = np.asarray(x, dtype=np.int64)
-        xs = x.reshape(-1, n)
+        # rows by the leading shape, which also holds when n = 0
+        rows = int(np.prod(x.shape[:-1]))
+        xs = x.reshape(rows, n)
         # ads[0] = ad(x), ads[1] = ad(y), one product for the whole stack
-        ads = self.ad_matrix(np.stack([xs, np.asarray(y, dtype=np.int64).reshape(-1, n)]))
+        ads = self.ad_matrix(np.stack([xs, np.asarray(y, dtype=np.int64).reshape(rows, n)]))
         # w[s, :, e]: coefficient of t^e after the steps so far, for row s
         w = np.zeros((xs.shape[0], n, p), dtype=np.int64)
         w[:, :, 0] = xs
@@ -260,7 +257,7 @@ class LieSuperAlgebra:
         x = np.asarray(x, dtype=np.int64)
         if np.any(x[..., self.s_even :]):
             raise LsaError("p-power is defined on even vectors only")
-        xs = x.reshape(-1, n)
+        xs = x.reshape(int(np.prod(x.shape[:-1])), n)
         acc = np.zeros_like(xs)
         out = np.zeros_like(xs)
         for i in range(self.s_even):
@@ -428,15 +425,7 @@ class LieSuperAlgebra:
 
 
 def bracket_span(g: LieSuperAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    rows = []
-    for u in a.basis:
-        for v in b.basis:
-            w = g.bracket(u, v)
-            if np.any(w):
-                rows.append(w)
-    if not rows:
-        return g.zero_space()
-    return Subspace(g.field, g.s_even, g.n, np.array(rows))
+    return Subspace(g.field, g.s_even, g.n, g.bracket(a.basis[:, None], b.basis))
 
 
 def derived_subalgebra(g: LieSuperAlgebra, S: Optional[Subspace] = None) -> Subspace:
@@ -485,13 +474,9 @@ def centralizer_of(g: LieSuperAlgebra, S: Subspace) -> Subspace:
     """All X with [X, S] = 0."""
     if S.dim == 0:
         return g.full_space()
-    swapped = g.structure.transpose(1, 0, 2).reshape(g.n, -1)
-    blocks = []
-    for d in S.basis:
-        t = g.field.matmul(d[None, :], swapped).reshape(g.n, g.n)
-        # t[i, l] = sum_j c[i,j,l] d_j; conditions are rows indexed by l
-        blocks.append(t.T)
-    m = np.vstack(blocks)
+    # t[d, i] = [e_i, d]; the conditions are the rows indexed by (d, l)
+    t = g.bracket(g.field.eye(g.n), S.basis[:, None])
+    m = t.transpose(0, 2, 1).reshape(-1, g.n)
     return Subspace(g.field, g.s_even, g.n, nullspace(g.field, m))
 
 
@@ -516,20 +501,11 @@ def intersect_spaces(a: Subspace, b: Subspace) -> Subspace:
 
 
 def is_subalgebra(g: LieSuperAlgebra, S: Subspace) -> bool:
-    for u in S.basis:
-        for v in S.basis:
-            if not S.contains(g.bracket(u, v)):
-                return False
-    return True
+    return S.contains(g.bracket(S.basis[:, None], S.basis))
 
 
 def is_ideal(g: LieSuperAlgebra, S: Subspace) -> bool:
-    for j in range(g.n):
-        ej = g.basis_vector(j)
-        for v in S.basis:
-            if not S.contains(g.bracket(ej, v)):
-                return False
-    return True
+    return S.contains(g.bracket(g.field.eye(g.n)[:, None], S.basis))
 
 
 def is_p_closed(g: LieSuperAlgebra, S: Subspace) -> bool:
@@ -569,18 +545,9 @@ def quotient_by_ideal(g: LieSuperAlgebra, z: Subspace):
     keep = z.complement_columns()
     names = [g.names[c] for c in keep]
     parities = [int(g.parities[c]) for c in keep]
-    m = len(keep)
-    structure = np.zeros((m, m, m), dtype=np.int64)
-    for a, ca in enumerate(keep):
-        for b, cb in enumerate(keep):
-            w = z.reduce(g.structure[ca, cb])
-            structure[a, b] = w[keep]
+    structure = z.reduce(g.structure[np.ix_(keep, keep)])[..., keep]
     q = LieSuperAlgebra(g.field, names, parities, structure, None)
     return q, keep
-
-
-def project_to_quotient(z: Subspace, keep: list, v: np.ndarray) -> np.ndarray:
-    return z.reduce(v)[keep]
 
 
 def lift_from_quotient(ambient_n: int, keep: list, v: np.ndarray) -> np.ndarray:
@@ -605,11 +572,7 @@ def change_basis(g: LieSuperAlgebra, P: np.ndarray, names=None) -> LieSuperAlgeb
         if par != expected:
             raise LsaError(f"basis-change row {a} is not homogeneous of the right parity")
     Pinv = inv_matrix(f, P)
-    to_new = lambda v: f.matmul(v[None, :], Pinv).ravel()
-    structure = np.zeros_like(g.structure)
-    for a in range(n):
-        for b in range(n):
-            structure[a, b] = to_new(g.bracket(P[a], P[b]))
+    structure = f.matmul(g.bracket(P[:, None], P), Pinv)
     pmap = None
     if g.pmap is not None:
         pmap = f.matmul(g.p_power(P[:s]), Pinv)
@@ -644,18 +607,11 @@ class Subalgebra:
 def as_subalgebra(g: LieSuperAlgebra, S: Subspace, with_pmap: bool = True) -> Subalgebra:
     rows = S.basis
     m = rows.shape[0]
-    structure = np.zeros((m, m, m), dtype=np.int64)
-    for a in range(m):
-        for b in range(a, m):
-            w = g.bracket(rows[a], rows[b])
-            c = S.coords_of(w)
-            if c is None:
-                raise LsaError("subspace is not bracket-closed")
-            structure[a, b] = c
-            if a != b:
-                pa, pb = S.row_parity(a), S.row_parity(b)
-                sign_neg = (pa * pb) % 2 == 0
-                structure[b, a] = g.field.neg_arr(c) if sign_neg else c
+    table = g.bracket(rows[:, None], rows)
+    if not S.contains(table):
+        raise LsaError("subspace is not bracket-closed")
+    # in reduced echelon form the coordinates are the entries at the pivots
+    structure = table[..., S.pivots]
     parities = [S.row_parity(a) for a in range(m)]
     names = [f"s{a}" for a in range(m)]
     s_ev = sum(1 for p in parities if p == 0)
@@ -719,15 +675,10 @@ def _line_ideal(g: LieSuperAlgebra) -> Subspace:
     for j in range(g.n):
         if K.dim == 0:
             break
-        ej = g.basis_vector(j)
-        images = np.array([g.bracket(ej, row) for row in K.basis])
-        A = np.zeros((K.dim, K.dim), dtype=np.int64)
-        for r in range(K.dim):
-            c = K.coords_of(images[r])
-            if c is None:
-                raise LsaError("centralizer is not invariant; structure corrupt")
-            A[r] = c
-        A = A.T  # act on column coordinate vectors
+        images = g.bracket(g.basis_vector(j), K.basis)
+        if not K.contains(images):
+            raise LsaError("centralizer is not invariant; structure corrupt")
+        A = images[:, K.pivots].T  # act on column coordinate vectors
         if g.parities[j] == 1:
             ker = nullspace(f, A)
         else:
@@ -739,9 +690,7 @@ def _line_ideal(g: LieSuperAlgebra) -> Subspace:
                     ker = nz
                     break
             if ker is None:
-                raise NeedsFieldExtension(
-                    f"no eigenvalue of ad({g.names[j]}) in {f}", degree_hint=2
-                )
+                raise NeedsFieldExtension(f"no eigenvalue of ad({g.names[j]}) in {f}")
         if ker.shape[0] == 0:
             raise LsaError("no common eigenvector; input is not completely solvable")
         rows = f.matmul(ker, K.basis)

@@ -60,10 +60,6 @@ class SuperModule:
         odd = int(np.sum(self.parities))
         return (self.dim - odd, odd)
 
-    def act(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Action of the algebra element with coordinates x on a vector."""
-        return self.alg.field.matmul(self.rho(x), v.reshape(-1, 1)).ravel()
-
     def rho(self, x: np.ndarray) -> np.ndarray:
         f = self.alg.field
         acc = np.zeros((self.dim, self.dim), dtype=np.int64)
@@ -858,12 +854,10 @@ def degree_reduction_check(
 
     I_even = I.even_rows()
     I_odd = I.odd_rows()
+    # mat[j, r] = chi([I_even[r], e_j])
+    mat = chi_value(g, chi, g.bracket(I_even, induced.even_cobasis[:, None]))
     Z = []
     for i in range(c0):
-        mat = np.zeros((c0, max(I_even.shape[0], 1)), dtype=np.int64)
-        for j in range(c0):
-            for r in range(I_even.shape[0]):
-                mat[j, r] = chi_value(g, chi, g.bracket(I_even[r], induced.even_cobasis[j]))
         rhs = np.zeros(c0, dtype=np.int64)
         rhs[i] = 1
         x = solve(f, mat, rhs)
@@ -871,12 +865,10 @@ def degree_reduction_check(
             raise LsaError("pairing elements not found: the form degenerates "
                            "between the ideal and the even cobasis")
         Z.append(f.matmul(x[None, :], I_even).ravel())
+    # mat[k, r] = chi([f_k, I_odd[r]])
+    mat = chi_value(g, chi, g.bracket(induced.odd_cobasis[:, None], I_odd))
     T = []
     for j in range(c1):
-        mat = np.zeros((c1, max(I_odd.shape[0], 1)), dtype=np.int64)
-        for k in range(c1):
-            for r in range(I_odd.shape[0]):
-                mat[k, r] = chi_value(g, chi, g.bracket(induced.odd_cobasis[k], I_odd[r]))
         rhs = np.zeros(c1, dtype=np.int64)
         rhs[j] = 1
         x = solve(f, mat, rhs)

@@ -102,7 +102,6 @@ def minimal_p_envelope(g: LieSuperAlgebra) -> Envelope:
         return to_new(v, np.zeros(m, dtype=np.int64))
 
     structure = np.zeros((N, N, N), dtype=np.int64)
-    old_index = list(range(s)) + list(range(s, n))  # old basis positions
 
     def new_pos(i_old: int) -> int:
         return i_old if i_old < s else i_old + m
@@ -116,7 +115,6 @@ def minimal_p_envelope(g: LieSuperAlgebra) -> Envelope:
         for j in range(n):
             img = f.matmul(Dmats[r], g.basis_vector(j).reshape(-1, 1)).ravel()
             structure[vr, new_pos(j)] = embed_vec(img)
-            pj = int(g.parities[j])
             # v_r is even: [x, v] = -[v, x]
             structure[new_pos(j), vr] = f.neg_arr(structure[vr, new_pos(j)])
         for q in range(m):
@@ -158,18 +156,16 @@ def verify_envelope(g: LieSuperAlgebra, env: Envelope) -> List[Violation]:
     emb_rref, piv = rref(f, env.embed)
     if len(piv) != n:
         out.append(Violation("envelope-embed", (), "embedding is not injective"))
-    for i in range(n):
-        for j in range(n):
-            lhs = G.bracket(env.embed[i], env.embed[j])
-            rhs = f.matmul(g.structure[i, j][None, :], env.embed).ravel()
-            if not np.array_equal(lhs, rhs):
-                out.append(
-                    Violation(
-                        "envelope-homomorphism",
-                        (i, j),
-                        "embedding does not respect the bracket",
-                    )
-                )
+    lhs = G.bracket(env.embed[:, None], env.embed)
+    rhs = f.matmul(g.structure, env.embed)
+    for i, j in np.argwhere(np.any(lhs != rhs, axis=2)).tolist():
+        out.append(
+            Violation(
+                "envelope-homomorphism",
+                (i, j),
+                "embedding does not respect the bracket",
+            )
+        )
     img = Subspace(f, G.s_even, G.n, env.embed)
     if not is_ideal(G, img):
         out.append(Violation("envelope-ideal", (), "embedded algebra is not an ideal"))

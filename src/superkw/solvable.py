@@ -76,12 +76,8 @@ def i_chi(g: LieSuperAlgebra, I: Subspace, chi) -> Subspace:
     f = g.field
     if I.dim == 0:
         return g.full_space()
-    rows = []
-    for b in I.basis:
-        t = f.matmul(b[None, :], g.structure.transpose(1, 0, 2).reshape(g.n, -1))
-        t = t.reshape(g.n, g.n)  # t[i, l] = sum_j c[i,j,l] b_j
-        rows.append(f.matmul(t[:, : g.s_even], chi.reshape(-1, 1)).ravel())
-    K = np.array(rows, dtype=np.int64)
+    # K[b, i] = chi([e_i, b])
+    K = chi_value(g, chi, g.bracket(f.eye(g.n), I.basis[:, None]))
     return Subspace(f, g.s_even, g.n, nullspace(f, K))
 
 
@@ -93,7 +89,6 @@ def solve_weight_equations(
     alg: LieSuperAlgebra,
     chi_h: np.ndarray,
     pins: Tuple[Tuple[np.ndarray, int], ...] = (),
-    limit: int = MAX_WEIGHT_SOLUTIONS,
 ) -> List[np.ndarray]:
     """All functionals on the even part satisfying the p-compatibility
     equations and the given linear constraints, over the working field.
@@ -155,9 +150,10 @@ def solve_weight_equations(
     if x0 is None:
         return []
     ker = nullspace(prime, M)
-    if p ** ker.shape[0] > limit:
+    if p ** ker.shape[0] > MAX_WEIGHT_SOLUTIONS:
         raise BudgetExceeded(
-            f"weight solution set has {p ** ker.shape[0]} elements, cap is {limit}")
+            f"weight solution set has {p ** ker.shape[0]} elements, "
+            f"cap is {MAX_WEIGHT_SOLUTIONS}")
     from itertools import product as iproduct
 
     sols = []
@@ -314,12 +310,8 @@ def _construct(g, chi, seed, budget, pins) -> Tuple[SuperModule, DescentTrace]:
 
     pending_extension = None
     for I in _abelian_ideal_candidates(g):
-        gram_nonzero = any(
-            chi_value(g, chi, g.bracket(g.basis_vector(j), row))
-            for j in range(g.n)
-            for row in I.basis
-        )
-        if not gram_nonzero:
+        # chi([e_j, row]) for every generator and every row of I
+        if not np.any(chi_value(g, chi, g.bracket(f.eye(g.n)[:, None], I.basis))):
             continue
         # admissible eigenvalue functionals on the ideal
         sub_I = as_subalgebra(g, I)
@@ -431,23 +423,12 @@ def _pins_to_sub(h: Subalgebra, pins):
 def _mu_stabilizer(g: LieSuperAlgebra, I: Subspace, mu_vals: np.ndarray) -> Subspace:
     """{X : mu([X, I]) = 0} for a functional given on the rows of I."""
     f = g.field
-    rows = []
-    for j in range(g.n):
-        ej = g.basis_vector(j)
-        vals = []
-        for row in I.basis:
-            w = g.bracket(ej, row)
-            c = I.coords_of(w)
-            if c is None:
-                raise LsaError("ideal is not ad-invariant")
-            acc = 0
-            for r in range(I.dim):
-                cr = int(c[r])
-                if cr:
-                    acc = f.add(acc, f.mul(cr, int(mu_vals[r])))
-            vals.append(acc)
-        rows.append(vals)
-    K = np.array(rows, dtype=np.int64).T  # conditions (rows of I) x generators
+    # t[r, j] = [e_j, row r of I]
+    t = g.bracket(f.eye(g.n), I.basis[:, None])
+    if not I.contains(t):
+        raise LsaError("ideal is not ad-invariant")
+    # conditions (rows of I) x generators
+    K = f.matmul(t[..., I.pivots], mu_vals.reshape(-1, 1))[..., 0]
     if K.size == 0:
         return g.full_space()
     return Subspace(f, g.s_even, g.n, nullspace(f, K))

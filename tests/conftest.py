@@ -79,6 +79,99 @@ def reference_bracket(g, x, y):
     return g.field.matmul(y[None, :], t).ravel()
 
 
+def reference_bracket_span(g, a, b):
+    """The span of the [u, v], u in a and v in b, one bracket per pair: a
+    reference for `lsa.bracket_span`."""
+    from superkw.lsa import Subspace
+
+    rows = [reference_bracket(g, u, v) for u in a.basis for v in b.basis]
+    rows = [w for w in rows if np.any(w)]
+    if not rows:
+        return g.zero_space()
+    return Subspace(g.field, g.s_even, g.n, np.array(rows))
+
+
+def reference_is_subalgebra(g, S):
+    return all(S.contains(reference_bracket(g, u, v)) for u in S.basis for v in S.basis)
+
+
+def reference_is_ideal(g, S):
+    return all(
+        S.contains(reference_bracket(g, g.basis_vector(j), v))
+        for j in range(g.n)
+        for v in S.basis
+    )
+
+
+def reference_subalgebra_structure(g, S):
+    """Structure constants of S in its rref basis from the half table
+    a <= b and the sign rule, or None when S is not bracket-closed: a
+    reference for the table of `lsa.as_subalgebra`."""
+    m = S.dim
+    structure = np.zeros((m, m, m), dtype=np.int64)
+    for a in range(m):
+        for b in range(a, m):
+            c = S.coords_of(reference_bracket(g, S.basis[a], S.basis[b]))
+            if c is None:
+                return None
+            structure[a, b] = c
+            if a != b:
+                odd_pair = (S.row_parity(a) * S.row_parity(b)) % 2 == 1
+                structure[b, a] = c if odd_pair else g.field.neg_arr(c)
+    return structure
+
+
+def reference_centralizer(g, S):
+    """All X with [X, S] = 0, one bracket per (generator, basis row): a
+    reference for `lsa.centralizer_of`."""
+    from superkw.lsa import Subspace
+
+    if S.dim == 0:
+        return g.full_space()
+    conditions = []
+    for d in S.basis:
+        images = np.array([reference_bracket(g, g.basis_vector(i), d) for i in range(g.n)])
+        conditions.extend(images.T)
+    return Subspace(g.field, g.s_even, g.n, nullspace(g.field, np.array(conditions)))
+
+
+def reference_i_chi(g, I, chi):
+    """{X : chi([X, I]) = 0} for an ideal I, one bracket and one value per
+    (row of I, generator): a reference for `solvable.i_chi`."""
+    from superkw.chargeom import chi_value
+    from superkw.lsa import Subspace
+
+    if I.dim == 0:
+        return g.full_space()
+    K = np.array([
+        [chi_value(g, chi, reference_bracket(g, g.basis_vector(i), b)) for i in range(g.n)]
+        for b in I.basis
+    ], dtype=np.int64)
+    return Subspace(g.field, g.s_even, g.n, nullspace(g.field, K))
+
+
+def reference_mu_stabilizer(g, I, mu_vals):
+    """{X : mu([X, I]) = 0} for a functional given on the rows of I, with
+    per-pair coordinates and scalar sums: a reference for
+    `solvable._mu_stabilizer`."""
+    from superkw.lsa import LsaError, Subspace
+
+    f = g.field
+    K = np.zeros((I.dim, g.n), dtype=np.int64)
+    for j in range(g.n):
+        for r, row in enumerate(I.basis):
+            c = I.coords_of(reference_bracket(g, g.basis_vector(j), row))
+            if c is None:
+                raise LsaError("ideal is not ad-invariant")
+            acc = 0
+            for t in range(I.dim):
+                acc = f.add(acc, f.mul(int(c[t]), int(mu_vals[t])))
+            K[r, j] = acc
+    if K.size == 0:
+        return g.full_space()
+    return Subspace(f, g.s_even, g.n, nullspace(f, K))
+
+
 def reference_p_power(g, x):
     """x^[p] for one even vector, term by term over its support: a
     reference for `LieSuperAlgebra.p_power`."""

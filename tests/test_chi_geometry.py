@@ -114,6 +114,11 @@ def test_max_exponents_random_strategy(gl11):
     assert rep.value(3) == 2
 
 
+def test_max_exponents_rejects_an_empty_scan(gl11):
+    with pytest.raises(ValueError, match="no character"):
+        max_exponents(gl11.algebra, strategy="random", samples=0)
+
+
 def test_max_exponents_basis_change_invariant(gl11, oddheis_p3):
     rng = np.random.default_rng(6)
     for ent in (gl11, oddheis_p3):

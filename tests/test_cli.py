@@ -190,6 +190,15 @@ def test_baby_verma_bad_weight_exit3():
     assert code == 3
 
 
+@pytest.mark.parametrize("field", [["--p", "4"], ["--p", "3", "--k", "0"]])
+def test_baby_verma_bad_field_exit3(field, capsys):
+    code = main(["baby-verma", "--algebra", "gl(1|1)", *field, "--chi", "0,0",
+                 "--lam", "0,0"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "catalog error" in err and "Traceback" not in err
+
+
 def test_penv_cmd(tmp_path):
     text = (
         "superkw-lsa v1\nfield p=3 k=1\n"
@@ -327,6 +336,9 @@ def test_meataxe_failure_exit2(files, monkeypatch, capsys):
     ["penv", "{heis}", "--seed", "9"],         # the envelope is deterministic
     [],
     ["conjecture", "{heis}", "--ext-cap", "3"],  # read by no step of the scan
+    ["mdim", "{heis}", "--strategy", "random", "--samples", "0"],
+    ["mdim", "{heis}", "--samples", "-2"],
+    ["mdim", "{heis}", "--samples", "x"],
 ])
 def test_usage_error_exit3(files, argv, capsys):
     code = main([a.format(**files) for a in argv])

@@ -84,6 +84,24 @@ def test_corrupted_pmap_caught():
     assert any(v.axiom == "p-map-ad" for v in violations)
 
 
+def test_wrong_embedding_witnesses_in_row_major_order():
+    g = cyclic_shift()
+    env = minimal_p_envelope(g)
+    G, f = env.algebra, g.field
+    embed = env.embed[[0, 2, 1, 3]]  # y1 and y2 swapped: not a homomorphism
+    bad = Envelope(G, embed, env.added_even, env.closure_dim, env.ad_image_dim)
+    # loop form: one bracket per pair (i, j), row-major
+    expect = []
+    for i in range(g.n):
+        for j in range(g.n):
+            lhs = G.bracket(embed[i], embed[j])
+            rhs = f.matmul(g.structure[i, j][None, :], embed).ravel()
+            if not np.array_equal(lhs, rhs):
+                expect.append((i, j))
+    found = [v.witness for v in verify_envelope(g, bad) if v.axiom == "envelope-homomorphism"]
+    assert found == expect and len(expect) > 1
+
+
 def test_superfluous_generator_caught():
     g = cyclic_shift()
     env = minimal_p_envelope(g)

@@ -155,6 +155,20 @@ def test_regular_module_dims(gl11, osp12):
     assert validate_module(reg2.module) == []
 
 
+@pytest.mark.parametrize("field", [F3, Field(3, 2)])
+def test_regular_module_of_the_zero_algebra(field):
+    from superkw.lsa import LieSuperAlgebra
+
+    z = LieSuperAlgebra(field, [], [], np.zeros((0, 0, 0), dtype=np.int64),
+                        np.zeros((0, 0), dtype=np.int64))
+    assert as_subalgebra(z, z.zero_space()).alg.superdim == (0, 0)
+    M = regular_module(ReducedAlgebra(z, vec())).module
+    # U_chi(0) is the ground field: the one-dimensional even module
+    assert M.dim == 1 and M.superdim == (1, 0)
+    assert M.action.shape == (0, 1, 1)
+    assert validate_module(M) == []
+
+
 def test_regular_module_budget(gl11):
     with pytest.raises(BudgetExceeded):
         regular_module(ReducedAlgebra(gl11.algebra, vec(0, 0)), budget=10)
