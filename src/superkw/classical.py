@@ -3,8 +3,9 @@ decompositions, highest-weight sets, baby Verma modules, and the published
 desk-check targets (irreducibility of Verma modules at regular semisimple
 characters, divisibility of irreducible dimensions).
 
-Classical members are generated from supermatrix realizations and validated;
-no structure constant is typed by hand.
+Every member, the solvable ones included, is a list of (name, parity,
+supermatrix) entries read off by one builder, `algebra_from_matrices`, and
+validated; no structure constant is typed by hand.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .chargeom import check_chi, chi_geometry, restrict_chi
+from .chargeom import check_chi, chi_geometry, chi_value, restrict_chi
 from .env import InducedModule, character_module, induce, regular_module, ReducedAlgebra
 from .gflin import Field, solve as lin_solve
 from .lsa import (
@@ -65,68 +66,76 @@ class CatalogEntry:
 # matrix-realization machinery
 
 
-def _super_sign(pa: int, pb: int) -> int:
-    return -1 if (pa * pb) % 2 == 1 else 1
-
-
 def algebra_from_matrices(
     field: Field, mats: List[np.ndarray], names: List[str], parities: List[int]
 ) -> LieSuperAlgebra:
-    """Structure constants and p-operation read off a supermatrix basis."""
+    """Structure constants and p-operation read off a supermatrix basis, even
+    elements first: every supercommutator is one broadcast product over the
+    stack of matrices and their coordinates one block solve, and likewise
+    the p-th powers of the even elements."""
     f = field
     n = len(mats)
-    flat = np.array([m.ravel() for m in mats], dtype=np.int64)
-    structure = np.zeros((n, n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            ab = f.matmul(mats[i], mats[j])
-            ba = f.matmul(mats[j], mats[i])
-            if _super_sign(parities[i], parities[j]) == -1:
-                br = f.add_arr(ab, ba)
-            else:
-                br = f.sub_arr(ab, ba)
-            coords = lin_solve(f, flat.T, br.ravel())
-            if coords is None:
-                raise CatalogError("matrix basis is not bracket-closed")
-            structure[i, j] = coords
-    s = sum(1 for p_ in parities if p_ == 0)
-    pmap = np.zeros((s, n), dtype=np.int64)
-    for i in range(s):
-        mp = f.mat_pow(mats[i], f.p)
-        coords = lin_solve(f, flat.T, mp.ravel())
-        if coords is None:
-            raise CatalogError("matrix basis is not closed under p-th powers")
-        pmap[i] = coords
-    g = LieSuperAlgebra(field, names, parities, structure, pmap)
+    stack = np.array(mats, dtype=np.int64)
+    flat = stack.reshape(n, -1)
+    # ab[i, j] = A_i A_j; the sign of A_j A_i is + when both are odd
+    ab = f.matmul(stack[:, None], stack[None, :])
+    ba = ab.transpose(1, 0, 2, 3)
+    odd = np.array(parities, dtype=bool)
+    both_odd = (odd[:, None] & odd[None, :])[:, :, None, None]
+    br = np.where(both_odd, f.add_arr(ab, ba), f.sub_arr(ab, ba))
+    coords = lin_solve(f, flat.T, br.reshape(n * n, -1).T)
+    if coords is None:
+        raise CatalogError("matrix basis is not bracket-closed")
+    structure = coords.T.reshape(n, n, n)
+    s = n - int(odd.sum())
+    powers = f.mat_pow(stack[:s], f.p).reshape(s, flat.shape[1])
+    pmap = lin_solve(f, flat.T, powers.T)
+    if pmap is None:
+        raise CatalogError("matrix basis is not closed under p-th powers")
+    g = LieSuperAlgebra(field, names, parities, structure, pmap.T)
     bad = g.validate()
     if bad:
         raise CatalogError(f"matrix-generated algebra failed validation: {bad[0]}")
     return g
 
 
-def _gl_basis(field: Field, m: int, n: int):
-    """Supermatrix units of gl(m|n), even block first, each block in
-    lexicographic (row, column) order."""
+def _matrix(field: Field, size: int, *terms) -> np.ndarray:
+    """The sum of c E_ij over the terms (c, i, j), with 1-based i, j as in
+    the names E_ij and c an integer of the prime field."""
+    mat = field.zeros(size, size)
+    for c, i, j in terms:
+        mat[i - 1, j - 1] = c % field.p
+    return mat
+
+
+def _gl_basis(field: Field, m: int, n: int, traceless: bool):
+    """(name, parity, supermatrix) entries of gl(m|n), or of sl(m|n) when
+    traceless, and the 0-based (row, column) position of each.  gl takes
+    every matrix unit; sl takes the off-diagonal units after one
+    supertrace-zero Cartan element H_i per adjacent diagonal pair.  Even
+    entries come first, each parity in that order."""
     N = m + n
-    evens, odds = [], []
+    units = []
+    if traceless:
+        for i in range(1, N):
+            # straddling the block, supertrace zero needs a plus sign
+            h = _matrix(field, N, (1, i, i), (1 if i == m else -1, i + 1, i + 1))
+            units.append((f"H{i}", 0, h, (i - 1, i - 1)))
     for i in range(N):
         for j in range(N):
-            par = (i < m) != (j < m)
-            mat = field.zeros(N, N)
-            mat[i, j] = 1
-            entry = (mat, f"E{i + 1}{j + 1}", int(par), i, j)
-            (odds if par else evens).append(entry)
-    ordered = evens + odds
-    mats = [e[0] for e in ordered]
-    names = [e[1] for e in ordered]
-    parities = [e[2] for e in ordered]
-    positions = [(e[3], e[4]) for e in ordered]
-    return mats, names, parities, positions
+            if not (traceless and i == j):
+                unit = _matrix(field, N, (1, i + 1, j + 1))
+                units.append((f"E{i + 1}{j + 1}", int((i < m) != (j < m)), unit, (i, j)))
+    units.sort(key=lambda u: u[1])
+    return [u[:3] for u in units], [u[3] for u in units]
 
 
 def _triangular_from_positions(
     g: LieSuperAlgebra, positions
 ) -> TriangularData:
+    """Cartan, positive and negative parts by matrix position: diagonal,
+    above, below.  Each position above the diagonal is a root, paired with
+    its transpose position."""
     f = g.field
     cart, plus, minus = [], [], []
     for idx, (i, j) in enumerate(positions):
@@ -149,196 +158,45 @@ def _triangular_from_positions(
     return TriangularData(cartan, n_plus, n_minus, roots)
 
 
-def _make_gl(field: Field, m: int, n: int) -> CatalogEntry:
-    mats, names, parities, positions = _gl_basis(field, m, n)
-    g = algebra_from_matrices(field, mats, names, parities)
-    tri = _triangular_from_positions(g, positions)
-    return CatalogEntry(g, tri, f"gl({m}|{n})")
+# name -> (matrix size, basis entries (name, parity, terms of `_matrix`),
+# positions for `_triangular_from_positions` or None)
+_REALIZATIONS = {
+    # inside gl(1|2), preserving the form with a symmetric 1x1 block and a
+    # symplectic 2x2 block; the odd root vectors x, y are no matrix units,
+    # and take the positions (0, 1) and (1, 0) of a positive-negative pair
+    "osp(1|2)": (
+        3,
+        [
+            ("h", 0, [(1, 2, 2), (-1, 3, 3)]),
+            ("e", 0, [(1, 2, 3)]),
+            ("f", 0, [(1, 3, 2)]),
+            ("x", 1, [(1, 2, 1), (-1, 1, 3)]),
+            ("y", 1, [(1, 1, 2), (1, 3, 1)]),
+        ],
+        [(0, 0), (1, 2), (2, 1), (0, 1), (1, 0)],
+    ),
+    "sl(2)": (
+        2,
+        [
+            ("h", 0, [(1, 1, 1), (-1, 2, 2)]),
+            ("e", 0, [(1, 1, 2)]),
+            ("f", 0, [(1, 2, 1)]),
+        ],
+        [(0, 0), (0, 1), (1, 0)],
+    ),
+    # [h, x] = x, h^[p] = h
+    "2dim-solvable": (2, [("h", 0, [(1, 1, 1)]), ("x", 0, [(1, 1, 2)])], None),
+    # [x, y] = z, inside gl(3)
+    "heisenberg": (
+        3,
+        [("z", 0, [(1, 1, 3)]), ("x", 0, [(1, 1, 2)]), ("y", 0, [(1, 2, 3)])],
+        None,
+    ),
+    # [y, y] = z, inside gl(1|2)
+    "odd-heisenberg": (3, [("z", 0, [(2, 3, 2)]), ("y", 1, [(1, 1, 2), (1, 3, 1)])], None),
+}
 
-
-def _make_sl(field: Field, m: int, n: int) -> CatalogEntry:
-    if (m - n) % field.p == 0:
-        raise CatalogError(
-            f"sl({m}|{n}) needs p not dividing m - n; p = {field.p} divides {m - n}")
-    N = m + n
-    entries = []  # (mat, name, parity, position marker)
-    for i in range(N):
-        for j in range(N):
-            if i == j:
-                continue
-            par = (i < m) != (j < m)
-            mat = field.zeros(N, N)
-            mat[i, j] = 1
-            entries.append((mat, f"E{i + 1}{j + 1}", int(par), (i, j)))
-    cartan_mats = []
-    for i in range(N - 1):
-        mat = field.zeros(N, N)
-        mat[i, i] = 1
-        if i + 1 < m or i >= m:
-            mat[i + 1, i + 1] = field.neg(1)
-        else:
-            # straddling the block: supertrace-zero needs a plus sign
-            mat[i + 1, i + 1] = 1
-        cartan_mats.append((mat, f"H{i + 1}", 0, (i, i)))
-    evens = cartan_mats + [e for e in entries if e[2] == 0]
-    odds = [e for e in entries if e[2] == 1]
-    ordered = evens + odds
-    mats = [e[0] for e in ordered]
-    names = [e[1] for e in ordered]
-    parities = [e[2] for e in ordered]
-    g = algebra_from_matrices(field, mats, names, parities)
-    positions = [e[3] for e in ordered]
-    tri = _triangular_from_positions(g, positions)
-    return CatalogEntry(g, tri, f"sl({m}|{n})")
-
-
-def _make_osp12(field: Field) -> CatalogEntry:
-    """osp(1|2) inside gl(1|2), from the invariance equations of the standard
-    even supersymmetric form (symmetric 1x1 block, symplectic 2x2 block)."""
-    f = field
-    B = np.array([[1, 0, 0], [0, 0, 1], [0, f.neg(1), 0]], dtype=np.int64)
-    par_coord = np.array([0, 1, 1])
-    sols = {}
-    for xi in (0, 1):
-        # unknowns: entries of X supported on the parity-xi positions
-        support = [
-            (r, c)
-            for r in range(3)
-            for c in range(3)
-            if (par_coord[r] + par_coord[c]) % 2 == xi
-        ]
-        rows = []
-        for eps in (0, 1):
-            sign = 1 if (xi * eps) % 2 == 0 else -1
-            for r in range(3):
-                if par_coord[r] != eps:
-                    continue
-                for c in range(3):
-                    coeffs = np.zeros(len(support), dtype=np.int64)
-                    for u, (a, b) in enumerate(support):
-                        val = 0
-                        # (X^T B)[r, c]: coefficient of X[a, r] is B[a, c]
-                        if b == r:
-                            val = f.add(val, int(B[a, c]))
-                        # sign * (B X)[r, c]: coefficient of X[a, c] is B[r, a]
-                        if b == c:
-                            term = int(B[r, a])
-                            if sign == -1:
-                                term = f.neg(term)
-                            val = f.add(val, term)
-                        coeffs[u] = val
-                    rows.append(coeffs)
-        from .gflin import nullspace
-
-        ker = nullspace(f, np.array(rows, dtype=np.int64))
-        mats = []
-        for krow in ker:
-            X = f.zeros(3, 3)
-            for u, (a, b) in enumerate(support):
-                X[a, b] = krow[u]
-            mats.append(X)
-        sols[xi] = mats
-    if len(sols[0]) != 3 or len(sols[1]) != 2:
-        raise CatalogError(
-            f"osp(1|2) solve produced dimensions ({len(sols[0])}|{len(sols[1])})")
-    # adapt the even part to the Cartan: h is the diagonal solution, e and f
-    # the ad(h)-eigenvectors with eigenvalues 2 and -2
-    even = sols[0]
-    h = None
-    for X in even:
-        if not np.any(X - np.diag(np.diagonal(X))):
-            h = X
-            break
-    if h is None:
-        raise CatalogError("no diagonal Cartan element found")
-    scale = int(h[1, 1])
-    h = f.mul_arr(f.inv(scale), h)  # normalize to diag(0, 1, -1)
-
-    # brackets with h split the root spaces; search small combinations
-    def eig_split(space, eig_code):
-        combos = []
-        for X in space:
-            combos.append(X)
-        for a in range(len(space)):
-            for b in range(a + 1, len(space)):
-                combos.append(f.add_arr(space[a], space[b]))
-                combos.append(f.sub_arr(space[a], space[b]))
-        for X in combos:
-            if not np.any(X):
-                continue
-            br = f.sub_arr(f.matmul(h, X), f.matmul(X, h))
-            if np.array_equal(br, f.mul_arr(eig_code, X)):
-                return X
-        raise CatalogError("root vector not found")
-    e = eig_split(even, 2 % f.p)
-    fe = eig_split(even, f.neg(2 % f.p))
-    x = eig_split(sols[1], 1)
-    y = eig_split(sols[1], f.neg(1))
-    mats = [h, e, fe, x, y]
-    names = ["h", "e", "f", "x", "y"]
-    parities = [0, 0, 0, 1, 1]
-    g = algebra_from_matrices(f, mats, names, parities)
-    cartan = Subspace.from_vectors(f, g.s_even, g.n, [g.basis_vector(0)])
-    n_plus = Subspace.from_vectors(f, g.s_even, g.n, [g.basis_vector(1), g.basis_vector(3)])
-    n_minus = Subspace.from_vectors(f, g.s_even, g.n, [g.basis_vector(2), g.basis_vector(4)])
-    roots = [
-        Root(1, g.bracket(g.basis_vector(1), g.basis_vector(2)), 0),
-        Root(3, g.bracket(g.basis_vector(3), g.basis_vector(4)), 1),
-    ]
-    return CatalogEntry(g, TriangularData(cartan, n_plus, n_minus, roots), "osp(1|2)")
-
-
-def _make_sl2(field: Field) -> CatalogEntry:
-    f = field
-    h = np.array([[1, 0], [0, f.neg(1)]], dtype=np.int64)
-    e = np.array([[0, 1], [0, 0]], dtype=np.int64)
-    fm = np.array([[0, 0], [1, 0]], dtype=np.int64)
-    g = algebra_from_matrices(f, [h, e, fm], ["h", "e", "f"], [0, 0, 0])
-    cartan = Subspace.from_vectors(f, 3, 3, [g.basis_vector(0)])
-    n_plus = Subspace.from_vectors(f, 3, 3, [g.basis_vector(1)])
-    n_minus = Subspace.from_vectors(f, 3, 3, [g.basis_vector(2)])
-    roots = [Root(1, g.bracket(g.basis_vector(1), g.basis_vector(2)), 0)]
-    return CatalogEntry(g, TriangularData(cartan, n_plus, n_minus, roots), "sl(2)")
-
-
-def _pair_table(field, names, parities, pairs):
-    n = len(names)
-    c = np.zeros((n, n, n), dtype=np.int64)
-    f = field
-    for (i, j, vec) in pairs:
-        vec = np.asarray(vec, dtype=np.int64) % f.p
-        c[i, j] = vec
-        if i != j:
-            c[j, i] = f.neg_arr(vec) if _super_sign(parities[i], parities[j]) == 1 else vec
-    return c
-
-
-def _make_solvable2(field: Field) -> CatalogEntry:
-    c = _pair_table(field, ["h", "x"], [0, 0], [(0, 1, [0, 1])])
-    pmap = np.array([[1, 0], [0, 0]], dtype=np.int64)
-    g = LieSuperAlgebra(field, ["h", "x"], [0, 0], c, pmap)
-    if g.validate():
-        raise CatalogError("solvable-2 failed validation")
-    return CatalogEntry(g, None, "2dim-solvable")
-
-
-def _make_odd_heisenberg(field: Field) -> CatalogEntry:
-    c = _pair_table(field, ["z", "y"], [0, 1], [(1, 1, [1, 0])])
-    pmap = np.zeros((1, 2), dtype=np.int64)
-    g = LieSuperAlgebra(field, ["z", "y"], [0, 1], c, pmap)
-    if g.validate():
-        raise CatalogError("odd Heisenberg failed validation")
-    return CatalogEntry(g, None, "odd-heisenberg")
-
-
-def _make_heisenberg(field: Field) -> CatalogEntry:
-    c = _pair_table(field, ["z", "x", "y"], [0, 0, 0], [(1, 2, [1, 0, 0])])
-    pmap = np.zeros((3, 3), dtype=np.int64)
-    g = LieSuperAlgebra(field, ["z", "x", "y"], [0, 0, 0], c, pmap)
-    if g.validate():
-        raise CatalogError("Heisenberg failed validation")
-    return CatalogEntry(g, None, "heisenberg")
-
+_ALIASES = {"solvable2": "2dim-solvable", "oddheis": "odd-heisenberg", "heis": "heisenberg"}
 
 _GL_RE = re.compile(r"^(gl|sl)\((\d+)\|(\d+)\)$")
 
@@ -351,20 +209,21 @@ def catalog(name: str, p: int, k: int = 1) -> CatalogEntry:
     m = _GL_RE.match(name)
     if m:
         kind, a, b = m.group(1), int(m.group(2)), int(m.group(3))
-        if kind == "gl":
-            return _make_gl(field, a, b)
-        return _make_sl(field, a, b)
-    if name == "osp(1|2)":
-        return _make_osp12(field)
-    if name == "sl(2)":
-        return _make_sl2(field)
-    if name in ("2dim-solvable", "solvable2"):
-        return _make_solvable2(field)
-    if name in ("odd-heisenberg", "oddheis"):
-        return _make_odd_heisenberg(field)
-    if name in ("heisenberg", "heis"):
-        return _make_heisenberg(field)
-    raise CatalogError(f"unknown catalog name {name!r}")
+        if kind == "sl" and (a - b) % p == 0:
+            raise CatalogError(
+                f"sl({a}|{b}) needs p not dividing m - n; p = {p} divides {a - b}")
+        basis, positions = _gl_basis(field, a, b, kind == "sl")
+        name = f"{kind}({a}|{b})"
+    else:
+        name = _ALIASES.get(name, name)
+        if name not in _REALIZATIONS:
+            raise CatalogError(f"unknown catalog name {name!r}")
+        size, terms, positions = _REALIZATIONS[name]
+        basis = [(nm, par, _matrix(field, size, *t)) for nm, par, t in terms]
+    names, parities, mats = zip(*basis)
+    g = algebra_from_matrices(field, list(mats), list(names), list(parities))
+    tri = None if positions is None else _triangular_from_positions(g, positions)
+    return CatalogEntry(g, tri, name)
 
 
 # ---------------------------------------------------------------------------
@@ -424,26 +283,13 @@ def _extend_triangular(tri: TriangularData, big: Field, table, gx) -> Triangular
 
 
 def is_weight_admissible(g, tri, chi, lam) -> bool:
+    """lam(h)^p - lam(h^[p]) = chi(h)^p on every Cartan basis row h."""
     sub = _cartan_sub(g, tri)
     chi_h = restrict_chi(chi, sub)
     f = g.field
-    for a in range(sub.alg.s_even):
-        lhs = f.sub(
-            f.pow(int(lam[a]), f.p),
-            _dot(f, sub.alg.pmap[a][: sub.alg.s_even], lam),
-        )
-        if lhs != f.pow(int(chi_h[a]), f.p):
-            return False
-    return True
-
-
-def _dot(f: Field, coeffs, vals) -> int:
-    acc = 0
-    for c, v in zip(coeffs, vals):
-        c = int(c)
-        if c:
-            acc = f.add(acc, f.mul(c, int(v)))
-    return acc
+    lam = np.asarray(lam, dtype=np.int64)
+    lhs = f.sub_arr(f.pow_arr(lam, f.p), chi_value(sub.alg, lam, sub.alg.pmap))
+    return bool(np.array_equal(lhs, f.pow_arr(chi_h, f.p)))
 
 
 def baby_verma(
@@ -456,9 +302,8 @@ def baby_verma(
     """Induce the one-dimensional weight module from the Borel subalgebra."""
     f = g.field
     chi = check_chi(g, chi)
-    for row in tri.n_plus.even_rows():
-        if _dot(f, row[: g.s_even], chi) != 0:
-            raise LsaError("character must vanish on the even positive part")
+    if np.any(chi_value(g, chi, tri.n_plus.even_rows())):
+        raise LsaError("character must vanish on the even positive part")
     if not is_weight_admissible(g, tri, chi, lam):
         raise LsaError("weight does not satisfy the compatibility equations")
     borel = tri.borel()
@@ -467,13 +312,10 @@ def baby_verma(
         raise LsaError("Borel subalgebra is not p-closed")
     # value of the weight on each even row: the Cartan component decides
     mats = np.vstack([tri.cartan.basis, tri.n_plus.basis])
-    lam_b = np.zeros(sub.alg.s_even, dtype=np.int64)
-    for a in range(sub.alg.s_even):
-        row = sub.rows[a]
-        coords = lin_solve(f, mats.T, row)
-        if coords is None:
-            raise LsaError("Borel row is outside Cartan + positive part")
-        lam_b[a] = _dot(f, coords[: tri.cartan.dim], lam)
+    coords = lin_solve(f, mats.T, sub.rows[: sub.alg.s_even].T)
+    if coords is None:
+        raise LsaError("Borel row is outside Cartan + positive part")
+    lam_b = f.matmul(coords[: tri.cartan.dim].T, lam)
     chi_b = restrict_chi(chi, sub)
     S = character_module(sub, chi_b, lam_b)
     bad = validate_module(S)
@@ -488,13 +330,12 @@ def baby_verma(
 
 def is_regular_semisimple(g: LieSuperAlgebra, tri: TriangularData, chi) -> bool:
     """chi nonzero on every coroot (chi assumed zero on both nilpotent parts)."""
-    f = g.field
     chi = check_chi(g, chi)
     for side in (tri.n_plus, tri.n_minus):
-        for row in side.even_rows():
-            if _dot(f, row[: g.s_even], chi) != 0:
-                raise LsaError("character must vanish on the nilpotent parts")
-    return all(_dot(f, r.coroot[: g.s_even], chi) != 0 for r in tri.roots)
+        if np.any(chi_value(g, chi, side.even_rows())):
+            raise LsaError("character must vanish on the nilpotent parts")
+    coroots = np.array([r.coroot for r in tri.roots]).reshape(-1, g.n)
+    return bool(np.all(chi_value(g, chi, coroots)))
 
 
 @dataclass

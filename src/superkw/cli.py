@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed(sp)
     budget(sp)
     sp.add_argument("--strategy", choices=["exhaustive", "random"], default="exhaustive")
-    sp.add_argument("--samples", type=int, default=8)
+    sp.add_argument("--samples", type=_sample_count, default=8)
     sp.add_argument("--cache", default=None, help="oracle result cache file")
     sp.set_defaults(func=cmd_conjecture)
 

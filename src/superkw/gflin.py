@@ -541,20 +541,26 @@ def nullspace(f: Field, m: np.ndarray) -> np.ndarray:
 
 
 def solve(f: Field, m: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """One solution x of m x = b, or None when the system is inconsistent."""
+    """One solution x of m x = b with free coordinates zero, or None when
+    the system is inconsistent.
+
+    ``b`` is one right-hand side (shape (rows,)) or a block of them, one per
+    column (shape (rows, r)); a block is solved in one ``rref`` of
+    ``[m | b]``, and x then has shape (cols, r).  The pivots inside m's
+    columns depend on m alone, so each column of x is the answer a separate
+    call gives; None if any column is inconsistent."""
     m = np.asarray(m, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    if b.ndim != 1 or b.shape[0] != m.shape[0]:
+    if b.ndim not in (1, 2) or b.shape[0] != m.shape[0]:
         raise ValueError("right-hand side length must equal the row count")
-    aug = np.concatenate([m, b[:, None]], axis=1)
-    r, pivots = rref(f, aug)
+    block = b[:, None] if b.ndim == 1 else b
+    r, pivots = rref(f, np.concatenate([m, block], axis=1))
     cols = m.shape[1]
-    if cols in pivots:
+    if pivots and pivots[-1] >= cols:
         return None
-    x = np.zeros(cols, dtype=np.int64)
-    for j, pc in enumerate(pivots):
-        x[pc] = r[j, cols]
-    return x
+    x = np.zeros((cols, block.shape[1]), dtype=np.int64)
+    x[pivots] = r[: len(pivots), cols:]
+    return x if b.ndim == 2 else x[:, 0]
 
 
 def inv_matrix(f: Field, m: np.ndarray) -> np.ndarray:

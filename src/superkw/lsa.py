@@ -707,11 +707,17 @@ def one_dim_ideal_flag(g: LieSuperAlgebra) -> List[Subspace]:
     """Chain g = g_0 > g_1 > ... > 0 of ideals of g descending by one."""
     if not is_completely_solvable(g):
         raise LsaError("flag construction requires a completely solvable algebra")
+    return _ideal_flag(g)
+
+
+def _ideal_flag(g: LieSuperAlgebra) -> List[Subspace]:
+    """`one_dim_ideal_flag` without the check, which every quotient of a
+    completely solvable algebra passes."""
     if g.n == 0:
         return [g.zero_space()]
     z = _line_ideal(g)
     q, keep = quotient_by_ideal(g, z)
-    sub = one_dim_ideal_flag(q) if q.n > 0 else [q.zero_space()]
+    sub = _ideal_flag(q) if q.n > 0 else [q.zero_space()]
     flag = []
     for m in sub:
         rows = [lift_from_quotient(g.n, keep, row) for row in m.basis]

@@ -854,28 +854,20 @@ def degree_reduction_check(
 
     I_even = I.even_rows()
     I_odd = I.odd_rows()
-    # mat[j, r] = chi([I_even[r], e_j])
+    # mat[j, r] = chi([I_even[r], e_j]); Z_i = sum_r x[r, i] I_even[r]
     mat = chi_value(g, chi, g.bracket(I_even, induced.even_cobasis[:, None]))
-    Z = []
-    for i in range(c0):
-        rhs = np.zeros(c0, dtype=np.int64)
-        rhs[i] = 1
-        x = solve(f, mat, rhs)
-        if x is None:
-            raise LsaError("pairing elements not found: the form degenerates "
-                           "between the ideal and the even cobasis")
-        Z.append(f.matmul(x[None, :], I_even).ravel())
-    # mat[k, r] = chi([f_k, I_odd[r]])
+    x = solve(f, mat, f.eye(c0))
+    if x is None:
+        raise LsaError("pairing elements not found: the form degenerates "
+                       "between the ideal and the even cobasis")
+    Z = f.matmul(x.T, I_even)
+    # mat[k, r] = chi([f_k, I_odd[r]]); T_j = sum_r x[r, j] I_odd[r]
     mat = chi_value(g, chi, g.bracket(induced.odd_cobasis[:, None], I_odd))
-    T = []
-    for j in range(c1):
-        rhs = np.zeros(c1, dtype=np.int64)
-        rhs[j] = 1
-        x = solve(f, mat, rhs)
-        if x is None:
-            raise LsaError("pairing elements not found: the form degenerates "
-                           "between the ideal and the odd cobasis")
-        T.append(f.matmul(x[None, :], I_odd).ravel())
+    x = solve(f, mat, f.eye(c1))
+    if x is None:
+        raise LsaError("pairing elements not found: the form degenerates "
+                       "between the ideal and the odd cobasis")
+    T = f.matmul(x.T, I_odd)
 
     rng = np.random.default_rng(seed)
     degrees = np.array([induced.degree(i) for i in range(M.dim)])

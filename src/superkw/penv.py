@@ -12,7 +12,7 @@ construction is deterministic).  The retained center of g gets p-value 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -57,8 +57,8 @@ def minimal_p_envelope(g: LieSuperAlgebra) -> Envelope:
     # p-closure of the ad image under matrix p-th powers
     W = Echelon(f, n * n, ad.basis)
     while True:
-        powers = [f.mat_pow(row.reshape(n, n), f.p).ravel() for row in W.basis]
-        if not W.extend(np.array(powers).reshape(-1, n * n)).shape[0]:
+        powers = f.mat_pow(W.basis.reshape(-1, n, n), f.p).reshape(-1, n * n)
+        if not W.extend(powers).shape[0]:
             break
     closure_dim = W.dim
     ad_dim = ad.dim
@@ -76,70 +76,40 @@ def minimal_p_envelope(g: LieSuperAlgebra) -> Envelope:
 
     span_cols = np.vstack([ad_rows, np.array(derivs).reshape(m, -1)]) if m else ad_rows
 
-    def section(Mflat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(a, c) with ad(a) + sum c_r D_r = M, free coordinates zero; a is
-        returned as a full (even-supported) coordinate vector of g."""
-        x = lin_solve(f, span_cols.T, Mflat)
-        if x is None:
-            raise EnvelopeError("matrix outside the restricted closure")
-        a_full = np.zeros(n, dtype=np.int64)
-        a_full[:s] = x[:s]
-        return a_full, x[s:]
-
     N = n + m
     s_new = s + m
     names = list(g.names[:s]) + [f"w{r + 1}" for r in range(m)] + list(g.names[s:])
     parities = [0] * s_new + [1] * t
 
-    def to_new(a_vec: np.ndarray, c_vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(N, dtype=np.int64)
-        out[:s] = a_vec[:s]
-        out[s : s + m] = c_vec
-        out[s + m :] = a_vec[s:]
-        return out
-
-    def embed_vec(v: np.ndarray) -> np.ndarray:
-        return to_new(v, np.zeros(m, dtype=np.int64))
-
+    # positions of the old basis in the new one, and of the new generators
+    old = np.array([i if i < s else i + m for i in range(n)], dtype=np.int64)
+    new = np.arange(s, s + m)
+    Dmats = span_cols[s:].reshape(m, n, n)
     structure = np.zeros((N, N, N), dtype=np.int64)
+    structure[np.ix_(old, old, old)] = g.structure
+    # [v_r, e_j] = D_r e_j, and v_r is even: [e_j, v_r] = -[v_r, e_j]
+    structure[np.ix_(new, old, old)] = Dmats.transpose(0, 2, 1)
+    structure[np.ix_(old, new, old)] = f.neg_arr(Dmats.transpose(2, 0, 1))
 
-    def new_pos(i_old: int) -> int:
-        return i_old if i_old < s else i_old + m
-
-    for i in range(n):
-        for j in range(n):
-            structure[new_pos(i), new_pos(j)] = embed_vec(g.structure[i, j])
-    Dmats = [d.reshape(n, n) for d in derivs]
-    for r in range(m):
-        vr = s + r
-        for j in range(n):
-            img = f.matmul(Dmats[r], g.basis_vector(j).reshape(-1, 1)).ravel()
-            structure[vr, new_pos(j)] = embed_vec(img)
-            # v_r is even: [x, v] = -[v, x]
-            structure[new_pos(j), vr] = f.neg_arr(structure[vr, new_pos(j)])
-        for q in range(m):
-            if q == r:
-                continue
-            br = f.sub_arr(
-                f.matmul(Dmats[r], Dmats[q]), f.matmul(Dmats[q], Dmats[r])
-            ).ravel()
-            a_vec, c_vec = section(br)
-            structure[vr, s + q] = to_new(a_vec, c_vec)
-
-    pmap = np.zeros((s_new, N), dtype=np.int64)
-    for i in range(s):
-        Mp = f.mat_pow(g.ad_matrix(g.basis_vector(i)), f.p).ravel()
-        a_vec, c_vec = section(Mp)
-        pmap[i] = to_new(a_vec, c_vec)
-    for r in range(m):
-        Mp = f.mat_pow(Dmats[r], f.p).ravel()
-        a_vec, c_vec = section(Mp)
-        pmap[s + r] = to_new(a_vec, c_vec)
+    # the p-th powers of ad(g_0) and of the D_r, and the commutators
+    # [D_r, D_q] for r != q, pulled back through the section in one block
+    # solve: ad(a) + sum c_r D_r = M with free coordinates zero, so the new
+    # coordinates are (a_even, c, 0)
+    powers = f.mat_pow(span_cols.reshape(s_new, n, n), f.p).reshape(s_new, n * n)
+    prod = f.matmul(Dmats[:, None], Dmats[None, :])
+    rr, qq = np.nonzero(~np.eye(m, dtype=bool))
+    comms = f.sub_arr(prod[rr, qq], prod[qq, rr]).reshape(len(rr), n * n)
+    x = lin_solve(f, span_cols.T, np.vstack([powers, comms]).T)
+    if x is None:
+        raise EnvelopeError("matrix outside the restricted closure")
+    pulled = np.zeros((s_new + len(rr), N), dtype=np.int64)
+    pulled[:, :s_new] = x.T
+    pmap = pulled[:s_new]
+    structure[s + rr, s + qq] = pulled[s_new:]
 
     G = LieSuperAlgebra(f, names, parities, structure, pmap)
     embed = np.zeros((n, N), dtype=np.int64)
-    for i in range(n):
-        embed[i, new_pos(i)] = 1
+    embed[np.arange(n), old] = 1
     return Envelope(G, embed, m, closure_dim, ad_dim)
 
 

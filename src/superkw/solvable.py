@@ -237,9 +237,10 @@ def _abelian_ideal_candidates(g: LieSuperAlgebra) -> List[Subspace]:
         flag = one_dim_ideal_flag(g)
     except (NeedsFieldExtension, LsaError):
         flag = []
+    derived = derived_subalgebra(g)
     for member in flag:
         push(member)
-        push(intersect_spaces(member, derived_subalgebra(g)))
+        push(intersect_spaces(member, derived))
     cands.sort(key=lambda S: (S.dim, S.basis.tobytes()))
     return cands
 

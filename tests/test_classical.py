@@ -1,9 +1,13 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from superkw.chargeom import chi_geometry, max_exponents
 from superkw.classical import (
     CatalogError,
+    algebra_from_matrices,
     baby_verma,
     catalog,
     is_regular_semisimple,
@@ -12,8 +16,12 @@ from superkw.classical import (
     zhao_check,
 )
 from superkw.env import ReducedAlgebra, regular_module
+from superkw.gflin import Field
 from superkw.lsa import LsaError, is_p_closed
+from superkw.lsafile import write_lsa
 from superkw.modules import composition_factors, validate_module
+
+ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
 
 def vec(*vals):
@@ -70,6 +78,66 @@ def test_catalog_sl11_rejected():
 def test_catalog_unknown_name():
     with pytest.raises(CatalogError):
         catalog("e8", 3)
+
+
+# shipped file -> catalog entry it was written from
+SHIPPED = [
+    ("osp1_2_p3", "osp(1|2)", 3, 1),
+    ("osp1_2_p3k2", "osp(1|2)", 3, 2),
+    ("gl1_1_p3", "gl(1|1)", 3, 1),
+    ("sl2_p5", "sl(2)", 5, 1),
+    ("solv2_p5", "2dim-solvable", 5, 1),
+    ("oddheis_p3", "odd-heisenberg", 3, 1),
+    ("heis_p3", "heisenberg", 3, 1),
+]
+
+
+@pytest.mark.parametrize("fname,name,p,k", SHIPPED, ids=[s[0] for s in SHIPPED])
+def test_shipped_file_is_catalog_entry(fname, name, p, k):
+    ent = catalog(name, p, k)
+    text = (ALGEBRAS / f"{fname}.lsa").read_text()
+    assert write_lsa(ent.algebra, ent.triangular) == text
+
+
+# sha256 of write_lsa (with the triangular data) as the catalog built them
+# from supermatrix units before the catalog had one builder
+CATALOG_SHA256 = [
+    ("sl(2|1)", 3, 1, "ad0c8b08c14568659f7b821c60d785fc501d0ae95aabf093e160eac59e82a39d"),
+    ("gl(1|1)", 3, 2, "5e38831f8fb19cf438c9e3e31e87de50455ae6209356180257a79f44de9d4292"),
+    ("gl(2|1)", 3, 1, "759916ec50032e942ad5aab94a4acc0207e026ab58196be50542a6ed90c2ebed"),
+    ("sl(3|0)", 5, 1, "beff4cc178b67665b60ddc1f2c374510fdbeafc7fb7dff4d09749e474774d22c"),
+]
+
+
+@pytest.mark.parametrize("name,p,k,digest", CATALOG_SHA256,
+                         ids=[f"{c[0]}-{c[1]}^{c[2]}" for c in CATALOG_SHA256])
+def test_catalog_bytes_unchanged(name, p, k, digest):
+    ent = catalog(name, p, k)
+    text = write_lsa(ent.algebra, ent.triangular)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _units(field, *positions):
+    mat = field.zeros(2, 2)
+    for i, j in positions:
+        mat[i, j] = 1
+    return mat
+
+
+def test_algebra_from_matrices_not_bracket_closed():
+    f = Field(3)
+    with pytest.raises(CatalogError, match="not bracket-closed"):
+        algebra_from_matrices(
+            f, [_units(f, (0, 1)), _units(f, (1, 0))], ["E12", "E21"], [0, 0])
+
+
+def test_algebra_from_matrices_not_p_closed():
+    # a Jordan block spans a bracket-closed (abelian) line whose p-th power
+    # E11 + p E12 + E22 = E11 + E22 leaves it
+    f = Field(3)
+    jordan = _units(f, (0, 0), (0, 1), (1, 1))
+    with pytest.raises(CatalogError, match="closed under p-th powers"):
+        algebra_from_matrices(f, [jordan], ["J"], [0])
 
 
 def test_catalog_borels_p_closed(gl11, osp12):

@@ -339,12 +339,22 @@ def test_meataxe_failure_exit2(files, monkeypatch, capsys):
     ["mdim", "{heis}", "--strategy", "random", "--samples", "0"],
     ["mdim", "{heis}", "--samples", "-2"],
     ["mdim", "{heis}", "--samples", "x"],
+    ["conjecture", "{heis}", "--strategy", "random", "--samples", "-4"],
+    ["conjecture", "{heis}", "--samples", "0"],
 ])
 def test_usage_error_exit3(files, argv, capsys):
     code = main([a.format(**files) for a in argv])
     err = capsys.readouterr().err
     assert code == 3
     assert "usage:" in err and "Traceback" not in err
+
+
+def test_conjecture_random_samples_reported(files, capsys):
+    # the lower bound on --samples leaves valid counts as they were
+    code = main(["conjecture", files["oddheis"], "--strategy", "random",
+                 "--samples", "2"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["scan"]["samples"] == 2
 
 
 def test_help_exit0(capsys):

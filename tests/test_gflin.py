@@ -152,6 +152,31 @@ def test_solve_random_consistent_gf9():
         assert not np.any(residual)
 
 
+@pytest.mark.parametrize("F", [F3, F9], ids=["GF3", "GF9"])
+def test_solve_block_matches_column_solves(F):
+    rng = np.random.default_rng(7)
+    for rows, cols, r in [(5, 4, 3), (4, 6, 5), (6, 3, 2)]:
+        # rank-deficient m: a product through an inner dimension of 2
+        m = F.matmul(F.rand(rng, (rows, 2)), F.rand(rng, (2, cols)))
+        b = F.matmul(m, F.rand(rng, (cols, r)))
+        x = solve(F, m, b)
+        assert x.shape == (cols, r)
+        for c in range(r):
+            assert np.array_equal(x[:, c], solve(F, m, b[:, c]))
+        assert not np.any(F.sub_arr(F.matmul(m, x), b))
+        # one inconsistent column makes the whole block None
+        bad = b.copy()
+        e = next(v for v in F.eye(rows) if solve(F, m, v) is None)
+        bad[:, r - 1] = e
+        assert solve(F, m, bad) is None
+
+
+def test_solve_block_empty_and_zero_rows():
+    assert solve(F3, F3.eye(3), F3.zeros(3, 0)).shape == (3, 0)
+    assert solve(F3, F3.zeros(0, 2), F3.zeros(0, 1)).tolist() == [[0], [0]]
+    assert solve(F3, F3.zeros(2, 0), F3.eye(2)) is None
+
+
 def test_matmul_matches_reference():
     rng = np.random.default_rng(7)
     for F in (F5, F9, F27):
