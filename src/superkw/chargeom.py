@@ -246,7 +246,7 @@ def is_degraded(g: LieSuperAlgebra, chi, S: Subspace, geo: Optional[CharacterGeo
         raise LsaError("degradedness is only defined for subalgebras")
     geo = geo or chi_geometry(g, chi)
     derived = bracket_span(g, S, S)
-    chi_kills = all(chi_value(g, chi, row) == 0 for row in derived.even_rows())
+    chi_kills = not np.any(chi_value(g, chi, derived.even_rows()))
     verdict = (SuperDim(*S.superdim) == geo.max_isotropic) and chi_kills
     diagnostics = {
         "superdim": SuperDim(*S.superdim),

@@ -291,6 +291,12 @@ class InducedModule:
     even_cobasis: np.ndarray   # (c0, n) vectors of the ambient algebra
     odd_cobasis: np.ndarray    # (c1, n)
 
+    def __post_init__(self):
+        p, d, c0, c1 = self.h.parent.field.p, self.base.dim, self.c0, self.c1
+        # Python ints: `index` runs once per column and per normal word
+        self._strides = tuple([d * 2**c1 * p**i for i in range(c0)]
+                              + [d * 2**j for j in range(c1)])
+
     @property
     def c0(self) -> int:
         return self.even_cobasis.shape[0]
@@ -299,32 +305,21 @@ class InducedModule:
     def c1(self) -> int:
         return self.odd_cobasis.shape[0]
 
+    def strides(self) -> Tuple[int, ...]:
+        """The index step of each even exponent, then of each odd bit."""
+        return self._strides
+
     def index(self, alpha: Sequence[int], gamma: Sequence[int], b: int) -> int:
-        p = self.h.parent.field.p
-        ai = 0
-        for i in reversed(range(self.c0)):
-            ai = ai * p + alpha[i]
-        gi = 0
-        for j in reversed(range(self.c1)):
-            gi = gi * 2 + gamma[j]
-        return (ai * 2**self.c1 + gi) * self.base.dim + b
+        return b + sum(st * e for st, e in zip(self._strides, (*alpha, *gamma)))
 
-    def unindex(self, idx: int):
-        p = self.h.parent.field.p
-        b = idx % self.base.dim
-        idx //= self.base.dim
-        gi = idx % 2**self.c1
-        ai = idx // 2**self.c1
-        gamma = tuple((gi >> j) & 1 for j in range(self.c1))
-        alpha = []
-        for _ in range(self.c0):
-            alpha.append(ai % p)
-            ai //= p
-        return tuple(alpha), gamma, b
-
-    def degree(self, idx: int) -> int:
-        alpha, gamma, _ = self.unindex(idx)
-        return sum(alpha) + sum(gamma)
+    def exponents(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The layout of every basis vector as arrays: alpha (dim, c0),
+        gamma (dim, c1) and b (dim,)."""
+        p, d, c0, c1 = self.h.parent.field.p, self.base.dim, self.c0, self.c1
+        idx = np.arange(p**c0 * 2**c1 * d, dtype=np.int64)
+        radix = np.array([p] * c0 + [2] * c1, dtype=np.int64)
+        e = idx[:, None] // np.array(self._strides, dtype=np.int64) % radix
+        return e[:, :c0], e[:, c0:], idx % d
 
 
 def trivial_base_module(g: LieSuperAlgebra, chi) -> SuperModule:
@@ -385,38 +380,14 @@ def induce(
     if dim > budget:
         raise BudgetExceeded(f"induced module dimension {dim} exceeds budget {budget}")
 
-    h_even = h.space.even_rows()
-    h_odd = h.space.odd_rows()
-    rows = []
-    for c in ce:
-        v = np.zeros(n, dtype=np.int64)
-        v[c] = 1
-        rows.append(v)
-    rows.extend(h_even)
-    for c in co:
-        v = np.zeros(n, dtype=np.int64)
-        v[c] = 1
-        rows.append(v)
-    rows.extend(h_odd)
-    P = np.array(rows, dtype=np.int64).reshape(n, n)
+    unit = np.eye(n, dtype=np.int64)
+    P = np.vstack([unit[ce], h.space.even_rows(), unit[co], h.space.odd_rows()]).reshape(n, n)
     g2 = change_basis(g, P)
     chi2 = chi_value(g, chi, P[:s])
 
     # straightening priority: even cobasis, odd cobasis, then h generators
-    key = [0] * n
-    pos = 0
-    for a in range(c0):
-        key[a] = pos
-        pos += 1
-    for a in range(s, s + c1):
-        key[a] = pos
-        pos += 1
-    for a in range(c0, s):
-        key[a] = pos
-        pos += 1
-    for a in range(s + c1, n):
-        key[a] = pos
-        pos += 1
+    order = np.r_[0:c0, s : s + c1, c0:s, s + c1 : n]
+    key = np.argsort(order).tolist()
     A = ReducedAlgebra(g2, chi2, order_key=key)
 
     # nonzero entries (row, col, value) of the matrix by which an h-word
@@ -506,12 +477,8 @@ def induce(
     action = np.zeros((n, dim, dim), dtype=np.int64)
     action.reshape(-1)[flat] = f.sum_at(where, np.concatenate(vals), flat.size)
 
-    parities = np.zeros(dim, dtype=np.int64)
-    for alpha in blocks:
-        for gamma in gbits:
-            for b in range(S.dim):
-                idx = induced.index(alpha, gamma, b)
-                parities[idx] = (sum(gamma) + int(S.parities[b])) % 2
+    _, gamma, b = induced.exponents()
+    parities = (gamma.sum(axis=1) + S.parities[b]) % 2
 
     induced.module = SuperModule(alg=g, chi=chi, parities=parities, action=action)
     return induced

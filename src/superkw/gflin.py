@@ -142,6 +142,7 @@ class Field:
         self._mul_table = None
         self._neg_table = None
         self._add_rows = self._mul_rows = self._neg_list = self._inv_list = None
+        self._powbase = p ** np.arange(k, dtype=np.int64)
         if k > 1:
             # row i: x^(k+i) mod modulus, as a k-vector; products of two
             # degree-<k polynomials need degrees up to 2k-2
@@ -157,7 +158,6 @@ class Field:
                 red[i] = nxt
                 cur = nxt
             self._red = red
-            self._powbase = p ** np.arange(k, dtype=np.int64)
             if self.q <= 1024:
                 codes = np.arange(self.q, dtype=np.int64)
                 a, b = np.meshgrid(codes, codes, indexing="ij")
@@ -646,12 +646,13 @@ class Echelon:
         return not np.any(self.reduce(v))
 
     def coords(self, v) -> Optional[np.ndarray]:
-        """Coefficients x with x @ basis = v, or None if v is outside the
-        span; in reduced echelon form they are the entries at the pivots."""
+        """Coefficients x with x @ basis = v, for a vector or a stack of them
+        (row by row), or None if any v is outside the span; in reduced
+        echelon form they are the entries at the pivots."""
         v = np.asarray(v, dtype=np.int64)
         if not self.contains(v):
             return None
-        return v[self.pivots]
+        return v[..., self.pivots]
 
     def complement_columns(self) -> List[int]:
         piv = set(self.pivots)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iproduct
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -61,13 +60,14 @@ class SuperModule:
         return (self.dim - odd, odd)
 
     def rho(self, x: np.ndarray) -> np.ndarray:
-        f = self.alg.field
-        acc = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for i in range(self.alg.n):
-            c = int(x[i])
-            if c:
-                acc = f.add_arr(acc, f.mul_arr(c, self.action[i]))
-        return acc
+        """The action of an algebra vector (d, d), or of a stack of them
+        (..., n) -> (..., d, d): one product over the generators the stack
+        uses, so a sparse vector does not copy the whole action tensor."""
+        x = np.asarray(x, dtype=np.int64)
+        used = np.flatnonzero(np.any(x, axis=tuple(range(x.ndim - 1))))
+        d = self.dim
+        acc = self.alg.field.matmul(x[..., used], self.action[used].reshape(len(used), d * d))
+        return acc.reshape(x.shape[:-1] + (d, d))
 
     def transpose_module(self) -> "SuperModule":
         return SuperModule(
@@ -775,14 +775,11 @@ def composition_factors(
 def restrict_module(M: SuperModule, sub) -> SuperModule:
     """View a module over the ambient algebra as a module over a subalgebra
     presentation: one action matrix per subalgebra basis row."""
-    action = np.array([M.rho(row) for row in sub.rows], dtype=np.int64)
-    if action.size == 0:
-        action = np.zeros((0, M.dim, M.dim), dtype=np.int64)
     return SuperModule(
         alg=sub.alg,
         chi=restrict_chi(M.chi, sub) if M.chi.size else np.zeros(sub.alg.s_even, dtype=np.int64),
         parities=M.parities.copy(),
-        action=action,
+        action=M.rho(sub.rows),
     )
 
 
@@ -790,33 +787,27 @@ def restrict_module(M: SuperModule, sub) -> SuperModule:
 # simultaneous eigenspaces and the filtration check
 
 
+def _shifted_action(M: SuperModule, x: np.ndarray, scalars: np.ndarray) -> np.ndarray:
+    """rho(x) - c.1 for a stack of algebra vectors x (m, n) and scalars c
+    (m,): (m, d, d)."""
+    ops = M.rho(x)
+    diag = np.arange(M.dim)
+    ops[:, diag, diag] = M.alg.field.sub_arr(ops[:, diag, diag], scalars[:, None])
+    return ops
+
+
 def v_i_chi(M: SuperModule, I: Subspace, chi) -> RowSpace:
     """Simultaneous chi-eigenspace {v : X v = chi(X) v for all X in I}."""
     f = M.alg.field
-    g = M.alg
     chi = np.asarray(chi, dtype=np.int64)
-    blocks = []
-    for row in I.basis:
-        op = M.rho(row)
-        scal = 0
-        if g.parity_of(row) == 0:
-            scal = chi_value(g, chi, row)
-        blocks.append(f.sub_arr(op, f.mul_arr(scal, f.eye(M.dim))))
-    if not blocks:
-        return RowSpace(f, M.dim, f.eye(M.dim))
-    ker = nullspace(f, np.vstack(blocks))
+    # chi of an odd row is 0: chi only reads even coordinates
+    ops = _shifted_action(M, I.basis, chi_value(M.alg, chi, I.basis))
+    ker = nullspace(f, ops.reshape(-1, M.dim))
     rows = _split_kernel_by_parity(M, ker) if ker.size else ker
     return RowSpace(f, M.dim, rows)
 
 
-def degree_reduction_check(
-    g: LieSuperAlgebra,
-    chi,
-    induced,
-    I: Subspace,
-    seed: int = 0,
-    samples: int = 40,
-):
+def degree_reduction_check(g: LieSuperAlgebra, chi, induced, I: Subspace):
     """Filtration congruences on an induced module built from an ideal.
 
     With dual families Z_i in the even part of I pairing the even cobasis
@@ -829,89 +820,52 @@ def degree_reduction_check(
 
     where s_j counts odd cobasis factors in front of slot j.  The odd-case
     parity sign is forced by the supercommutation moves; it is verified here
-    exactly rather than up to units.
+    exactly rather than up to units.  Every basis vector on which an
+    operator acts (Z_i where a_i > 0, T_j where a = 0 and c_j = 1) is
+    checked.  Returns (ok, number of congruences checked).
     """
     f = g.field
     chi = np.asarray(chi, dtype=np.int64)
     M = induced.module
-    base = induced.base
-    c0, c1 = induced.c0, induced.c1
-    # the base must be a chi-eigenspace for I inside the induced module
-    for row in I.basis:
-        op = M.rho(row)
-        scal = 0
-        if g.parity_of(row) == 0:
-            scal = chi_value(g, chi, row)
-        for b in range(base.dim):
-            idx = induced.index((0,) * c0, (0,) * c1, b)
-            col = op[:, idx]
-            expect = np.zeros(M.dim, dtype=np.int64)
-            expect[idx] = scal
-            if not np.array_equal(col, expect):
-                raise LsaError(
-                    "base block is not a chi-eigenspace for the ideal; "
-                    "the filtration check does not apply")
+    # the base must be a chi-eigenspace for I inside the induced module: its
+    # block is the first base.dim columns
+    ops = _shifted_action(M, I.basis, chi_value(g, chi, I.basis))
+    if np.any(ops[:, :, : induced.base.dim]):
+        raise LsaError(
+            "base block is not a chi-eigenspace for the ideal; "
+            "the filtration check does not apply")
 
     I_even = I.even_rows()
     I_odd = I.odd_rows()
     # mat[j, r] = chi([I_even[r], e_j]); Z_i = sum_r x[r, i] I_even[r]
     mat = chi_value(g, chi, g.bracket(I_even, induced.even_cobasis[:, None]))
-    x = solve(f, mat, f.eye(c0))
+    x = solve(f, mat, f.eye(induced.c0))
     if x is None:
         raise LsaError("pairing elements not found: the form degenerates "
                        "between the ideal and the even cobasis")
     Z = f.matmul(x.T, I_even)
     # mat[k, r] = chi([f_k, I_odd[r]]); T_j = sum_r x[r, j] I_odd[r]
     mat = chi_value(g, chi, g.bracket(induced.odd_cobasis[:, None], I_odd))
-    x = solve(f, mat, f.eye(c1))
+    x = solve(f, mat, f.eye(induced.c1))
     if x is None:
         raise LsaError("pairing elements not found: the form degenerates "
                        "between the ideal and the odd cobasis")
     T = f.matmul(x.T, I_odd)
 
-    rng = np.random.default_rng(seed)
-    degrees = np.array([induced.degree(i) for i in range(M.dim)])
-    checked = 0
-    all_alpha = list(iproduct(range(f.p), repeat=c0))
-    all_gamma = list(iproduct(range(2), repeat=c1))
-    cases = [
-        (alpha, gamma, b)
-        for alpha in all_alpha
-        for gamma in all_gamma
-        for b in range(base.dim)
-    ]
-    if len(cases) > samples:
-        pick = rng.choice(len(cases), size=samples, replace=False)
-        cases = [cases[int(t)] for t in sorted(pick)]
-    for alpha, gamma, b in cases:
-        l = sum(alpha) + sum(gamma)
-        idx = induced.index(alpha, gamma, b)
-        if sum(alpha) > 0:
-            for i in range(c0):
-                if alpha[i] == 0:
-                    continue
-                op = f.sub_arr(M.rho(Z[i]), f.mul_arr(chi_value(g, chi, Z[i]), f.eye(M.dim)))
-                got = op[:, idx].copy()
-                down = list(alpha)
-                down[i] -= 1
-                tgt = induced.index(down, gamma, b)
-                got[tgt] = f.sub(int(got[tgt]), alpha[i] % f.p)
-                if np.any(got[degrees > l - 2]):
-                    return False, checked
-                checked += 1
-        else:
-            for j in range(c1):
-                if gamma[j] == 0:
-                    continue
-                op = M.rho(T[j])
-                got = op[:, idx].copy()
-                down = list(gamma)
-                down[j] = 0
-                tgt = induced.index(alpha, down, b)
-                sign = (-1) ** sum(gamma[:j])
-                coeff = 1 if sign == 1 else f.neg(1)
-                got[tgt] = f.sub(int(got[tgt]), coeff)
-                if np.any(got[degrees > l - 2]):
-                    return False, checked
-                checked += 1
-    return True, checked
+    # Z_i - chi(Z_i) and T_j (chi(T_j) = 0), one stack of operators
+    ZT = np.vstack([Z, T])
+    ops = _shifted_action(M, ZT, chi_value(g, chi, ZT))
+    alpha, gamma, _ = induced.exponents()
+    degree = alpha.sum(axis=1) + gamma.sum(axis=1)
+    # applies[k, col]: operator k acts on basis vector col; lead[k, col]:
+    # the coefficient of its leading term, at col - strides[k]
+    applies = np.vstack([alpha.T > 0, (gamma.T == 1) & ~np.any(alpha, axis=1)])
+    sign = (np.cumsum(gamma, axis=1) - gamma).T % 2
+    lead = np.vstack([alpha.T, np.where(sign == 1, f.neg(1), 1)])
+    k, col = np.nonzero(applies)
+    row = col - np.array(induced.strides(), dtype=np.int64)[k]
+    ops[k, row, col] = f.sub_arr(ops[k, row, col], lead[k, col])
+    # what is left must lie in degree <= l - 2, l the degree of the column
+    above = degree[:, None] > degree[None, :] - 2
+    ok = not np.any(ops[applies[:, None, :] & above])
+    return ok, int(k.size)

@@ -16,7 +16,8 @@ answers cannot escape, only honest fallbacks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from typing import List, Optional, Tuple
+from itertools import product as iproduct
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -85,17 +86,23 @@ def i_chi(g: LieSuperAlgebra, I: Subspace, chi) -> Subspace:
 # weight equations: lambda(x)^p - lambda(x^[p]) = chi(x)^p plus linear pins
 
 
-def solve_weight_equations(
+def _weight_solutions(
     alg: LieSuperAlgebra,
     chi_h: np.ndarray,
     pins: Tuple[Tuple[np.ndarray, int], ...] = (),
-) -> List[np.ndarray]:
-    """All functionals on the even part satisfying the p-compatibility
-    equations and the given linear constraints, over the working field.
+) -> Tuple[int, Iterator[np.ndarray]]:
+    """The number of functionals on the even part satisfying the
+    p-compatibility equations and the given linear constraints, over the
+    working field, and a lazy iterator over them in lexicographic order of
+    their codes.
 
     The map lambda -> lambda(x)^p - lambda(x^[p]) is additive, so after
     expanding field elements in the power basis this is a linear system over
-    the prime field; the full solution set is enumerated (capped).
+    the prime field.  Its columns run from the last coordinate to the first,
+    lowest digit first: the reverse of code significance.  The free columns
+    of the echelon form then come first in code significance, so the
+    particular solution (zero there) is the smallest, and the kernel basis,
+    whose rows lead at their free columns, walks the rest in order.
     """
     if not alg.restricted:
         raise LsaError("weight equations need a p-operation")
@@ -103,10 +110,10 @@ def solve_weight_equations(
     p, k, s = f.p, f.k, alg.s_even
     pins = tuple((np.asarray(v, dtype=np.int64), int(val)) for v, val in pins)
     if s == 0:
-        for v, val in pins:
-            if val != 0 and not np.any(v):
-                return []
-        return [np.zeros(0, dtype=np.int64)]
+        sols = [np.zeros(0, dtype=np.int64)]
+        if any(val != 0 and not np.any(v) for v, val in pins):
+            sols = []
+        return len(sols), iter(sols)
 
     def eval_map(lam: np.ndarray) -> List[int]:
         out = []
@@ -133,7 +140,7 @@ def solve_weight_equations(
     for col in range(cols):
         a, j = divmod(col, k)
         lam = np.zeros(s, dtype=np.int64)
-        lam[a] = f.from_coords(tuple(1 if t == j else 0 for t in range(k)))
+        lam[s - 1 - a] = f.from_coords(tuple(1 if t == j else 0 for t in range(k)))
         vals = eval_map(lam)
         digits = []
         for v in vals:
@@ -148,38 +155,42 @@ def solve_weight_equations(
     prime = Field(p)
     x0 = lin_solve(prime, M, b)
     if x0 is None:
-        return []
-    ker = nullspace(prime, M)
-    if p ** ker.shape[0] > MAX_WEIGHT_SOLUTIONS:
-        raise BudgetExceeded(
-            f"weight solution set has {p ** ker.shape[0]} elements, "
-            f"cap is {MAX_WEIGHT_SOLUTIONS}")
-    from itertools import product as iproduct
+        return 0, iter(())
+    # rows by increasing free column in code significance
+    ker = nullspace(prime, M)[::-1]
+    sols = (
+        f.undigits(((x0 + np.array(coeffs, dtype=np.int64) @ ker) % p).reshape(s, k)[::-1])
+        for coeffs in iproduct(range(p), repeat=ker.shape[0])
+    )
+    return p ** ker.shape[0], sols
 
-    sols = []
-    for coeffs in iproduct(range(p), repeat=ker.shape[0]):
-        u = x0.copy()
-        for c, row in zip(coeffs, ker):
-            u = (u + c * row) % p
-        lam = np.array(
-            [f.from_coords(tuple(u[a * k : (a + 1) * k])) for a in range(s)],
-            dtype=np.int64,
-        )
-        sols.append(lam)
-    sols.sort(key=lambda l: tuple(int(c) for c in l))
-    return sols
+
+def solve_weight_equations(
+    alg: LieSuperAlgebra,
+    chi_h: np.ndarray,
+    pins: Tuple[Tuple[np.ndarray, int], ...] = (),
+) -> List[np.ndarray]:
+    """All weights of `_weight_solutions`, in lexicographic order of their
+    codes (capped)."""
+    count, sols = _weight_solutions(alg, chi_h, pins)
+    if count > MAX_WEIGHT_SOLUTIONS:
+        raise BudgetExceeded(
+            f"weight solution set has {count} elements, "
+            f"cap is {MAX_WEIGHT_SOLUTIONS}")
+    return list(sols)
 
 
 def one_dim_weights(
     sub: Subalgebra, chi_sub: np.ndarray, pins=()
-) -> List[np.ndarray]:
-    """Weights of one-dimensional modules: kill the even part of the derived
-    subalgebra and satisfy the p-compatibility equations."""
+) -> Optional[np.ndarray]:
+    """The first weight of a one-dimensional module, or None: kill the even
+    part of the derived subalgebra and satisfy the p-compatibility equations.
+    Only that weight is computed, however many there are."""
     alg = sub.alg
     der = derived_subalgebra(alg)
     all_pins = [(row[: alg.s_even], 0) for row in der.even_rows()]
     all_pins.extend(pins)
-    return solve_weight_equations(alg, chi_sub, tuple(all_pins))
+    return next(_weight_solutions(alg, chi_sub, tuple(all_pins))[1], None)
 
 
 # ---------------------------------------------------------------------------
@@ -245,18 +256,12 @@ def _abelian_ideal_candidates(g: LieSuperAlgebra) -> List[Subspace]:
     return cands
 
 
-def _module_is_eigen(g, chi, I: Subspace, S: SuperModule, sub: Subalgebra, mu_vals) -> bool:
+def _module_is_eigen(I: Subspace, S: SuperModule, sub: Subalgebra, mu_vals) -> bool:
     """Whether every vector of S is a mu-eigenvector for the ideal."""
-    f = g.field
-    for r, row in enumerate(I.basis):
-        coords = sub.space.coords_of(row)
-        if coords is None:
-            return False
-        op = S.rho(coords)
-        expect = f.mul_arr(int(mu_vals[r]), f.eye(S.dim))
-        if not np.array_equal(op, expect):
-            return False
-    return True
+    coords = sub.space.coords_of(I.basis)
+    if coords is None:
+        return False
+    return np.array_equal(S.rho(coords), mu_vals[:, None, None] * np.eye(S.dim, dtype=np.int64))
 
 
 def construct_irreducible(
@@ -295,13 +300,12 @@ def construct_irreducible(
 def _construct(g, chi, seed, budget, pins) -> Tuple[SuperModule, DescentTrace]:
     f = g.field
     derived = derived_subalgebra(g)
-    chi_kills_derived = all(chi_value(g, chi, row) == 0 for row in derived.even_rows())
+    chi_kills_derived = not np.any(chi_value(g, chi, derived.even_rows()))
     whole = as_subalgebra(g, g.full_space())
     if chi_kills_derived and is_nilpotent_subalg(g, derived):
-        sols = one_dim_weights(whole, chi, pins=_pins_to_sub(whole, pins))
-        if not sols:
+        lam = one_dim_weights(whole, chi, pins=_pins_to_sub(whole, pins))
+        if lam is None:
             raise NeedsFieldExtension("no one-dimensional weight over the working field")
-        lam = sols[0]
         S = character_module(whole, chi, lam)
         bad = validate_module(S)
         if bad:
@@ -318,8 +322,7 @@ def _construct(g, chi, seed, budget, pins) -> Tuple[SuperModule, DescentTrace]:
         sub_I = as_subalgebra(g, I)
         chi_I = restrict_chi(chi, sub_I)
         mu_list = []
-        chi_restr_ok = all(chi_value(g, chi, g.p_power(row)) == 0 for row in I.even_rows())
-        if chi_restr_ok:
+        if not np.any(chi_value(g, chi, g.p_power(I.even_rows()))):
             mu_list.append(chi_I)
         if sub_I.alg.restricted:
             try:
@@ -365,7 +368,7 @@ def _construct(g, chi, seed, budget, pins) -> Tuple[SuperModule, DescentTrace]:
             except NeedsFieldExtension as exc:
                 pending_extension = exc
                 continue
-            if not _module_is_eigen(g, chi, I, S, h, mu_vals):
+            if not _module_is_eigen(I, S, h, mu_vals):
                 continue
             try:
                 ind = induce(g, chi, h, S, budget=budget)
@@ -446,11 +449,10 @@ def _polarization_module_inner(g, chi, seed, budget):
             "polarization subalgebra is not p-closed; reported rather than assumed")
     sub = as_subalgebra(g, h_space)
     chi_h = restrict_chi(chi, sub)
-    sols = one_dim_weights(sub, chi_h)
-    if not sols:
+    lam = one_dim_weights(sub, chi_h)
+    if lam is None:
         raise NeedsFieldExtension(
             "no weight for the polarization over the working field")
-    lam = sols[0]
     S = character_module(sub, chi_h, lam)
     bad = validate_module(S)
     if bad:

@@ -348,30 +348,37 @@ def random_solvable_stream(borel_gl21):
     h a p-closed completely solvable subalgebra of the (4|2) Borel, chi a
     character, I an abelian ideal with nonzero pairing against h, and the
     module induced from a pinned one-dimensional character of the
-    stabilizer."""
+    stabilizer.
 
-    def stream(want: int):
-        from superkw.chargeom import restrict_chi
-        from superkw.env import character_module, induce
-        from superkw.lsa import (
-            Subspace,
-            as_subalgebra,
-            is_completely_solvable,
-            restricted_closure,
-        )
-        from superkw.modules import validate_module
-        from superkw.solvable import (
-            _abelian_ideal_candidates,
-            i_chi,
-            one_dim_weights,
-        )
+    The instances are drawn once per session from one rng stream and
+    replayed to every caller; the abelian-ideal candidates of each drawn
+    algebra are computed once, keyed by its structure, p-map and parities
+    (the stream draws many algebras more than once)."""
+    from superkw.chargeom import restrict_chi
+    from superkw.env import character_module, induce
+    from superkw.lsa import (
+        as_subalgebra,
+        is_completely_solvable,
+        restricted_closure,
+        subalgebra_closure,
+    )
+    from superkw.modules import validate_module
+    from superkw.solvable import (
+        _abelian_ideal_candidates,
+        i_chi,
+        one_dim_weights,
+    )
 
-        b = borel_gl21
-        f = b.field
-        rng = np.random.default_rng(2024)
-        produced = 0
-        attempts = 0
-        while produced < want:
+    b = borel_gl21
+    f = b.field
+    rng = np.random.default_rng(2024)
+    drawn = []
+    candidates = {}
+    attempts = 0
+
+    def draw():
+        nonlocal attempts
+        while True:
             attempts += 1
             if attempts > 4000:
                 raise RuntimeError("instance stream exhausted")
@@ -382,8 +389,6 @@ def random_solvable_stream(borel_gl21):
                 if rng.random() < 0.5:
                     v[b.s_even:] = 0
                 vecs.append(v)
-            from superkw.lsa import subalgebra_closure
-
             S = restricted_closure(b, subalgebra_closure(b, vecs))
             if S.dim < 2 or S.dim > 6:
                 continue
@@ -392,8 +397,10 @@ def random_solvable_stream(borel_gl21):
             if not h.restricted or not is_completely_solvable(h):
                 continue
             chi = f.rand(rng, h.s_even)
-            usable = None
-            for I in _abelian_ideal_candidates(h):
+            key = (h.structure.tobytes(), h.pmap.tobytes(), h.parities.tobytes())
+            if key not in candidates:
+                candidates[key] = _abelian_ideal_candidates(h)
+            for I in candidates[key]:
                 pairing = any(
                     int(
                         f.matmul(
@@ -428,18 +435,18 @@ def random_solvable_stream(borel_gl21):
                 if not ok:
                     continue
                 chi_sub = restrict_chi(chi, sub)
-                sols = one_dim_weights(sub, chi_sub, pins=tuple(pins))
-                if not sols:
+                lam = one_dim_weights(sub, chi_sub, pins=tuple(pins))
+                if lam is None:
                     continue
-                Sm = character_module(sub, chi_sub, sols[0])
+                Sm = character_module(sub, chi_sub, lam)
                 if validate_module(Sm):
                     continue
                 ind = induce(h, chi, sub, Sm, budget=4000)
-                usable = (h, chi, I, ind)
-                break
-            if usable is None:
-                continue
-            produced += 1
-            yield usable
+                return (h, chi, I, ind)
+
+    def stream(want: int):
+        while len(drawn) < want:
+            drawn.append(draw())
+        yield from drawn[:want]
 
     return stream

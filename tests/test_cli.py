@@ -172,6 +172,20 @@ def test_solvable_irr_cmd(files):
     assert "dim = 5" in out
 
 
+def test_solvable_irr_torus_takes_the_first_weight(tmp_path):
+    # an 8-dim torus over GF(3) has 3^8 one-dimensional weights at chi = 0,
+    # more than the weight-list cap; the base route needs only the first
+    names = [f"t{i}" for i in range(1, 9)]
+    lines = ["superkw-lsa v1", "field p=3 k=1"]
+    lines += [f"basis {t} even" for t in names]
+    lines += [f"pmap {t} {t}:1" for t in names]
+    path = tmp_path / "torus8.lsa"
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run_cli(["solvable-irr", str(path), "--chi", ",".join(["0"] * 8)])
+    assert code == 0
+    assert "dim = 1 " in out
+
+
 def test_baby_verma_cmd():
     code, out = run_cli(
         ["baby-verma", "--algebra", "gl(1|1)", "--p", "3", "--chi", "0,0",

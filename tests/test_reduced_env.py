@@ -216,7 +216,7 @@ def test_induce_from_whole_algebra_is_identity(gl11):
     from superkw.solvable import one_dim_weights
     from superkw.chargeom import restrict_chi
 
-    lam = one_dim_weights(sub, restrict_chi(chi, sub))[0]
+    lam = one_dim_weights(sub, restrict_chi(chi, sub))
     S = character_module(sub, restrict_chi(chi, sub), lam)
     ind = induce(g, chi, sub, S)
     assert ind.module.dim == 1
@@ -236,7 +236,7 @@ def test_induce_dimension_formula(gl11, solv2_p5):
     P27 = Subspace(g27.field, 2, 4, table[P.basis])
     sub = as_subalgebra(g27, P27)
     chi_h = restrict_chi(chi27, sub)
-    lam = one_dim_weights(sub, chi_h)[0]
+    lam = one_dim_weights(sub, chi_h)
     S = character_module(sub, chi_h, lam)
     ind = induce(g27, chi27, sub, S)
     assert ind.module.dim == 2
