@@ -3,12 +3,17 @@ the induced-module constructors (left regular module as the special case of
 inducing from the zero subalgebra).
 
 Monomials are pairs (alpha, gamma): even exponents in [0, p) and odd bits.
-Words are straightened rightmost-disorder-first; the relations used are the
-super-commutation swap, the odd-square rule y*y = (1/2)[y,y], and the even
-p-th power rule x^p = x^[p] + chi(x)^p.  Termination follows from the
-(degree, inversion-count) measure: swaps lower inversions, everything else
-lowers degree.  Normal forms are memoised per word, so a word that many
-rewrites reach is rewritten once.
+`ReducedAlgebra` straightens words for `normal_form` and `multiply`,
+rightmost disorder first; the relations used are the super-commutation
+swap, the odd-square rule y*y = (1/2)[y,y], and the even p-th power rule
+x^p = x^[p] + chi(x)^p.  Termination follows from the (degree,
+inversion-count) measure: swaps lower inversions, everything else lowers
+degree.  Normal forms are memoised per word, so a word that many rewrites
+reach is rewritten once.
+
+`induce` straightens no words: it applies the same three relations to the
+induced module's own basis, building each action column from the columns
+of shorter basis vectors.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chargeom import BudgetExceeded, check_chi, chi_value
+from .chargeom import BudgetExceeded, check_chi, chi_value, restrict_chi
 from .gflin import inv_matrix
 from .lsa import LieSuperAlgebra, LsaError, Subalgebra, as_subalgebra, change_basis
 from .modules import SuperModule
@@ -30,9 +35,9 @@ Monomial = Tuple[Tuple[int, ...], Tuple[int, ...]]
 class ReducedAlgebra:
     """U_chi(g) with a fixed PBW generator order.
 
-    `order_key` permutes straightening priorities (used by the induced-module
-    builder to push subalgebra generators to the right); the default is the
-    basis order itself.
+    `order_key` permutes straightening priorities (for instance to push a
+    subalgebra's generators to the right); the default is the basis order
+    itself.
     """
 
     def __init__(self, g: LieSuperAlgebra, chi, order_key: Optional[Sequence[int]] = None):
@@ -293,7 +298,8 @@ class InducedModule:
 
     def __post_init__(self):
         p, d, c0, c1 = self.h.parent.field.p, self.base.dim, self.c0, self.c1
-        # Python ints: `index` runs once per column and per normal word
+        # Python ints: `index` and the column recursion of `induce` do
+        # scalar index arithmetic with them
         self._strides = tuple([d * 2**c1 * p**i for i in range(c0)]
                               + [d * 2**j for j in range(c1)])
 
@@ -361,17 +367,36 @@ def induce(
     """U_chi(g) tensored over U_chi(h) with S, for p-closed h.
 
     The ambient algebra is rewritten in a basis [even cobasis, h-even rows,
-    odd cobasis, h-odd rows]; straightening with cobasis generators ordered
-    first turns every word into (cobasis monomial) * (h-word), and the h-word
-    is applied to S through its action matrices.
+    odd cobasis, h-odd rows].  The cobasis letters e_1 < ... < e_c0 <
+    f_1 < ... < f_c1 spell the basis vectors m = e^alpha f^gamma (x) v_b,
+    and each action column u.m is a sparse combination of columns already
+    built for shorter basis vectors:
+
+    - on m = 1 (x) v_b a letter u gives u (x) v_b, and an h generator acts
+      through S;
+    - a letter u at or before the leftmost letter y of m is prepended, with
+      u^p = u^[p] + chi(u)^p when an even exponent reaches p and
+      u u = (1/2)[u, u] on an odd letter already present;
+    - any other u commutes past y: u.(y m') = (-1)^{|u||y|} y.(u.m') +
+      [u, y].m'.
+
+    Columns are built by degree |alpha| + |gamma|, the prepended ones of a
+    degree first.  The terms of u.m' of the same degree as m are the
+    supersymmetric product, whose leftmost letter is at or after y, so
+    every column looked up is already built (a missing one raises
+    KeyError, never reads as zero).
     """
     f = g.field
     chi = check_chi(g, chi)
+    if not g.restricted:
+        raise LsaError("induction needs a restricted algebra")
     if not h.alg.restricted:
         raise LsaError("induction requires a p-closed subalgebra")
     if h.alg.n != S.alg.n or S.alg.n != S.action.shape[0]:
         raise LsaError("base module does not match the subalgebra")
-    s, t, n = g.s_even, g.t_odd, g.n
+    if not np.array_equal(S.chi, restrict_chi(chi, h)):
+        raise LsaError("base module's character is not chi restricted to the subalgebra")
+    s, n = g.s_even, g.n
     comp = h.space.complement_columns()
     ce = [c for c in comp if c < s]
     co = [c for c in comp if c >= s]
@@ -384,35 +409,6 @@ def induce(
     P = np.vstack([unit[ce], h.space.even_rows(), unit[co], h.space.odd_rows()]).reshape(n, n)
     g2 = change_basis(g, P)
     chi2 = chi_value(g, chi, P[:s])
-
-    # straightening priority: even cobasis, odd cobasis, then h generators
-    order = np.r_[0:c0, s : s + c1, c0:s, s + c1 : n]
-    key = np.argsort(order).tolist()
-    A = ReducedAlgebra(g2, chi2, order_key=key)
-
-    # nonzero entries (row, col, value) of the matrix by which an h-word
-    # acts on S, one computation per distinct word
-    h_blocks: Dict[Word, list] = {}
-
-    def h_block(word):
-        blk = h_blocks.get(word)
-        if blk is None:
-            mat = f.eye(S.dim)
-            for gi in word:
-                # h generator index in g2 -> the base module's generator index
-                if gi < s:
-                    k = gi - c0
-                else:
-                    k = (s - c0) + (gi - s - c1)
-                mat = f.matmul(mat, S.action[k])
-            rr, cc = np.nonzero(mat)
-            blk = h_blocks[word] = list(zip(rr.tolist(), cc.tolist(), mat[rr, cc].tolist()))
-        return blk
-
-    from itertools import product as iproduct
-
-    blocks = list(iproduct(range(f.p), repeat=c0))
-    gbits = list(iproduct(range(2), repeat=c1))
     induced = InducedModule(
         module=None,  # filled below
         h=h,
@@ -421,51 +417,96 @@ def induce(
         odd_cobasis=P[s : s + c1].copy(),
     )
 
-    # column (alpha, gamma, 0) is the image of the word e^alpha f^gamma
-    columns = []
-    for alpha in blocks:
-        for gamma in gbits:
-            tail = [i for i, a in enumerate(alpha) for _ in range(a)]
-            tail += [s + j for j, cb in enumerate(gamma) if cb]
-            columns.append((tuple(tail), induced.index(alpha, gamma, 0)))
+    p, add, mul = f.p, f.add, f.mul
+    L = c0 + c1
+    # g2 index of each letter; letter position of each g2 generator (None on h)
+    letters = list(range(c0)) + list(range(s, s + c1))
+    position = [None] * n
+    for i, u in enumerate(letters):
+        position[u] = i
+    # g2 generator -> the base module's generator
+    base_gen = [None] * n
+    for k, u in enumerate([u for u in range(n) if position[u] is None]):
+        base_gen[u] = k
 
-    # a normal word is (cobasis monomial) * (h-word): its row block and the
-    # h-word's entries, once per distinct word
-    placed: Dict[Word, tuple] = {}
+    def terms(vec, scale=1):
+        return [(int(l), mul(scale, int(vec[l]))) for l in np.nonzero(vec)[0]]
 
-    def place(w):
-        cut = len(w)
-        for pos2, gi in enumerate(w):
-            if not (gi < c0 or (s <= gi < s + c1)):
-                cut = pos2
-                break
-        a2 = [0] * c0
-        g2bits = [0] * c1
-        for gi in w[:cut]:
-            if gi < c0:
-                a2[gi] += 1
+    # [u, y] for every generator u and letter y, and the rules for a letter
+    # reaching its bound: u^[p] with chi(u)^p for even u, (1/2)[u, u] for odd
+    bracket = [[terms(g2.structure[u, y]) for y in letters] for u in range(n)]
+    half = f.inv(2)
+    bound = [(terms(g2.pmap[u]), f.pow(int(chi2[u]), p)) for u in letters[:c0]]
+    bound += [(terms(g2.structure[u, u], half), 0) for u in letters[c0:]]
+    sign = [[f.neg(1) if g2.parities[u] and i >= c0 else 1 for i in range(L)]
+            for u in range(n)]
+
+    strides = induced.strides()
+    alpha, gamma, b = induced.exponents()
+    exps = np.hstack([alpha, gamma])
+    # the leftmost letter of each basis vector: the first nonzero exponent,
+    # or the sentinel column L on the base block
+    lead = np.argmax(np.hstack([exps > 0, np.ones((dim, 1), dtype=bool)]), axis=1).tolist()
+    deg = exps.sum(axis=1)
+    exps = exps.tolist()
+
+    def axpy(acc, c, col):
+        """acc += c * col, dropping coefficients that cancel."""
+        for r, v in col.items():
+            w = add(acc.get(r, 0), mul(c, v))
+            if w:
+                acc[r] = w
             else:
-                g2bits[gi - s] += 1
-        placed[w] = (induced.index(a2, g2bits, 0), h_block(w[cut:]))
-        return placed[w]
+                acc.pop(r, None)
 
-    # the action of g2's generators as triples (generator, row, col, coeff,
-    # h-entry); the entry's value is coeff * h-entry
-    triples = []
-    for u in range(n):
-        for tail, col0 in columns:
-            res = A.straighten({(u,) + tail: 1})
-            for w, c in res.items():
-                row0, blk = placed.get(w) or place(w)
-                for r, cc, hv in blk:
-                    triples.append((u, row0 + r, col0 + cc, c, hv))
+    # cols[u][m]: the column u.m as {row: coefficient}, nonzero entries only
+    cols: List[Dict[int, Dict[int, int]]] = [{} for _ in range(n)]
+    for level in range(int(deg.max(initial=0)) + 1):
+        ms = np.nonzero(deg == level)[0].tolist()
+        for m in ms:
+            for i in range(min(lead[m] + 1, L)):
+                u, e, st = letters[i], exps[m][i], strides[i]
+                if e + 1 < (p if i < c0 else 2):
+                    cols[u][m] = {m + st: 1}
+                    continue
+                rule, scalar = bound[i]
+                m0 = m - e * st
+                acc = {m0: scalar} if scalar else {}
+                for l, c in rule:
+                    axpy(acc, c, cols[l][m0])
+                cols[u][m] = acc
+        for m in ms:
+            y = lead[m]
+            if y == L:
+                for u in range(n):
+                    k = base_gen[u]
+                    if k is not None:
+                        cols[u][m] = {r: int(v) for r, v in enumerate(S.action[k][:, m]) if v}
+                continue
+            ycol, m1 = cols[letters[y]], m - strides[y]
+            for u in range(n):
+                i = position[u]
+                if i is not None and i <= y:
+                    continue
+                acc = {}
+                sg = sign[u][y]
+                for m2, c in cols[u][m1].items():
+                    axpy(acc, mul(sg, c), ycol[m2])
+                for l, c in bracket[u][y]:
+                    axpy(acc, c, cols[l][m1])
+                cols[u][m] = acc
 
     # back to the original generators: x_i = sum_a Pinv[i, a] x'_a, applied
-    # to the triples; entries that meet at one position are summed in GF(q)
+    # entry by entry; entries that meet at one position are summed in GF(q)
+    gen, pos, val = [], [], []
+    for u, cu in enumerate(cols):
+        for m, col in cu.items():
+            for r, v in col.items():
+                gen.append(u)
+                pos.append(r * dim + m)
+                val.append(v)
+    gen, pos, val = (np.array(a, dtype=np.int64) for a in (gen, pos, val))
     Pinv = inv_matrix(f, P)
-    T = np.array(triples, dtype=np.int64).reshape(-1, 5)
-    gen, pos = T[:, 0], T[:, 1] * dim + T[:, 2]
-    val = f.mul_arr(T[:, 3], T[:, 4])
     # one empty part, so that the zero algebra (n = 0) concatenates too
     keys, vals = [pos[:0]], [val[:0]]
     for i in range(n):
@@ -477,7 +518,6 @@ def induce(
     action = np.zeros((n, dim, dim), dtype=np.int64)
     action.reshape(-1)[flat] = f.sum_at(where, np.concatenate(vals), flat.size)
 
-    _, gamma, b = induced.exponents()
     parities = (gamma.sum(axis=1) + S.parities[b]) % 2
 
     induced.module = SuperModule(alg=g, chi=chi, parities=parities, action=action)

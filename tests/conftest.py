@@ -450,3 +450,74 @@ def random_solvable_stream(borel_gl21):
         yield from drawn[:want]
 
     return stream
+
+
+def reference_induce(g, chi, h, S):
+    """The induction by word straightening: every word u * e^alpha f^gamma
+    is straightened with the cobasis generators ordered first, each normal
+    word e^alpha' f^gamma' * (h-word) is placed by its cobasis exponents and
+    the h-word's matrix on S, and the action is assembled from (generator,
+    row, column, value) triples.  A reference for `env.induce`; returns the
+    module."""
+    from itertools import product
+
+    from superkw.chargeom import chi_value
+    from superkw.env import InducedModule, ReducedAlgebra
+    from superkw.gflin import inv_matrix
+    from superkw.lsa import change_basis
+    from superkw.modules import SuperModule
+
+    f = g.field
+    s, n = g.s_even, g.n
+    comp = h.space.complement_columns()
+    ce = [c for c in comp if c < s]
+    co = [c for c in comp if c >= s]
+    c0, c1 = len(ce), len(co)
+    dim = f.p**c0 * 2**c1 * S.dim
+    unit = np.eye(n, dtype=np.int64)
+    P = np.vstack([unit[ce], h.space.even_rows(), unit[co], h.space.odd_rows()]).reshape(n, n)
+    g2 = change_basis(g, P)
+    # straightening priority: even cobasis, odd cobasis, then h generators
+    order = np.r_[0:c0, s : s + c1, c0:s, s + c1 : n]
+    A = ReducedAlgebra(g2, chi_value(g, chi, P[:s]), order_key=np.argsort(order).tolist())
+    layout = InducedModule(module=None, h=h, base=S, even_cobasis=P[:c0], odd_cobasis=P[s : s + c1])
+
+    def h_matrix(word):
+        mat = f.eye(S.dim)
+        for gi in word:
+            # h generator index in g2 -> the base module's generator index
+            k = gi - c0 if gi < s else (s - c0) + (gi - s - c1)
+            mat = f.matmul(mat, S.action[k])
+        return mat
+
+    def place(w):
+        cut = next((i for i, gi in enumerate(w) if not (gi < c0 or s <= gi < s + c1)), len(w))
+        alpha, gamma = [0] * c0, [0] * c1
+        for gi in w[:cut]:
+            if gi < c0:
+                alpha[gi] += 1
+            else:
+                gamma[gi - s] += 1
+        return layout.index(alpha, gamma, 0), h_matrix(w[cut:])
+
+    triples = []
+    for alpha in product(range(f.p), repeat=c0):
+        for gamma in product(range(2), repeat=c1):
+            tail = tuple(i for i, a in enumerate(alpha) for _ in range(a))
+            tail += tuple(s + j for j, cb in enumerate(gamma) if cb)
+            col0 = layout.index(alpha, gamma, 0)
+            for u in range(n):
+                for w, c in A.straighten({(u,) + tail: 1}).items():
+                    row0, mat = place(w)
+                    for r, cc in zip(*np.nonzero(mat)):
+                        triples.append((u, row0 + r, col0 + cc, f.mul(c, int(mat[r, cc]))))
+    # back to the original generators: x_i = sum_a Pinv[i, a] x'_a
+    Pinv = inv_matrix(f, P)
+    action = np.zeros((n, dim, dim), dtype=np.int64)
+    for u, r, c, v in triples:
+        for i in range(n):
+            if Pinv[i, u]:
+                action[i, r, c] = f.add(int(action[i, r, c]), f.mul(int(Pinv[i, u]), v))
+    _, gamma, b = layout.exponents()
+    parities = (gamma.sum(axis=1) + S.parities[b]) % 2
+    return SuperModule(alg=g, chi=np.asarray(chi, dtype=np.int64), parities=parities, action=action)

@@ -638,6 +638,36 @@ def test_degree_reduction_odd_cobasis():
     assert degree_reduction_check(g, chi, ind, I) == (True, 4)
 
 
+def test_degree_reduction_two_even_cobasis_letters():
+    # (5|0): [x1,y1] = [x2,y2] = z, zero p-map, chi(z) = 1.  I = span(z, y1,
+    # y2) is its own stabilizer, so c0 = 2: both even letters reach the
+    # p-th-power rule, and y1, y2 commute past them with the bracket term z
+    z = vec(1, 0, 0, 0, 0)
+    g = pair_algebra(F3, ["z", "x1", "y1", "x2", "y2"], [0, 0, 0, 0, 0],
+                     [(1, 2, z), (3, 4, z)], np.zeros((5, 5), dtype=np.int64))
+    chi = vec(1, 0, 0, 0, 0)
+    I = Subspace.from_vectors(F3, 5, 5, [z, vec(0, 0, 1, 0, 0), vec(0, 0, 0, 0, 1)])
+    ind = _induced_from_ideal(g, chi, I)
+    assert (ind.c0, ind.c1, ind.module.dim) == (2, 0, 9)
+    assert validate_module(ind.module) == []
+    assert degree_reduction_check(g, chi, ind, I) == (True, 12)
+
+
+def test_degree_reduction_mixed_cobasis():
+    # (3|2): [x,y] = z, [u,v] = z with u, v odd, zero p-map, chi(z) = 1.
+    # I = span(z, y, v) is its own stabilizer, so the cobasis is one even x
+    # and one odd u: an h generator commutes past both kinds of letter
+    z = vec(1, 0, 0, 0, 0)
+    g = pair_algebra(F3, ["z", "x", "y", "u", "v"], [0, 0, 0, 1, 1],
+                     [(1, 2, z), (3, 4, z)], np.zeros((3, 5), dtype=np.int64))
+    chi = vec(1, 0, 0)
+    I = Subspace.from_vectors(F3, 3, 5, [z, vec(0, 0, 1, 0, 0), vec(0, 0, 0, 0, 1)])
+    ind = _induced_from_ideal(g, chi, I)
+    assert (ind.c0, ind.c1, ind.module.dim) == (1, 1, 6)
+    assert validate_module(ind.module) == []
+    assert degree_reduction_check(g, chi, ind, I) == (True, 5)
+
+
 def test_induced_exponents_match_index(solv2_p5, gl11):
     # the exponent arrays and the strides describe the same layout as index
     ind = _induced_from_ideal(solv2_p5.algebra, vec(0, 1),
