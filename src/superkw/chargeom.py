@@ -3,6 +3,13 @@ centralizers, isotropy data, the maximal-dimension invariant of the algebra,
 degraded-subalgebra predicates, and the polarization construction for
 completely solvable inputs.
 
+The Gram matrix of a character is block diagonal (chi vanishes on odd
+brackets), with an alternating even block and a symmetric odd block, so each
+character costs one kernel per block: the block ranks are the block sizes
+less the kernel dimensions, and the centralizer is the two kernels side by
+side.  `characters` is the one enumeration of the character space, shared by
+the maximal-dimension scan and the report's oracle scan.
+
 Floor/ceiling convention: everything here uses the standard meaning.  With
 b0 = rank of the even Gram block and b1 = rank of the odd block, the
 dimension target attached to a character is p^(b0/2) * 2^ceil(b1/2), and the
@@ -17,7 +24,7 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .gflin import Field, nullspace, rank
+from .gflin import Field, nullspace
 from .lsa import (
     LieSuperAlgebra,
     LsaError,
@@ -99,14 +106,18 @@ def chi_geometry(g: LieSuperAlgebra, chi) -> CharacterGeometry:
         raise CounterexampleError("even Gram block is not alternating")
     if not np.array_equal(odd_block, odd_block.T):
         raise CounterexampleError("odd Gram block is not symmetric")
-    zc = Subspace(f, s, n, nullspace(f, G.T))
-    b0 = rank(f, even_block)
-    b1 = rank(f, odd_block)
+    # G is block diagonal and G^T = G up to the sign of the even block, so
+    # ker G^T = ker G = ker(even block) + ker(odd block)
+    k0 = nullspace(f, even_block)
+    k1 = nullspace(f, odd_block)
+    z0, z1 = len(k0), len(k1)
+    b0, b1 = s - z0, t - z1
     if b0 % 2 != 0:
         raise CounterexampleError(f"even block rank {b0} is odd")
-    if zc.dim != n - b0 - b1:
-        raise CounterexampleError("centralizer dimension disagrees with block ranks")
-    z0, z1 = zc.superdim
+    kernel = np.zeros((z0 + z1, n), dtype=np.int64)
+    kernel[:z0, :s] = k0
+    kernel[z0:, s:] = k1
+    zc = Subspace(f, s, n, kernel)
     d = SuperDim((s + z0) // 2, (t + z1) // 2)
     i = SuperDim(b0 // 2, (b1 + 1) // 2)
     assert d.even + i.even == s and d.odd + i.odd == t
@@ -151,15 +162,17 @@ class MaxDimReport:
         return p**self.value_exponents.even * 2**self.value_exponents.odd
 
 
-def _iter_exhaustive(q: int, s: int):
-    for tup in product(range(q), repeat=s):
-        yield np.array(tup, dtype=np.int64)
-
-
-def _iter_random(field: Field, s: int, samples: int, seed: int):
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        yield field.rand(rng, s)
+def characters(field: Field, s: int, exhaustive: bool, samples: int = 0, seed: int = 0):
+    """The characters of an algebra with s even basis elements, in scan
+    order: all q^s of them in lexicographic order, or `samples` draws from a
+    generator seeded with `seed`.  Each one is a fresh array."""
+    if exhaustive:
+        for tup in product(range(field.q), repeat=s):
+            yield np.array(tup, dtype=np.int64)
+    else:
+        rng = np.random.default_rng(seed)
+        for _ in range(samples):
+            yield field.rand(rng, s)
 
 
 def max_exponents(
@@ -176,61 +189,41 @@ def max_exponents(
     block ranks are ranks of matrices linear in the character, random
     sampling finds the generic (maximal) ranks with high probability once q
     is not tiny; the report records the sample count so the caller can judge.
+
+    One pass keeps the first character of each pair of block ranks (b0, b1).
+    The (m|n) pair of a character is a function of (b0, b1), so the witness
+    of each maximizing pair and the simultaneous witness of (b0_max, b1_max)
+    are both read off these first characters, in scan order.
     """
     f, p, s = g.field, g.field.p, g.s_even
-    if strategy == "exhaustive":
-        total = f.q**s
-        if total > budget:
-            raise BudgetExceeded(
-                f"exhaustive scan needs {total} characters, budget is {budget}")
-        it = _iter_exhaustive(f.q, s)
-        exhaustive = True
-    elif strategy == "random":
-        it = _iter_random(f, s, samples, seed)
-        exhaustive = False
-    else:
+    if strategy not in ("exhaustive", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    exhaustive = strategy == "exhaustive"
+    if exhaustive and f.q**s > budget:
+        raise BudgetExceeded(
+            f"exhaustive scan needs {f.q**s} characters, budget is {budget}")
 
-    best = -1
-    pairs: List[SuperDim] = []
-    witnesses: List[np.ndarray] = []
-    b0_max = b1_max = 0
-    simultaneous = None
+    # (b0, b1) -> geometry of its first character; dicts keep scan order
+    first = {}
     scanned = 0
-    for chi in it:
+    for chi in characters(f, s, exhaustive, samples, seed):
         geo = chi_geometry(g, chi)
+        first.setdefault((geo.even_rank, geo.odd_rank), geo)
         scanned += 1
-        val = geo.value(p)
-        if val > best:
-            best = val
-            pairs = [geo.exp_pair]
-            witnesses = [chi.copy()]
-        elif val == best and geo.exp_pair not in pairs:
-            pairs.append(geo.exp_pair)
-            witnesses.append(chi.copy())
-        b0_max = max(b0_max, geo.even_rank)
-        b1_max = max(b1_max, geo.odd_rank)
     if not scanned:
         raise ValueError("the scan covered no character")
-    # second pass for a simultaneous maximizer of both ranks (cheap: ranks
-    # were already maximal on the same grid)
-    if exhaustive:
-        for chi in _iter_exhaustive(f.q, s):
-            geo = chi_geometry(g, chi)
-            if geo.even_rank == b0_max and geo.odd_rank == b1_max:
-                simultaneous = chi.copy()
-                break
-    else:
-        for chi in _iter_random(f, s, samples, seed):
-            geo = chi_geometry(g, chi)
-            if geo.even_rank == b0_max and geo.odd_rank == b1_max:
-                simultaneous = chi.copy()
-                break
-    order = sorted(range(len(pairs)), key=lambda i: tuple(pairs[i]))
-    pairs = [pairs[i] for i in order]
-    witnesses = [witnesses[i] for i in order]
+    best = max(geo.value(p) for geo in first.values())
+    witness = {}
+    for geo in first.values():
+        if geo.value(p) == best:
+            witness.setdefault(geo.exp_pair, geo.chi)
+    pairs = sorted(witness)
+    b0_max = max(b0 for b0, _ in first)
+    b1_max = max(b1 for _, b1 in first)
+    both = first.get((b0_max, b1_max))
     return MaxDimReport(
-        pairs, witnesses, pairs[0], exhaustive, scanned, b0_max, b1_max, simultaneous
+        pairs, [witness[pr] for pr in pairs], pairs[0], exhaustive, scanned,
+        b0_max, b1_max, None if both is None else both.chi,
     )
 
 

@@ -296,16 +296,6 @@ class Field:
 
     def pow_arr(self, a, e: int):
         a = np.asarray(a, dtype=np.int64)
-        if self.k == 1:
-            # elementwise modular pow; p is tiny so this stays exact
-            r = np.ones_like(a)
-            base = a % self.p
-            while e:
-                if e & 1:
-                    r = (r * base) % self.p
-                base = (base * base) % self.p
-                e >>= 1
-            return r
         r = np.ones_like(a)
         base = a
         while e:
@@ -529,14 +519,12 @@ def rank(f: Field, m: np.ndarray) -> int:
 def nullspace(f: Field, m: np.ndarray) -> np.ndarray:
     """Rows form a basis of the right kernel {x : m x = 0}."""
     m = np.asarray(m, dtype=np.int64)
-    rows, cols = m.shape
+    cols = m.shape[1]
     r, pivots = rref(f, m)
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, c in enumerate(free):
-        basis[i, c] = 1
-        for j, pc in enumerate(pivots):
-            basis[i, pc] = f.neg(int(r[j, c]))
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = f.neg_arr(r[: len(pivots), free].T)
     return basis
 
 

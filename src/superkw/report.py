@@ -22,6 +22,7 @@ import numpy as np
 from .chargeom import (
     BudgetExceeded,
     SuperDim,
+    characters,
     check_chi,
     chi_geometry,
     max_exponents,
@@ -42,6 +43,9 @@ REPORT_HEADER = "superkw-report v1"
 # in it changes; part of every cache key, so a cache written under another
 # version is recomputed instead of served
 CACHE_SCHEMA = 4
+# the oracle scans every character when there are at most this many, and
+# seeded samples otherwise
+EXHAUSTIVE_CAP = 100
 
 
 def tagged(value, provenance: str) -> Dict:
@@ -245,33 +249,16 @@ def mdim_fragment(g: LieSuperAlgebra, strategy, budget, seed, samples) -> dict:
     }
 
 
-def _chi_scan_set(g, mdim_frag, strategy, samples, seed, exhaustive_cap=100):
-    """Characters fed to the oracle: the zero character, every maximizer
-    witness, and either the full space (when small) or seeded samples."""
+def _chi_scan_set(g, mdim_frag, strategy, samples, seed):
+    """Characters fed to the oracle, sorted and without repeats: the zero
+    character, every maximizer witness, and either the full space (when
+    small) or seeded samples."""
     f = g.field
     s = g.s_even
-    chis = [np.zeros(s, dtype=np.int64)]
-    for w in mdim_frag["witnesses"]:
-        chis.append(np.array(w, dtype=np.int64))
-    total = f.q**s
-    exhaustive = strategy == "exhaustive" and total <= exhaustive_cap
-    if exhaustive:
-        from itertools import product
-
-        chis = [np.array(t, dtype=np.int64) for t in product(range(f.q), repeat=s)]
-    else:
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            chis.append(f.rand(rng, s))
-    seen = set()
-    out = []
-    for chi in chis:
-        key = tuple(int(c) for c in chi)
-        if key not in seen:
-            seen.add(key)
-            out.append(chi)
-    out.sort(key=lambda c: tuple(int(x) for x in c))
-    return out, exhaustive
+    exhaustive = strategy == "exhaustive" and f.q**s <= EXHAUSTIVE_CAP
+    keys = {(0,) * s, *map(tuple, mdim_frag["witnesses"])}
+    keys.update(tuple(map(int, chi)) for chi in characters(f, s, exhaustive, samples, seed))
+    return [np.array(k, dtype=np.int64) for k in sorted(keys)], exhaustive
 
 
 def conjecture_report(

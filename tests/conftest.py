@@ -521,3 +521,77 @@ def reference_induce(g, chi, h, S):
     _, gamma, b = layout.exponents()
     parities = (gamma.sum(axis=1) + S.parities[b]) % 2
     return SuperModule(alg=g, chi=np.asarray(chi, dtype=np.int64), parities=parities, action=action)
+
+
+def reference_chi_geometry(g, chi):
+    """The geometry from the whole Gram matrix: one kernel of G^T for the
+    centralizer and a rank per block.  A reference for
+    `chargeom.chi_geometry`."""
+    from superkw.chargeom import CharacterGeometry, SuperDim, check_chi, gram_matrix
+    from superkw.gflin import rank
+    from superkw.lsa import Subspace
+
+    f = g.field
+    chi = check_chi(g, chi)
+    s, t, n = g.s_even, g.t_odd, g.n
+    G = gram_matrix(g, chi)
+    assert not np.any(G[:s, s:]) and not np.any(G[s:, :s])
+    even_block, odd_block = G[:s, :s], G[s:, s:]
+    zc = Subspace(f, s, n, nullspace(f, G.T))
+    b0 = rank(f, even_block)
+    b1 = rank(f, odd_block)
+    assert b0 % 2 == 0 and zc.dim == n - b0 - b1
+    z0, z1 = zc.superdim
+    d = SuperDim((s + z0) // 2, (t + z1) // 2)
+    i = SuperDim(b0 // 2, (b1 + 1) // 2)
+    return CharacterGeometry(chi, even_block, odd_block, zc, b0, b1, d, i)
+
+
+def reference_max_exponents(g, strategy="exhaustive", seed=0, samples=200):
+    """The scan in two passes: the first finds the maximizing pairs, their
+    witnesses and the largest block ranks, the second the first character
+    attaining both largest ranks.  A reference for `chargeom.max_exponents`
+    (no budget)."""
+    from itertools import product
+
+    from superkw.chargeom import MaxDimReport
+
+    f, p, s = g.field, g.field.p, g.s_even
+
+    def scan():
+        if strategy == "exhaustive":
+            for tup in product(range(f.q), repeat=s):
+                yield np.array(tup, dtype=np.int64)
+        else:
+            rng = np.random.default_rng(seed)
+            for _ in range(samples):
+                yield f.rand(rng, s)
+
+    best = -1
+    pairs, witnesses = [], []
+    b0_max = b1_max = 0
+    scanned = 0
+    for chi in scan():
+        geo = reference_chi_geometry(g, chi)
+        scanned += 1
+        val = geo.value(p)
+        if val > best:
+            best = val
+            pairs = [geo.exp_pair]
+            witnesses = [chi.copy()]
+        elif val == best and geo.exp_pair not in pairs:
+            pairs.append(geo.exp_pair)
+            witnesses.append(chi.copy())
+        b0_max = max(b0_max, geo.even_rank)
+        b1_max = max(b1_max, geo.odd_rank)
+    simultaneous = None
+    for chi in scan():
+        geo = reference_chi_geometry(g, chi)
+        if geo.even_rank == b0_max and geo.odd_rank == b1_max:
+            simultaneous = chi.copy()
+            break
+    order = sorted(range(len(pairs)), key=lambda i: tuple(pairs[i]))
+    pairs = [pairs[i] for i in order]
+    witnesses = [witnesses[i] for i in order]
+    return MaxDimReport(pairs, witnesses, pairs[0], strategy == "exhaustive", scanned,
+                        b0_max, b1_max, simultaneous)

@@ -429,3 +429,29 @@ def test_matmul_batched_matches_slices(case):
                     for i in range(batch)])
     assert got.shape == np.matmul(a, b).shape
     assert np.array_equal(got, ref)
+
+
+def test_nullspace_matches_loop_form():
+    # ones at the free columns, the negated pivot-row entries at the pivots
+    rng = np.random.default_rng(12)
+    for F in (F3, F5, F9):
+        for _ in range(20):
+            m = F.rand(rng, (int(rng.integers(0, 5)), int(rng.integers(0, 6))))
+            m[:, rng.random(m.shape[1]) < 0.3] = 0
+            r, pivots = rref(F, m)
+            free = [c for c in range(m.shape[1]) if c not in pivots]
+            want = np.zeros((len(free), m.shape[1]), dtype=np.int64)
+            for i, c in enumerate(free):
+                want[i, c] = 1
+                for j, pc in enumerate(pivots):
+                    want[i, pc] = F.neg(int(r[j, c]))
+            assert np.array_equal(nullspace(F, m), want)
+
+
+def test_pow_arr_matches_repeated_product():
+    for F in (F3, F5, Field(7), Field(13), F9):
+        a = np.arange(F.q, dtype=np.int64)
+        want = np.ones_like(a)
+        for e in range(40):
+            assert np.array_equal(F.pow_arr(a, e), want)
+            want = F.mul_arr(want, a)
