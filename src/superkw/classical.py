@@ -30,7 +30,7 @@ from .lsa import (
     scalar_extensions,
 )
 from .modules import composition_factors, is_graded_irreducible, validate_module
-from .solvable import solve_weight_equations
+from .solvable import p_compatibility, solve_weight_equations
 
 
 class CatalogError(ValueError):
@@ -286,10 +286,8 @@ def is_weight_admissible(g, tri, chi, lam) -> bool:
     """lam(h)^p - lam(h^[p]) = chi(h)^p on every Cartan basis row h."""
     sub = _cartan_sub(g, tri)
     chi_h = restrict_chi(chi, sub)
-    f = g.field
-    lam = np.asarray(lam, dtype=np.int64)
-    lhs = f.sub_arr(f.pow_arr(lam, f.p), chi_value(sub.alg, lam, sub.alg.pmap))
-    return bool(np.array_equal(lhs, f.pow_arr(chi_h, f.p)))
+    lhs = p_compatibility(sub.alg, lam)
+    return bool(np.array_equal(lhs, g.field.pow_arr(chi_h, g.field.p)))
 
 
 def baby_verma(
@@ -356,7 +354,6 @@ def zhao_check(
     seed: int = 0,
     budget: int = 4000,
     ext_cap: int = 4,
-    with_oracle: bool = True,
 ) -> ZhaoCheckReport:
     """Desk check: at a regular semisimple character every baby Verma module
     is graded-irreducible, and no irreducible module exceeds its dimension."""
@@ -382,7 +379,7 @@ def zhao_check(
             all_irr = False
     max_factor = None
     lemma_ok = None
-    if with_oracle and dims:
+    if dims:
         rep = composition_factors(
             regular_module(ReducedAlgebra(gx, chix), budget=budget).module, seed
         )

@@ -45,6 +45,16 @@ def _load(path: str):
         raise SystemExit(EXIT_INPUT)
 
 
+def _load_valid(args):
+    """The parsed args.file; a violated axiom of its algebra exits 1."""
+    af = _load(args.file)
+    bad = af.algebra.validate(seed=args.seed)
+    if bad:
+        print(f"INVALID input algebra: {bad[0]}", file=sys.stderr)
+        raise SystemExit(EXIT_VIOLATION)
+    return af
+
+
 def _parse_chi(text: str, expected: int, q: int) -> np.ndarray:
     try:
         vals = [int(v) for v in text.split(",")]
@@ -94,17 +104,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_mdim(args) -> int:
-    af = _load(args.file)
-    g = af.algebra
-    bad = g.validate(seed=args.seed)
-    if bad:
-        print(f"INVALID input algebra: {bad[0]}", file=sys.stderr)
-        return EXIT_VIOLATION
-    try:
-        frag = mdim_fragment(g, args.strategy, args.budget, args.seed, args.samples)
-    except BudgetExceeded as exc:
-        print(f"budget: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    g = _load_valid(args).algebra
+    frag = mdim_fragment(g, args.strategy, args.budget, args.seed, args.samples)
     p = g.field.p
     lines = []
     for (m, n), w in zip(frag["pairs"], frag["witnesses"]):
@@ -127,28 +128,20 @@ def cmd_mdim(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    af = _load(args.file)
-    bad = af.algebra.validate(seed=args.seed)
-    if bad:
-        print(f"INVALID input algebra: {bad[0]}", file=sys.stderr)
-        return EXIT_VIOLATION
+    af = _load_valid(args)
     try:
         cache = OracleCache(args.cache) if args.cache else None
     except CacheError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        doc = conjecture_report(
-            af,
-            seed=args.seed,
-            budget=args.budget,
-            strategy=args.strategy,
-            samples=args.samples,
-            cache=cache,
-        )
-    except BudgetExceeded as exc:
-        print(f"budget: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    doc = conjecture_report(
+        af,
+        seed=args.seed,
+        budget=args.budget,
+        strategy=args.strategy,
+        samples=args.samples,
+        cache=cache,
+    )
     if cache is not None:
         cache.save()
     _emit(render_report(doc), args.report)
@@ -156,20 +149,12 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_solvable_irr(args) -> int:
-    af = _load(args.file)
-    g = af.algebra
-    bad = g.validate(seed=args.seed)
-    if bad:
-        print(f"INVALID input algebra: {bad[0]}", file=sys.stderr)
-        return EXIT_VIOLATION
+    g = _load_valid(args).algebra
     chi = _parse_chi(args.chi, g.s_even, g.field.q)
     try:
         M, trace = construct_irreducible(
             g, chi, seed=args.seed, ext_cap=args.ext_cap, budget=args.budget
         )
-    except BudgetExceeded as exc:
-        print(f"budget: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except (ConstructionFailure, LsaError) as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
@@ -203,9 +188,6 @@ def cmd_baby_verma(args) -> int:
     lam = _parse_chi(args.lam, tri.cartan.dim, g.field.q)
     try:
         ind = baby_verma(g, tri, chi, lam, budget=args.budget)
-    except BudgetExceeded as exc:
-        print(f"budget: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except LsaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -325,7 +307,7 @@ def main(argv=None) -> int:
     except NeedsFieldExtension as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except MeataxeFailure as exc:
+    except (BudgetExceeded, MeataxeFailure) as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -58,38 +58,16 @@ def _is_prime(n: int) -> bool:
 
 
 def is_irreducible(coeffs: Iterable[int], p: int) -> bool:
-    """Monic polynomial irreducibility over GF(p), little-endian coeffs
-    (Rabin's test)."""
+    """Monic polynomial irreducibility over GF(p), little-endian coeffs: m
+    is irreducible when its smallest irreducible factors have degree deg m."""
     m = list(coeffs)
     k = poly_deg(m)
     if k < 1 or m[k] != 1:
         return False
     if k == 1:
         return True
-    if m[0] == 0:
-        return False
     # built only now: Field(p) checks its own modulus x + 1 through here
-    prime = Field(p)
-    x = [0, 1]
-    if powmod(prime, x, p**k, m) != x:
-        return False
-    n, primes = k, []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.append(n)
-    for r in primes:
-        g = powmod(prime, x, p ** (k // r), m)
-        g = g + [0] * (2 - len(g))
-        g[1] = prime.sub(g[1], 1)
-        if poly_deg(poly_gcd(prime, m, g)) != 0:
-            return False
-    return True
+    return next(distinct_degree_factors(Field(p), m))[0] == k
 
 
 @lru_cache(maxsize=None)
@@ -97,21 +75,15 @@ def smallest_irreducible(p: int, k: int) -> tuple:
     """Lex-smallest monic irreducible of degree k over GF(p)."""
     if (p, k) in DEFAULT_MODULI:
         return DEFAULT_MODULI[(p, k)]
-    # lexicographic odometer over the lower coefficients, constant term
-    # slowest, starting at constant term 1 (a zero constant term makes x a
-    # factor); degree 1 stops at once with x + 1.  Nothing of size p is built.
-    tail = [1] + [0] * (k - 1)
-    while True:
-        f = tuple(tail) + (1,)
+    # lexicographic over the lower coefficients, constant term slowest, from
+    # constant term 1 (a zero constant term makes x a factor): the base-p
+    # digits of n, most significant first.  A range is lazy, where
+    # itertools.product would build a tuple of each of its ranges
+    for n in range(p ** (k - 1), p**k):
+        f = tuple(n // p ** (k - 1 - i) % p for i in range(k)) + (1,)
         if is_irreducible(f, p):
             return f
-        i = k - 1
-        while i >= 0 and tail[i] == p - 1:
-            tail[i] = 0
-            i -= 1
-        if i < 0:
-            raise FieldError(f"no irreducible of degree {k} over GF({p})")
-        tail[i] += 1
+    raise FieldError(f"no irreducible of degree {k} over GF({p})")
 
 
 class Field:
@@ -146,18 +118,12 @@ class Field:
         if k > 1:
             # row i: x^(k+i) mod modulus, as a k-vector; products of two
             # degree-<k polynomials need degrees up to 2k-2
-            red = np.zeros((k - 1, k), dtype=np.int64)
-            cur = [(-c) % p for c in self.modulus[:k]]
-            red[0] = cur
-            for i in range(1, k - 1):
-                nxt = [0] + cur[:-1]
-                top = cur[-1]
-                if top:
-                    for j in range(k):
-                        nxt[j] = (nxt[j] + top * red[0][j]) % p
-                red[i] = nxt
-                cur = nxt
-            self._red = red
+            prime = Field(p)
+            self._red = np.array(
+                [(poly_mod(prime, [0] * (k + i) + [1], self.modulus) + [0] * k)[:k]
+                 for i in range(k - 1)],
+                dtype=np.int64,
+            )
             if self.q <= 1024:
                 codes = np.arange(self.q, dtype=np.int64)
                 a, b = np.meshgrid(codes, codes, indexing="ij")
@@ -409,7 +375,9 @@ class Field:
 
 # ---------------------------------------------------------------------------
 # polynomials over GF(q): little-endian lists of codes, trimmed of trailing
-# zeros (the zero polynomial is [])
+# zeros (the zero polynomial is []), and their factoring: distinct-degree,
+# then Cantor-Zassenhaus equal-degree splitting (von zur Gathen & Gerhard,
+# Modern Computer Algebra, ch. 14)
 
 def poly_deg(a) -> int:
     d = len(a) - 1
@@ -474,6 +442,75 @@ def powmod(f: Field, a, e: int, m) -> list:
         base = poly_mod(f, poly_mul(f, base, base), m)
         e >>= 1
     return acc
+
+
+def distinct_degree_factors(f: Field, m):
+    """(d, product of the distinct degree-d irreducible factors of m) for
+    each d that has such factors, lazily and by increasing d; m monic."""
+    rem = poly_trim(m)
+    xqd = [0, 1]  # x^(q^d) mod rem
+    d = 0
+    while poly_deg(rem) > 0:
+        d += 1
+        if 2 * d > poly_deg(rem):
+            # every factor of rem has degree >= d, so there is only one
+            yield poly_deg(rem), rem
+            return
+        xqd = powmod(f, xqd, f.q, rem)
+        g = xqd + [0] * (2 - len(xqd))
+        g[1] = f.sub(g[1], 1)
+        g = poly_gcd(f, rem, g)  # the factors of degree d, once each
+        if poly_deg(g) <= 0:
+            continue
+        yield d, g
+        while poly_deg(g) > 0:
+            rem = poly_divmod(f, rem, g)[0]
+            g = poly_gcd(f, rem, g)
+        xqd = poly_mod(f, xqd, rem)
+
+
+def _equal_degree_split(f: Field, m, d: int, rng) -> Optional[list]:
+    """Proper monic divisor of m, all of whose irreducible factors have
+    degree d and at least two are distinct (Cantor-Zassenhaus, odd q)."""
+    dm = poly_deg(m)
+    e = (f.q**d - 1) // 2
+    for _ in range(80):
+        u = poly_trim([int(f.rand(rng)) for _ in range(dm)])
+        if poly_deg(u) < 1:
+            continue
+        g = poly_gcd(f, m, u)
+        if 0 < poly_deg(g) < dm:
+            return g
+        # gcd(u^e - 1, m)
+        acc = powmod(f, u, e, m)
+        if acc:
+            acc[0] = f.sub(acc[0], 1)
+        else:
+            acc = [f.neg(1)]
+        g = poly_gcd(f, m, acc)
+        if 0 < poly_deg(g) < dm:
+            return g
+    return None
+
+
+def _equal_degree_factors(f: Field, g, d: int, rng):
+    """The irreducible factors of a squarefree monic g whose irreducible
+    factors all have degree d."""
+    if poly_deg(g) == d:
+        yield g
+        return
+    h = _equal_degree_split(f, g, d, rng)
+    if h is None:
+        return
+    yield from _equal_degree_factors(f, h, d, rng)
+    yield from _equal_degree_factors(f, poly_divmod(f, g, h)[0], d, rng)
+
+
+def irreducible_factors(f: Field, m, rng):
+    """The distinct monic irreducible factors of a monic m, lazily and by
+    increasing degree."""
+    for d, g in distinct_degree_factors(f, m):
+        yield from _equal_degree_factors(f, g, d, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -659,32 +696,17 @@ def find_embedding(small: Field, big: Field) -> np.ndarray:
     if small.p != big.p or big.k % small.k != 0:
         raise FieldError(f"no embedding {small} -> {big}")
     if small.k == 1:
-        table = np.zeros(small.q, dtype=np.int64)
-        for a in range(small.p):
-            acc = 0
-            for _ in range(a):
-                acc = big.add(acc, 1)
-            table[a] = acc
-        return table
-    root = None
-    for cand in range(big.q):
-        acc = 0
+        return np.arange(small.p, dtype=np.int64)
+    # the small modulus at the codes of the big field by Horner's rule, up to
+    # the first block with a root; a block is the codes with one top digit,
+    # so the work arrays hold a p-th of the field, not all of it
+    for block in np.arange(big.q, dtype=np.int64).reshape(big.p, -1):
+        vals = np.zeros_like(block)
         for c in reversed(small.modulus):
-            acc = big.add(big.mul(acc, cand), c % big.p)
-        if acc == 0:
-            root = cand
+            vals = big.add_arr(big.mul_arr(vals, block), c)
+        roots = block[vals == 0]
+        if roots.size:
             break
-    if root is None:
-        raise FieldError(f"modulus of {small} has no root in {big}")
-    powers = [1]
-    for _ in range(1, small.k):
-        powers.append(big.mul(powers[-1], root))
-    table = np.zeros(small.q, dtype=np.int64)
-    for a in range(small.q):
-        acc = 0
-        for i, c in enumerate(small.coords(a)):
-            term = big.mul(int(c), powers[i])
-            acc = big.add(acc, term)
-        table[a] = acc
-    return table
-
+    root = int(roots[0])
+    root_powers = np.array([big.pow(root, i) for i in range(small.k)], dtype=np.int64)
+    return big.matmul(small.digits(np.arange(small.q)), root_powers)

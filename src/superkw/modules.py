@@ -25,13 +25,9 @@ from .gflin import (
     Echelon,
     Field,
     inv_matrix,
+    irreducible_factors,
     nullspace,
     poly_deg,
-    poly_divmod,
-    poly_gcd,
-    poly_mod,
-    poly_trim,
-    powmod,
     rank,
     rref,
     solve,
@@ -215,68 +211,6 @@ def _poly_at_matrix(f: Field, coeffs, A: np.ndarray) -> np.ndarray:
     return f.add_arr(acc, f.mul_arr(low[0], eye))
 
 
-def _equal_degree_split(f: Field, m, d: int, rng) -> Optional[list]:
-    """Proper monic divisor of m, all of whose irreducible factors have
-    degree d and at least two are distinct (Cantor-Zassenhaus, odd q)."""
-    dm = poly_deg(m)
-    e = (f.q**d - 1) // 2
-    for _ in range(80):
-        u = poly_trim([int(f.rand(rng)) for _ in range(dm)])
-        if poly_deg(u) < 1:
-            continue
-        g = poly_gcd(f, m, u)
-        if 0 < poly_deg(g) < dm:
-            return g
-        # gcd(u^e - 1, m)
-        acc = powmod(f, u, e, m)
-        if acc:
-            acc[0] = f.sub(acc[0], 1)
-        else:
-            acc = [f.neg(1)]
-        g = poly_gcd(f, m, acc)
-        if 0 < poly_deg(g) < dm:
-            return g
-    return None
-
-
-def _equal_degree_factors(f: Field, g, d: int, rng):
-    """The irreducible factors of a squarefree monic g whose irreducible
-    factors all have degree d."""
-    if poly_deg(g) == d:
-        yield g
-        return
-    h = _equal_degree_split(f, g, d, rng)
-    if h is None:
-        return
-    yield from _equal_degree_factors(f, h, d, rng)
-    yield from _equal_degree_factors(f, poly_divmod(f, g, h)[0], d, rng)
-
-
-def _irreducible_factors(f: Field, m, rng):
-    """The distinct monic irreducible factors of a monic m, lazily and by
-    increasing degree (distinct-degree, then equal-degree splitting)."""
-    rem = poly_trim(m)
-    xqd = [0, 1]  # x^(q^d) mod rem
-    d = 0
-    while poly_deg(rem) > 0:
-        d += 1
-        if 2 * d > poly_deg(rem):
-            # every factor of rem has degree >= d, so there is only one
-            yield rem
-            return
-        xqd = powmod(f, xqd, f.q, rem)
-        g = xqd + [0] * (2 - len(xqd))
-        g[1] = f.sub(g[1], 1)
-        g = poly_gcd(f, rem, g)  # the factors of degree d, once each
-        if poly_deg(g) <= 0:
-            continue
-        yield from _equal_degree_factors(f, g, d, rng)
-        while poly_deg(g) > 0:
-            rem = poly_divmod(f, rem, g)[0]
-            g = poly_gcd(f, rem, g)
-        xqd = poly_mod(f, xqd, rem)
-
-
 # ---------------------------------------------------------------------------
 # graded Meataxe
 
@@ -364,7 +298,7 @@ def _find_singular_even(M: SuperModule, rng):
     recipe = _random_even_recipe(M, rng)
     theta = _even_element(M, recipe)
     best = None
-    for fac in _irreducible_factors(f, _minimal_poly(M, theta, f.rand(rng, dim)), rng):
+    for fac in irreducible_factors(f, _minimal_poly(M, theta, f.rand(rng, dim)), rng):
         a = _poly_at_matrix(f, fac, theta)
         ker = nullspace(f, a)
         if ker.shape[0] == poly_deg(fac):
@@ -464,7 +398,7 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> RowSpace | FactorClass:
             return K
         T, dim_e = K.random_endomorphism(ker, rng)
         mu = _minimal_poly(M, T, K.cert.w)
-        g = next(_irreducible_factors(f, mu, rng), None)
+        g = next(irreducible_factors(f, mu, rng), None)
         if g is None:
             # equal-degree splitting gave up: mu is undecided
             continue

@@ -74,16 +74,22 @@ def i_chi(g: LieSuperAlgebra, I: Subspace, chi) -> Subspace:
     chi = check_chi(g, chi)
     if not is_ideal(g, I):
         raise LsaError("the stabilizer is defined for ideals only")
-    f = g.field
-    if I.dim == 0:
-        return g.full_space()
-    # K[b, i] = chi([e_i, b])
-    K = chi_value(g, chi, g.bracket(f.eye(g.n), I.basis[:, None]))
-    return Subspace(f, g.s_even, g.n, nullspace(f, K))
+    # [e_j, row r] lies in I, so chi([e_j, row r]) is chi's values on the
+    # rows of I taken at its coordinates there
+    return _mu_stabilizer(g, I, chi_value(g, chi, I.basis))
 
 
 # ---------------------------------------------------------------------------
 # weight equations: lambda(x)^p - lambda(x^[p]) = chi(x)^p plus linear pins
+
+
+def p_compatibility(alg: LieSuperAlgebra, lam: np.ndarray) -> np.ndarray:
+    """lam(x_a)^p - lam(x_a^[p]) for each even basis element x_a of a
+    restricted algebra, for a functional lam given by its values on the even
+    basis, or for each of a stack of them.  The map is additive."""
+    f = alg.field
+    lam = np.asarray(lam, dtype=np.int64)
+    return f.sub_arr(f.pow_arr(lam, f.p), f.matmul(lam, alg.pmap[:, : alg.s_even].T))
 
 
 def _weight_solutions(
@@ -115,42 +121,17 @@ def _weight_solutions(
             sols = []
         return len(sols), iter(sols)
 
-    def eval_map(lam: np.ndarray) -> List[int]:
-        out = []
-        for a in range(s):
-            t1 = f.pow(int(lam[a]), p)
-            t2 = 0
-            for j in range(s):
-                cj = int(alg.pmap[a][j])
-                if cj:
-                    t2 = f.add(t2, f.mul(cj, int(lam[j])))
-            out.append(f.sub(t1, t2))
-        for v, _ in pins:
-            acc = 0
-            for j in range(s):
-                cj = int(v[j])
-                if cj:
-                    acc = f.add(acc, f.mul(cj, int(lam[j])))
-            out.append(acc)
-        return out
-
-    rows_per = s + len(pins)
-    cols = s * k
-    M = np.zeros((rows_per * k, cols), dtype=np.int64)
-    for col in range(cols):
-        a, j = divmod(col, k)
-        lam = np.zeros(s, dtype=np.int64)
-        lam[s - 1 - a] = f.from_coords(tuple(1 if t == j else 0 for t in range(k)))
-        vals = eval_map(lam)
-        digits = []
-        for v in vals:
-            digits.extend(f.coords(v))
-        M[:, col] = digits
-    rhs_codes = [f.pow(int(chi_h[a]), p) for a in range(s)] + [val for _, val in pins]
-    b = []
-    for v in rhs_codes:
-        b.extend(f.coords(v))
-    b = np.array(b, dtype=np.int64)
+    # the map and the pins on the stack of unit functionals: unit a*k + j
+    # is x^j (code p^j) at coordinate s - 1 - a, so its row of digits is
+    # column a*k + j of the system
+    cols = np.arange(s * k)
+    units = np.zeros((s * k, s), dtype=np.int64)
+    units[cols, s - 1 - cols // k] = p ** (cols % k)
+    pin_rows = np.array([v for v, _ in pins], dtype=np.int64).reshape(-1, s)
+    pin_vals = np.array([val for _, val in pins], dtype=np.int64)
+    vals = np.hstack([p_compatibility(alg, units), f.matmul(units, pin_rows.T)])
+    M = f.digits(vals).reshape(s * k, -1).T
+    b = f.digits(np.concatenate([f.pow_arr(chi_h, p), pin_vals])).ravel()
 
     prime = Field(p)
     x0 = lin_solve(prime, M, b)

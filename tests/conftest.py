@@ -6,6 +6,88 @@ from superkw.gflin import Echelon, nullspace
 from superkw.lsa import LieSuperAlgebra
 
 
+def reference_find_embedding(small, big):
+    """Code-translation table GF(p^k) -> GF(p^K) by scalar loops: the image
+    of the generator is the smallest code that is a root of the small
+    modulus.  A reference for `gflin.find_embedding`."""
+    if small.k == 1:
+        table = np.zeros(small.q, dtype=np.int64)
+        for a in range(small.p):
+            acc = 0
+            for _ in range(a):
+                acc = big.add(acc, 1)
+            table[a] = acc
+        return table
+    root = None
+    for cand in range(big.q):
+        acc = 0
+        for c in reversed(small.modulus):
+            acc = big.add(big.mul(acc, cand), c % big.p)
+        if acc == 0:
+            root = cand
+            break
+    powers = [1]
+    for _ in range(1, small.k):
+        powers.append(big.mul(powers[-1], root))
+    table = np.zeros(small.q, dtype=np.int64)
+    for a in range(small.q):
+        acc = 0
+        for i, c in enumerate(small.coords(a)):
+            acc = big.add(acc, big.mul(int(c), powers[i]))
+        table[a] = acc
+    return table
+
+
+def reference_reduction_rows(p, modulus):
+    """Row i: x^(k+i) mod the modulus as a k-vector, by the shift-and-subtract
+    recurrence.  A reference for `Field._red`."""
+    k = len(modulus) - 1
+    red = np.zeros((k - 1, k), dtype=np.int64)
+    cur = [(-c) % p for c in modulus[:k]]
+    red[0] = cur
+    for i in range(1, k - 1):
+        nxt = [0] + cur[:-1]
+        top = cur[-1]
+        if top:
+            for j in range(k):
+                nxt[j] = (nxt[j] + top * red[0][j]) % p
+        red[i] = nxt
+        cur = nxt
+    return red
+
+
+def reference_weight_system(alg, chi_h, pins):
+    """The GF(p) system (M, b) of `solvable._weight_solutions`, one unit
+    functional and one scalar field operation at a time: a reference for
+    its array form."""
+    f = alg.field
+    p, k, s = f.p, f.k, alg.s_even
+
+    def eval_map(lam):
+        out = []
+        for a in range(s):
+            t2 = 0
+            for j in range(s):
+                t2 = f.add(t2, f.mul(int(alg.pmap[a][j]), int(lam[j])))
+            out.append(f.sub(f.pow(int(lam[a]), p), t2))
+        for v, _ in pins:
+            acc = 0
+            for j in range(s):
+                acc = f.add(acc, f.mul(int(v[j]), int(lam[j])))
+            out.append(acc)
+        return out
+
+    M = np.zeros(((s + len(pins)) * k, s * k), dtype=np.int64)
+    for col in range(s * k):
+        a, j = divmod(col, k)
+        lam = np.zeros(s, dtype=np.int64)
+        lam[s - 1 - a] = f.from_coords(tuple(1 if t == j else 0 for t in range(k)))
+        M[:, col] = [d for v in eval_map(lam) for d in f.coords(v)]
+    rhs = [f.pow(int(c), p) for c in chi_h] + [val for _, val in pins]
+    b = np.array([d for v in rhs for d in f.coords(v)], dtype=np.int64)
+    return M, b
+
+
 def pair_algebra(field, names, parities, pairs, pmap_rows=None):
     """Small test-algebra builder: pairs are (i, j, coefficient-vector) for
     i <= j; the other triangle is filled by the sign rule."""

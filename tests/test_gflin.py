@@ -7,10 +7,13 @@ from superkw.gflin import (
     FieldError,
     find_embedding,
     inv_matrix,
+    irreducible_factors,
     is_irreducible,
     nullspace,
+    poly_deg,
     poly_divmod,
     poly_gcd,
+    poly_mul,
     powmod,
     rank,
     rref,
@@ -220,10 +223,33 @@ def test_embedding_is_homomorphism():
 def test_modulus_search_is_lex_smallest():
     from itertools import product
 
-    for p, k in [(17, 2), (17, 3), (19, 2), (23, 2)]:
+    from superkw.gflin import DEFAULT_MODULI
+
+    for p, k in [*DEFAULT_MODULI, (17, 2), (17, 3), (19, 2), (23, 2)]:
         ref = next(t + (1,) for t in product(range(p), repeat=k)
                    if t[0] != 0 and is_irreducible(t + (1,), p))
         assert smallest_irreducible(p, k) == ref
+
+
+@pytest.mark.parametrize("small,big", [
+    ((3, 1), (3, 2)), ((3, 1), (3, 4)), ((3, 1), (3, 6)), ((3, 2), (3, 4)),
+    ((3, 2), (3, 6)), ((5, 1), (5, 2)), ((5, 1), (5, 4)), ((5, 2), (5, 4)),
+    ((7, 1), (7, 2)), ((7, 1), (7, 4)), ((7, 2), (7, 4)),
+], ids=lambda pk: f"GF{pk[0]}^{pk[1]}")
+def test_embedding_matches_scalar_reference(small, big):
+    from conftest import reference_find_embedding
+
+    small, big = Field(*small), Field(*big)
+    assert np.array_equal(find_embedding(small, big), reference_find_embedding(small, big))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_reduction_rows_match_recurrence(p, k):
+    from conftest import reference_reduction_rows
+
+    F = Field(p, k)
+    assert np.array_equal(F._red, reference_reduction_rows(p, F.modulus))
 
 
 def test_degree_one_modulus_needs_no_search():
@@ -283,27 +309,65 @@ def _rem_mod_p(a, m, p):
     return [c % p for c in a[:k]]
 
 
-@st.composite
-def monic_over_small_prime(draw):
-    p = draw(st.sampled_from([3, 5, 7]))
-    k = draw(st.integers(1, 4))
-    tail = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
-    return p, tuple(tail) + (1,)
-
-
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(monic_over_small_prime())
-def test_is_irreducible_matches_trial_division(case):
+def test_is_irreducible_matches_trial_division():
     from itertools import product
 
-    p, poly = case
-    k = len(poly) - 1
-    has_factor = any(
-        not any(_rem_mod_p(poly, low + (1,), p))
-        for d in range(1, k // 2 + 1)
-        for low in product(range(p), repeat=d)
-    )
-    assert is_irreducible(poly, p) == (not has_factor)
+    # every monic polynomial of degree 1-4 over GF(3) and GF(5); among them
+    # (x - 1)(x - 2) over GF(5), whose degree-1 part is the whole polynomial,
+    # so only the part's degree, not the part itself, tells it is reducible
+    for p, k in product([3, 5], range(1, 5)):
+        for tail in product(range(p), repeat=k):
+            poly = tail + (1,)
+            has_factor = any(
+                not any(_rem_mod_p(poly, low + (1,), p))
+                for d in range(1, k // 2 + 1)
+                for low in product(range(p), repeat=d)
+            )
+            assert is_irreducible(poly, p) == (not has_factor), (p, poly)
+
+
+def _naive_factors(f, g):
+    """Distinct monic irreducible factors of a monic g of degree <= 3 or a
+    product of such, by root search and synthetic division."""
+    out = set()
+    stack = [list(g)]
+    while stack:
+        g = stack.pop()
+        if len(g) == 2:
+            out.add(tuple(g))
+            continue
+        for r in range(f.q):
+            val = 0
+            for c in reversed(g):
+                val = f.add(f.mul(val, r), c)
+            if val == 0:
+                quo, acc = [0] * (len(g) - 1), 0
+                for i in range(len(g) - 1, 0, -1):
+                    acc = f.add(f.mul(acc, r), g[i])
+                    quo[i - 1] = acc
+                stack += [[f.neg(r), 1], quo]
+                break
+        else:
+            assert len(g) <= 4, "no root and degree > 3: not decided by roots"
+            out.add(tuple(g))
+    return out
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2)]),
+       st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=3), min_size=1, max_size=3),
+       st.integers(0, 2**31))
+def test_irreducible_factors_match_root_search(pk, lows, seed):
+    f = Field(*pk)
+    pieces = [[c % f.q for c in low] + [1] for low in lows]
+    m = [1]
+    for piece in pieces:
+        m = poly_mul(f, m, piece)
+    got = list(irreducible_factors(f, m, np.random.default_rng(seed)))
+    assert len(set(map(tuple, got))) == len(got)
+    assert set(map(tuple, got)) == set().union(*(_naive_factors(f, x) for x in pieces))
+    degs = [poly_deg(x) for x in got]
+    assert degs == sorted(degs)
 
 
 # naive GF(9) polynomial arithmetic on untrimmed lists, from the scalar tables

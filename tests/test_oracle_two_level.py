@@ -141,7 +141,7 @@ def test_meataxe_failure_names_chi_and_superdim(monkeypatch):
     g = _algebra("gl1_1_p3")
     M = regular_module(ReducedAlgebra(g, np.array([1, 1]))).module
     S = next(fac for fac in composition_factor_modules(M, 0) if fac.dim > 1)
-    monkeypatch.setattr(modules, "_irreducible_factors", lambda f, m, rng: iter(()))
+    monkeypatch.setattr(modules, "irreducible_factors", lambda f, m, rng: iter(()))
     with pytest.raises(modules.MeataxeFailure) as exc:
         modules._find_proper_submodule(S, 0)
     msg = str(exc.value)
@@ -150,7 +150,7 @@ def test_meataxe_failure_names_chi_and_superdim(monkeypatch):
 
 
 def test_meataxe_failure_message_from_cli(monkeypatch, capsys):
-    monkeypatch.setattr(modules, "_irreducible_factors", lambda f, m, rng: iter(()))
+    monkeypatch.setattr(modules, "irreducible_factors", lambda f, m, rng: iter(()))
     code = main(["conjecture", os.path.join(ALGEBRAS, "gl1_1_p3.lsa")])
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from superkw.chargeom import restrict_chi
 from superkw.classical import baby_verma, catalog
@@ -404,53 +403,6 @@ def test_meataxe_agrees_with_brute_force_on_catalog_factors(gl11, heis_p3):
                 assert got == _brute_graded_irreducible(m), (chi, m.dim, tuple(m.parities))
                 checked += 1
     assert checked >= 100
-
-
-def _naive_factors(f, g):
-    """Distinct monic irreducible factors of a monic g of degree <= 3 or a
-    product of such, by root search and synthetic division."""
-    out = set()
-    stack = [list(g)]
-    while stack:
-        g = stack.pop()
-        if len(g) == 2:
-            out.add(tuple(g))
-            continue
-        for r in range(f.q):
-            val = 0
-            for c in reversed(g):
-                val = f.add(f.mul(val, r), c)
-            if val == 0:
-                quo, acc = [0] * (len(g) - 1), 0
-                for i in range(len(g) - 1, 0, -1):
-                    acc = f.add(f.mul(acc, r), g[i])
-                    quo[i - 1] = acc
-                stack += [[f.neg(r), 1], quo]
-                break
-        else:
-            assert len(g) <= 4, "no root and degree > 3: not decided by roots"
-            out.add(tuple(g))
-    return out
-
-
-@settings(max_examples=80, derandomize=True, deadline=None)
-@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2)]),
-       st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=3), min_size=1, max_size=3),
-       st.integers(0, 2**31))
-def test_irreducible_factors_match_root_search(pk, lows, seed):
-    from superkw.gflin import poly_deg, poly_mul
-    from superkw.modules import _irreducible_factors
-
-    f = Field(*pk)
-    pieces = [[c % f.q for c in low] + [1] for low in lows]
-    m = [1]
-    for piece in pieces:
-        m = poly_mul(f, m, piece)
-    got = list(_irreducible_factors(f, m, np.random.default_rng(seed)))
-    assert len(set(map(tuple, got))) == len(got)
-    assert set(map(tuple, got)) == set().union(*(_naive_factors(f, x) for x in pieces))
-    degs = [poly_deg(x) for x in got]
-    assert degs == sorted(degs)
 
 
 def test_composition_one_dim(gl11):

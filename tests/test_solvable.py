@@ -97,6 +97,31 @@ def test_weight_equations_pins(gl11):
         assert (int(lam[0]) + int(lam[1])) % 3 == 0
 
 
+@pytest.mark.parametrize("name,p,k", [
+    ("gl(1|1)", 3, 1), ("gl(1|1)", 3, 3), ("gl(2|1)", 3, 1), ("gl(2|1)", 5, 2),
+    ("osp(1|2)", 3, 2), ("sl(2)", 5, 1), ("heisenberg", 3, 1),
+])
+def test_weight_system_matches_scalar_reference(name, p, k, monkeypatch):
+    from superkw import solvable
+    from superkw.classical import catalog
+
+    from conftest import reference_weight_system
+
+    systems = []
+    solve = solvable.lin_solve
+    monkeypatch.setattr(solvable, "lin_solve",
+                        lambda F, M, b: systems.append((M, b)) or solve(F, M, b))
+    alg = catalog(name, p, k).algebra
+    f, s = alg.field, alg.s_even
+    rng = np.random.default_rng(0)
+    for npins in range(3):
+        chi_h = f.rand(rng, s)
+        pins = tuple((f.rand(rng, s), int(f.rand(rng))) for _ in range(npins))
+        solvable._weight_solutions(alg, chi_h, pins)
+        M, b = reference_weight_system(alg, chi_h, pins)
+        assert np.array_equal(systems[-1][0], M) and np.array_equal(systems[-1][1], b)
+
+
 # ---------------------------------------------------------------------------
 # the constructive engine
 
