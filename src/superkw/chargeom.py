@@ -8,7 +8,9 @@ brackets), with an alternating even block and a symmetric odd block, so each
 character costs one kernel per block: the block ranks are the block sizes
 less the kernel dimensions, and the centralizer is the two kernels side by
 side.  `characters` is the one enumeration of the character space, shared by
-the maximal-dimension scan and the report's oracle scan.
+the maximal-dimension scan and the report's oracle scan, and
+`character_classes` groups scanned characters under the restricted
+automorphisms that `lsa.restricted_automorphisms` finds.
 
 Floor/ceiling convention: everything here uses the standard meaning.  With
 b0 = rank of the even Gram block and b1 = rank of the odd block, the
@@ -36,6 +38,7 @@ from .lsa import (
     is_completely_solvable,
     is_p_closed,
     is_subalgebra,
+    restricted_automorphisms,
 )
 
 
@@ -173,6 +176,42 @@ def characters(field: Field, s: int, exhaustive: bool, samples: int = 0, seed: i
         rng = np.random.default_rng(seed)
         for _ in range(samples):
             yield field.rand(rng, s)
+
+
+def character_classes(g: LieSuperAlgebra, chis) -> List[int]:
+    """For each character of `chis`, the index of the first character of
+    `chis` in its class.
+
+    A restricted automorphism phi gives U_chi(g) = U_(chi o phi^-1)(g), so
+    every answer about U_chi(g) is constant on a class.  The classes are
+    those of a union-find over `chis` alone: chi is joined to chi o phi =
+    chi . Phi0 (Phi0 the even block of phi) for each generator phi of
+    `lsa.restricted_automorphisms`, when both are in `chis`.  On the whole
+    character space these are the orbits of the group the generators make;
+    on a sample every class still lies in one orbit."""
+    f, s = g.field, g.s_even
+    parent = list(range(len(chis)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i, j):
+        a, b = find(i), find(j)
+        parent[max(a, b)] = min(a, b)
+
+    stack = np.array(chis, dtype=np.int64).reshape(len(chis), s)
+    index = {}
+    for i, row in enumerate(stack):
+        union(i, index.setdefault(row.tobytes(), i))
+    for images in f.matmul(stack, restricted_automorphisms(g)[:, :s, :s]):
+        for i, row in enumerate(images):
+            j = index.get(row.tobytes())
+            if j is not None:
+                union(i, j)
+    return [find(i) for i in range(len(chis))]
 
 
 def max_exponents(

@@ -25,7 +25,6 @@ from .lsa import (
     Subalgebra,
     Subspace,
     as_subalgebra,
-    extend_scalars,
     is_p_closed,
     scalar_extensions,
 )
@@ -231,11 +230,22 @@ def catalog(name: str, p: int, k: int = 1) -> CatalogEntry:
 
 
 @dataclass
+class Completion:
+    """g, its triangular data and chi over the extension that completes the
+    weight set, with the complete set there."""
+    algebra: LieSuperAlgebra
+    triangular: TriangularData
+    chi: np.ndarray
+    weights: List[np.ndarray]
+
+
+@dataclass
 class LambdaSetReport:
     weights: List[np.ndarray]     # values on the Cartan rows
     expected: int                 # p^dim(h)
     complete: bool
     completion_degree: Optional[int]   # minimal extension degree filling the set
+    completion: Optional[Completion] = None   # the data over that extension
 
 
 def _cartan_sub(g: LieSuperAlgebra, tri: TriangularData) -> Subalgebra:
@@ -256,7 +266,6 @@ def lambda_set(
     sols = solve_weight_equations(sub.alg, chi_h)
     expected = g.field.p ** tri.cartan.dim
     complete = len(sols) == expected
-    degree = None
     if not complete:
         for d, gx, table in scalar_extensions(g, ext_cap):
             if d == 1:
@@ -265,9 +274,9 @@ def lambda_set(
             subx = _cartan_sub(gx, trix)
             solx = solve_weight_equations(subx.alg, restrict_chi(table[chi], subx))
             if len(solx) == expected:
-                degree = d
-                break
-    return LambdaSetReport(sols, expected, complete, degree)
+                return LambdaSetReport(sols, expected, complete, d,
+                                       Completion(gx, trix, table[chi], solx))
+    return LambdaSetReport(sols, expected, complete, None)
 
 
 def _extend_triangular(tri: TriangularData, big: Field, table, gx) -> TriangularData:
@@ -362,17 +371,14 @@ def zhao_check(
         raise LsaError("the check applies to regular semisimple characters")
     lrep = lambda_set(g, tri, chi, ext_cap=ext_cap)
     degree = 1
-    gx, trix, chix = g, tri, chi
-    if not lrep.complete and lrep.completion_degree is not None:
+    gx, trix, chix, weights = g, tri, chi, lrep.weights
+    if lrep.completion is not None:
         degree = lrep.completion_degree
-        big = Field(g.field.p, g.field.k * degree)
-        gx, table = extend_scalars(g, big)
-        trix = _extend_triangular(tri, big, table, gx)
-        chix = table[chi]
-        lrep = lambda_set(gx, trix, chix, ext_cap=ext_cap)
+        c = lrep.completion
+        gx, trix, chix, weights = c.algebra, c.triangular, c.chi, c.weights
     dims = []
     all_irr = True
-    for lam in lrep.weights:
+    for lam in weights:
         ind = baby_verma(gx, trix, chix, lam, budget=budget)
         dims.append(ind.module.dim)
         if not is_graded_irreducible(ind.module, seed):
@@ -388,7 +394,7 @@ def zhao_check(
     return ZhaoCheckReport(
         verma_dims=dims,
         all_verma_irreducible=all_irr,
-        weights_found=len(lrep.weights),
+        weights_found=len(weights),
         weights_expected=lrep.expected,
         extension_degree=degree,
         max_factor_dim=max_factor,

@@ -18,6 +18,7 @@ containment check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
@@ -29,6 +30,7 @@ from .gflin import (
     find_embedding,
     inv_matrix,
     nullspace,
+    rank,
 )
 
 
@@ -527,6 +529,52 @@ def restricted_closure(g: LieSuperAlgebra, S: Subspace) -> Subspace:
         if grown.dim == cur.dim:
             return cur
         cur = grown
+
+
+# ---------------------------------------------------------------------------
+# restricted automorphisms
+
+
+def is_restricted_automorphism(g: LieSuperAlgebra, phi: np.ndarray) -> bool:
+    """Whether phi (column j holds phi(e_j)) is an invertible map of g that
+    preserves parity, the bracket on all basis pairs and the p-map on the
+    even basis.  A p-map is fixed by its values on a basis (Jacobson), so
+    the basis check is exact."""
+    if g.pmap is None:
+        raise LsaError("a restricted automorphism needs a p-operation")
+    f, s = g.field, g.s_even
+    phi = np.asarray(phi, dtype=np.int64)
+    if np.any(phi[s:, :s]) or np.any(phi[:s, s:]) or rank(f, phi) != g.n:
+        return False
+    images = phi.T  # row j is phi(e_j)
+    if not np.array_equal(f.matmul(g.structure, images), g.bracket(images[:, None], images)):
+        return False
+    return bool(np.array_equal(f.matmul(g.pmap, images), g.p_power(images[:s])))
+
+
+def restricted_automorphisms(g: LieSuperAlgebra) -> np.ndarray:
+    """Generators exp(t ad x) = sum over k < p of (t ad x)^k / k!, for each
+    even basis vector x with ad x nonzero and (ad x)^p = 0 and each t in
+    GF(q)*, that pass `is_restricted_automorphism`; a stack (count, n, n) in
+    that order.  An algebra without a p-map has none."""
+    f, p, n, s = g.field, g.field.p, g.n, g.s_even
+    if g.pmap is None:
+        return np.zeros((0, n, n), dtype=np.int64)
+    ads = g.ad_matrix(f.eye(n)[:s])
+    powers = [np.broadcast_to(f.eye(n), ads.shape)]
+    for _ in range(p - 1):
+        powers.append(f.matmul(ads, powers[-1]))
+    powers = np.stack(powers, axis=1)  # (s, p, n, n): ad^0 .. ad^(p-1)
+    nilpotent = np.any(ads, axis=(1, 2)) & ~np.any(f.matmul(ads, powers[:, -1]), axis=(1, 2))
+    # coeff[t - 1, k] = t^k / k!
+    ts = np.arange(1, f.q, dtype=np.int64)
+    inv_fact = [f.inv(math.factorial(k) % p) for k in range(p)]
+    coeff = np.stack([f.mul_arr(f.pow_arr(ts, k), inv_fact[k]) for k in range(p)], axis=1)
+    found = []
+    for i in np.flatnonzero(nilpotent):
+        phis = f.matmul(coeff, powers[i].reshape(p, n * n)).reshape(-1, n, n)
+        found += [phi for phi in phis if is_restricted_automorphism(g, phi)]
+    return np.array(found, dtype=np.int64).reshape(-1, n, n)
 
 
 # ---------------------------------------------------------------------------

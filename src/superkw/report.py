@@ -22,6 +22,7 @@ import numpy as np
 from .chargeom import (
     BudgetExceeded,
     SuperDim,
+    character_classes,
     characters,
     check_chi,
     chi_geometry,
@@ -270,7 +271,15 @@ def conjecture_report(
     cache: Optional[OracleCache] = None,
 ) -> dict:
     """Full per-character scan: geometry, oracle factors, equidimensionality
-    and divisibility probes, and the maximal-dimension comparison."""
+    and divisibility probes, and the maximal-dimension comparison.
+
+    The scanned characters fall into classes under the restricted
+    automorphisms (`chargeom.character_classes`), and every field of a
+    verdict but `chi` is constant on a class.  So the oracle runs once per
+    class, at its representative (the first character of the class in scan
+    order): a `MeataxeFailure` names that character, and the cache holds
+    the representatives' payloads only.  Every member gets a copy of the
+    representative's verdict with its own `chi`."""
     g = af.algebra
     f = g.field
     p = f.p
@@ -282,10 +291,15 @@ def conjecture_report(
     mfrag = mdim_fragment(g, "exhaustive" if f.q**g.s_even <= 10**6 else "random",
                           10**6, seed, samples=max(samples, 64))
     chis, exhaustive = _chi_scan_set(g, mfrag, strategy, samples, seed)
+    # representative index -> its verdict; a representative comes first in
+    # its class, so its verdict is built before any member needs it
+    verdicts = {}
     per_chi = []
-    for chi in chis:
-        payload = oracle_factors(g, chi, seed, budget, cache, algebra_hash)
-        per_chi.append(chi_verdict(g, chi, payload))
+    for i, (chi, rep) in enumerate(zip(chis, character_classes(g, chis))):
+        if rep == i:
+            payload = oracle_factors(g, chi, seed, budget, cache, algebra_hash)
+            verdicts[i] = chi_verdict(g, chi, payload)
+        per_chi.append(dict(verdicts[rep], chi=_chi_list(chi)))
     max_factor = max((max(row["geometric_factor_dims"]["value"]) for row in per_chi),
                      default=0)
     mval = mfrag["value"]["value"]

@@ -11,13 +11,14 @@ from superkw.classical import (
     baby_verma,
     catalog,
     is_regular_semisimple,
+    _extend_triangular,
     kw_divisibility_check,
     lambda_set,
     zhao_check,
 )
 from superkw.env import ReducedAlgebra, regular_module
 from superkw.gflin import Field
-from superkw.lsa import LsaError, is_p_closed
+from superkw.lsa import LsaError, extend_scalars, is_p_closed
 from superkw.lsafile import write_lsa
 from superkw.modules import composition_factors, validate_module
 
@@ -248,6 +249,38 @@ def test_zhao_check_gl11_typical(gl11):
     assert rep.verma_dims == [2] * 9
     assert rep.all_verma_irreducible
     assert rep.lemma_bound_ok
+
+
+def test_lambda_set_hands_back_its_completion(gl11):
+    g, tri = gl11.algebra, gl11.triangular
+    chi = vec(1, 1)
+    c = lambda_set(g, tri, chi).completion
+    big = Field(3, 3)
+    gx, table = extend_scalars(g, big)
+    trix = _extend_triangular(tri, big, table, gx)
+    want = lambda_set(gx, trix, table[chi])
+    assert want.complete
+    assert c.algebra.field == big
+    assert np.array_equal(c.algebra.structure, gx.structure)
+    assert np.array_equal(c.algebra.pmap, gx.pmap)
+    assert np.array_equal(c.triangular.cartan.basis, trix.cartan.basis)
+    assert np.array_equal(c.chi, table[chi])
+    assert [w.tolist() for w in c.weights] == [w.tolist() for w in want.weights]
+    assert lambda_set(g, tri, vec(0, 0)).completion is None
+
+
+def test_zhao_check_builds_the_completion_field_once(gl11, monkeypatch):
+    built = []
+    inner = Field.__init__
+
+    def counting(self, p, k=1, modulus=None):
+        built.append((p, k))
+        inner(self, p, k, modulus)
+
+    monkeypatch.setattr(Field, "__init__", counting)
+    rep = zhao_check(gl11.algebra, gl11.triangular, vec(1, 1), seed=0)
+    assert rep.extension_degree == 3
+    assert built.count((3, 3)) == 1
 
 
 def test_zhao_check_osp12_gf9():
