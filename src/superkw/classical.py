@@ -348,7 +348,7 @@ def is_regular_semisimple(g: LieSuperAlgebra, tri: TriangularData, chi) -> bool:
 @dataclass
 class ZhaoCheckReport:
     verma_dims: List[int]
-    all_verma_irreducible: bool
+    all_verma_irreducible: Optional[bool]  # None when no Verma was checked
     weights_found: int
     weights_expected: int
     extension_degree: int
@@ -365,7 +365,9 @@ def zhao_check(
     ext_cap: int = 4,
 ) -> ZhaoCheckReport:
     """Desk check: at a regular semisimple character every baby Verma module
-    is graded-irreducible, and no irreducible module exceeds its dimension."""
+    is graded-irreducible, and no irreducible module exceeds its dimension.
+    Both verdicts are None when no weight, hence no baby Verma module, was
+    found within `ext_cap`."""
     chi = check_chi(g, chi)
     if not is_regular_semisimple(g, tri, chi):
         raise LsaError("the check applies to regular semisimple characters")
@@ -376,16 +378,14 @@ def zhao_check(
         degree = lrep.completion_degree
         c = lrep.completion
         gx, trix, chix, weights = c.algebra, c.triangular, c.chi, c.weights
-    dims = []
-    all_irr = True
+    dims, irreducible = [], []
     for lam in weights:
         ind = baby_verma(gx, trix, chix, lam, budget=budget)
         dims.append(ind.module.dim)
-        if not is_graded_irreducible(ind.module, seed):
-            all_irr = False
-    max_factor = None
-    lemma_ok = None
+        irreducible.append(is_graded_irreducible(ind.module, seed))
+    all_irr = max_factor = lemma_ok = None
     if dims:
+        all_irr = all(irreducible)
         rep = composition_factors(
             regular_module(ReducedAlgebra(gx, chix), budget=budget).module, seed
         )

@@ -1,19 +1,15 @@
-"""Reduced enveloping algebra: PBW basis, straightening multiplication, and
-the induced-module constructors (left regular module as the special case of
-inducing from the zero subalgebra).
+"""Reduced enveloping algebra: the PBW basis, read off the left regular
+module, and the induced-module constructors (the left regular module is
+the special case of inducing from the zero subalgebra).
 
 Monomials are pairs (alpha, gamma): even exponents in [0, p) and odd bits.
-`ReducedAlgebra` straightens words for `normal_form` and `multiply`,
-rightmost disorder first; the relations used are the super-commutation
-swap, the odd-square rule y*y = (1/2)[y,y], and the even p-th power rule
-x^p = x^[p] + chi(x)^p.  Termination follows from the (degree,
-inversion-count) measure: swaps lower inversions, everything else lowers
-degree.  Normal forms are memoised per word, so a word that many rewrites
-reach is rewritten once.
-
-`induce` straightens no words: it applies the same three relations to the
-induced module's own basis, building each action column from the columns
-of shorter basis vectors.
+`induce` is the one PBW engine.  It applies the defining relations of
+U_chi(g) (the super-commutation swap, the odd-square rule
+y*y = (1/2)[y,y] and the even p-th power rule x^p = x^[p] + chi(x)^p) to
+the induced module's own basis, building each action column from the
+columns of shorter basis vectors.  By the PBW theorem the normal form of
+an element u is rho(u).1 in the regular module, so `ReducedAlgebra`
+straightens and multiplies by acting there.
 """
 
 from __future__ import annotations
@@ -33,167 +29,46 @@ Monomial = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 class ReducedAlgebra:
-    """U_chi(g) with a fixed PBW generator order.
+    """U_chi(g) in the PBW basis of sorted reduced words, generators in
+    basis order: a view over the left regular module, built on first use
+    with the default budget of `regular_module`."""
 
-    `order_key` permutes straightening priorities (for instance to push a
-    subalgebra's generators to the right); the default is the basis order
-    itself.
-    """
-
-    def __init__(self, g: LieSuperAlgebra, chi, order_key: Optional[Sequence[int]] = None):
+    def __init__(self, g: LieSuperAlgebra, chi):
         if not g.restricted:
             raise LsaError("reduced enveloping algebra needs a restricted algebra")
         self.g = g
         self.field = g.field
         self.chi = check_chi(g, chi)
-        self.order_key = list(order_key) if order_key is not None else list(range(g.n))
-        if sorted(self.order_key) != list(range(g.n)):
-            raise LsaError("order_key must be a permutation of the generators")
-        f = self.field
-        self.chi_p = np.array(
-            [f.pow(int(c), f.p) for c in self.chi], dtype=np.int64
-        )
-        self.half = f.inv(2 % f.p)
-        # sparse bracket table
-        self.pair = {}
-        for i in range(g.n):
-            for j in range(g.n):
-                nz = np.nonzero(g.structure[i, j])[0]
-                if nz.size:
-                    self.pair[(i, j)] = [(int(l), int(g.structure[i, j, l])) for l in nz]
-        # word -> normal form, filled by straighten
-        self._memo: Dict[Word, Dict[Word, int]] = {}
-
-    def dimension(self) -> int:
-        return self.field.p ** self.g.s_even * 2 ** self.g.t_odd
-
-    # -- straightening ---------------------------------------------------
+        self._regular: Optional[InducedModule] = None
 
     def straighten(self, words: Dict[Word, int]) -> Dict[Word, int]:
-        """Rewrite a scalar combination of words into sorted reduced words."""
-        out: Dict[Word, int] = {}
+        """Rewrite a scalar combination of words into sorted reduced words:
+        the sum of c * rho(w).1 in the regular module, each nonzero entry
+        read back as its word.  Raises BudgetExceeded when the regular
+        module is over the default budget of `regular_module`."""
+        if self._regular is None:
+            self._regular = regular_module(self)
+        reg, f = self._regular, self.field
+        action = reg.module.action
+        v = np.zeros(reg.module.dim, dtype=np.int64)
         for w, c in words.items():
-            if c:
-                self._add_scaled(out, c, self._normal_terms(w))
-        return out
+            x = np.zeros_like(v)
+            x[0] = c
+            for i in reversed(w):
+                x = f.matmul(action[i], x)
+            v = f.add_arr(v, x)
+        # the regular module's letters are the generators in basis order, so
+        # generator i appears exps[m, i] times in basis vector m's word
+        exps = np.hstack(reg.exponents()[:2])
+        gens = np.arange(self.g.n)
+        return {tuple(np.repeat(gens, exps[m]).tolist()): int(v[m])
+                for m in np.nonzero(v)[0].tolist()}
 
-    def _add_scaled(self, acc: Dict[Word, int], c: int, form: Dict[Word, int]) -> None:
-        """acc += c * form, dropping coefficients that cancel."""
-        f = self.field
-        for w, d in form.items():
-            v = f.add(acc.get(w, 0), f.mul(c, d))
-            if v:
-                acc[w] = v
-            else:
-                acc.pop(w, None)
-
-    def _normal_terms(self, word: Word) -> Dict[Word, int]:
-        """Normal form of one word, from the memo or by a post-order walk
-        over its rewrite children.  PBW normal forms are unique, so a word's
-        form is the sum of its children's forms, whichever path reached it;
-        every word is rewritten once per instance.  The memoised dicts are
-        shared: callers must not change them."""
-        memo = self._memo
-        if word in memo:
-            return memo[word]
-        children: Dict[Word, list] = {}
-        stack = [word]
-        while stack:
-            w = stack[-1]
-            if w in memo:
-                stack.pop()
-                continue
-            kids = children.get(w)
-            if kids is None:
-                kids = self._rewrite_step(w)
-                if kids is None:
-                    memo[w] = {w: 1}
-                    stack.pop()
-                    continue
-                children[w] = kids
-                pending = [v for v, _ in kids if v not in memo]
-                if pending:
-                    stack.extend(pending)
-                    continue
-            # every child is memoised: it was pushed above w and popped
-            # only once its own form was stored
-            stack.pop()
-            del children[w]
-            acc: Dict[Word, int] = {}
-            for v, c in kids:
-                self._add_scaled(acc, c, memo[v])
-            memo[w] = acc
-        return memo[word]
-
-    def _rewrite_step(self, w: Word) -> Optional[List[Tuple[Word, int]]]:
-        """One relation applied at the rightmost disorder (or, in an ordered
-        word, the rightmost run of p equal generators), as (word, coefficient)
-        children; None when w is already a sorted reduced word."""
-        f = self.field
-        m = self._rightmost_violation(w)
-        if m is None:
-            run = self._even_p_run(w)
-            if run is None:
-                return None
-            start, gen = run
-            rest = w[:start] + w[start + f.p :]
-            kids = [(rest[:start] + (l,) + rest[start:], cl) for l, cl in self._pmap_terms(gen)]
-            cp = int(self.chi_p[gen])
-            if cp:
-                kids.append((rest, cp))
-            return kids
-        a, b = w[m], w[m + 1]
-        if a == b:
-            # adjacent equal odd generators: the square rule
-            return [(w[:m] + (l,) + w[m + 2 :], f.mul(self.half, cl))
-                    for l, cl in self.pair.get((a, a), [])]
-        par = self.g.parities
-        sign = f.neg(1) if (par[a] * par[b]) % 2 == 1 else 1
-        return [(w[:m] + (b, a) + w[m + 2 :], sign)] + [
-            (w[:m] + (l,) + w[m + 2 :], cl) for l, cl in self.pair.get((a, b), [])]
-
-    def _rightmost_violation(self, w: Word) -> Optional[int]:
-        par = self.g.parities
-        key = self.order_key
-        for m in range(len(w) - 2, -1, -1):
-            a, b = w[m], w[m + 1]
-            if key[a] > key[b]:
-                return m
-            if a == b and par[a] == 1:
-                return m
-        return None
-
-    def _even_p_run(self, w: Word):
-        p = self.field.p
-        count = 1
-        for m in range(len(w) - 1, 0, -1):
-            if w[m - 1] == w[m]:
-                count += 1
-                if count == p:
-                    return m - 1, w[m]
-            else:
-                count = 1
-        return None
-
-    def _pmap_terms(self, gen: int):
-        row = self.g.pmap[gen]
-        nz = np.nonzero(row)[0]
-        return [(int(l), int(row[l])) for l in nz]
-
-    # -- normal form and product -----------------------------------------
-
-    def word_to_monomial(self, w: Word) -> Monomial:
-        s, t = self.g.s_even, self.g.t_odd
-        alpha = [0] * s
-        gamma = [0] * t
-        for gidx in w:
-            if gidx < s:
-                alpha[gidx] += 1
-            else:
-                gamma[gidx - s] += 1
-        if any(a >= self.field.p for a in alpha) or any(cb > 1 for cb in gamma):
-            raise LsaError("word is not reduced")
-        return tuple(alpha), tuple(gamma)
+    def _monomials(self, words: Dict[Word, int]) -> Dict[Monomial, int]:
+        """Straighten, then count each sorted reduced word's exponents."""
+        s, n = self.g.s_even, self.g.n
+        return {(tuple(w.count(i) for i in range(s)), tuple(w.count(i) for i in range(s, n))): c
+                for w, c in self.straighten(words).items()}
 
     def monomial_to_word(self, mono: Monomial) -> Word:
         alpha, gamma = mono
@@ -208,37 +83,17 @@ class ReducedAlgebra:
 
     def normal_form(self, word: Sequence[int], coeff: int = 1) -> Dict[Monomial, int]:
         """PBW-ordered representative of a scalar multiple of a word."""
-        res = self.straighten({tuple(word): coeff})
-        out: Dict[Monomial, int] = {}
-        for w, c in res.items():
-            mono = self.word_to_monomial(w)
-            cur = self.field.add(out.get(mono, 0), c)
-            if cur:
-                out[mono] = cur
-            elif mono in out:
-                del out[mono]
-        return out
+        return self._monomials({tuple(word): coeff})
 
     def multiply(self, u: Dict[Monomial, int], v: Dict[Monomial, int]) -> Dict[Monomial, int]:
-        words: Dict[Word, int] = {}
         f = self.field
+        words: Dict[Word, int] = {}
         for m1, c1 in u.items():
             w1 = self.monomial_to_word(m1)
             for m2, c2 in v.items():
                 w = w1 + self.monomial_to_word(m2)
-                c = f.mul(c1, c2)
-                if c:
-                    words[w] = f.add(words.get(w, 0), c)
-        res = self.straighten(words)
-        out: Dict[Monomial, int] = {}
-        for w, c in res.items():
-            mono = self.word_to_monomial(w)
-            cur = f.add(out.get(mono, 0), c)
-            if cur:
-                out[mono] = cur
-            elif mono in out:
-                del out[mono]
-        return out
+                words[w] = f.add(words.get(w, 0), f.mul(c1, c2))
+        return self._monomials(words)
 
     def one(self) -> Dict[Monomial, int]:
         s, t = self.g.s_even, self.g.t_odd

@@ -684,6 +684,14 @@ class Echelon:
         return [c for c in range(self.ambient) if c not in piv]
 
 
+def graded_span(f: Field, rows, odd: np.ndarray) -> Echelon:
+    """The span of the even and odd parts of ``rows`` (r, n), split by the
+    mask ``odd`` (n,) of odd coordinates: every basis row is
+    parity-homogeneous, and parts that are zero drop out."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return Echelon(f, odd.size, np.vstack([rows * ~odd, rows * odd]))
+
+
 # ---------------------------------------------------------------------------
 # field extension embeddings
 

@@ -28,6 +28,7 @@ from .gflin import (
     Echelon,
     Field,
     find_embedding,
+    graded_span,
     inv_matrix,
     nullspace,
     rank,
@@ -70,20 +71,9 @@ class Subspace(Echelon):
     @classmethod
     def from_vectors(cls, field, s_even, ambient, vectors) -> "Subspace":
         """Graded span: parity components of the inputs are split first."""
-        rows = []
-        for v in vectors:
-            v = np.asarray(v, dtype=np.int64)
-            ev = v.copy()
-            ev[s_even:] = 0
-            od = v.copy()
-            od[:s_even] = 0
-            if np.any(ev):
-                rows.append(ev)
-            if np.any(od):
-                rows.append(od)
-        if not rows:
-            return cls.zero(field, s_even, ambient)
-        return cls(field, s_even, ambient, np.array(rows))
+        rows = np.array(vectors, dtype=np.int64).reshape(len(vectors), ambient)
+        span = graded_span(field, rows, np.arange(ambient) >= s_even)
+        return cls(field, s_even, ambient, span.basis)
 
     @classmethod
     def zero(cls, field, s_even, ambient) -> "Subspace":

@@ -14,6 +14,7 @@ homogeneous, every computed subspace has a parity-homogeneous echelon basis.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
@@ -24,6 +25,7 @@ from .chargeom import chi_value, restrict_chi
 from .gflin import (
     Echelon,
     Field,
+    graded_span,
     inv_matrix,
     irreducible_factors,
     nullspace,
@@ -247,23 +249,6 @@ def _even_element(M: SuperModule, recipe: tuple) -> np.ndarray:
     return theta
 
 
-def _split_kernel_by_parity(M: SuperModule, ker: np.ndarray) -> np.ndarray:
-    """Echelonize a graded kernel so every row is parity-homogeneous."""
-    par = M.parities
-    rows = []
-    for r in ker:
-        ev = r.copy()
-        ev[par == 1] = 0
-        od = r.copy()
-        od[par == 0] = 0
-        if np.any(ev):
-            rows.append(ev)
-        if np.any(od):
-            rows.append(od)
-    space = RowSpace(M.alg.field, M.dim, np.array(rows))
-    return space.basis
-
-
 def _even_part_scalar(M: SuperModule) -> bool:
     """Every even generator and every product of two odd generators acts by
     a scalar.  Then so does every even element of the acting algebra: in an
@@ -362,6 +347,7 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> RowSpace | FactorClass:
         return FactorClass(M, Certificate((0, ()), [0, 1], 1, f.eye(1)[0]))
     rng = np.random.default_rng(seed)
     MT = M.transpose_module()
+    odd_mask = M.parities == 1
 
     def singular():
         # with the even part acting by scalars every theta is scalar, so no
@@ -377,18 +363,18 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> RowSpace | FactorClass:
         yield (0, ()), [0, 1], np.zeros((dim, dim), dtype=np.int64), f.eye(dim)
 
     for recipe, poly, a, ker in singular():
-        ker = _split_kernel_by_parity(M, ker)
+        ker = graded_span(f, ker, odd_mask).basis
         odd = M.parities[np.argmax(ker != 0, axis=1)] == 1
         sides = [side for side in (ker[~odd], ker[odd]) if len(side)]
         for side in sides:
             W = spin(M, side[0])
             if W.dim < dim:
                 return W
-        WT = spin(MT, _split_kernel_by_parity(M, nullspace(f, a.T))[0])
+        WT = spin(MT, graded_span(f, nullspace(f, a.T), odd_mask).basis[0])
         if WT.dim < dim:
             # proper transpose submodule = proper quotient; its annihilator
             # in M is a proper nonzero submodule
-            W = spin_many(M, _split_kernel_by_parity(M, nullspace(f, WT.basis)))
+            W = spin_many(M, graded_span(f, nullspace(f, WT.basis), odd_mask).basis)
             if 0 < W.dim < dim:
                 return W
             raise RuntimeError("transpose witness did not yield a submodule")
@@ -445,16 +431,10 @@ class CompositionReport:
         return sorted(f.geometric_dim for f in self.factors)
 
     def multiset(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for d in self.dims:
-            out[d] = out.get(d, 0) + 1
-        return out
+        return dict(Counter(self.dims))
 
     def geometric_multiset(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for d in self.geometric_dims:
-            out[d] = out.get(d, 0) + 1
-        return out
+        return dict(Counter(self.geometric_dims))
 
 
 
@@ -599,7 +579,7 @@ class FactorClass:
         ker = nullspace(f, _poly_at_matrix(f, cert.poly, _even_element(M, cert.recipe)))
         if ker.shape[0] != cert.nullity:
             return 0, 0
-        _, res, same = self._residuals(M, _split_kernel_by_parity(M, ker))
+        _, res, same = self._residuals(M, graded_span(f, ker, M.parities == 1).basis)
         even = int(same.sum()) - rank(f, res[:, same])
         odd = int((~same).sum()) - rank(f, res[:, ~same])
         return even, odd
@@ -737,8 +717,7 @@ def v_i_chi(M: SuperModule, I: Subspace, chi) -> RowSpace:
     # chi of an odd row is 0: chi only reads even coordinates
     ops = _shifted_action(M, I.basis, chi_value(M.alg, chi, I.basis))
     ker = nullspace(f, ops.reshape(-1, M.dim))
-    rows = _split_kernel_by_parity(M, ker) if ker.size else ker
-    return RowSpace(f, M.dim, rows)
+    return graded_span(f, ker, M.parities == 1)
 
 
 def degree_reduction_check(g: LieSuperAlgebra, chi, induced, I: Subspace):

@@ -534,6 +534,152 @@ def random_solvable_stream(borel_gl21):
     return stream
 
 
+class WordStraightener:
+    """U_chi(g) by rewriting words, with a fixed generator order: the
+    reference for the PBW basis that `env.induce` builds by columns.
+
+    Words are straightened rightmost disorder first with the
+    super-commutation swap, the odd-square rule y*y = (1/2)[y,y] and the
+    even p-th power rule x^p = x^[p] + chi(x)^p.  Termination follows from
+    the (degree, inversion-count) measure: swaps lower inversions,
+    everything else lowers degree.  Normal forms are memoised per word, so
+    a word that many rewrites reach is rewritten once.  `order_key`
+    permutes straightening priorities (for instance to push a subalgebra's
+    generators to the right); the default is the basis order itself.
+    """
+
+    def __init__(self, g, chi, order_key=None):
+        from superkw.chargeom import check_chi
+
+        self.g = g
+        self.field = f = g.field
+        self.chi = check_chi(g, chi)
+        self.order_key = list(order_key) if order_key is not None else list(range(g.n))
+        assert sorted(self.order_key) == list(range(g.n))
+        self.chi_p = np.array([f.pow(int(c), f.p) for c in self.chi], dtype=np.int64)
+        self.half = f.inv(2 % f.p)
+        # sparse bracket table
+        self.pair = {}
+        for i in range(g.n):
+            for j in range(g.n):
+                nz = np.nonzero(g.structure[i, j])[0]
+                if nz.size:
+                    self.pair[(i, j)] = [(int(l), int(g.structure[i, j, l])) for l in nz]
+        # word -> normal form, filled by straighten
+        self._memo = {}
+
+    def straighten(self, words):
+        """Rewrite a scalar combination of words into sorted reduced words."""
+        out = {}
+        for w, c in words.items():
+            if c:
+                self._add_scaled(out, c, self._normal_terms(w))
+        return out
+
+    def _add_scaled(self, acc, c, form):
+        """acc += c * form, dropping coefficients that cancel."""
+        f = self.field
+        for w, d in form.items():
+            v = f.add(acc.get(w, 0), f.mul(c, d))
+            if v:
+                acc[w] = v
+            else:
+                acc.pop(w, None)
+
+    def _normal_terms(self, word):
+        """Normal form of one word, from the memo or by a post-order walk
+        over its rewrite children.  PBW normal forms are unique, so a word's
+        form is the sum of its children's forms, whichever path reached it;
+        every word is rewritten once per instance.  The memoised dicts are
+        shared: callers must not change them."""
+        memo = self._memo
+        if word in memo:
+            return memo[word]
+        children = {}
+        stack = [word]
+        while stack:
+            w = stack[-1]
+            if w in memo:
+                stack.pop()
+                continue
+            kids = children.get(w)
+            if kids is None:
+                kids = self._rewrite_step(w)
+                if kids is None:
+                    memo[w] = {w: 1}
+                    stack.pop()
+                    continue
+                children[w] = kids
+                pending = [v for v, _ in kids if v not in memo]
+                if pending:
+                    stack.extend(pending)
+                    continue
+            # every child is memoised: it was pushed above w and popped
+            # only once its own form was stored
+            stack.pop()
+            del children[w]
+            acc = {}
+            for v, c in kids:
+                self._add_scaled(acc, c, memo[v])
+            memo[w] = acc
+        return memo[word]
+
+    def _rewrite_step(self, w):
+        """One relation applied at the rightmost disorder (or, in an ordered
+        word, the rightmost run of p equal generators), as (word, coefficient)
+        children; None when w is already a sorted reduced word."""
+        f = self.field
+        m = self._rightmost_violation(w)
+        if m is None:
+            run = self._even_p_run(w)
+            if run is None:
+                return None
+            start, gen = run
+            rest = w[:start] + w[start + f.p :]
+            kids = [(rest[:start] + (l,) + rest[start:], cl) for l, cl in self._pmap_terms(gen)]
+            cp = int(self.chi_p[gen])
+            if cp:
+                kids.append((rest, cp))
+            return kids
+        a, b = w[m], w[m + 1]
+        if a == b:
+            # adjacent equal odd generators: the square rule
+            return [(w[:m] + (l,) + w[m + 2 :], f.mul(self.half, cl))
+                    for l, cl in self.pair.get((a, a), [])]
+        par = self.g.parities
+        sign = f.neg(1) if (par[a] * par[b]) % 2 == 1 else 1
+        return [(w[:m] + (b, a) + w[m + 2 :], sign)] + [
+            (w[:m] + (l,) + w[m + 2 :], cl) for l, cl in self.pair.get((a, b), [])]
+
+    def _rightmost_violation(self, w):
+        par = self.g.parities
+        key = self.order_key
+        for m in range(len(w) - 2, -1, -1):
+            a, b = w[m], w[m + 1]
+            if key[a] > key[b]:
+                return m
+            if a == b and par[a] == 1:
+                return m
+        return None
+
+    def _even_p_run(self, w):
+        p = self.field.p
+        count = 1
+        for m in range(len(w) - 1, 0, -1):
+            if w[m - 1] == w[m]:
+                count += 1
+                if count == p:
+                    return m - 1, w[m]
+            else:
+                count = 1
+        return None
+
+    def _pmap_terms(self, gen):
+        row = self.g.pmap[gen]
+        nz = np.nonzero(row)[0]
+        return [(int(l), int(row[l])) for l in nz]
+
+
 def reference_induce(g, chi, h, S):
     """The induction by word straightening: every word u * e^alpha f^gamma
     is straightened with the cobasis generators ordered first, each normal
@@ -544,7 +690,7 @@ def reference_induce(g, chi, h, S):
     from itertools import product
 
     from superkw.chargeom import chi_value
-    from superkw.env import InducedModule, ReducedAlgebra
+    from superkw.env import InducedModule
     from superkw.gflin import inv_matrix
     from superkw.lsa import change_basis
     from superkw.modules import SuperModule
@@ -561,7 +707,7 @@ def reference_induce(g, chi, h, S):
     g2 = change_basis(g, P)
     # straightening priority: even cobasis, odd cobasis, then h generators
     order = np.r_[0:c0, s : s + c1, c0:s, s + c1 : n]
-    A = ReducedAlgebra(g2, chi_value(g, chi, P[:s]), order_key=np.argsort(order).tolist())
+    A = WordStraightener(g2, chi_value(g, chi, P[:s]), order_key=np.argsort(order).tolist())
     layout = InducedModule(module=None, h=h, base=S, even_cobasis=P[:c0], odd_cobasis=P[s : s + c1])
 
     def h_matrix(word):

@@ -247,8 +247,19 @@ def test_zhao_check_gl11_typical(gl11):
     assert rep.extension_degree == 3
     assert rep.weights_found == rep.weights_expected == 9
     assert rep.verma_dims == [2] * 9
-    assert rep.all_verma_irreducible
+    assert rep.all_verma_irreducible is True
     assert rep.lemma_bound_ok
+
+
+def test_zhao_check_without_weights_reports_unknown():
+    # gl(1|1) at p = 5, chi = (0, 1): the weights need a degree-5 extension,
+    # beyond ext_cap, so no baby Verma module is checked and neither verdict
+    # may read True
+    ent = catalog("gl(1|1)", 5)
+    rep = zhao_check(ent.algebra, ent.triangular, vec(0, 1), seed=0)
+    assert rep.verma_dims == [] and rep.weights_found == 0
+    assert rep.all_verma_irreducible is None
+    assert rep.max_factor_dim is None and rep.lemma_bound_ok is None
 
 
 def test_lambda_set_hands_back_its_completion(gl11):
@@ -290,7 +301,7 @@ def test_zhao_check_osp12_gf9():
     assert rep.extension_degree == 1
     assert rep.weights_found == 3
     assert rep.verma_dims == [6, 6, 6]
-    assert rep.all_verma_irreducible
+    assert rep.all_verma_irreducible is True
     assert rep.max_factor_dim == 6
     assert rep.lemma_bound_ok
 
@@ -309,7 +320,7 @@ def test_zhao_check_sl2_gf25():
     assert is_regular_semisimple(g, tri, chi)
     rep = zhao_check(g, tri, chi, seed=0)
     assert rep.verma_dims == [5] * 5
-    assert rep.all_verma_irreducible
+    assert rep.all_verma_irreducible is True
     assert rep.lemma_bound_ok
 
 

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ def test_parse_k2_scalars():
 
 def test_roundtrip_catalog(files):
     for key in files:
-        text = open(files[key]).read()
+        text = Path(files[key]).read_text()
         af = parse_lsa(text)
         assert write_lsa(af.algebra, af.triangular) == text
 
@@ -100,7 +101,7 @@ def test_validate_ok(files):
 
 
 def test_validate_catches_mutation(files, tmp_path):
-    text = open(files["gl11"]).read()
+    text = Path(files["gl11"]).read_text()
     # flip one Cartan component of [e, f] consistently on both sides
     bad = text.replace("bracket E12 E21 E11:1 E22:1", "bracket E12 E21 E11:2 E22:1")
     pth = tmp_path / "bad.lsa"
@@ -258,7 +259,7 @@ def test_determinism_byte_identical(files, tmp_path):
 
 
 def test_cache_hit_equals_recompute(files, tmp_path):
-    af = parse_lsa(open(files["gl11"]).read())
+    af = parse_lsa(Path(files["gl11"]).read_text())
     g = af.algebra
     h = af.content_hash()
     chi = np.array([1, 0], dtype=np.int64)

@@ -1,5 +1,6 @@
-"""Memoised straightening, and induced modules built column by column
-checked against the word-straightening reference."""
+"""The word-straightening reference (memoised, against the agenda loop),
+the `ReducedAlgebra` view against it, and induced modules built column by
+column checked against induction by word straightening."""
 
 import hashlib
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_induce
+from conftest import WordStraightener, reference_induce
 from superkw import classical
 from superkw.chargeom import restrict_chi
 from superkw.classical import baby_verma, catalog
@@ -85,7 +86,7 @@ def straighten_cases(draw):
 @given(straighten_cases())
 def test_memo_straighten_equals_agenda_loop(case):
     g, chi, key, words = case
-    A = ReducedAlgebra(g, chi, order_key=key)
+    A = WordStraightener(g, chi, order_key=key)
     ref = reference_straighten(A, words)
     assert A.straighten(words) == ref
     # a second call is served from the memo and gives the same dict
@@ -93,7 +94,7 @@ def test_memo_straighten_equals_agenda_loop(case):
 
 
 def test_each_word_rewritten_once(osp12):
-    A = ReducedAlgebra(osp12.algebra, np.array([1, 1, 0], dtype=np.int64))
+    A = WordStraightener(osp12.algebra, np.array([1, 1, 0], dtype=np.int64))
     calls = []
     step = A._rewrite_step
     A._rewrite_step = lambda w: calls.append(w) or step(w)
@@ -101,6 +102,14 @@ def test_each_word_rewritten_once(osp12):
         for w in [(4, 3, 2, 1, 0), (3, 3, 4, 4, 1, 1, 1), (2, 2, 2, 0, 4, 3)]:
             A.straighten({(u,) + w: 1})
     assert len(calls) == len(set(calls)) == len(A._memo)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(straighten_cases())
+def test_view_straighten_equals_word_straightener(case):
+    # rho(w).1 in the regular module is the normal form of w in basis order
+    g, chi, _, words = case
+    assert ReducedAlgebra(g, chi).straighten(words) == WordStraightener(g, chi).straighten(words)
 
 
 def _digest(a):

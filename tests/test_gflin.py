@@ -6,6 +6,7 @@ from superkw.gflin import (
     Field,
     FieldError,
     find_embedding,
+    graded_span,
     inv_matrix,
     irreducible_factors,
     is_irreducible,
@@ -519,3 +520,19 @@ def test_pow_arr_matches_repeated_product():
         for e in range(40):
             assert np.array_equal(F.pow_arr(a, e), want)
             want = F.mul_arr(want, a)
+
+
+@pytest.mark.parametrize("field", [F3, F9])
+def test_graded_span_splits_each_row_by_parity(field):
+    # the split row by row, zero parts dropped, then one rref
+    rng = np.random.default_rng(4)
+    for r, n in [(0, 5), (1, 4), (3, 6), (6, 6)]:
+        rows = field.rand(rng, (r, n))
+        rows[:, rng.random(n) < 0.3] = 0
+        odd = rng.random(n) < 0.5
+        parts = [part for v in rows for part in (np.where(odd, 0, v), np.where(odd, v, 0))
+                 if np.any(part)]
+        want = rref(field, np.array(parts).reshape(-1, n))
+        span = graded_span(field, rows, odd)
+        assert np.array_equal(span.basis, want[0][: len(want[1])])
+        assert not np.any(np.any(span.basis * odd, axis=1) & np.any(span.basis * ~odd, axis=1))

@@ -1,3 +1,8 @@
+"""U_chi(g) through `ReducedAlgebra`, a view over the regular module that
+`induce` builds: the straightening relations, the p-th-power and
+odd-square rules, associativity and the supercommutators checked here are
+checked on `induce`'s columns."""
+
 import numpy as np
 import pytest
 
