@@ -231,16 +231,17 @@ def parse_lsa(text: str) -> AlgebraFile:
             raise LsaParseError(no, "triangular blocks must partition the basis")
         mk = lambda idxs: Subspace.from_vectors(
             field, alg.s_even, n, [alg.basis_vector(i) for i in idxs])
+        cartan = mk(cart)
         roots = []
         minus_set = set(minus)
         for i in plus:
             # the opposite root vector is matched by the bracket pairing
             for j in minus_set:
                 h_alpha = alg.bracket(alg.basis_vector(i), alg.basis_vector(j))
-                if np.any(h_alpha) and mk(cart).contains(h_alpha):
+                if np.any(h_alpha) and cartan.contains(h_alpha):
                     roots.append(Root(i, h_alpha, int(parities[i])))
                     break
-        tri = TriangularData(mk(cart), mk(plus), mk(minus), roots)
+        tri = TriangularData(cartan, mk(plus), mk(minus), roots)
     return AlgebraFile(alg, tri, text)
 
 

@@ -4,7 +4,8 @@ parity side and one transpose-kernel vector, then certifies by the Holt-Rees
 test or, where that fails, from the module's even commutant), composition
 factors grouped into isomorphism classes, Hom(S, M) and End(S) of a
 certified simple S as one linear solve from its certificate (the
-standard-basis method), simultaneous eigenspaces, and the degree-reduction
+standard-basis method), which also peels copies of a known S off a larger
+module as submodules, simultaneous eigenspaces, and the degree-reduction
 filtration check for induced modules.
 
 Module vectors are column vectors; a set of module vectors is handled as a
@@ -30,7 +31,6 @@ from .gflin import (
     irreducible_factors,
     nullspace,
     poly_deg,
-    rank,
     rref,
     solve,
 )
@@ -533,8 +533,9 @@ class FactorClass:
     the matrix B' spun from v by B's words satisfies A'_i B' = B' C_i for
     every generator, and then T = B' B^-1.  B' is linear in v, so over a
     parity-homogeneous basis of ker f(theta) the maps are the null space of
-    the stacked residuals: nullity f(theta) unknowns, not dim^2.  T is even
-    exactly when v has the parity of w.
+    the residuals of all generators: nullity f(theta) unknowns, not dim^2.
+    T is even exactly when v has the parity of w.  M may be larger than S:
+    the same solve then finds the copies of S inside M (`embedding`).
 
     The standard basis is spun on first use, once per class, so that a
     certificate only asked whether S is simple costs no spin."""
@@ -553,50 +554,100 @@ class FactorClass:
         B_inv = inv_matrix(f, B)
         return levels, B_inv, f.matmul(B_inv, f.matmul(self.module.action, B))
 
-    def _residuals(self, M: SuperModule, ker: np.ndarray):
+    def _words(self, M: SuperModule, ker: np.ndarray):
         """For the parity-homogeneous rows v of ker, a basis of ker f(theta)
-        on M: the words of S applied to them (Y, from `_words_applied`), the
-        residuals A'_i B'(v) - B'(v) C_i of all generators stacked as the
-        columns of one system, and which rows have w's parity."""
-        f = M.alg.field
-        d, r = M.dim, ker.shape[0]
-        levels, _, C = self._standard
-        Y = _words_applied(M, ker, levels)
-        # column k of A'_i B' - B' C_i is A'_i Y[k] - sum_l C_i[l, k] Y[l]
-        AY = f.matmul(M.action, Y.transpose(1, 0, 2).reshape(d, -1)).reshape(-1, d, d, r)
-        YC = f.matmul(C.transpose(0, 2, 1), Y.reshape(d, -1)).reshape(-1, d, d, r)
-        res = f.sub_arr(AY, YC.transpose(0, 2, 1, 3)).reshape(-1, r)
+        on M: the words of S applied to them (Y, from `_words_applied`), and
+        which rows have w's parity."""
+        levels = self._standard[0]
         same = M.parities[np.argmax(ker != 0, axis=1)] == self.w_parity
-        return Y, res, same
+        return _words_applied(M, ker, levels), same
+
+    def _maps(self, M: SuperModule, Y: np.ndarray) -> np.ndarray:
+        """For Y (dim S, dim M, r), the words of S applied to r kernel
+        vectors of one parity: the matrices B'(Tw) = T B of a basis of the
+        maps T whose Tw lies in the span of those vectors, as
+        (dim S, dim M, k), where [l, :, j] is word l applied to the j-th
+        map's Tw.
+
+        The residuals A'_i B' - B' C_i are solved one generator at a time,
+        each on the solutions of the generators before it, so that no step
+        holds more than one generator's residuals; B' is linear in v, and
+        the B' of the solutions so far are carried along in place of v."""
+        f = M.alg.field
+        d_s, d = Y.shape[0], M.dim
+        B = Y
+        for A, C_i in zip(M.action, self._standard[2]):
+            k = B.shape[2]
+            if not k:
+                break
+            # column l of A'_i B' - B' C_i is A'_i B'[l] - sum_m C_i[m, l] B'[m]
+            AB = f.matmul(A, B.transpose(1, 0, 2).reshape(d, -1)).reshape(d, d_s, k)
+            BC = f.matmul(C_i.T, B.reshape(d_s, -1)).reshape(d_s, d, k)
+            null = nullspace(f, f.sub_arr(AB, BC.transpose(1, 0, 2)).reshape(-1, k))
+            B = f.matmul(B.reshape(-1, k), null.T).reshape(d_s, d, -1)
+        return B
+
+    def _hom_system(self, M: SuperModule):
+        """The one step of every Hom question: the words of S applied to a
+        parity-homogeneous basis of ker f(theta) on M, and which kernel rows
+        have w's parity (`_words`); None when there is no nonzero map
+        S -> M.  A nonzero map from the simple S is injective, so S's
+        superdimension or its reverse fits inside M's, and the map sends
+        ker f(theta) on S into ker f(theta) on M, which is then no smaller.
+        When M has S's dimension the map is an isomorphism, and the two
+        nullities are equal."""
+        f = M.alg.field
+        S, cert = self.module, self.cert
+        sd, md = S.superdim, M.superdim
+        if not any(a <= b and c <= e for (a, c), (b, e) in ((sd, md), (sd[::-1], md))):
+            return None
+        # f(theta) is even, so each row of its null space basis (one per
+        # free column of the echelon form, whose rows are homogeneous) is
+        # parity-homogeneous already
+        ker = nullspace(f, _poly_at_matrix(f, cert.poly, _even_element(M, cert.recipe)))
+        if ker.shape[0] < cert.nullity or (M.dim == S.dim and ker.shape[0] != cert.nullity):
+            return None
+        return self._words(M, ker)
 
     def hom_dims(self, M: SuperModule) -> Tuple[int, int]:
-        """Dimensions of the even and the odd module maps S -> M, for M of
-        S's dimension.  A nonzero map from the simple S is then an
-        isomorphism, so a nullity of f(theta) on M other than on S means
-        there is none."""
-        f = M.alg.field
-        cert = self.cert
-        ker = nullspace(f, _poly_at_matrix(f, cert.poly, _even_element(M, cert.recipe)))
-        if ker.shape[0] != cert.nullity:
+        """Dimensions of the even and the odd module maps S -> M.  Only when
+        M has S's dimension does a nullity of f(theta) on M other than on S
+        mean there is none (`_hom_system`)."""
+        system = self._hom_system(M)
+        if system is None:
             return 0, 0
-        _, res, same = self._residuals(M, graded_span(f, ker, M.parities == 1).basis)
-        even = int(same.sum()) - rank(f, res[:, same])
-        odd = int((~same).sum()) - rank(f, res[:, ~same])
-        return even, odd
+        Y, same = system
+        return self._maps(M, Y[:, :, same]).shape[2], self._maps(M, Y[:, :, ~same]).shape[2]
+
+    def embedding(self, M: SuperModule) -> Optional[RowSpace]:
+        """A submodule of M isomorphic to S or to its parity shift, or None
+        when there is no nonzero map S -> M.  A map T of one parity (w's
+        first) is found with its B'(Tw) = T B, whose rows, the words of S
+        applied to Tw, span the image T(S): the spin of Tw.  As S is
+        simple, T is injective and the image has S's dimension."""
+        system = self._hom_system(M)
+        if system is None:
+            return None
+        Y, same = system
+        for side in (same, ~same):
+            B = self._maps(M, Y[:, :, side])
+            if B.shape[2]:
+                W = RowSpace(M.alg.field, M.dim, B[:, :, 0])
+                if W.dim != self.module.dim:
+                    raise RuntimeError("image of a map from a simple module has another dimension")
+                return W
+        return None
 
     def random_endomorphism(self, ker: np.ndarray, rng) -> Tuple[np.ndarray, int]:
         """A random element T of E = End_even(S), and dim E, where ker is a
-        parity-split basis of ker f(theta) on S.  The null vectors of the
-        residual columns of w's parity are a basis of E, each giving Tw in
-        coordinates over those kernel rows; then T = B'(Tw) B^-1."""
+        parity-split basis of ker f(theta) on S.  The maps of w's parity are
+        E; a random combination of their B'(Tw) = T B gives T = (T B) B^-1."""
         f = self.module.alg.field
         d = self.module.dim
-        Y, res, same = self._residuals(self.module, ker)
-        E = nullspace(f, res[:, same])
-        x = f.matmul(f.rand(rng, len(E)), E)
-        # row k: word k applied to Tw, which is column k of B'(Tw) = T B
-        TB = f.matmul(Y[:, :, same].reshape(-1, len(x)), x).reshape(d, d).T
-        return f.matmul(TB, self._standard[1]), len(E)
+        Y, same = self._words(self.module, ker)
+        E = self._maps(self.module, Y[:, :, same])
+        TB = f.matmul(E.reshape(-1, E.shape[2]), f.rand(rng, E.shape[2])).reshape(d, d).T
+        return f.matmul(TB, self._standard[1]), E.shape[2]
 
     def endo(self) -> Tuple[int, int]:
         if self._endo is None:
@@ -606,9 +657,7 @@ class FactorClass:
     def accepts(self, M: SuperModule) -> bool:
         """M is isomorphic to S or to its parity shift: a nonzero homogeneous
         map from the simple S to a module of S's dimension is one."""
-        sd = self.module.superdim
-        return (M.dim == self.module.dim and M.superdim in (sd, sd[::-1])
-                and any(self.hom_dims(M)))
+        return M.dim == self.module.dim and any(self.hom_dims(M))
 
 
 def endomorphism_dims(K: FactorClass) -> Tuple[int, int]:
@@ -632,8 +681,11 @@ def composition_series(
     M: SuperModule, seed: int = 0, classes: Optional[List[FactorClass]] = None
 ) -> List[Tuple[SuperModule, FactorClass]]:
     """The graded composition factors by repeated splitting, each with its
-    isomorphism class.  A piece isomorphic to a class found before is
-    recognised by the class's isomorphism test, without the Meataxe.
+    isomorphism class.  Before a piece goes to the Meataxe, each class found
+    so far is tried against it, in order: where the class's simple module S
+    maps into the piece (`FactorClass.embedding`, one linear solve), the
+    image is a factor of that class, and only the quotient by it is split
+    further.  A piece isomorphic to S is recognised this way whole.
 
     `classes`, when given, holds classes known from other modules over the
     same algebra; it is searched first and extended in place."""
@@ -648,17 +700,25 @@ def composition_series(
             raise RuntimeError("composition recursion failed to terminate")
         if cur.dim == 0:
             continue
-        known = next((K for K in classes if K.accepts(cur)), None)
-        if known is not None:
+        for known in classes:
+            W = known.embedding(cur)
+            if W is not None:
+                break
+        else:
+            known = _find_proper_submodule(cur, derived_seed(seed, index))
+            if isinstance(known, RowSpace):
+                # the submodule first: its factors are found, and their
+                # classes known, before the quotient is tried against them
+                stack.append(quotient_module(cur, known))
+                stack.append(submodule_module(cur, known))
+                continue
+            classes.append(known)
+            W = None
+        if W is None or W.dim == cur.dim:
             factors.append((cur, known))
             continue
-        known = _find_proper_submodule(cur, derived_seed(seed, index))
-        if isinstance(known, RowSpace):
-            stack.append(submodule_module(cur, known))
-            stack.append(quotient_module(cur, known))
-            continue
-        classes.append(known)
-        factors.append((cur, known))
+        factors.append((submodule_module(cur, W), known))
+        stack.append(quotient_module(cur, W))
     return factors
 
 

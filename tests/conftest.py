@@ -361,22 +361,35 @@ def reference_validate(g, samples=200, seed=0, p_power=reference_p_power):
     return [(v.axiom, v.witness, v.message) for v in out]
 
 
-def meataxe_inputs(M, seed, monkeypatch):
-    """The modules the Meataxe is given while M is decomposed (the reducible
-    pieces and the first member of each class), and the composition
-    factors."""
+def meataxe_inputs(M, seed):
+    """The modules the Meataxe is given while M is decomposed by a
+    composition loop that peels nothing off (the reducible pieces and the
+    first member of each class), and the composition factors.  A piece is
+    recognised as a known class only when it is isomorphic to it; every
+    other piece is split by the Meataxe, so that the pieces are those of a
+    plain Meataxe recursion, not only the few that `composition_series`
+    leaves to the Meataxe once it peels known classes off."""
     from superkw import modules
 
-    seen = []
-    orig = modules._find_proper_submodule
-
-    def spy(N, s):
-        seen.append(N)
-        return orig(N, s)
-
-    monkeypatch.setattr(modules, "_find_proper_submodule", spy)
-    factors = modules.composition_factor_modules(M, seed)
-    monkeypatch.undo()
+    seen, factors, classes = [], [], []
+    stack = [M]
+    index = 0
+    while stack:
+        cur = stack.pop()
+        index += 1
+        if cur.dim == 0:
+            continue
+        if any(K.accepts(cur) for K in classes):
+            factors.append(cur)
+            continue
+        seen.append(cur)
+        out = modules._find_proper_submodule(cur, modules.derived_seed(seed, index))
+        if isinstance(out, modules.RowSpace):
+            stack.append(modules.submodule_module(cur, out))
+            stack.append(modules.quotient_module(cur, out))
+            continue
+        classes.append(out)
+        factors.append(cur)
     return seen, factors
 
 

@@ -265,7 +265,7 @@ def test_zero_divisor_of_even_commutant_splits(monkeypatch):
     # has a 3-dim kernel, the first vector of it spins to the whole piece,
     # and the even commutant E is 3-dim, as is the kernel, but E is not a
     # field.  Only a zero divisor of E finds the submodule.
-    seen, _ = meataxe_inputs(_regular("heis_p3", (1, 0, 0)), 0, monkeypatch)
+    seen, _ = meataxe_inputs(_regular("heis_p3", (1, 0, 0)), 0)
     P = next(N for N in seen if N.superdim == (9, 0))
     assert kronecker_endomorphism_dims(P) == (3, 0)
     orig = modules.FactorClass.random_endomorphism
@@ -387,3 +387,100 @@ def test_singular_even_is_a_factor_of_theta_with_a_proper_kernel():
             # proper, or all of M when M is one-dimensional over GF(q)[theta]
             assert 0 < ker.shape[0] < M.dim or ker.shape[0] == poly_deg(poly) == M.dim
     assert scalar > 0
+
+
+# ---------------------------------------------------------------------------
+# peeling known classes off larger modules
+
+
+PEEL = [("heis_p3", (0, 0, 0)), ("heis_p3", (1, 0, 0)), ("gl(1|1) GF(9)", (0, 1)),
+        ("osp1_2_p3", (0, 1, 0)), ("osp1_2_p3", (1, 1, 0))]
+
+
+# the 108-dim osp1_2_p3 regular module at (1, 1, 0) makes the Kronecker
+# reference slow; the peeling test below covers its class
+@pytest.mark.parametrize("name,chi", PEEL[:-1])
+def test_embedding_exactly_when_a_map_exists(name, chi):
+    # S maps into M exactly when the Kronecker reference finds a map; the
+    # generalised Hom solve counts the maps into M larger than S, and the
+    # image found is a copy of S or of its parity shift
+    reg = _regular(name, chi)
+    series = composition_series(reg, 0)
+    classes = _classes(series)
+    first = {}
+    for fac, K in series:
+        first.setdefault(id(K), fac)
+    facs = list(first.values())
+    targets = [reg, _shift(reg)]
+    targets += [_direct_sum(a, b) for a, b in zip(facs, facs[1:] + facs[:1])]
+    targets += [_direct_sum(_shift(a), b) for a, b in zip(facs, facs[1:])]
+    targets += [N for N in meataxe_inputs(reg, 0)[0] if N.dim > 1]
+    found = 0
+    for K in classes:
+        S = K.module
+        for M in targets:
+            expect = kronecker_hom_dims(S, M)
+            assert K.hom_dims(M) == expect, (M.superdim, S.superdim)
+            W = K.embedding(M)
+            assert (W is not None) == (expect != (0, 0)), (M.superdim, S.superdim)
+            if W is not None:
+                found += 1
+                assert W.dim == S.dim
+                sub = submodule_module(M, W)
+                assert modules.validate_module(sub) == []
+                assert K.accepts(sub)
+    assert found > len(classes)
+
+
+def _copies(S, pattern):
+    """A direct sum of copies of S, the ones marked 1 parity-shifted."""
+    return _direct_sum(*[_shift(S) if s else S for s in pattern])
+
+
+@pytest.mark.parametrize("name,chi", PEEL)
+def test_sum_of_copies_peeled_without_meataxe(monkeypatch, name, chi):
+    classes = _classes(composition_series(_regular(name, chi), 0))
+    calls = []
+    meataxe = modules._find_proper_submodule
+
+    def spy(M, seed):
+        calls.append(M.superdim)
+        return meataxe(M, seed)
+
+    monkeypatch.setattr(modules, "_find_proper_submodule", spy)
+    for K in classes:
+        for pattern in ((0, 0), (0, 1, 0), (1, 1, 0, 1)):
+            M = _copies(K.module, pattern)
+            for seed in (0, 5):
+                series = composition_series(M, seed, classes=[K])
+                assert calls == []
+                assert len(series) == len(pattern)
+                assert all(L is K for _, L in series)
+                assert sorted(fac.superdim for fac, _ in series) == sorted(
+                    K.module.superdim[::-1] if s else K.module.superdim for s in pattern)
+
+
+# heis_p3 is nilpotent, so each of its characters has one simple module, and
+# the Meataxe sees only the pieces split before it is found; the gl(1|1)
+# characters have three and nine classes
+@pytest.mark.parametrize("name,chi", [("heis_p3", (0, 0, 0)), ("heis_p3", (1, 0, 0)),
+                                      ("heis_p3", (0, 1, 2)), ("heis_p3", (2, 2, 1)),
+                                      ("gl1_1_p3", (0, 0)), ("gl(1|1) GF(9)", (0, 1))])
+def test_meataxe_only_sees_pieces_no_known_class_maps_into(monkeypatch, name, chi):
+    classes = []
+    seen = []
+    meataxe = modules._find_proper_submodule
+
+    def spy(M, seed):
+        seen.append((M, list(classes)))
+        return meataxe(M, seed)
+
+    monkeypatch.setattr(modules, "_find_proper_submodule", spy)
+    reg = _regular(name, chi)
+    series = composition_series(reg, 0, classes)
+    assert sum(fac.dim for fac, _ in series) == reg.dim
+    if len(classes) > 1:
+        assert any(known for _, known in seen)
+    for M, known in seen:
+        for K in known:
+            assert kronecker_hom_dims(K.module, M) == (0, 0), (chi, M.superdim)

@@ -244,7 +244,7 @@ def _brute_graded_irreducible(M):
     return True
 
 
-def test_meataxe_agrees_with_brute_force(gl11, oddheis_p3, osp12, solv2_p5, monkeypatch):
+def test_meataxe_agrees_with_brute_force(gl11, oddheis_p3, osp12, solv2_p5):
     # randomized cross-validation of the certificate machinery on small
     # modules where exhaustive spinning is feasible
     rng = np.random.default_rng(99)
@@ -281,7 +281,7 @@ def test_meataxe_agrees_with_brute_force(gl11, oddheis_p3, osp12, solv2_p5, monk
     for ent, chis in ((gl11, [(0, 1), (1, 1), (1, 2)]), (osp12, [(0, 2, 0), (0, 1, 2), (1, 2, 1)])):
         for chi in chis:
             reg = regular_module(ReducedAlgebra(ent.algebra, vec(*chi))).module
-            seen, factors = meataxe_inputs(reg, 0, monkeypatch)
+            seen, factors = meataxe_inputs(reg, 0)
             shapes = {m.superdim: m for m in factors}
             wide.extend(m for m in seen + list(shapes.values()) if m.dim <= 12)
     small = [m for m in wide if m.dim <= 6]
