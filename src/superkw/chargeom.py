@@ -4,13 +4,16 @@ degraded-subalgebra predicates, and the polarization construction for
 completely solvable inputs.
 
 The Gram matrix of a character is block diagonal (chi vanishes on odd
-brackets), with an alternating even block and a symmetric odd block, so each
-character costs one kernel per block: the block ranks are the block sizes
-less the kernel dimensions, and the centralizer is the two kernels side by
-side.  `characters` is the one enumeration of the character space, shared by
-the maximal-dimension scan and the report's oracle scan, and
-`character_classes` groups scanned characters under the restricted
-automorphisms that `lsa.restricted_automorphisms` finds.
+brackets), with an alternating even block and a symmetric odd block.  The
+geometry of one character (`chi_geometry`) takes one kernel per block: the
+block ranks are the block sizes less the kernel dimensions, and the
+centralizer is the two kernels side by side.  The maximal-dimension scan
+needs only the two ranks, so it takes the Gram matrices of a block of
+characters in one product and their ranks in one batched elimination
+(`gflin.ranks`).  `characters` is the one enumeration of the character
+space, in blocks or one at a time, shared by the maximal-dimension scan and
+the report's oracle scan, and `character_classes` groups scanned characters
+under the restricted automorphisms that `lsa.restricted_automorphisms` finds.
 
 Floor/ceiling convention: everything here uses the standard meaning.  With
 b0 = rank of the even Gram block and b1 = rank of the odd block, the
@@ -21,12 +24,11 @@ maximal isotropic super-dimension is ((s + z0)/2 | floor((t + z1)/2)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .gflin import Field, nullspace
+from .gflin import Field, nullspace, ranks
 from .lsa import (
     LieSuperAlgebra,
     LsaError,
@@ -70,11 +72,49 @@ def check_chi(g: LieSuperAlgebra, chi) -> np.ndarray:
 
 
 def gram_matrix(g: LieSuperAlgebra, chi: np.ndarray) -> np.ndarray:
-    """Full n x n Gram matrix of (X, Y) -> chi([X, Y]) on basis pairs."""
-    f = g.field
-    s = g.s_even
-    flat = g.structure[:, :, :s].reshape(g.n * g.n, s)
-    return f.matmul(flat, chi.reshape(s, 1)).reshape(g.n, g.n)
+    """Full n x n Gram matrix of (X, Y) -> chi([X, Y]) on basis pairs, or
+    the (B, n, n) stack of them for a (B, s) stack of characters."""
+    f, s, n = g.field, g.s_even, g.n
+    flat = g.structure[:, :, :s].reshape(n * n, s)
+    # only the basis pairs whose bracket has an even part enter the product
+    live = np.any(flat, axis=1)
+    grams = np.zeros(chi.shape[:-1] + (n * n,), dtype=np.int64)
+    grams[..., live] = f.matmul(chi, flat[live].T)
+    return grams.reshape(chi.shape[:-1] + (n, n))
+
+
+def _check_grams(f: Field, s: int, grams: np.ndarray, even_ranks: np.ndarray):
+    """Raise `CounterexampleError` at the first Gram matrix of the stack
+    (B, n, n) that breaks the grading: a nonzero mixed-parity block, an even
+    block that is not alternating, an odd block that is not symmetric, or an
+    odd rank of the even block (`even_ranks`, shape (B,))."""
+    even, odd = grams[:, :s, :s], grams[:, s:, s:]
+    faults = [
+        (np.any(grams[:, :s, s:], axis=(1, 2)) | np.any(grams[:, s:, :s], axis=(1, 2)),
+         "mixed-parity Gram block is nonzero: chi does not vanish on odd "
+         "brackets, which contradicts the grading"),
+        (np.any(even != f.neg_arr(even.transpose(0, 2, 1)), axis=(1, 2))
+         | np.any(np.diagonal(even, axis1=1, axis2=2), axis=1),
+         "even Gram block is not alternating"),
+        (np.any(odd != odd.transpose(0, 2, 1), axis=(1, 2)),
+         "odd Gram block is not symmetric"),
+        (even_ranks % 2 != 0, "even block rank {b0} is odd"),
+    ]
+    bad = np.logical_or.reduce([mask for mask, _ in faults])
+    if bad.any():
+        i = int(np.argmax(bad))
+        message = next(msg for mask, msg in faults if mask[i])
+        raise CounterexampleError(message.format(b0=int(even_ranks[i])))
+
+
+def exponent_pair(even_rank: int, odd_rank: int) -> SuperDim:
+    """(m|n) from the block ranks b0 and b1: the attached dimension
+    p^(b0/2) * 2^ceil(b1/2) is p^m * 2^n."""
+    return SuperDim(even_rank // 2, (odd_rank + 1) // 2)
+
+
+def attached_dimension(p: int, pair: SuperDim) -> int:
+    return p**pair.even * 2**pair.odd
 
 
 @dataclass
@@ -89,7 +129,7 @@ class CharacterGeometry:
     exp_pair: SuperDim      # (m|n): attached dimension is p^m * 2^n
 
     def value(self, p: int) -> int:
-        return p**self.exp_pair.even * 2**self.exp_pair.odd
+        return attached_dimension(p, self.exp_pair)
 
 
 def chi_geometry(g: LieSuperAlgebra, chi) -> CharacterGeometry:
@@ -97,32 +137,21 @@ def chi_geometry(g: LieSuperAlgebra, chi) -> CharacterGeometry:
     chi = check_chi(g, chi)
     s, t, n = g.s_even, g.t_odd, g.n
     G = gram_matrix(g, chi)
-    if np.any(G[:s, s:]) or np.any(G[s:, :s]):
-        raise CounterexampleError(
-            "mixed-parity Gram block is nonzero: chi does not vanish on odd "
-            "brackets, which contradicts the grading")
     even_block = G[:s, :s]
     odd_block = G[s:, s:]
-    if not np.array_equal(even_block, f.neg_arr(even_block.T)) or np.any(
-        np.diagonal(even_block)
-    ):
-        raise CounterexampleError("even Gram block is not alternating")
-    if not np.array_equal(odd_block, odd_block.T):
-        raise CounterexampleError("odd Gram block is not symmetric")
-    # G is block diagonal and G^T = G up to the sign of the even block, so
-    # ker G^T = ker G = ker(even block) + ker(odd block)
     k0 = nullspace(f, even_block)
     k1 = nullspace(f, odd_block)
     z0, z1 = len(k0), len(k1)
     b0, b1 = s - z0, t - z1
-    if b0 % 2 != 0:
-        raise CounterexampleError(f"even block rank {b0} is odd")
+    _check_grams(f, s, G[None], np.array([b0]))
+    # G is block diagonal and G^T = G up to the sign of the even block, so
+    # ker G^T = ker G = ker(even block) + ker(odd block)
     kernel = np.zeros((z0 + z1, n), dtype=np.int64)
     kernel[:z0, :s] = k0
     kernel[z0:, s:] = k1
     zc = Subspace(f, s, n, kernel)
     d = SuperDim((s + z0) // 2, (t + z1) // 2)
-    i = SuperDim(b0 // 2, (b1 + 1) // 2)
+    i = exponent_pair(b0, b1)
     assert d.even + i.even == s and d.odd + i.odd == t
     return CharacterGeometry(chi, even_block, odd_block, zc, b0, b1, d, i)
 
@@ -162,20 +191,38 @@ class MaxDimReport:
     simultaneous_witness: Optional[np.ndarray]  # chi attaining both b0_max, b1_max
 
     def value(self, p: int) -> int:
-        return p**self.value_exponents.even * 2**self.value_exponents.odd
+        return attached_dimension(p, self.value_exponents)
+
+
+# Bytes of the Gram tensor of one block of characters in `max_exponents`;
+# the scan's memory is bounded by a small multiple of this, whatever the
+# number of characters
+SCAN_BLOCK_BYTES = 1 << 21
+
+
+def character_blocks(field: Field, s: int, exhaustive: bool, samples: int = 0,
+                     seed: int = 0, block: int = 4096):
+    """The characters of an algebra with s even basis elements, in scan
+    order, as (B, s) arrays of at most `block` of them: all q^s in
+    lexicographic order (the base-q digits of 0, 1, ..., most significant
+    first), or `samples` draws from a generator seeded with `seed`.  A block
+    of draws is the same draws one character at a time."""
+    q = field.q
+    if exhaustive:
+        weights = q ** np.arange(s - 1, -1, -1, dtype=np.int64)
+        for start in range(0, q**s, block):
+            index = np.arange(start, min(start + block, q**s), dtype=np.int64)
+            yield index[:, None] // weights % q
+    else:
+        rng = np.random.default_rng(seed)
+        for start in range(0, samples, block):
+            yield field.rand(rng, (min(block, samples - start), s))
 
 
 def characters(field: Field, s: int, exhaustive: bool, samples: int = 0, seed: int = 0):
-    """The characters of an algebra with s even basis elements, in scan
-    order: all q^s of them in lexicographic order, or `samples` draws from a
-    generator seeded with `seed`.  Each one is a fresh array."""
-    if exhaustive:
-        for tup in product(range(field.q), repeat=s):
-            yield np.array(tup, dtype=np.int64)
-    else:
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            yield field.rand(rng, s)
+    """The characters of `character_blocks`, one array at a time."""
+    for chis in character_blocks(field, s, exhaustive, samples, seed):
+        yield from chis
 
 
 def character_classes(g: LieSuperAlgebra, chis) -> List[int]:
@@ -232,7 +279,11 @@ def max_exponents(
     One pass keeps the first character of each pair of block ranks (b0, b1).
     The (m|n) pair of a character is a function of (b0, b1), so the witness
     of each maximizing pair and the simultaneous witness of (b0_max, b1_max)
-    are both read off these first characters, in scan order.
+    are both read off these first characters, in scan order.  The pass goes
+    by blocks of characters whose Gram tensor fits in `SCAN_BLOCK_BYTES`:
+    one product gives the block's Gram matrices, and one batched
+    elimination the ranks of both of their diagonal blocks.  A character
+    that breaks the grading raises the error `chi_geometry` raises for it.
     """
     f, p, s = g.field, g.field.p, g.s_even
     if strategy not in ("exhaustive", "random"):
@@ -242,27 +293,38 @@ def max_exponents(
         raise BudgetExceeded(
             f"exhaustive scan needs {f.q**s} characters, budget is {budget}")
 
-    # (b0, b1) -> geometry of its first character; dicts keep scan order
+    t, n = g.t_odd, g.n
+    side = max(s, t)
+    block = max(1, SCAN_BLOCK_BYTES // (8 * max(n * n, 1)))
+    # (b0, b1) -> its first character; dicts keep scan order
     first = {}
     scanned = 0
-    for chi in characters(f, s, exhaustive, samples, seed):
-        geo = chi_geometry(g, chi)
-        first.setdefault((geo.even_rank, geo.odd_rank), geo)
-        scanned += 1
+    for chis in character_blocks(f, s, exhaustive, samples, seed, block):
+        grams = gram_matrix(g, chis)
+        # both diagonal blocks of each Gram matrix, padded with zeros to one
+        # square size, which keeps their ranks
+        diag = np.zeros((len(chis), 2, side, side), dtype=np.int64)
+        diag[:, 0, :s, :s] = grams[:, :s, :s]
+        diag[:, 1, :t, :t] = grams[:, s:, s:]
+        rk = ranks(f, diag)
+        _check_grams(f, s, grams, rk[:, 0])
+        _, at = np.unique(rk, axis=0, return_index=True)
+        for i in np.sort(at):
+            first.setdefault((int(rk[i, 0]), int(rk[i, 1])), chis[i])
+        scanned += len(chis)
     if not scanned:
         raise ValueError("the scan covered no character")
-    best = max(geo.value(p) for geo in first.values())
+    # (m|n) -> its first character
     witness = {}
-    for geo in first.values():
-        if geo.value(p) == best:
-            witness.setdefault(geo.exp_pair, geo.chi)
-    pairs = sorted(witness)
+    for key, chi in first.items():
+        witness.setdefault(exponent_pair(*key), chi)
+    best = max(attached_dimension(p, e) for e in witness)
+    pairs = sorted(e for e in witness if attached_dimension(p, e) == best)
     b0_max = max(b0 for b0, _ in first)
     b1_max = max(b1 for _, b1 in first)
-    both = first.get((b0_max, b1_max))
     return MaxDimReport(
         pairs, [witness[pr] for pr in pairs], pairs[0], exhaustive, scanned,
-        b0_max, b1_max, None if both is None else both.chi,
+        b0_max, b1_max, first.get((b0_max, b1_max)),
     )
 
 

@@ -8,6 +8,7 @@ scalar.  Matrices are numpy int64 arrays of codes; all arithmetic is exact.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterable, List, Optional
 
@@ -551,6 +552,35 @@ def rref(f: Field, m: np.ndarray):
 
 def rank(f: Field, m: np.ndarray) -> int:
     return len(rref(f, m)[1])
+
+
+def ranks(f: Field, stack) -> np.ndarray:
+    """The rank of each matrix of a stack (..., r, c), an int64 array of
+    shape (...).
+
+    Elimination on all the matrices at once, one column per step: each
+    matrix with a nonzero entry in the column takes the first row that has
+    one as its pivot, scales it to a leading 1 and subtracts it from every
+    row, itself included, at that row's entry in the column.  The column
+    and the pivot row become zero, and the rank is one more than that of
+    what is left.  Many small eliminations become a few array operations
+    per column, in the manner of FFLAS/FFPACK (Dumas, Giorgi & Pernet, ACM
+    TOMS 35, 2008)."""
+    m = np.array(stack, dtype=np.int64)
+    batch, (r, c) = m.shape[:-2], m.shape[-2:]
+    m = m.reshape((math.prod(batch), r, c))
+    out = np.zeros(m.shape[0], dtype=np.int64)
+    for j in range(c):
+        live = m[:, :, j] != 0
+        which = np.nonzero(live.any(axis=1))[0]
+        if which.size == 0:
+            continue
+        out[which] += 1
+        piv = m[which, live[which].argmax(axis=1), j:]
+        piv = f.mul_arr(piv, f.pow_arr(piv[:, :1], f.q - 2))
+        sub = m[which, :, j:]
+        m[which, :, j:] = f.sub_arr(sub, f.mul_arr(sub[:, :, :1], piv[:, None, :]))
+    return out.reshape(batch)
 
 
 def nullspace(f: Field, m: np.ndarray) -> np.ndarray:

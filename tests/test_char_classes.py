@@ -287,14 +287,23 @@ def test_cache_holds_the_representatives(tmp_path, monkeypatch):
 
 def test_geometry_once_per_class(monkeypatch):
     count = [0]
+    rows = [0]
     inner = chargeom.chi_geometry
+    inner_ranks = chargeom.ranks
 
     def counting(g, chi):
         count[0] += 1
         return inner(g, chi)
 
+    def counting_ranks(f, stack):
+        rows[0] += len(stack)
+        return inner_ranks(f, stack)
+
     monkeypatch.setattr(chargeom, "chi_geometry", counting)
     monkeypatch.setattr(report, "chi_geometry", counting)
+    monkeypatch.setattr(chargeom, "ranks", counting_ranks)
     conjecture_report(_parse("osp1_2_p3"), seed=0)
-    # 27 in the maximal-dimension scan, then one per class of the 27
-    assert count[0] == 27 + 5
+    # the maximal-dimension scan takes the block ranks of all 27 characters
+    # and no geometry, then the report takes one geometry per class of the 27
+    assert rows[0] == 27
+    assert count[0] == 5

@@ -17,6 +17,7 @@ from superkw.gflin import (
     poly_mul,
     powmod,
     rank,
+    ranks,
     rref,
     smallest_irreducible,
     solve,
@@ -536,3 +537,22 @@ def test_graded_span_splits_each_row_by_parity(field):
         span = graded_span(field, rows, odd)
         assert np.array_equal(span.basis, want[0][: len(want[1])])
         assert not np.any(np.any(span.basis * odd, axis=1) & np.any(span.basis * ~odd, axis=1))
+
+
+@pytest.mark.parametrize("F", [F3, F5, F9, F27, Field(3, 7)],
+                         ids=["GF3", "GF5", "GF9", "GF27", "GF3^7"])
+def test_ranks_match_rank_on_random_stacks(F):
+    """The batched kernel against `rank` of each matrix: random stacks of
+    square and oblong shapes, with products of rank at most 1 and 2 and zero
+    matrices among them, and stacks with no matrix, row or column."""
+    rng = np.random.default_rng(5)
+    for r, c in [(4, 4), (3, 6), (6, 3), (1, 5), (5, 1)]:
+        stack = F.rand(rng, (12, r, c))
+        for inner, rows in [(1, slice(0, 3)), (2, slice(3, 6))]:
+            stack[rows] = F.matmul(F.rand(rng, (3, r, inner)), F.rand(rng, (3, inner, c)))
+        stack[6] = 0
+        assert ranks(F, stack).tolist() == [rank(F, m) for m in stack]
+    assert ranks(F, F.rand(rng, (2, 3, 3, 3))).shape == (2, 3)
+    for shape in [(0, 3, 3), (4, 0, 3), (4, 3, 0), (4, 0, 0), (0, 0, 0)]:
+        got = ranks(F, np.zeros(shape, dtype=np.int64))
+        assert got.shape == shape[:1] and not got.any()
