@@ -370,8 +370,9 @@ def induce(
         keys.append(i * dim * dim + pos[sel])
         vals.append(f.mul_arr(coef[sel], val[sel]))
     flat, where = np.unique(np.concatenate(keys), return_inverse=True)
-    action = np.zeros((n, dim, dim), dtype=np.int64)
-    action.reshape(-1)[flat] = f.sum_at(where, np.concatenate(vals), flat.size)
+    # narrow from the start: no int64 tensor of the module's size is made
+    action = np.zeros((n, dim, dim), dtype=f.code_dtype)
+    action.reshape(-1)[flat] = f.narrow(f.sum_at(where, np.concatenate(vals), flat.size))
 
     parities = (gamma.sum(axis=1) + S.parities[b]) % 2
 

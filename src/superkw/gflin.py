@@ -4,6 +4,9 @@ Field elements are encoded as integers in [0, q) with q = p^k: the base-p
 digits of the code, little-endian, are the coordinates in the power basis of
 GF(p)[x]/(modulus).  That digit vector is also the on-disk serialization of a
 scalar.  Matrices are numpy int64 arrays of codes; all arithmetic is exact.
+Arrays kept for long (a module's action tensor) hold their codes in the
+field's narrow code dtype instead (`Field.narrow`); every operation accepts
+either.
 """
 
 from __future__ import annotations
@@ -102,6 +105,9 @@ class Field:
         self.p = p
         self.k = k
         self.q = p**k
+        # the narrowest dtype that holds every code: it follows from q alone
+        self.code_dtype = np.dtype(
+            np.uint8 if self.q <= 2**8 else np.uint16 if self.q <= 2**16 else np.int64)
         # longest inner dimension with inner * (p-1)^2 < 2^53
         self._float_inner = (2**53 - 1) // (p - 1) ** 2
         if modulus is None:
@@ -296,18 +302,31 @@ class Field:
     def eye(self, n: int) -> np.ndarray:
         return np.eye(n, dtype=np.int64)
 
+    def narrow(self, a) -> np.ndarray:
+        """The codes of ``a`` in the field's code dtype: uint8 for q <= 256,
+        uint16 for q <= 65536, int64 above.  An array already in that dtype
+        is returned as it is, not copied.  Raises FieldError on an entry
+        outside [0, q), so that no producer's bad entry wraps into a code."""
+        a = np.asarray(a)
+        # read as unsigned, a negative entry is at least 2^63: one maximum
+        # finds every entry outside [0, q)
+        u = a if a.dtype.kind == "u" else np.asarray(a, dtype=np.int64).view(np.uint64)
+        if u.size and int(u.max()) >= self.q:
+            raise FieldError(f"entries outside [0, {self.q}) are not codes of {self}")
+        return a.astype(self.code_dtype, copy=False)
+
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact matrix product, with the shape rules of ``np.matmul``.
+        """Exact matrix product, with the shape rules of ``np.matmul``, of
+        code arrays of any integer dtype; the product is int64.
 
         Entries (for k > 1, their power-basis digits) lie in [0, p), so
         float64 BLAS is exact while inner * (p-1)^2 < 2^53; beyond that
         the products are summed in int64 by `_chunked_dot`."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        a, b = np.asarray(a), np.asarray(b)
         exact = a.shape[-1] <= self._float_inner
         if self.k == 1:
             if exact:
-                c = np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+                c = np.rint(np.matmul(a, b, dtype=np.float64)).astype(np.int64)
                 return c % self.p
             return self._chunked_dot(a, b)
         p, k = self.p, self.k
@@ -329,10 +348,11 @@ class Field:
         return self._reduce_digits(prod)
 
     def _chunked_dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Product mod p of int64 arrays with entries in [0, p), summed in
-        chunks of the contraction axis short enough that no int64 partial
-        sum overflows."""
+        """Product mod p of arrays with entries in [0, p), summed in int64
+        in chunks of the contraction axis short enough that no partial sum
+        overflows."""
         p = self.p
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         chunk = (2**63 - 1) // (p - 1) ** 2  # >= 1: Field rejects larger p
 
         def part(s, e):

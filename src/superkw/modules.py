@@ -41,12 +41,17 @@ MEATAXE_ATTEMPTS = 64
 
 @dataclass
 class SuperModule:
-    """One action matrix per algebra basis element, plus the grading."""
+    """One action matrix per algebra basis element, plus the grading.  The
+    action is held in the field's narrow code dtype (`Field.narrow`), so a
+    module over a field of at most 256 elements takes n * dim^2 bytes."""
 
     alg: LieSuperAlgebra
     chi: np.ndarray
     parities: np.ndarray
     action: np.ndarray  # (n_generators, dim, dim)
+
+    def __post_init__(self):
+        self.action = self.alg.field.narrow(self.action)
 
     @property
     def dim(self) -> int:
@@ -454,24 +459,36 @@ def verify_dim_form(dims, p: int) -> bool:
 
 
 def submodule_module(M: SuperModule, W: RowSpace) -> SuperModule:
+    """The action on an invariant W in W's echelon basis, one generator at a
+    time, so that no step holds more than one generator's images."""
     f = M.alg.field
-    # images[i, :, b]: generator i applied to basis row b of W
-    images = f.matmul(M.action, W.basis.T)
-    if np.any(W.reduce(images.transpose(0, 2, 1).reshape(-1, M.dim))):
-        raise LsaError("row space is not action-invariant")
-    # in reduced echelon form, coordinates are the entries at the pivots
-    action = images[:, W.pivots, :]
+    basis_t = W.basis.T
+    # field results are codes, so they fit the code dtype exactly
+    action = np.empty((M.alg.n, W.dim, W.dim), dtype=f.code_dtype)
+    for i, A in enumerate(M.action):
+        # column b: the generator applied to basis row b of W
+        images = f.matmul(A, basis_t)
+        # in reduced echelon form, coordinates are the entries at the pivots
+        coords = images[W.pivots]
+        if not np.array_equal(images, f.matmul(basis_t, coords)):
+            raise LsaError("row space is not action-invariant")
+        action[i] = coords
     return SuperModule(alg=M.alg, chi=M.chi, parities=M.parities[W.pivots], action=action)
 
 
 def quotient_module(M: SuperModule, W: RowSpace) -> SuperModule:
+    """The action on M / W in the basis of the non-pivot coordinates of W,
+    one generator at a time.  The image A[:, j] of a kept basis vector,
+    reduced modulo W, is A[:, j] - basis^T A[pivots, j]; only its kept
+    coordinates are formed."""
+    f = M.alg.field
     keep = W.complement_columns()
-    r = len(keep)
-    n = M.alg.n
-    # row (i, j): the image of the kept basis vector keep[j] under generator i
-    images = M.action[:, :, keep].transpose(0, 2, 1).reshape(n * r, M.dim)
-    red = W.reduce(images)[:, keep].reshape(n, r, r)
-    action = red.transpose(0, 2, 1).copy()
+    proj = W.basis[:, keep].T
+    # field results are codes, so they fit the code dtype exactly
+    action = np.empty((M.alg.n, len(keep), len(keep)), dtype=f.code_dtype)
+    for i, A in enumerate(M.action):
+        cols = A[:, keep]
+        action[i] = f.sub_arr(cols[keep], f.matmul(proj, cols[W.pivots]))
     return SuperModule(alg=M.alg, chi=M.chi, parities=M.parities[keep], action=action)
 
 
@@ -506,18 +523,24 @@ def _standard_basis(M: SuperModule, w: np.ndarray):
 def _words_applied(M: SuperModule, V: np.ndarray, levels) -> np.ndarray:
     """The images in M of the rows of V under the words of a standard basis
     (the levels of `_standard_basis`): out[k, :, j] is word k applied to
-    V[j], so out[:, :, j].T is the basis the words spin from V[j]."""
+    V[j], so out[:, :, j].T is the basis the words spin from V[j].  out is
+    held in the field's code dtype, which the products, being codes, fit
+    exactly."""
     f = M.alg.field
-    n, dim, r = M.alg.n, M.dim, V.shape[0]
-    out = np.zeros((1 + sum(len(gens) for gens, _ in levels), dim, r), dtype=np.int64)
-    out[0] = V.T
-    lo, hi = 0, 1
+    dim, r = M.dim, V.shape[0]
+    out = np.empty((1 + sum(len(gens) for gens, _ in levels), dim, r), dtype=f.code_dtype)
+    out[0] = f.narrow(V.T)
+    hi = 1
     for gens, srcs in levels:
-        # images[i, :, t, j]: generator i applied to word lo + t of V[j]
-        images = f.matmul(M.action, out[lo:hi].transpose(1, 0, 2).reshape(dim, -1))
-        images = images.reshape(n, dim, hi - lo, r)
-        out[hi : hi + len(gens)] = images[gens, :, srcs - lo]
-        lo, hi = hi, hi + len(gens)
+        # one product per generator the level uses, on the words it extends:
+        # images[:, t, j] is the generator applied to word srcs[sel[t]] of V[j].
+        # A set, not np.unique, which imports numpy.ma on its first call
+        for i in sorted(set(gens.tolist())):
+            sel = np.flatnonzero(gens == i)
+            words = out[srcs[sel]].transpose(1, 0, 2).reshape(dim, -1)
+            images = f.matmul(M.action[i], words).reshape(dim, sel.size, r)
+            out[hi + sel] = images.transpose(1, 0, 2)
+        hi += len(gens)
     return out
 
 
