@@ -194,6 +194,9 @@ class MaxDimReport:
         return attached_dimension(p, self.value_exponents)
 
 
+# The most characters an exhaustive scan of `max_exponents` enumerates
+SCAN_CAP = 10**6
+
 # Bytes of the Gram tensor of one block of characters in `max_exponents`;
 # the scan's memory is bounded by a small multiple of this, whatever the
 # number of characters
@@ -264,7 +267,7 @@ def character_classes(g: LieSuperAlgebra, chis) -> List[int]:
 def max_exponents(
     g: LieSuperAlgebra,
     strategy: str = "exhaustive",
-    budget: int = 10**6,
+    budget: int = SCAN_CAP,
     seed: int = 0,
     samples: int = 200,
 ) -> MaxDimReport:

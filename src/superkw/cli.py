@@ -40,6 +40,9 @@ def _load(path: str):
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT)
     except LsaParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
@@ -84,8 +87,12 @@ def _sample_count(text: str) -> int:
 
 def _emit(text: str, path):
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+            raise SystemExit(EXIT_INPUT)
     else:
         sys.stdout.write(text)
 
@@ -105,7 +112,7 @@ def cmd_validate(args) -> int:
 
 def cmd_mdim(args) -> int:
     g = _load_valid(args).algebra
-    frag = mdim_fragment(g, args.strategy, args.budget, args.seed, args.samples)
+    frag = mdim_fragment(g, args.strategy, args.seed, args.samples)
     p = g.field.p
     lines = []
     for (m, n), w in zip(frag["pairs"], frag["witnesses"]):
@@ -143,7 +150,11 @@ def cmd_conjecture(args) -> int:
         cache=cache,
     )
     if cache is not None:
-        cache.save()
+        try:
+            cache.save()
+        except OSError as exc:
+            print(f"error: cannot write cache {args.cache}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     _emit(render_report(doc), args.report)
     return EXIT_OK if doc["conjecture"]["status"] == "agree" else EXIT_VIOLATION
 
@@ -259,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mdim", help="maximal-dimension invariant scan")
     common(sp)
     seed(sp)
-    budget(sp)
     sp.add_argument("--strategy", choices=["exhaustive", "random"], default="exhaustive")
     sp.add_argument("--samples", type=_sample_count, default=200)
     sp.set_defaults(func=cmd_mdim)

@@ -2,14 +2,14 @@
 module, and the induced-module constructors (the left regular module is
 the special case of inducing from the zero subalgebra).
 
-Monomials are pairs (alpha, gamma): even exponents in [0, p) and odd bits.
-`induce` is the one PBW engine.  It applies the defining relations of
-U_chi(g) (the super-commutation swap, the odd-square rule
-y*y = (1/2)[y,y] and the even p-th power rule x^p = x^[p] + chi(x)^p) to
-the induced module's own basis, building each action column from the
+Basis vectors are e^alpha f^gamma (x) v_b: even exponents alpha in [0, p)
+and odd bits gamma.  `induce` is the one PBW engine.  It applies the
+defining relations of U_chi(g) (the super-commutation swap, the odd-square
+rule y*y = (1/2)[y,y] and the even p-th power rule x^p = x^[p] + chi(x)^p)
+to the induced module's own basis, building each action column from the
 columns of shorter basis vectors.  By the PBW theorem the normal form of
-an element u is rho(u).1 in the regular module, so `ReducedAlgebra`
-straightens and multiplies by acting there.
+an element u is rho(u).1 in the regular module, so
+`ReducedAlgebra.straighten` rewrites words by acting there.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .lsa import LieSuperAlgebra, LsaError, Subalgebra, as_subalgebra, change_ba
 from .modules import SuperModule
 
 Word = Tuple[int, ...]
-Monomial = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 class ReducedAlgebra:
@@ -37,7 +36,6 @@ class ReducedAlgebra:
         if not g.restricted:
             raise LsaError("reduced enveloping algebra needs a restricted algebra")
         self.g = g
-        self.field = g.field
         self.chi = check_chi(g, chi)
         self._regular: Optional[InducedModule] = None
 
@@ -48,7 +46,7 @@ class ReducedAlgebra:
         module is over the default budget of `regular_module`."""
         if self._regular is None:
             self._regular = regular_module(self)
-        reg, f = self._regular, self.field
+        reg, f = self._regular, self.g.field
         action = reg.module.action
         v = np.zeros(reg.module.dim, dtype=np.int64)
         for w, c in words.items():
@@ -63,73 +61,6 @@ class ReducedAlgebra:
         gens = np.arange(self.g.n)
         return {tuple(np.repeat(gens, exps[m]).tolist()): int(v[m])
                 for m in np.nonzero(v)[0].tolist()}
-
-    def _monomials(self, words: Dict[Word, int]) -> Dict[Monomial, int]:
-        """Straighten, then count each sorted reduced word's exponents."""
-        s, n = self.g.s_even, self.g.n
-        return {(tuple(w.count(i) for i in range(s)), tuple(w.count(i) for i in range(s, n))): c
-                for w, c in self.straighten(words).items()}
-
-    def monomial_to_word(self, mono: Monomial) -> Word:
-        alpha, gamma = mono
-        s = self.g.s_even
-        w: List[int] = []
-        for i, a in enumerate(alpha):
-            w.extend([i] * a)
-        for j, cb in enumerate(gamma):
-            if cb:
-                w.append(s + j)
-        return tuple(w)
-
-    def normal_form(self, word: Sequence[int], coeff: int = 1) -> Dict[Monomial, int]:
-        """PBW-ordered representative of a scalar multiple of a word."""
-        return self._monomials({tuple(word): coeff})
-
-    def multiply(self, u: Dict[Monomial, int], v: Dict[Monomial, int]) -> Dict[Monomial, int]:
-        f = self.field
-        words: Dict[Word, int] = {}
-        for m1, c1 in u.items():
-            w1 = self.monomial_to_word(m1)
-            for m2, c2 in v.items():
-                w = w1 + self.monomial_to_word(m2)
-                words[w] = f.add(words.get(w, 0), f.mul(c1, c2))
-        return self._monomials(words)
-
-    def one(self) -> Dict[Monomial, int]:
-        s, t = self.g.s_even, self.g.t_odd
-        return {((0,) * s, (0,) * t): 1}
-
-    def generator(self, i: int) -> Dict[Monomial, int]:
-        return self.normal_form((i,))
-
-    def element_parity(self, u: Dict[Monomial, int]) -> Optional[int]:
-        """0/1 for homogeneous elements, None for mixed (or zero)."""
-        seen = {sum(gamma) % 2 for (_, gamma) in u}
-        if len(seen) == 1:
-            return seen.pop()
-        return None
-
-    def format_element(self, u: Dict[Monomial, int]) -> str:
-        """Canonical PBW-ordered printing, stable for golden files."""
-        if not u:
-            return "0"
-        names = self.g.names
-        s = self.g.s_even
-        parts = []
-        for (alpha, gamma) in sorted(u.keys()):
-            c = u[(alpha, gamma)]
-            factors = []
-            for i, a in enumerate(alpha):
-                if a == 1:
-                    factors.append(names[i])
-                elif a > 1:
-                    factors.append(f"{names[i]}^{a}")
-            for j, cb in enumerate(gamma):
-                if cb:
-                    factors.append(names[s + j])
-            body = "*".join(factors) if factors else "1"
-            parts.append(f"{c}*{body}")
-        return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +114,10 @@ class InducedModule:
         return e[:, :c0], e[:, c0:], idx % d
 
 
-def trivial_base_module(g: LieSuperAlgebra, chi) -> SuperModule:
-    """One-dimensional even module over the zero subalgebra of g."""
-    sub_space = g.zero_space()
-    sub = as_subalgebra(g, sub_space)
+def trivial_base_module(zero: Subalgebra) -> SuperModule:
+    """One-dimensional even module over a zero subalgebra."""
     return SuperModule(
-        alg=sub.alg,
+        alg=zero.alg,
         chi=np.zeros(0, dtype=np.int64),
         parities=np.zeros(1, dtype=np.int64),
         action=np.zeros((0, 1, 1), dtype=np.int64),
@@ -383,6 +312,5 @@ def induce(
 def regular_module(ralg: ReducedAlgebra, budget: int = 4000) -> InducedModule:
     """Left regular module of U_chi(g), as induction from the zero subalgebra."""
     g = ralg.g
-    sub = as_subalgebra(g, g.zero_space())
-    base = trivial_base_module(g, ralg.chi)
-    return induce(g, ralg.chi, sub, base, budget=budget)
+    zero = as_subalgebra(g, g.zero_space())
+    return induce(g, ralg.chi, zero, trivial_base_module(zero), budget=budget)

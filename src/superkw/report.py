@@ -21,6 +21,7 @@ import numpy as np
 
 from .chargeom import (
     BudgetExceeded,
+    SCAN_CAP,
     SuperDim,
     character_classes,
     characters,
@@ -73,7 +74,7 @@ class OracleCache:
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     data = json.load(fh)
-            except ValueError as exc:  # bad JSON or bad UTF-8
+            except (OSError, ValueError) as exc:  # unreadable, bad JSON or bad UTF-8
                 raise CacheError(f"unreadable cache file {path}: {exc}") from exc
             if not isinstance(data, dict):
                 raise CacheError(f"cache file {path} does not hold a JSON object")
@@ -232,8 +233,8 @@ def equidim_probe(g: LieSuperAlgebra, chi, seed: int = 0, budget: int = 4000) ->
     )
 
 
-def mdim_fragment(g: LieSuperAlgebra, strategy, budget, seed, samples) -> dict:
-    rep = max_exponents(g, strategy=strategy, budget=budget, seed=seed, samples=samples)
+def mdim_fragment(g: LieSuperAlgebra, strategy, seed, samples) -> dict:
+    rep = max_exponents(g, strategy=strategy, seed=seed, samples=samples)
     return {
         "pairs": [[pr.even, pr.odd] for pr in rep.pairs],
         "witnesses": [_chi_list(w) for w in rep.witnesses],
@@ -288,8 +289,8 @@ def conjecture_report(
     if dim_total > budget:
         raise BudgetExceeded(
             f"regular module dimension {dim_total} exceeds budget {budget}")
-    mfrag = mdim_fragment(g, "exhaustive" if f.q**g.s_even <= 10**6 else "random",
-                          10**6, seed, samples=max(samples, 64))
+    mfrag = mdim_fragment(g, "exhaustive" if f.q**g.s_even <= SCAN_CAP else "random",
+                          seed, samples=max(samples, 64))
     chis, exhaustive = _chi_scan_set(g, mfrag, strategy, samples, seed)
     # representative index -> its verdict; a representative comes first in
     # its class, so its verdict is built before any member needs it

@@ -309,6 +309,22 @@ def test_corrupt_cache_exit3(files, tmp_path, capsys):
     assert main(["conjecture", files["oddheis"], "--cache", str(bad)]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "{dir}"],
+    ["mdim", "{latin1}"],
+    ["mdim", "{heis}", "--report", "{dir}/missing/out.txt"],
+    ["conjecture", "{oddheis}", "--cache", "{dir}"],
+    ["conjecture", "{oddheis}", "--cache", "{dir}/missing/c.json"],
+])
+def test_unreadable_input_or_unwritable_output_exit3(files, tmp_path, argv, capsys):
+    latin1 = tmp_path / "latin1.lsa"
+    latin1.write_bytes(b"superkw-lsa v1\n# caf\xe9\n")
+    code = main([a.format(dir=tmp_path, latin1=latin1, **files) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 def test_cache_save_is_atomic(tmp_path, monkeypatch):
     path = tmp_path / "cache.json"
     cache = OracleCache(str(path))
@@ -348,6 +364,7 @@ def test_meataxe_failure_exit2(files, monkeypatch, capsys):
     ["mdim", "{heis}", "--seed", "x"],
     ["validate", "{heis}", "--ext-cap", "3"],  # read by no validation
     ["validate", "{heis}", "--budget", "1"],   # validation builds no module
+    ["mdim", "{heis}", "--budget", "60000"],   # the scan's cap is fixed
     ["penv", "{heis}", "--seed", "9"],         # the envelope is deterministic
     [],
     ["conjecture", "{heis}", "--ext-cap", "3"],  # read by no step of the scan
@@ -398,5 +415,5 @@ def test_seed_and_budget_only_where_read():
             for flag in ("--seed", "--budget")}
     assert have == {
         "--seed": ["baby-verma", "conjecture", "mdim", "solvable-irr", "validate"],
-        "--budget": ["baby-verma", "conjecture", "mdim", "solvable-irr"],
+        "--budget": ["baby-verma", "conjecture", "solvable-irr"],
     }

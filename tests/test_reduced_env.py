@@ -1,7 +1,9 @@
-"""U_chi(g) through `ReducedAlgebra`, a view over the regular module that
-`induce` builds: the straightening relations, the p-th-power and
-odd-square rules, associativity and the supercommutators checked here are
-checked on `induce`'s columns."""
+"""U_chi(g) through `ReducedAlgebra.straighten`, which reads the normal
+form of a combination of words off the regular module that `induce`
+builds: the straightening relations, the p-th-power and odd-square rules,
+associativity and the supercommutators checked here are checked on
+`induce`'s columns.  A product is the concatenation of words, straightened,
+and each one is compared with `conftest.WordStraightener`."""
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from superkw.gflin import Field
 from superkw.lsa import LsaError, Subspace, as_subalgebra
 from superkw.modules import validate_module
 
-from conftest import pair_algebra
+from conftest import WordStraightener, pair_algebra
 
 F3 = Field(3)
 F5 = Field(5)
@@ -22,8 +24,26 @@ def vec(*vals):
     return np.array(vals, dtype=np.int64)
 
 
-def mono(alpha, gamma):
-    return (tuple(alpha), tuple(gamma))
+def add_term(f, acc, word, c):
+    """acc += c * word, dropping a coefficient that cancels."""
+    v = f.add(acc.get(word, 0), c)
+    if v:
+        acc[word] = v
+    else:
+        acc.pop(word, None)
+
+
+def product(A, ref, u, v):
+    """u * v in U_chi(g): every word of u followed by every word of v,
+    straightened, and the same straightened by the reference."""
+    f = A.g.field
+    words = {}
+    for w1, c1 in u.items():
+        for w2, c2 in v.items():
+            add_term(f, words, w1 + w2, f.mul(c1, c2))
+    uv = A.straighten(words)
+    assert uv == ref.straighten(words)
+    return uv
 
 
 @pytest.fixture(scope="module")
@@ -31,121 +51,94 @@ def U_typical(gl11):
     return ReducedAlgebra(gl11.algebra, vec(1, 0))
 
 
+@pytest.fixture(scope="module")
+def ref_typical(gl11):
+    return WordStraightener(gl11.algebra, vec(1, 0))
+
+
 def test_single_generator_fixed(U_typical):
     for i in range(4):
-        nf = U_typical.normal_form((i,))
-        assert len(nf) == 1
-        ((alpha, gamma), c), = nf.items()
-        assert c == 1
-        assert sum(alpha) + sum(gamma) == 1
+        assert U_typical.straighten({(i,): 1}) == {(i,): 1}
 
 
 def test_fe_straightening(U_typical):
     # f e = (h1 + h2) - e f in U(gl(1|1)); basis order E11,E22 | E12,E21
-    nf = U_typical.normal_form((3, 2))
-    h1 = mono((1, 0), (0, 0))
-    h2 = mono((0, 1), (0, 0))
-    ef = mono((0, 0), (1, 1))
-    assert nf == {h1: 1, h2: 1, ef: 2}
+    assert U_typical.straighten({(3, 2): 1}) == {(0,): 1, (1,): 1, (2, 3): 2}
 
 
 def test_even_p_rewrite_constant():
     # abelian, zero p-operation, chi(a) = c: the word a^3 collapses to c^3
     g = pair_algebra(F3, ["a"], [0], [], [[0]])
     A = ReducedAlgebra(g, vec(2))
-    nf = A.normal_form((0, 0, 0))
-    assert nf == {mono((0,), ()): 2}  # 2^3 = 8 = 2 mod 3
+    assert A.straighten({(0, 0, 0): 1}) == {(): 2}  # 2^3 = 8 = 2 mod 3
 
 
 def test_even_p_rewrite_with_pmap(U_typical):
     # h1^3 = h1^[3] + chi(h1)^3 = h1 + 1
-    nf = U_typical.normal_form((0, 0, 0))
-    assert nf == {mono((1, 0), (0, 0)): 1, mono((0, 0), (0, 0)): 1}
+    assert U_typical.straighten({(0, 0, 0): 1}) == {(0,): 1, (): 1}
 
 
 def test_odd_square_rule(oddheis_p3):
-    # y*y = (1/2)[y,y] = (1/2) z = 2z over GF(3)
+    # y*y = (1/2)[y,y] = (1/2) z = 2z over GF(3); basis order z | y
     A = ReducedAlgebra(oddheis_p3.algebra, vec(0))
-    nf = A.normal_form((1, 1))
-    assert nf == {mono((1,), (0,)): 2}
+    assert A.straighten({(1, 1): 1}) == {(0,): 2}
 
 
 def test_normal_form_projection(U_typical):
     # straightening an already ordered monomial returns it unchanged
     word = (0, 0, 1, 2, 3)  # h1^2 h2 e f
-    nf = U_typical.normal_form(word)
-    assert nf == {mono((2, 1), (1, 1)): 1}
+    assert U_typical.straighten({word: 1}) == {word: 1}
 
 
-def test_multiply_identity(U_typical):
-    u = U_typical.normal_form((2, 3))
-    assert U_typical.multiply(U_typical.one(), u) == u
-    assert U_typical.multiply(u, U_typical.one()) == u
+def test_multiply_identity(U_typical, ref_typical):
+    # the empty word is the unit, on either side
+    u = U_typical.straighten({(2, 3): 1})
+    one = {(): 1}
+    assert product(U_typical, ref_typical, one, u) == u
+    assert product(U_typical, ref_typical, u, one) == u
 
 
-def test_defining_relation_ef_fe(U_typical):
+def test_defining_relation_ef_fe(U_typical, ref_typical):
     # e f + f e = h1 + h2
-    ef = U_typical.multiply(U_typical.generator(2), U_typical.generator(3))
-    fe = U_typical.multiply(U_typical.generator(3), U_typical.generator(2))
-    f = U_typical.field
-    tot = dict(ef)
-    for k, v in fe.items():
-        s = f.add(tot.get(k, 0), v)
-        if s:
-            tot[k] = s
-        else:
-            tot.pop(k, None)
-    assert tot == {mono((1, 0), (0, 0)): 1, mono((0, 1), (0, 0)): 1}
+    A, f = U_typical, U_typical.g.field
+    e_, f_ = {(2,): 1}, {(3,): 1}
+    tot = dict(product(A, ref_typical, e_, f_))
+    for w, c in product(A, ref_typical, f_, e_).items():
+        add_term(f, tot, w, c)
+    assert tot == {(0,): 1, (1,): 1}
 
 
-def test_supercommutation_generator_pairs(U_typical):
+def test_supercommutation_generator_pairs(U_typical, ref_typical):
     # u v - (-1)^(|u||v|) v u = [u, v] for all generator pairs
     A = U_typical
-    f = A.field
+    f = A.g.field
     g = A.g
     for i in range(4):
         for j in range(4):
-            uv = A.multiply(A.generator(i), A.generator(j))
-            vu = A.multiply(A.generator(j), A.generator(i))
+            got = dict(product(A, ref_typical, {(i,): 1}, {(j,): 1}))
             sign = -1 if (g.parities[i] * g.parities[j]) % 2 == 1 else 1
-            got = dict(uv)
-            for k, v in vu.items():
-                delta = f.neg(v) if sign == 1 else v
-                s = f.add(got.get(k, 0), delta)
-                if s:
-                    got[k] = s
-                else:
-                    got.pop(k, None)
-            expect = {}
-            for l in np.nonzero(g.structure[i, j])[0]:
-                w = [0] * 4
-                w[l] = 1
-                key = mono(tuple(w[:2]), tuple(w[2:]))
-                expect[key] = int(g.structure[i, j, l])
+            for w, c in product(A, ref_typical, {(j,): 1}, {(i,): 1}).items():
+                add_term(f, got, w, f.neg(c) if sign == 1 else c)
+            expect = {(int(l),): int(g.structure[i, j, l])
+                      for l in np.nonzero(g.structure[i, j])[0]}
             assert got == expect, (i, j)
 
 
-def test_multiply_associative_random(U_typical):
+def test_multiply_associative_random(U_typical, ref_typical):
     A = U_typical
+    f = A.g.field
     rng = np.random.default_rng(12)
-    gens = [A.generator(i) for i in range(4)]
     def rand_elt():
-        u = A.one() if rng.random() < 0.3 else {}
+        words = {(): 1} if rng.random() < 0.3 else {}
         for _ in range(2):
             i = int(rng.integers(0, 4))
-            c = int(A.field.rand(rng))
-            w = A.normal_form((i,), coeff=c or 1)
-            for k, v in w.items():
-                s = A.field.add(u.get(k, 0), v)
-                if s:
-                    u[k] = s
-                else:
-                    u.pop(k, None)
-        return u or A.one()
+            c = int(f.rand(rng))
+            add_term(f, words, (i,), c or 1)
+        return A.straighten(words) or {(): 1}
     for _ in range(50):
         u, v, w = rand_elt(), rand_elt(), rand_elt()
-        left = A.multiply(A.multiply(u, v), w)
-        right = A.multiply(u, A.multiply(v, w))
+        left = product(A, ref_typical, product(A, ref_typical, u, v), w)
+        right = product(A, ref_typical, u, product(A, ref_typical, v, w))
         assert left == right
 
 
@@ -183,34 +176,13 @@ def test_central_relation_annihilates(U_typical):
     # x^p - x^[p] - chi(x)^p acts as zero on the regular module: the word
     # x_i^p reduces to the same element as x_i^[p] + chi(x_i)^p
     A = U_typical
-    f = A.field
+    f = A.g.field
     g = A.g
     for i in range(2):
-        lhs = A.normal_form((i,) * 3)
-        rhs = {}
-        for l in np.nonzero(g.pmap[i])[0]:
-            w = [0] * 4
-            w[l] = 1
-            rhs[mono(tuple(w[:2]), tuple(w[2:]))] = int(g.pmap[i][l])
-        cp = f.pow(int(A.chi[i]), 3)
-        if cp:
-            key = mono((0, 0), (0, 0))
-            rhs[key] = f.add(rhs.get(key, 0), cp)
+        lhs = A.straighten({(i,) * 3: 1})
+        rhs = {(int(l),): int(g.pmap[i][l]) for l in np.nonzero(g.pmap[i])[0]}
+        add_term(f, rhs, (), f.pow(int(A.chi[i]), 3))
         assert lhs == rhs
-
-
-def test_format_element_stable(U_typical):
-    nf = U_typical.normal_form((3, 2))
-    assert U_typical.format_element(nf) == "2*E12*E21 + 1*E22 + 1*E11"
-    assert U_typical.format_element({}) == "0"
-
-
-def test_parity_of_elements(U_typical):
-    assert U_typical.element_parity(U_typical.generator(2)) == 1
-    assert U_typical.element_parity(U_typical.generator(0)) == 0
-    mixed = dict(U_typical.generator(0))
-    mixed.update(U_typical.generator(2))
-    assert U_typical.element_parity(mixed) is None
 
 
 def test_induce_from_whole_algebra_is_identity(gl11):
