@@ -156,11 +156,6 @@ def chi_geometry(g: LieSuperAlgebra, chi) -> CharacterGeometry:
     return CharacterGeometry(chi, even_block, odd_block, zc, b0, b1, d, i)
 
 
-def isotropy_profile(geo: CharacterGeometry) -> tuple:
-    """(maximal isotropic super-dimension, its complement = exponent pair)."""
-    return geo.max_isotropic, geo.exp_pair
-
-
 def chi_value(g: LieSuperAlgebra, chi: np.ndarray, x: np.ndarray):
     """chi(x): the value of chi on the even part of x, an int; for a stack
     of vectors (shape (..., n)) the array of values (shape (...))."""
@@ -196,6 +191,10 @@ class MaxDimReport:
 
 # The most characters an exhaustive scan of `max_exponents` enumerates
 SCAN_CAP = 10**6
+
+# The largest module dimension built unless a caller (or `--budget`) says
+# otherwise
+DEFAULT_BUDGET = 4000
 
 # Bytes of the Gram tensor of one block of characters in `max_exponents`;
 # the scan's memory is bounded by a small multiple of this, whatever the
@@ -267,14 +266,13 @@ def character_classes(g: LieSuperAlgebra, chis) -> List[int]:
 def max_exponents(
     g: LieSuperAlgebra,
     strategy: str = "exhaustive",
-    budget: int = SCAN_CAP,
     seed: int = 0,
     samples: int = 200,
 ) -> MaxDimReport:
     """Scan characters for the largest attached dimension p^m * 2^n.
 
     Exhaustive mode enumerates all q^s characters (rejected when that count
-    exceeds the budget); random mode draws seeded samples.  Because both
+    exceeds `SCAN_CAP`); random mode draws seeded samples.  Because both
     block ranks are ranks of matrices linear in the character, random
     sampling finds the generic (maximal) ranks with high probability once q
     is not tiny; the report records the sample count so the caller can judge.
@@ -292,9 +290,10 @@ def max_exponents(
     if strategy not in ("exhaustive", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
     exhaustive = strategy == "exhaustive"
-    if exhaustive and f.q**s > budget:
+    if exhaustive and f.q**s > SCAN_CAP:
         raise BudgetExceeded(
-            f"exhaustive scan needs {f.q**s} characters, budget is {budget}")
+            f"exhaustive scan needs {f.q**s} characters, over the scan cap of "
+            f"{SCAN_CAP}; --strategy random samples characters instead")
 
     t, n = g.t_odd, g.n
     side = max(s, t)
@@ -349,7 +348,7 @@ def is_degraded(g: LieSuperAlgebra, chi, S: Subspace, geo: Optional[CharacterGeo
         "superdim": SuperDim(*S.superdim),
         "target": geo.max_isotropic,
         "chi_kills_derived": chi_kills,
-        "contains_centralizer": S.contains_space(geo.centralizer),
+        "contains_centralizer": S.contains(geo.centralizer.basis),
         "p_closed": is_p_closed(g, S) if g.restricted else None,
     }
     return verdict, diagnostics

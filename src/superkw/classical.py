@@ -16,19 +16,18 @@ from typing import List, Optional
 
 import numpy as np
 
-from .chargeom import check_chi, chi_geometry, chi_value, restrict_chi
-from .env import InducedModule, character_module, induce, regular_module, ReducedAlgebra
+from .chargeom import DEFAULT_BUDGET, check_chi, chi_geometry, chi_value, restrict_chi
+from .env import InducedModule, character_module, induce
 from .gflin import Field, solve as lin_solve
 from .lsa import (
     LieSuperAlgebra,
     LsaError,
-    Subalgebra,
     Subspace,
     as_subalgebra,
-    is_p_closed,
     scalar_extensions,
 )
-from .modules import composition_factors, is_graded_irreducible, validate_module
+from .modules import is_graded_irreducible, validate_module
+from .report import oracle_composition
 from .solvable import p_compatibility, solve_weight_equations
 
 
@@ -129,36 +128,28 @@ def _gl_basis(field: Field, m: int, n: int, traceless: bool):
     return [u[:3] for u in units], [u[3] for u in units]
 
 
-def _triangular_from_positions(
-    g: LieSuperAlgebra, positions
-) -> TriangularData:
-    """Cartan, positive and negative parts by matrix position: diagonal,
-    above, below.  Each position above the diagonal is a root, paired with
-    its transpose position."""
-    f = g.field
-    cart, plus, minus = [], [], []
-    for idx, (i, j) in enumerate(positions):
-        v = g.basis_vector(idx)
-        if i == j:
-            cart.append(v)
-        elif i < j:
-            plus.append((idx, v))
-        else:
-            minus.append(v)
-    cartan = Subspace.from_vectors(f, g.s_even, g.n, cart)
-    n_plus = Subspace.from_vectors(f, g.s_even, g.n, [v for _, v in plus])
-    n_minus = Subspace.from_vectors(f, g.s_even, g.n, minus)
+def triangular_data(g: LieSuperAlgebra, cartan, plus, minus) -> TriangularData:
+    """Cartan, positive and negative parts spanned by the basis vectors at
+    the given indices.  Each positive vector is a root vector, paired with
+    the first negative one, in the order given, whose bracket with it is a
+    nonzero Cartan element: that bracket is its coroot."""
+    def span(idxs):
+        return Subspace.from_vectors(g.field, g.s_even, g.n, [g.basis_vector(i) for i in idxs])
+
+    h = span(cartan)
     roots = []
-    for idx, (i, j) in enumerate(positions):
-        if i < j:
-            opp = positions.index((j, i))
-            h_alpha = g.bracket(g.basis_vector(idx), g.basis_vector(opp))
-            roots.append(Root(idx, h_alpha, int(g.parities[idx])))
-    return TriangularData(cartan, n_plus, n_minus, roots)
+    for i in plus:
+        for j in minus:
+            h_alpha = g.bracket(g.basis_vector(i), g.basis_vector(j))
+            if np.any(h_alpha) and h.contains(h_alpha):
+                roots.append(Root(i, h_alpha, int(g.parities[i])))
+                break
+    return TriangularData(h, span(plus), span(minus), roots)
 
 
 # name -> (matrix size, basis entries (name, parity, terms of `_matrix`),
-# positions for `_triangular_from_positions` or None)
+# the matrix position of each entry, which places it in the triangular
+# decomposition, or None)
 _REALIZATIONS = {
     # inside gl(1|2), preserving the form with a symmetric 1x1 block and a
     # symplectic 2x2 block; the odd root vectors x, y are no matrix units,
@@ -221,8 +212,12 @@ def catalog(name: str, p: int, k: int = 1) -> CatalogEntry:
         basis = [(nm, par, _matrix(field, size, *t)) for nm, par, t in terms]
     names, parities, mats = zip(*basis)
     g = algebra_from_matrices(field, list(mats), list(names), list(parities))
-    tri = None if positions is None else _triangular_from_positions(g, positions)
-    return CatalogEntry(g, tri, name)
+    if positions is None:
+        return CatalogEntry(g, None, name)
+    parts = ([], [], [])   # diagonal, above, below (index -1)
+    for idx, (i, j) in enumerate(positions):
+        parts[(j > i) - (j < i)].append(idx)
+    return CatalogEntry(g, triangular_data(g, *parts), name)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +243,6 @@ class LambdaSetReport:
     completion: Optional[Completion] = None   # the data over that extension
 
 
-def _cartan_sub(g: LieSuperAlgebra, tri: TriangularData) -> Subalgebra:
-    return as_subalgebra(g, tri.cartan)
-
-
 def lambda_set(
     g: LieSuperAlgebra, tri: TriangularData, chi, ext_cap: int = 4
 ) -> LambdaSetReport:
@@ -261,7 +252,7 @@ def lambda_set(
     subset can be smaller, and the report names the minimal extension degree
     that completes it instead of silently extending."""
     chi = check_chi(g, chi)
-    sub = _cartan_sub(g, tri)
+    sub = as_subalgebra(g, tri.cartan)
     chi_h = restrict_chi(chi, sub)
     sols = solve_weight_equations(sub.alg, chi_h)
     expected = g.field.p ** tri.cartan.dim
@@ -271,7 +262,7 @@ def lambda_set(
             if d == 1:
                 continue
             trix = _extend_triangular(tri, gx.field, table, gx)
-            subx = _cartan_sub(gx, trix)
+            subx = as_subalgebra(gx, trix.cartan)
             solx = solve_weight_equations(subx.alg, restrict_chi(table[chi], subx))
             if len(solx) == expected:
                 return LambdaSetReport(sols, expected, complete, d,
@@ -293,7 +284,7 @@ def _extend_triangular(tri: TriangularData, big: Field, table, gx) -> Triangular
 
 def is_weight_admissible(g, tri, chi, lam) -> bool:
     """lam(h)^p - lam(h^[p]) = chi(h)^p on every Cartan basis row h."""
-    sub = _cartan_sub(g, tri)
+    sub = as_subalgebra(g, tri.cartan)
     chi_h = restrict_chi(chi, sub)
     lhs = p_compatibility(sub.alg, lam)
     return bool(np.array_equal(lhs, g.field.pow_arr(chi_h, g.field.p)))
@@ -304,7 +295,7 @@ def baby_verma(
     tri: TriangularData,
     chi,
     lam: np.ndarray,
-    budget: int = 4000,
+    budget: int = DEFAULT_BUDGET,
 ) -> InducedModule:
     """Induce the one-dimensional weight module from the Borel subalgebra."""
     f = g.field
@@ -361,7 +352,7 @@ def zhao_check(
     tri: TriangularData,
     chi,
     seed: int = 0,
-    budget: int = 4000,
+    budget: int = DEFAULT_BUDGET,
     ext_cap: int = 4,
 ) -> ZhaoCheckReport:
     """Desk check: at a regular semisimple character every baby Verma module
@@ -386,10 +377,7 @@ def zhao_check(
     all_irr = max_factor = lemma_ok = None
     if dims:
         all_irr = all(irreducible)
-        rep = composition_factors(
-            regular_module(ReducedAlgebra(gx, chix), budget=budget).module, seed
-        )
-        max_factor = max(rep.geometric_dims)
+        max_factor = max(oracle_composition(gx, chix, seed, budget).geometric_dims)
         lemma_ok = max_factor <= max(dims)
     return ZhaoCheckReport(
         verma_dims=dims,

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .chargeom import BudgetExceeded
+from .chargeom import DEFAULT_BUDGET, BudgetExceeded
 from .classical import CatalogError, baby_verma, catalog
 from .gflin import FieldError
 from .lsa import LsaError, NeedsFieldExtension
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0)
 
     def budget(sp):
-        sp.add_argument("--budget", type=int, default=4000)
+        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     sp = sub.add_parser("validate", help="check the axioms of an algebra file")
     common(sp)

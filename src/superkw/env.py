@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chargeom import BudgetExceeded, check_chi, chi_value, restrict_chi
+from .chargeom import DEFAULT_BUDGET, BudgetExceeded, check_chi, chi_value, restrict_chi
 from .gflin import inv_matrix
 from .lsa import LieSuperAlgebra, LsaError, Subalgebra, as_subalgebra, change_basis
 from .modules import SuperModule
@@ -114,16 +114,6 @@ class InducedModule:
         return e[:, :c0], e[:, c0:], idx % d
 
 
-def trivial_base_module(zero: Subalgebra) -> SuperModule:
-    """One-dimensional even module over a zero subalgebra."""
-    return SuperModule(
-        alg=zero.alg,
-        chi=np.zeros(0, dtype=np.int64),
-        parities=np.zeros(1, dtype=np.int64),
-        action=np.zeros((0, 1, 1), dtype=np.int64),
-    )
-
-
 def character_module(h: Subalgebra, chi_h, lam: np.ndarray) -> SuperModule:
     """One-dimensional module of a restricted subalgebra: even generators act
     by the weight, odd ones by zero.  The caller is responsible for the
@@ -146,7 +136,7 @@ def induce(
     chi,
     h: Subalgebra,
     S: SuperModule,
-    budget: int = 4000,
+    budget: int = DEFAULT_BUDGET,
 ) -> InducedModule:
     """U_chi(g) tensored over U_chi(h) with S, for p-closed h.
 
@@ -309,8 +299,8 @@ def induce(
     return induced
 
 
-def regular_module(ralg: ReducedAlgebra, budget: int = 4000) -> InducedModule:
+def regular_module(ralg: ReducedAlgebra, budget: int = DEFAULT_BUDGET) -> InducedModule:
     """Left regular module of U_chi(g), as induction from the zero subalgebra."""
     g = ralg.g
     zero = as_subalgebra(g, g.zero_space())
-    return induce(g, ralg.chi, zero, trivial_base_module(zero), budget=budget)
+    return induce(g, ralg.chi, zero, character_module(zero, (), ()), budget=budget)

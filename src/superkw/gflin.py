@@ -210,9 +210,6 @@ class Field:
             e >>= 1
         return r
 
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
     # -- vectorized arithmetic on arrays of codes -------------------------
 
     def add_arr(self, a, b):

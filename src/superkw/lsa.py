@@ -99,11 +99,6 @@ class Subspace(Echelon):
         even = sum(1 for p in self.pivots if p < self.s_even)
         return self.basis[even:]
 
-    def contains_space(self, other: "Subspace") -> bool:
-        return self.contains(other.basis)
-
-    coords_of = Echelon.coords
-
     def sum_with(self, other: "Subspace") -> "Subspace":
         return Subspace(
             self.field,
@@ -588,12 +583,6 @@ def quotient_by_ideal(g: LieSuperAlgebra, z: Subspace):
     return q, keep
 
 
-def lift_from_quotient(ambient_n: int, keep: list, v: np.ndarray) -> np.ndarray:
-    out = np.zeros(ambient_n, dtype=np.int64)
-    out[keep] = v
-    return out
-
-
 def change_basis(g: LieSuperAlgebra, P: np.ndarray, names=None) -> LieSuperAlgebra:
     """Rewrite g in the basis given by the rows of P (old coordinates).
 
@@ -630,13 +619,8 @@ class Subalgebra:
     def rows(self) -> np.ndarray:
         return self.space.basis
 
-    def lift(self, v: np.ndarray) -> np.ndarray:
-        return self.parent.field.matmul(
-            np.asarray(v, dtype=np.int64)[None, :], self.rows
-        ).ravel()
-
     def drop(self, v: np.ndarray) -> np.ndarray:
-        c = self.space.coords_of(v)
+        c = self.space.coords(v)
         if c is None:
             raise LsaError("vector is outside the subalgebra")
         return c
@@ -657,7 +641,7 @@ def as_subalgebra(g: LieSuperAlgebra, S: Subspace, with_pmap: bool = True) -> Su
     if with_pmap and g.pmap is not None:
         pmap = np.zeros((s_ev, m), dtype=np.int64)
         for a, w in enumerate(g.p_power(rows[:s_ev])):
-            c = S.coords_of(w)
+            c = S.coords(w)
             if c is None:
                 # not p-closed: present it as a plain Lie superalgebra
                 pmap = None
@@ -758,9 +742,11 @@ def _ideal_flag(g: LieSuperAlgebra) -> List[Subspace]:
     sub = _ideal_flag(q) if q.n > 0 else [q.zero_space()]
     flag = []
     for m in sub:
-        rows = [lift_from_quotient(g.n, keep, row) for row in m.basis]
-        rows.append(z.basis[0])
-        flag.append(Subspace(g.field, g.s_even, g.n, np.array(rows)))
+        # m lifted back through the kept coordinates, then the line z
+        rows = np.zeros((m.dim + 1, g.n), dtype=np.int64)
+        rows[:-1, keep] = m.basis
+        rows[-1] = z.basis[0]
+        flag.append(Subspace(g.field, g.s_even, g.n, rows))
     flag.append(g.zero_space())
     return flag
 

@@ -26,9 +26,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .classical import Root, TriangularData
+from .classical import TriangularData, triangular_data
 from .gflin import Field
-from .lsa import LieSuperAlgebra, Subspace
+from .lsa import LieSuperAlgebra
 
 FORMAT_HEADER = "superkw-lsa v1"
 
@@ -229,19 +229,7 @@ def parse_lsa(text: str) -> AlgebraFile:
         covered = sorted(cart + plus + minus)
         if covered != list(range(n)):
             raise LsaParseError(no, "triangular blocks must partition the basis")
-        mk = lambda idxs: Subspace.from_vectors(
-            field, alg.s_even, n, [alg.basis_vector(i) for i in idxs])
-        cartan = mk(cart)
-        roots = []
-        minus_set = set(minus)
-        for i in plus:
-            # the opposite root vector is matched by the bracket pairing
-            for j in minus_set:
-                h_alpha = alg.bracket(alg.basis_vector(i), alg.basis_vector(j))
-                if np.any(h_alpha) and cartan.contains(h_alpha):
-                    roots.append(Root(i, h_alpha, int(parities[i])))
-                    break
-        tri = TriangularData(cartan, mk(plus), mk(minus), roots)
+        tri = triangular_data(alg, cart, plus, minus)
     return AlgebraFile(alg, tri, text)
 
 

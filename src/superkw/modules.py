@@ -15,10 +15,9 @@ homogeneous, every computed subspace has a parity-homogeneous echelon basis.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -81,10 +80,6 @@ class SuperModule:
         )
 
 
-# echelonized span of module vectors (rows)
-RowSpace = Echelon
-
-
 class MeataxeFailure(RuntimeError):
     """The graded Meataxe exhausted its attempts without a verdict."""
 
@@ -145,7 +140,7 @@ def validate_module(M: SuperModule) -> List[Violation]:
     return out
 
 
-def spin(M: SuperModule, v: np.ndarray) -> RowSpace:
+def spin(M: SuperModule, v: np.ndarray) -> Echelon:
     """Smallest action-invariant subspace containing a homogeneous vector."""
     v = np.asarray(v, dtype=np.int64)
     if not np.any(v):
@@ -156,13 +151,13 @@ def spin(M: SuperModule, v: np.ndarray) -> RowSpace:
     return spin_many(M, v[None, :])
 
 
-def spin_many(M: SuperModule, rows: np.ndarray) -> RowSpace:
+def spin_many(M: SuperModule, rows: np.ndarray) -> Echelon:
     """Smallest action-invariant subspace containing the given rows.
 
     Breadth first: each level applies every generator to the rows the
     previous level added, and adds their images in one block."""
     f = M.alg.field
-    space = RowSpace(f, M.dim)
+    space = Echelon(f, M.dim)
     fresh = space.extend(rows)
     while fresh.shape[0] and space.dim < M.dim:
         # (n, dim, m) images, one row per (generator, fresh row)
@@ -312,8 +307,8 @@ class Certificate:
     w: np.ndarray
 
 
-def _find_proper_submodule(M: SuperModule, seed: int) -> RowSpace | FactorClass:
-    """A proper nonzero graded submodule (a RowSpace), or, once
+def _find_proper_submodule(M: SuperModule, seed: int) -> Echelon | FactorClass:
+    """A proper nonzero graded submodule (an Echelon), or, once
     irreducibility is certified, M's isomorphism class, built on the
     Certificate (with its standard basis already spun where the End(M)
     step below needed it).
@@ -407,7 +402,7 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> RowSpace | FactorClass:
 def is_graded_irreducible(M: SuperModule, seed: int = 0) -> bool:
     """No proper nonzero graded submodule.  The answer does not depend on the
     seed; the seed only steers how fast a certificate is found."""
-    return not isinstance(_find_proper_submodule(M, seed), RowSpace)
+    return not isinstance(_find_proper_submodule(M, seed), Echelon)
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +430,6 @@ class CompositionReport:
     def geometric_dims(self) -> List[int]:
         return sorted(f.geometric_dim for f in self.factors)
 
-    def multiset(self) -> Dict[int, int]:
-        return dict(Counter(self.dims))
-
-    def geometric_multiset(self) -> Dict[int, int]:
-        return dict(Counter(self.geometric_dims))
 
 
 
@@ -458,7 +448,7 @@ def verify_dim_form(dims, p: int) -> bool:
     return True
 
 
-def submodule_module(M: SuperModule, W: RowSpace) -> SuperModule:
+def submodule_module(M: SuperModule, W: Echelon) -> SuperModule:
     """The action on an invariant W in W's echelon basis, one generator at a
     time, so that no step holds more than one generator's images."""
     f = M.alg.field
@@ -476,7 +466,7 @@ def submodule_module(M: SuperModule, W: RowSpace) -> SuperModule:
     return SuperModule(alg=M.alg, chi=M.chi, parities=M.parities[W.pivots], action=action)
 
 
-def quotient_module(M: SuperModule, W: RowSpace) -> SuperModule:
+def quotient_module(M: SuperModule, W: Echelon) -> SuperModule:
     """The action on M / W in the basis of the non-pivot coordinates of W,
     one generator at a time.  The image A[:, j] of a kept basis vector,
     reduced modulo W, is A[:, j] - basis^T A[pivots, j]; only its kept
@@ -499,7 +489,7 @@ def _standard_basis(M: SuperModule, w: np.ndarray):
     generators, the first images, in order, that enlarge the span."""
     f = M.alg.field
     n, d = M.alg.n, M.dim
-    space = RowSpace(f, d, w[None, :])
+    space = Echelon(f, d, w[None, :])
     cols = [w]
     levels = []
     lo = 0
@@ -642,7 +632,7 @@ class FactorClass:
         Y, same = system
         return self._maps(M, Y[:, :, same]).shape[2], self._maps(M, Y[:, :, ~same]).shape[2]
 
-    def embedding(self, M: SuperModule) -> Optional[RowSpace]:
+    def embedding(self, M: SuperModule) -> Optional[Echelon]:
         """A submodule of M isomorphic to S or to its parity shift, or None
         when there is no nonzero map S -> M.  A map T of one parity (w's
         first) is found with its B'(Tw) = T B, whose rows, the words of S
@@ -655,7 +645,7 @@ class FactorClass:
         for side in (same, ~same):
             B = self._maps(M, Y[:, :, side])
             if B.shape[2]:
-                W = RowSpace(M.alg.field, M.dim, B[:, :, 0])
+                W = Echelon(M.alg.field, M.dim, B[:, :, 0])
                 if W.dim != self.module.dim:
                     raise RuntimeError("image of a map from a simple module has another dimension")
                 return W
@@ -729,7 +719,7 @@ def composition_series(
                 break
         else:
             known = _find_proper_submodule(cur, derived_seed(seed, index))
-            if isinstance(known, RowSpace):
+            if isinstance(known, Echelon):
                 # the submodule first: its factors are found, and their
                 # classes known, before the quotient is tried against them
                 stack.append(quotient_module(cur, known))
@@ -793,7 +783,7 @@ def _shifted_action(M: SuperModule, x: np.ndarray, scalars: np.ndarray) -> np.nd
     return ops
 
 
-def v_i_chi(M: SuperModule, I: Subspace, chi) -> RowSpace:
+def v_i_chi(M: SuperModule, I: Subspace, chi) -> Echelon:
     """Simultaneous chi-eigenspace {v : X v = chi(X) v for all X in I}."""
     f = M.alg.field
     chi = np.asarray(chi, dtype=np.int64)

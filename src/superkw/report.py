@@ -20,6 +20,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .chargeom import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     SCAN_CAP,
     SuperDim,
@@ -213,7 +214,7 @@ class EquidimReport:
     dim_form_ok: bool
 
 
-def equidim_probe(g: LieSuperAlgebra, chi, seed: int = 0, budget: int = 4000) -> EquidimReport:
+def equidim_probe(g: LieSuperAlgebra, chi, seed: int = 0, budget: int = DEFAULT_BUDGET) -> EquidimReport:
     """Compare the character-geometry prediction with the oracle's factors.
 
     This is a report, never an assertion: the prediction can fail over a
@@ -266,7 +267,7 @@ def _chi_scan_set(g, mdim_frag, strategy, samples, seed):
 def conjecture_report(
     af,
     seed: int = 0,
-    budget: int = 4000,
+    budget: int = DEFAULT_BUDGET,
     strategy: str = "exhaustive",
     samples: int = 8,
     cache: Optional[OracleCache] = None,

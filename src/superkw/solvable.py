@@ -22,6 +22,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from .chargeom import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     SuperDim,
     check_chi,
@@ -239,7 +240,7 @@ def _abelian_ideal_candidates(g: LieSuperAlgebra) -> List[Subspace]:
 
 def _module_is_eigen(I: Subspace, S: SuperModule, sub: Subalgebra, mu_vals) -> bool:
     """Whether every vector of S is a mu-eigenvector for the ideal."""
-    coords = sub.space.coords_of(I.basis)
+    coords = sub.space.coords(I.basis)
     if coords is None:
         return False
     return np.array_equal(S.rho(coords), mu_vals[:, None, None] * np.eye(S.dim, dtype=np.int64))
@@ -250,7 +251,7 @@ def construct_irreducible(
     chi,
     seed: int = 0,
     ext_cap: int = 4,
-    budget: int = 4000,
+    budget: int = DEFAULT_BUDGET,
 ) -> Tuple[SuperModule, DescentTrace]:
     """A graded-irreducible module over U_chi(g) for solvable restricted g,
     with the construction trace.  The result may live over a field
@@ -328,7 +329,7 @@ def _construct(g, chi, seed, budget, pins) -> Tuple[SuperModule, DescentTrace]:
             new_pins = []
             ok = True
             for r, row in enumerate(I.basis):
-                c = stab.coords_of(row)
+                c = stab.coords(row)
                 if c is None:
                     ok = False
                     break
@@ -396,7 +397,7 @@ def _pins_to_sub(h: Subalgebra, pins):
         # pins are stored in the coordinates of h's parent
         amb = np.zeros(h.parent.n, dtype=np.int64)
         amb[: len(vec)] = vec
-        c = h.space.coords_of(amb)
+        c = h.space.coords(amb)
         if c is None:
             return None
         if np.any(c[h.alg.s_even :]):
@@ -452,7 +453,7 @@ class PolarizationModuleReport:
 
 
 def polarization_module(
-    g: LieSuperAlgebra, chi, seed: int = 0, ext_cap: int = 4, budget: int = 4000
+    g: LieSuperAlgebra, chi, seed: int = 0, ext_cap: int = 4, budget: int = DEFAULT_BUDGET
 ) -> PolarizationModuleReport:
     """Induce a one-dimensional character from a polarization; extends the
     base field when the weight equations demand it."""

@@ -193,7 +193,7 @@ def reference_subalgebra_structure(g, S):
     structure = np.zeros((m, m, m), dtype=np.int64)
     for a in range(m):
         for b in range(a, m):
-            c = S.coords_of(reference_bracket(g, S.basis[a], S.basis[b]))
+            c = S.coords(reference_bracket(g, S.basis[a], S.basis[b]))
             if c is None:
                 return None
             structure[a, b] = c
@@ -242,7 +242,7 @@ def reference_mu_stabilizer(g, I, mu_vals):
     K = np.zeros((I.dim, g.n), dtype=np.int64)
     for j in range(g.n):
         for r, row in enumerate(I.basis):
-            c = I.coords_of(reference_bracket(g, g.basis_vector(j), row))
+            c = I.coords(reference_bracket(g, g.basis_vector(j), row))
             if c is None:
                 raise LsaError("ideal is not ad-invariant")
             acc = 0
@@ -384,7 +384,7 @@ def meataxe_inputs(M, seed):
             continue
         seen.append(cur)
         out = modules._find_proper_submodule(cur, modules.derived_seed(seed, index))
-        if isinstance(out, modules.RowSpace):
+        if isinstance(out, Echelon):
             stack.append(modules.submodule_module(cur, out))
             stack.append(modules.quotient_module(cur, out))
             continue
@@ -517,7 +517,7 @@ def random_solvable_stream(borel_gl21):
                 pins = []
                 ok = True
                 for row in I.basis:
-                    c = stab.coords_of(row)
+                    c = stab.coords(row)
                     if c is None:
                         ok = False
                         break

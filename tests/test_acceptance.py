@@ -3,6 +3,7 @@ the quantities that matter.  Everything here is exact arithmetic at fixed
 seeds; no tolerances apply anywhere."""
 
 import io
+from collections import Counter
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -202,7 +203,7 @@ def test_criterion_05_osp12_zhao():
         regular_module(ReducedAlgebra(g, chi)).module, 0
     )
     kw = kw_divisibility_check(g, chi, oracle.geometric_dims)
-    mrep = max_exponents(g, budget=10**6)
+    mrep = max_exponents(g)
     from superkw.lsafile import AlgebraFile
 
     af = AlgebraFile(g, tri, "")
@@ -221,14 +222,14 @@ def test_criterion_05_osp12_zhao():
     report_line(
         5, ok,
         f"osp(1|2) p=3 over GF(9): all 3 Verma modules dim 6 irreducible; "
-        f"oracle factors {oracle.multiset()} divisible by 6; M = 6; "
+        f"oracle factors {dict(Counter(oracle.dims))} divisible by 6; M = 6; "
         f"conjecture agrees",
     )
 
 
 def test_criterion_06_sl2_classical_degeneration():
     ent5 = catalog("sl(2)", 5)
-    mrep = max_exponents(ent5.algebra, budget=10**6)
+    mrep = max_exponents(ent5.algebra)
     ent = catalog("sl(2)", 5, k=2)
     g, tri = ent.algebra, ent.triangular
     f = g.field

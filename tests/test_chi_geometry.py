@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from superkw import chargeom
 from superkw.chargeom import (
     BudgetExceeded,
     SuperDim,
     chi_geometry,
     is_degraded,
-    isotropy_profile,
     max_exponents,
     polarization,
     restrict_chi,
@@ -30,7 +30,7 @@ def test_zero_character_trivial(gl11):
     assert geo.even_rank == 0 and geo.odd_rank == 0
     assert geo.exp_pair == SuperDim(0, 0)
     assert geo.max_isotropic == SuperDim(2, 2)
-    d, i = isotropy_profile(geo)
+    d, i = geo.max_isotropic, geo.exp_pair
     assert d == SuperDim(2, 2) and i == SuperDim(0, 0)
 
 
@@ -102,10 +102,11 @@ def test_max_exponents_osp12(osp12):
     assert rep.pairs == [SuperDim(1, 1)]
 
 
-def test_max_exponents_budget():
+def test_max_exponents_budget(monkeypatch):
+    monkeypatch.setattr(chargeom, "SCAN_CAP", 3)
     g = pair_algebra(F3, ["a", "b"], [0, 0], [], [[0, 0], [0, 0]])
     with pytest.raises(BudgetExceeded):
-        max_exponents(g, budget=5)
+        max_exponents(g)
 
 
 def test_max_exponents_random_strategy(gl11):

@@ -7,6 +7,9 @@ import pytest
 from superkw.chargeom import chi_geometry, max_exponents
 from superkw.classical import (
     CatalogError,
+    _GL_RE,
+    _REALIZATIONS,
+    _gl_basis,
     algebra_from_matrices,
     baby_verma,
     catalog,
@@ -19,7 +22,7 @@ from superkw.classical import (
 from superkw.env import ReducedAlgebra, regular_module
 from superkw.gflin import Field
 from superkw.lsa import LsaError, extend_scalars, is_p_closed
-from superkw.lsafile import write_lsa
+from superkw.lsafile import parse_lsa, write_lsa
 from superkw.modules import composition_factors, validate_module
 
 ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
@@ -116,6 +119,47 @@ def test_catalog_bytes_unchanged(name, p, k, digest):
     ent = catalog(name, p, k)
     text = write_lsa(ent.algebra, ent.triangular)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# every catalog algebra with a triangular decomposition tried against the
+# matrix-position pairing of root vectors
+TRIANGULAR = [
+    ("gl(1|1)", 3, 1), ("gl(2|1)", 3, 1), ("sl(2|1)", 3, 1), ("osp(1|2)", 3, 1),
+    ("osp(1|2)", 3, 2), ("sl(2)", 5, 1), ("gl(1|2)", 5, 1), ("gl(2|2)", 3, 1),
+    ("sl(3|1)", 5, 1),
+]
+
+
+def _positions(name, field):
+    """The matrix position of each catalog basis entry."""
+    m = _GL_RE.match(name)
+    if m:
+        traceless = m.group(1) == "sl"
+        return _gl_basis(field, int(m.group(2)), int(m.group(3)), traceless)[1]
+    return _REALIZATIONS[name][2]
+
+
+def _root_data(tri):
+    return [(r.vector_index, r.coroot.tolist(), r.parity) for r in tri.roots]
+
+
+@pytest.mark.parametrize("name,p,k", TRIANGULAR, ids=[f"{c[0]}-{c[1]}^{c[2]}" for c in TRIANGULAR])
+def test_triangular_data_survives_the_file_format(name, p, k):
+    ent = catalog(name, p, k)
+    g, tri = ent.algebra, ent.triangular
+    back = parse_lsa(write_lsa(g, tri)).triangular
+    for part in ("cartan", "n_plus", "n_minus"):
+        assert np.array_equal(getattr(back, part).basis, getattr(tri, part).basis)
+    assert _root_data(back) == _root_data(tri)
+    # the bracket pairing matches each root vector with the one at its
+    # transposed matrix position
+    positions = _positions(name, g.field)
+    plus = [a for a, (i, j) in enumerate(positions) if i < j]
+    assert [r.vector_index for r in tri.roots] == plus
+    for r in tri.roots:
+        i, j = positions[r.vector_index]
+        opp = g.basis_vector(positions.index((j, i)))
+        assert np.array_equal(r.coroot, g.bracket(g.basis_vector(r.vector_index), opp))
 
 
 def _units(field, *positions):
@@ -322,6 +366,27 @@ def test_zhao_check_sl2_gf25():
     assert rep.verma_dims == [5] * 5
     assert rep.all_verma_irreducible is True
     assert rep.lemma_bound_ok
+
+
+@pytest.mark.parametrize("name,p,k,chi", [
+    ("gl(1|1)", 3, 1, (1, 1)),      # weights over GF(27)
+    ("osp(1|2)", 3, 2, (3, 0, 0)),
+    ("sl(2)", 5, 2, None),          # the character of test_zhao_check_sl2_gf25
+])
+def test_zhao_check_max_factor_matches_the_whole_regular_module(name, p, k, chi):
+    # zhao_check decomposes the regular module in two levels; decomposing
+    # it whole gives the same geometric factor dimensions
+    ent = catalog(name, p, k)
+    g, tri = ent.algebra, ent.triangular
+    f = g.field
+    if chi is None:
+        chi = (next(c for c in range(1, 25) if f.add(f.pow(c, 5), c) == 0), 0, 0)
+    chi = vec(*chi)
+    rep = zhao_check(g, tri, chi, seed=0)
+    c = lambda_set(g, tri, chi).completion
+    gx, chix = (g, chi) if c is None else (c.algebra, c.chi)
+    whole = composition_factors(regular_module(ReducedAlgebra(gx, chix)).module, 0)
+    assert rep.max_factor_dim == max(whole.geometric_dims)
 
 
 def test_kw_divisibility(gl11, osp12):

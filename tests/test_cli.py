@@ -144,6 +144,20 @@ def test_mdim_osp(files):
     assert "M = 3^1*2^1 = 6" in out
 
 
+def test_mdim_over_the_scan_cap_exit2(files, monkeypatch, capsys):
+    # gl(1|1) has 3^2 = 9 characters, over a scan cap of 3: one stderr line
+    # that names the cap and points at random sampling
+    from superkw import chargeom
+
+    monkeypatch.setattr(chargeom, "SCAN_CAP", 3)
+    code = main(["mdim", files["gl11"]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1
+    assert "scan cap of 3" in err and "--strategy random" in err
+    assert main(["mdim", files["gl11"], "--strategy", "random", "--samples", "4"]) == 0
+
+
 def test_conjecture_gl11(files, tmp_path):
     rep = tmp_path / "rep.json"
     code, _ = run_cli(["conjecture", files["gl11"], "--report", str(rep)])

@@ -13,7 +13,7 @@ from conftest import WordStraightener, reference_induce
 from superkw import classical
 from superkw.chargeom import restrict_chi
 from superkw.classical import baby_verma, catalog
-from superkw.env import ReducedAlgebra, induce, regular_module, trivial_base_module
+from superkw.env import ReducedAlgebra, character_module, induce, regular_module
 from superkw.lsa import LsaError, Subspace, as_subalgebra
 from superkw.lsafile import parse_lsa_path
 from superkw.modules import composition_series, validate_module
@@ -202,7 +202,7 @@ def test_regular_modules_match_reference(name):
     zero = as_subalgebra(g, g.zero_space())
     for chi in (np.zeros(g.s_even, dtype=np.int64), np.eye(g.s_even, dtype=np.int64)[0],
                 np.full(g.s_even, g.field.q - 1, dtype=np.int64)):
-        _assert_matches_reference(g, chi, zero, trivial_base_module(zero))
+        _assert_matches_reference(g, chi, zero, character_module(zero, (), ()))
 
 
 # every shipped file with an odd part, then two catalog algebras at p = 3

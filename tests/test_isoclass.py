@@ -14,10 +14,9 @@ from hypothesis import given, settings, strategies as st
 from superkw import modules
 from superkw.classical import catalog
 from superkw.env import ReducedAlgebra, regular_module
-from superkw.gflin import inv_matrix, nullspace, poly_deg, poly_mod, rank
+from superkw.gflin import Echelon, inv_matrix, nullspace, poly_deg, poly_mod, rank
 from superkw.lsafile import parse_lsa_path
 from superkw.modules import (
-    RowSpace,
     SuperModule,
     composition_factors,
     composition_series,
@@ -195,7 +194,7 @@ def reference_records(M, seed):
         if cur.dim == 0:
             continue
         W = modules._find_proper_submodule(cur, seed)
-        if isinstance(W, RowSpace):
+        if isinstance(W, Echelon):
             stack.append(submodule_module(cur, W))
             stack.append(quotient_module(cur, W))
         else:
@@ -281,7 +280,7 @@ def test_zero_divisor_of_even_commutant_splits(monkeypatch):
         dims.clear()
         W = modules._find_proper_submodule(P, seed)
         assert dims == [(3, 3)]
-        assert isinstance(W, RowSpace) and 0 < W.dim < P.dim
+        assert isinstance(W, Echelon) and 0 < W.dim < P.dim
         for row in W.basis:
             assert len({int(P.parities[i]) for i in np.nonzero(row)[0]}) == 1
         assert modules.validate_module(submodule_module(P, W)) == []

@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from superkw.classical import baby_verma, catalog
-from superkw.env import ReducedAlgebra, character_module, regular_module, trivial_base_module
-from superkw.gflin import Field, FieldError
+from superkw.env import ReducedAlgebra, character_module, regular_module
+from superkw.gflin import Echelon, Field, FieldError
 from superkw.lsa import LsaError, Subspace, as_subalgebra
 from superkw.lsafile import parse_lsa_path
 from superkw.modules import (
-    RowSpace,
     SuperModule,
     _standard_basis,
     _words_applied,
@@ -118,7 +117,7 @@ def _narrow(M):
 def test_every_producer_yields_the_narrow_dtype(name, chi):
     g = _alg(name)
     chi = np.array(chi, dtype=np.int64)
-    base = trivial_base_module(as_subalgebra(g, g.zero_space()))
+    base = character_module(as_subalgebra(g, g.zero_space()), (), ())
     assert _narrow(base)
     M = regular_module(ReducedAlgebra(g, chi)).module
     assert _narrow(M)
@@ -197,7 +196,7 @@ def test_submodule_rejects_a_subspace_that_is_not_invariant():
     M = _regular("gl1_1_p3", (1, 0))
     f = M.alg.field
     with pytest.raises(LsaError):
-        submodule_module(M, RowSpace(f, M.dim, f.eye(M.dim)[1:2]))
+        submodule_module(M, Echelon(f, M.dim, f.eye(M.dim)[1:2]))
 
 
 def all_generators_words(M, V, levels):

@@ -1,13 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from superkw.chargeom import restrict_chi
 from superkw.classical import baby_verma, catalog
 from superkw.env import ReducedAlgebra, character_module, induce, regular_module
-from superkw.gflin import Field
+from superkw.gflin import Echelon, Field
 from superkw.lsa import LsaError, Subspace, as_subalgebra
 from superkw.modules import (
-    RowSpace,
     SuperModule,
     composition_factor_modules,
     composition_factors,
@@ -257,7 +258,7 @@ def test_meataxe_agrees_with_brute_force(gl11, oddheis_p3, osp12, solv2_p5):
         from superkw.modules import _find_proper_submodule, quotient_module
 
         W = _find_proper_submodule(reg.module, 0)
-        if isinstance(W, RowSpace) and reg.module.dim - W.dim <= 6:
+        if isinstance(W, Echelon) and reg.module.dim - W.dim <= 6:
             pool.append(quotient_module(reg.module, W))
     checked = 0
     for _ in range(30):
@@ -411,23 +412,23 @@ def test_composition_one_dim(gl11):
     S = character_module(sub, vec(0, 0), vec(0, 0))
     M = SuperModule(alg=g, chi=vec(0, 0), parities=S.parities, action=S.action)
     rep = composition_factors(M, 0)
-    assert rep.multiset() == {1: 1}
+    assert Counter(rep.dims) == {1: 1}
 
 
 def test_composition_restricted_gl11(gl11):
     reg = regular_module(ReducedAlgebra(gl11.algebra, vec(0, 0)))
     rep = composition_factors(reg.module, 0)
-    ms = rep.multiset()
+    ms = Counter(rep.dims)
     assert set(ms) == {1, 2}
     assert sum(d * c for d, c in ms.items()) == 36
-    assert rep.geometric_multiset() == ms  # everything rational at chi = 0
+    assert Counter(rep.geometric_dims) == ms  # everything rational at chi = 0
 
 
 def test_composition_solvable_p5(solv2_p5):
     reg = regular_module(ReducedAlgebra(solv2_p5.algebra, vec(0, 1)))
     rep = composition_factors(reg.module, 0)
-    assert rep.multiset() == {5: 5}
-    assert rep.geometric_multiset() == {5: 5}
+    assert Counter(rep.dims) == {5: 5}
+    assert Counter(rep.geometric_dims) == {5: 5}
 
 
 def test_composition_factors_are_irreducible(gl11):
@@ -470,7 +471,7 @@ def test_endomorphism_dims_typical_factor(gl11):
     ee, eo = kronecker_endomorphism_dims(mods[0])
     assert ee == 3
     rep = composition_factors(reg.module, 0)
-    assert rep.geometric_multiset() == {2: 6}
+    assert Counter(rep.geometric_dims) == {2: 6}
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +536,7 @@ def _induced_from_ideal(g, chi, I):
     chi_sub = restrict_chi(chi, sub)
     pins = []
     for row in I.basis:
-        c = stab.coords_of(row)
+        c = stab.coords(row)
         assert c is not None
         if not np.any(c[sub.alg.s_even :]):
             val = int(
