@@ -85,6 +85,14 @@ def _sample_count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """An argparse type: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _emit(text: str, path):
     if path:
         try:
@@ -136,6 +144,11 @@ def cmd_mdim(args) -> int:
 
 def cmd_conjecture(args) -> int:
     af = _load_valid(args)
+    if not af.algebra.restricted:
+        # the oracle works in reduced enveloping algebras, which need the p-map
+        print("error: conjecture needs a restricted algebra (pmap lines)",
+              file=sys.stderr)
+        return EXIT_INPUT
     try:
         cache = OracleCache(args.cache) if args.cache else None
     except CacheError as exc:
@@ -257,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--report", default=None, help="write output to a file")
 
     def seed(sp):
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_seed, default=0)
 
     def budget(sp):
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)

@@ -17,34 +17,6 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
-# Lex-smallest monic irreducible of degree k over GF(p), little-endian
-# coefficients including the leading 1.  Fixed table so that serialized data
-# is bit-exact across runs and machines; entries are re-verified at Field
-# construction.  Pairs outside the table are generated on demand by
-# `smallest_irreducible` (same lex-smallest rule).
-DEFAULT_MODULI = {
-    (3, 1): (1, 1),
-    (3, 2): (1, 0, 1),
-    (3, 3): (1, 0, 2, 1),
-    (3, 4): (1, 0, 1, 1, 1),
-    (5, 1): (1, 1),
-    (5, 2): (1, 1, 1),
-    (5, 3): (1, 0, 1, 1),
-    (5, 4): (1, 0, 1, 1, 1),
-    (7, 1): (1, 1),
-    (7, 2): (1, 0, 1),
-    (7, 3): (1, 0, 1, 1),
-    (7, 4): (1, 0, 0, 1, 1),
-    (11, 1): (1, 1),
-    (11, 2): (1, 0, 1),
-    (11, 3): (1, 0, 4, 1),
-    (11, 4): (1, 0, 0, 4, 1),
-    (13, 1): (1, 1),
-    (13, 2): (1, 3, 1),
-    (13, 3): (1, 0, 4, 1),
-    (13, 4): (1, 0, 0, 1, 1),
-}
-
 
 class FieldError(ValueError):
     pass
@@ -74,11 +46,24 @@ def is_irreducible(coeffs: Iterable[int], p: int) -> bool:
     return next(distinct_degree_factors(Field(p), m))[0] == k
 
 
+def _power(mul, one, base, e: int):
+    """base^e for e >= 0 by square-and-multiply, with the product `mul` and
+    its identity `one`.  The base is squared once more after the top bit of
+    e, a product whose result goes unused."""
+    r = one
+    while e:
+        if e & 1:
+            r = mul(r, base)
+        base = mul(base, base)
+        e >>= 1
+    return r
+
+
 @lru_cache(maxsize=None)
 def smallest_irreducible(p: int, k: int) -> tuple:
-    """Lex-smallest monic irreducible of degree k over GF(p)."""
-    if (p, k) in DEFAULT_MODULI:
-        return DEFAULT_MODULI[(p, k)]
+    """Lex-smallest monic irreducible of degree k over GF(p), little-endian
+    coefficients including the leading 1: the default modulus, so that
+    serialized data is bit-exact across runs and machines."""
     # lexicographic over the lower coefficients, constant term slowest, from
     # constant term 1 (a zero constant term makes x a factor): the base-p
     # digits of n, most significant first.  A range is lazy, where
@@ -146,16 +131,6 @@ class Field:
 
     # -- code <-> power-basis digits ------------------------------------
 
-    def coords(self, a: int) -> tuple:
-        """Little-endian power-basis coordinates of a code (the wire format)."""
-        return tuple((a // self.p**i) % self.p for i in range(self.k))
-
-    def from_coords(self, coords: Iterable[int]) -> int:
-        cs = list(coords)
-        if len(cs) != self.k:
-            raise FieldError(f"expected {self.k} coordinates, got {len(cs)}")
-        return sum((int(c) % self.p) * self.p**i for i, c in enumerate(cs))
-
     def digits(self, a: np.ndarray) -> np.ndarray:
         """Digit tensor of an array of codes, last axis length k."""
         a = np.asarray(a, dtype=np.int64)
@@ -202,13 +177,7 @@ class Field:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        r, base = 1, a
-        while e:
-            if e & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return r
+        return _power(self.mul, 1, a, e)
 
     # -- vectorized arithmetic on arrays of codes -------------------------
 
@@ -266,14 +235,7 @@ class Field:
 
     def pow_arr(self, a, e: int):
         a = np.asarray(a, dtype=np.int64)
-        r = np.ones_like(a)
-        base = a
-        while e:
-            if e & 1:
-                r = self.mul_arr(r, base)
-            base = self.mul_arr(base, base)
-            e >>= 1
-        return r
+        return _power(self.mul_arr, np.ones_like(a), a, e)
 
     def sum_at(self, index, vals, size: int) -> np.ndarray:
         """Length-`size` array whose entry j is the GF(q) sum of the `vals`
@@ -364,15 +326,7 @@ class Field:
 
     def mat_pow(self, a: np.ndarray, e: int) -> np.ndarray:
         """a^e for a square matrix, or for each of a stack of them."""
-        n = a.shape[-1]
-        r = self.eye(n)
-        base = a
-        while e:
-            if e & 1:
-                r = self.matmul(r, base)
-            base = self.matmul(base, base)
-            e >>= 1
-        return r
+        return _power(self.matmul, self.eye(a.shape[-1]), a, e)
 
     def __eq__(self, other):
         return (
@@ -451,15 +405,11 @@ def poly_gcd(f: Field, a, b) -> list:
 
 
 def powmod(f: Field, a, e: int, m) -> list:
-    """a^e mod m by square-and-multiply."""
-    acc = [1]
-    base = poly_mod(f, a, m)
-    while e:
-        if e & 1:
-            acc = poly_mod(f, poly_mul(f, acc, base), m)
-        base = poly_mod(f, poly_mul(f, base, base), m)
-        e >>= 1
-    return acc
+    """a^e mod m."""
+    def mulmod(x, y):
+        return poly_mod(f, poly_mul(f, x, y), m)
+
+    return _power(mulmod, [1], poly_mod(f, a, m), e)
 
 
 def distinct_degree_factors(f: Field, m):

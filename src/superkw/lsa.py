@@ -92,12 +92,10 @@ class Subspace(Echelon):
         return (even, self.dim - even)
 
     def even_rows(self) -> np.ndarray:
-        even = sum(1 for p in self.pivots if p < self.s_even)
-        return self.basis[:even]
+        return self.basis[: self.superdim[0]]
 
     def odd_rows(self) -> np.ndarray:
-        even = sum(1 for p in self.pivots if p < self.s_even)
-        return self.basis[even:]
+        return self.basis[self.superdim[0] :]
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         return Subspace(
@@ -415,8 +413,8 @@ def bracket_span(g: LieSuperAlgebra, a: Subspace, b: Subspace) -> Subspace:
     return Subspace(g.field, g.s_even, g.n, g.bracket(a.basis[:, None], b.basis))
 
 
-def derived_subalgebra(g: LieSuperAlgebra, S: Optional[Subspace] = None) -> Subspace:
-    S = S if S is not None else g.full_space()
+def derived_subalgebra(g: LieSuperAlgebra) -> Subspace:
+    S = g.full_space()
     return bracket_span(g, S, S)
 
 

@@ -51,7 +51,8 @@ class AlgebraFile:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _parse_scalar(f: Field, text: str, line_no: int) -> int:
+def _parse_digits(f: Field, text: str, line_no: int) -> List[int]:
+    """The power-basis digits of a serialized scalar."""
     parts = text.split(",")
     if len(parts) != f.k:
         raise LsaParseError(
@@ -66,23 +67,19 @@ def _parse_scalar(f: Field, text: str, line_no: int) -> int:
             raise LsaParseError(
                 line_no, f"coefficient {v} outside [0,{f.p})")
         coords.append(v)
-    return f.from_coords(coords)
-
-
-def _scalar_text(f: Field, code: int) -> str:
-    return ",".join(str(c) for c in f.coords(code))
+    return coords
 
 
 def _parse_terms(f: Field, parts: List[str], names: Dict[str, int], n: int, line_no: int) -> np.ndarray:
-    vec = np.zeros(n, dtype=np.int64)
+    digits = np.zeros((n, f.k), dtype=np.int64)
     for term in parts:
         if ":" not in term:
             raise LsaParseError(line_no, f"term {term!r} is not name:scalar")
         name, _, sc = term.partition(":")
         if name not in names:
             raise LsaParseError(line_no, f"unknown basis name {name!r}")
-        vec[names[name]] = _parse_scalar(f, sc, line_no)
-    return vec
+        digits[names[name]] = _parse_digits(f, sc, line_no)
+    return f.undigits(digits)
 
 
 def parse_lsa(text: str) -> AlgebraFile:
@@ -241,6 +238,12 @@ def parse_lsa_path(path: str) -> AlgebraFile:
 def write_lsa(g: LieSuperAlgebra, tri: Optional[TriangularData] = None) -> str:
     """Canonical serialization; stable for hashing and golden files."""
     f = g.field
+
+    def terms(vec):
+        digits = f.digits(vec).tolist()
+        return " ".join(f"{g.names[l]}:" + ",".join(map(str, digits[l]))
+                        for l in np.nonzero(vec)[0])
+
     out = [FORMAT_HEADER, f"field p={f.p} k={f.k}"]
     if f.k > 1:
         out.append("modulus " + ",".join(str(c) for c in f.modulus))
@@ -250,20 +253,12 @@ def write_lsa(g: LieSuperAlgebra, tri: Optional[TriangularData] = None) -> str:
         for j in range(i, g.n):
             vec = g.structure[i, j]
             if np.any(vec):
-                terms = " ".join(
-                    f"{g.names[l]}:{_scalar_text(f, int(vec[l]))}"
-                    for l in np.nonzero(vec)[0]
-                )
-                out.append(f"bracket {g.names[i]} {g.names[j]} {terms}")
+                out.append(f"bracket {g.names[i]} {g.names[j]} {terms(vec)}")
     if g.pmap is not None:
         for i in range(g.s_even):
             vec = g.pmap[i]
             if np.any(vec):
-                terms = " ".join(
-                    f"{g.names[l]}:{_scalar_text(f, int(vec[l]))}"
-                    for l in np.nonzero(vec)[0]
-                )
-                out.append(f"pmap {g.names[i]} {terms}")
+                out.append(f"pmap {g.names[i]} {terms(vec)}")
             else:
                 out.append(f"pmap {g.names[i]}")
     if tri is not None:

@@ -667,11 +667,6 @@ class FactorClass:
             self._endo = endomorphism_dims(self)
         return self._endo
 
-    def accepts(self, M: SuperModule) -> bool:
-        """M is isomorphic to S or to its parity shift: a nonzero homogeneous
-        map from the simple S to a module of S's dimension is one."""
-        return M.dim == self.module.dim and any(self.hom_dims(M))
-
 
 def endomorphism_dims(K: FactorClass) -> Tuple[int, int]:
     """Dimensions of the parity-even and parity-odd commutants of a class's

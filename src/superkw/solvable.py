@@ -326,25 +326,13 @@ def _construct(g, chi, seed, budget, pins) -> Tuple[SuperModule, DescentTrace]:
             if not h.alg.restricted:
                 continue
             chi_h = restrict_chi(chi, h)
-            new_pins = []
-            ok = True
-            for r, row in enumerate(I.basis):
-                c = stab.coords(row)
-                if c is None:
-                    ok = False
-                    break
-                if np.any(c[h.alg.s_even :]):
-                    continue  # odd row; acts by zero on a one-dim base anyway
-                new_pins.append((c[: h.alg.s_even], int(mu_vals[r])))
-            if not ok:
-                continue
-            carried = _pins_to_sub(h, pins)
-            if carried is None:
+            # mu's values on the rows of I and the pins g carries, in h's
+            # coordinates
+            sub_pins = _pins_to_sub(h, [*zip(I.basis, mu_vals.tolist()), *pins])
+            if sub_pins is None:
                 continue
             try:
-                S, subtrace = _construct(
-                    h.alg, chi_h, seed, budget, pins=tuple(new_pins) + carried
-                )
+                S, subtrace = _construct(h.alg, chi_h, seed, budget, pins=sub_pins)
             except ConstructionFailure:
                 continue
             except NeedsFieldExtension as exc:
@@ -391,7 +379,8 @@ def _construct(g, chi, seed, budget, pins) -> Tuple[SuperModule, DescentTrace]:
 
 def _pins_to_sub(h: Subalgebra, pins):
     """Translate pinned linear conditions into subalgebra coordinates;
-    None when a pinned vector falls outside the subalgebra."""
+    None when a pinned vector falls outside the subalgebra.  Odd vectors
+    are dropped: they act by zero on a one-dim base anyway."""
     out = []
     for vec, val in pins:
         # pins are stored in the coordinates of h's parent

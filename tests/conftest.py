@@ -32,7 +32,7 @@ def reference_find_embedding(small, big):
     table = np.zeros(small.q, dtype=np.int64)
     for a in range(small.q):
         acc = 0
-        for i, c in enumerate(small.coords(a)):
+        for i, c in enumerate(small.digits(a).tolist()):
             acc = big.add(acc, big.mul(int(c), powers[i]))
         table[a] = acc
     return table
@@ -81,10 +81,10 @@ def reference_weight_system(alg, chi_h, pins):
     for col in range(s * k):
         a, j = divmod(col, k)
         lam = np.zeros(s, dtype=np.int64)
-        lam[s - 1 - a] = f.from_coords(tuple(1 if t == j else 0 for t in range(k)))
-        M[:, col] = [d for v in eval_map(lam) for d in f.coords(v)]
+        lam[s - 1 - a] = f.undigits([1 if t == j else 0 for t in range(k)])
+        M[:, col] = [d for v in eval_map(lam) for d in f.digits(v).tolist()]
     rhs = [f.pow(int(c), p) for c in chi_h] + [val for _, val in pins]
-    b = np.array([d for v in rhs for d in f.coords(v)], dtype=np.int64)
+    b = np.array([d for v in rhs for d in f.digits(v).tolist()], dtype=np.int64)
     return M, b
 
 
@@ -379,7 +379,7 @@ def meataxe_inputs(M, seed):
         index += 1
         if cur.dim == 0:
             continue
-        if any(K.accepts(cur) for K in classes):
+        if any(cur.dim == K.module.dim and any(K.hom_dims(cur)) for K in classes):
             factors.append(cur)
             continue
         seen.append(cur)

@@ -80,7 +80,7 @@ def test_parse_k2_scalars():
     )
     af = parse_lsa(text)
     assert af.algebra.field.q == 9
-    assert af.algebra.structure[0, 1, 2] == af.algebra.field.from_coords((1, 2))
+    assert af.algebra.structure[0, 1, 2] == af.algebra.field.undigits([1, 2])
 
 
 def test_roundtrip_catalog(files):
@@ -387,12 +387,30 @@ def test_meataxe_failure_exit2(files, monkeypatch, capsys):
     ["mdim", "{heis}", "--samples", "x"],
     ["conjecture", "{heis}", "--strategy", "random", "--samples", "-4"],
     ["conjecture", "{heis}", "--samples", "0"],
+    ["validate", "{oddheis}", "--seed", "-1"],
+    ["mdim", "{oddheis}", "--seed", "-1"],
+    ["conjecture", "{oddheis}", "--seed", "-1"],
 ])
 def test_usage_error_exit3(files, argv, capsys):
     code = main([a.format(**files) for a in argv])
     err = capsys.readouterr().err
     assert code == 3
     assert "usage:" in err and "Traceback" not in err
+
+
+def test_conjecture_on_unrestricted_algebra_exit3(tmp_path, capsys):
+    # no pmap lines: validate and mdim run, conjecture refuses before the scan
+    pth = tmp_path / "unrestricted.lsa"
+    pth.write_text("superkw-lsa v1\nfield p=3 k=1\nbasis h even\nbasis x even\n"
+                   "bracket h x x:1\n")
+    assert main(["validate", str(pth)]) == 0
+    assert main(["mdim", str(pth)]) == 0
+    capsys.readouterr()
+    code = main(["conjecture", str(pth)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "restricted" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_conjecture_random_samples_reported(files, capsys):

@@ -50,10 +50,10 @@ def test_modulus_verified_irreducible():
 def test_scalar_serialization_roundtrip():
     for F in (F3, F9, F27):
         for a in range(F.q):
-            coords = F.coords(a)
+            coords = F.digits(a).tolist()
             assert len(coords) == F.k
             assert all(0 <= c < F.p for c in coords)
-            assert F.from_coords(coords) == a
+            assert F.undigits(coords) == a
 
 
 @settings(max_examples=80, derandomize=True)
@@ -225,9 +225,8 @@ def test_embedding_is_homomorphism():
 def test_modulus_search_is_lex_smallest():
     from itertools import product
 
-    from superkw.gflin import DEFAULT_MODULI
-
-    for p, k in [*DEFAULT_MODULI, (17, 2), (17, 3), (19, 2), (23, 2)]:
+    pairs = [(p, k) for p in (3, 5, 7, 11, 13) for k in range(1, 5)]
+    for p, k in [*pairs, (17, 2), (17, 3), (19, 2), (23, 2)]:
         ref = next(t + (1,) for t in product(range(p), repeat=k)
                    if t[0] != 0 and is_irreducible(t + (1,), p))
         assert smallest_irreducible(p, k) == ref
@@ -515,12 +514,30 @@ def test_nullspace_matches_loop_form():
 
 
 def test_pow_arr_matches_repeated_product():
-    for F in (F3, F5, Field(7), Field(13), F9):
+    """pow_arr, pow and mat_pow against repeated products, for e < 40; over
+    GF(3^7), q > 1024 takes the digit path, with no tables."""
+    rng = np.random.default_rng(7)
+    for F in (F3, F5, Field(7), Field(13), F9, Field(3, 7)):
         a = np.arange(F.q, dtype=np.int64)
+        if F.q > 1024:
+            a = F.rand(rng, 64)
+        scalars = [int(x) for x in a[:16]]
+        one = F.rand(rng, (3, 3))
+        stack = F.rand(rng, (4, 2, 2))
         want = np.ones_like(a)
+        want_one, want_stack = F.eye(3), np.broadcast_to(F.eye(2), stack.shape)
         for e in range(40):
             assert np.array_equal(F.pow_arr(a, e), want)
+            for x, w in zip(scalars, want[:16].tolist()):
+                assert F.pow(x, e) == w
+                if x:
+                    assert F.pow(x, -e) == F.pow(F.inv(x), e)
+            assert np.array_equal(F.mat_pow(one, e), want_one)
+            # at e = 0 a stack's power is one identity, which broadcasts
+            assert np.array_equal(np.broadcast_to(F.mat_pow(stack, e), stack.shape), want_stack)
             want = F.mul_arr(want, a)
+            want_one = F.matmul(want_one, one)
+            want_stack = F.matmul(want_stack, stack)
 
 
 @pytest.mark.parametrize("field", [F3, F9])
