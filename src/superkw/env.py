@@ -15,7 +15,8 @@ an element u is rho(u).1 in the regular module, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,11 +84,7 @@ class InducedModule:
     odd_cobasis: np.ndarray    # (c1, n)
 
     def __post_init__(self):
-        p, d, c0, c1 = self.h.parent.field.p, self.base.dim, self.c0, self.c1
-        # Python ints: `index` and the column recursion of `induce` do
-        # scalar index arithmetic with them
-        self._strides = tuple([d * 2**c1 * p**i for i in range(c0)]
-                              + [d * 2**j for j in range(c1)])
+        self._strides = _strides(self.h.parent.field.p, self.c0, self.c1, self.base.dim)
 
     @property
     def c0(self) -> int:
@@ -107,11 +104,21 @@ class InducedModule:
     def exponents(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The layout of every basis vector as arrays: alpha (dim, c0),
         gamma (dim, c1) and b (dim,)."""
-        p, d, c0, c1 = self.h.parent.field.p, self.base.dim, self.c0, self.c1
-        idx = np.arange(p**c0 * 2**c1 * d, dtype=np.int64)
-        radix = np.array([p] * c0 + [2] * c1, dtype=np.int64)
-        e = idx[:, None] // np.array(self._strides, dtype=np.int64) % radix
-        return e[:, :c0], e[:, c0:], idx % d
+        return _exponents(self.h.parent.field.p, self.c0, self.c1, self.base.dim)
+
+
+def _strides(p: int, c0: int, c1: int, d: int) -> Tuple[int, ...]:
+    """The index step of each even exponent, then of each odd bit, as
+    Python ints, for c0 even and c1 odd letters over a base of dim d."""
+    return tuple([d * 2**c1 * p**i for i in range(c0)] + [d * 2**j for j in range(c1)])
+
+
+def _exponents(p: int, c0: int, c1: int, d: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """alpha, gamma and b of every basis vector, as `InducedModule.exponents`."""
+    idx = np.arange(p**c0 * 2**c1 * d, dtype=np.int64)
+    radix = np.array([p] * c0 + [2] * c1, dtype=np.int64)
+    e = idx[:, None] // np.array(_strides(p, c0, c1, d), dtype=np.int64) % radix
+    return e[:, :c0], e[:, c0:], idx % d
 
 
 def character_module(h: Subalgebra, chi_h, lam: np.ndarray) -> SuperModule:
@@ -131,6 +138,175 @@ def character_module(h: Subalgebra, chi_h, lam: np.ndarray) -> SuperModule:
     )
 
 
+def _ragged(start: np.ndarray, length: np.ndarray):
+    """Positions of the runs [start[j], start[j] + length[j]) laid end to
+    end: (the run j of each position, the position, and where each run
+    ends in the output, with a leading 0)."""
+    ends = np.zeros(length.size + 1, dtype=np.int64)
+    length.cumsum(out=ends[1:])
+    which = np.arange(length.size).repeat(length)
+    return which, np.arange(ends[-1]) + (start - ends[:-1])[which], ends
+
+
+def _segment_sum(f, key: np.ndarray, val: np.ndarray):
+    """The GF(q) sum of the values at each distinct key: (the keys in
+    increasing order, their sums), keys whose sum is zero left out.  Sorts
+    the keys, then adds each run of equal keys (their digits when k > 1)."""
+    order = key.argsort()
+    key, val = key[order], val[order]
+    head = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    head = head.nonzero()[0]
+    if f.k == 1:
+        tot = np.add.reduceat(val, head) % f.p
+    else:
+        tot = f.undigits(np.add.reduceat(f.digits(val), head, axis=0))
+    keep = tot != 0
+    return key[head][keep], tot[keep]
+
+
+class _Columns:
+    """Built action columns, flat: the rows and values of the nonzero
+    entries of every column, one column after another, and each column's
+    start and length in them.  The column u.m has id u * dim + m.  An id
+    that was never built has start -1, and reading it raises."""
+
+    def __init__(self, ncols: int):
+        self.start = np.full(ncols, -1, dtype=np.int64)
+        self.length = np.zeros(ncols, dtype=np.int64)
+        self.rows = np.zeros(0, dtype=np.int64)
+        self.vals = np.zeros(0, dtype=np.int64)
+        self.size = 0
+        self.batches: List[Tuple[np.ndarray, np.ndarray]] = []  # (ids, lengths)
+
+    def store(self, ids: np.ndarray, seg: np.ndarray, rows: np.ndarray, vals: np.ndarray):
+        """Append the columns ``ids``; entry e belongs to ids[seg[e]], and
+        seg does not decrease."""
+        lens = np.bincount(seg, minlength=ids.size)
+        end = self.size + rows.size
+        if end > self.rows.size:
+            cap = max(end, 2 * self.rows.size)
+            self.rows = np.concatenate([self.rows[: self.size], np.empty(cap - self.size, np.int64)])
+            self.vals = np.concatenate([self.vals[: self.size], np.empty(cap - self.size, np.int64)])
+        self.rows[self.size : end] = rows
+        self.vals[self.size : end] = vals
+        self.start[ids] = self.size + lens.cumsum() - lens
+        self.length[ids] = lens
+        self.batches.append((ids, lens))
+        self.size = end
+
+    def gather(self, ids: np.ndarray):
+        """The entries of the columns ``ids``: (the position in ``ids`` of
+        each entry's column, its row, its value, and where each column's
+        entries end, with a leading 0)."""
+        start = self.start[ids]
+        if start.min(initial=0) < 0:
+            raise KeyError(f"action column {int(ids[start.argmin()])} read before it was built")
+        which, at, ends = _ragged(start, self.length[ids])
+        return which, self.rows[at], self.vals[at], ends
+
+    def entries(self):
+        """(column id, row, value) of every stored entry."""
+        ids = np.concatenate([b[0] for b in self.batches])
+        lens = np.concatenate([b[1] for b in self.batches])
+        return np.repeat(ids, lens), self.rows[: self.size], self.vals[: self.size]
+
+
+def _term_table(vecs: np.ndarray):
+    """The nonzero entries of each row of a matrix, row after row: (the
+    start and count of each row's entries, their columns, their values)."""
+    row, col = vecs.nonzero()
+    count = np.bincount(row, minlength=vecs.shape[0])
+    return count.cumsum() - count, count, col, vecs[row, col]
+
+
+class _Schedule(NamedTuple):
+    """What an induction builds, read off its shape alone.  Generators are
+    those of the rewritten basis; the column u.m has id u * dim + m.
+
+    Besides the shifts, the columns built at each degree are the wraps
+    (the leftmost letter y of m, m) where y's exponent is at its bound,
+    then the commutations (u, m) of every u that is no letter up to y,
+    each numbered within its degree."""
+
+    letters: np.ndarray      # the generator of each letter
+    hgen: np.ndarray         # the generators of h, in the base module's order
+    shift_ids: np.ndarray    # the shifts u.m = m + stride(u)
+    shift_rows: np.ndarray
+    wy: np.ndarray           # each wrap's letter y, in order of degree
+    w_deg: np.ndarray
+    w_m0: np.ndarray         # m with y's exponent zeroed
+    w_local: np.ndarray      # the wrap's number within its degree
+    cu: np.ndarray           # each commutation's u, in order of degree
+    cy: np.ndarray
+    c_deg: np.ndarray
+    c_m1: np.ndarray         # m' = m with one y fewer
+    c_local: np.ndarray
+    c_odd: np.ndarray        # u and y both odd
+    t_at: Tuple[int, ...]    # where each degree's columns start, wraps first
+    t_ids: np.ndarray        # the column of each, by degree
+    t_yoff: np.ndarray       # y * dim for a commutation: y.m has id t_yoff + m
+    parity: np.ndarray       # the parity of gamma in each basis vector
+    b: np.ndarray            # the base vector of each basis vector
+
+
+@lru_cache(maxsize=16)
+def _schedule(p: int, c0: int, c1: int, d: int, s: int, n: int) -> _Schedule:
+    """The schedule of an induction with c0 even and c1 odd letters over a
+    base of dim d, in an algebra of dim n with s even generators; kept for
+    the next induction of the same shape (the regular modules of one
+    algebra at every character, its g0 classes of one dimension)."""
+    L = c0 + c1
+    letters = np.r_[0:c0, s : s + c1]
+    hgen = np.r_[c0:s, s + c1 : n]
+    alpha, gamma, b = _exponents(p, c0, c1, d)
+    dim = b.size
+    # with a sentinel letter L past the last: its stride is 0 and no
+    # exponent reaches its bound
+    exps = np.hstack([alpha, gamma, np.zeros((dim, 1), dtype=np.int64)])
+    stride = np.array(_strides(p, c0, c1, d) + (0,), dtype=np.int64)
+    top = np.array([p - 1] * c0 + [1] * c1 + [-1], dtype=np.int64)
+    # the leftmost letter of each basis vector: its first nonzero exponent,
+    # or L on the degree-0 block
+    lead = np.argmax(np.hstack([exps[:, :L] > 0, np.ones((dim, 1), dtype=bool)]), axis=1)
+    deg = exps.sum(axis=1)
+    levels = np.arange(int(deg.max(initial=0)) + 2)
+    m, i = np.nonzero((np.arange(L) <= lead[:, None]) & (exps[:, :L] < top[:L]))
+    shift_ids, shift_rows = letters[i] * dim + m, m + stride[i]
+
+    wm = np.flatnonzero(exps[np.arange(dim), lead] == top[lead])
+    wm = wm[np.argsort(deg[wm], kind="stable")]
+    wy = lead[wm]
+    # u passes y when it is no letter at or before y
+    passes = np.ones((n, L + 1), dtype=bool)
+    passes[letters] = np.arange(L)[:, None] > np.arange(L + 1)
+    passes[:, L] = False
+    cm, cu = np.nonzero(passes[:, lead].T)
+    o = np.argsort(deg[cm], kind="stable")
+    cm, cu = cm[o], cu[o]
+    cy = lead[cm]
+    w_deg, c_deg = deg[wm], deg[cm]
+    t_deg = np.concatenate([w_deg, c_deg])
+    order = np.argsort(t_deg, kind="stable")
+    t_at = np.searchsorted(t_deg[order], levels)
+    local = np.empty_like(order)
+    local[order] = np.arange(order.size)
+    local -= t_at[t_deg]
+    yoff = np.concatenate([np.zeros(wm.size, dtype=np.int64), letters[cy] * dim])
+    sch = _Schedule(
+        letters=letters, hgen=hgen, shift_ids=shift_ids, shift_rows=shift_rows,
+        wy=wy, w_deg=w_deg, w_m0=wm - top[wy] * stride[wy], w_local=local[: wm.size],
+        cu=cu, cy=cy, c_deg=c_deg, c_m1=cm - stride[cy], c_local=local[wm.size :],
+        c_odd=(cu >= s) & (cy >= c0), t_at=tuple(t_at.tolist()),
+        t_ids=np.concatenate([letters[wy] * dim + wm, cu * dim + cm])[order],
+        t_yoff=yoff[order], parity=gamma.sum(axis=1) % 2, b=b)
+    # shared between calls: read-only
+    for a in sch:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return sch
+
+
 def induce(
     g: LieSuperAlgebra,
     chi,
@@ -141,24 +317,32 @@ def induce(
     """U_chi(g) tensored over U_chi(h) with S, for p-closed h.
 
     The ambient algebra is rewritten in a basis [even cobasis, h-even rows,
-    odd cobasis, h-odd rows].  The cobasis letters e_1 < ... < e_c0 <
-    f_1 < ... < f_c1 spell the basis vectors m = e^alpha f^gamma (x) v_b,
-    and each action column u.m is a sparse combination of columns already
-    built for shorter basis vectors:
+    odd cobasis, h-odd rows] (not at all when that basis is g's own).  The
+    cobasis letters e_1 < ... < e_c0 < f_1 < ... < f_c1 spell the basis
+    vectors m = e^alpha f^gamma (x) v_b, and each action column u.m is a
+    sparse combination of columns already built for shorter basis vectors:
 
     - on m = 1 (x) v_b a letter u gives u (x) v_b, and an h generator acts
       through S;
-    - a letter u at or before the leftmost letter y of m is prepended, with
-      u^p = u^[p] + chi(u)^p when an even exponent reaches p and
-      u u = (1/2)[u, u] on an odd letter already present;
+    - a letter u at or before the leftmost letter y of m is prepended: a
+      shift to m + stride(u), unless u's exponent is at its bound, where
+      u^p = u^[p] + chi(u)^p (even u) or u u = (1/2)[u, u] (odd u) wraps
+      it back to columns of m with that exponent zeroed;
     - any other u commutes past y: u.(y m') = (-1)^{|u||y|} y.(u.m') +
       [u, y].m'.
 
-    Columns are built by degree |alpha| + |gamma|, the prepended ones of a
-    degree first.  The terms of u.m' of the same degree as m are the
-    supersymmetric product, whose leftmost letter is at or after y, so
-    every column looked up is already built (a missing one raises
-    KeyError, never reads as zero).
+    The shifts and the degree-0 block need no arithmetic and are stored
+    first.  The other columns are built one degree |alpha| + |gamma| at a
+    time, all the columns of a degree together, in flat arrays of rows and
+    values (`_Columns`).  Which columns each degree builds, and from which
+    basis vectors, follows from the shape alone and is worked out once
+    (`_schedule`).  A degree is then two gathers of built columns, the
+    terms of u.m' and [u, y].m' and of the wraps, then y.(u.m'), and one
+    segmented GF(q) sum.  The terms of u.m' of the same degree as m are the
+    supersymmetric product, whose leftmost letter is at or after y and
+    whose exponent of y is one less than m's, so on them y is a shift; the
+    other columns read are of lower degree.  So every column read is
+    already built (a missing one raises KeyError, never reads as zero).
     """
     f = g.field
     chi = check_chi(g, chi)
@@ -175,14 +359,16 @@ def induce(
     ce = [c for c in comp if c < s]
     co = [c for c in comp if c >= s]
     c0, c1 = len(ce), len(co)
-    dim = f.p**c0 * 2**c1 * S.dim
+    d = S.dim
+    dim = f.p**c0 * 2**c1 * d
     if dim > budget:
         raise BudgetExceeded(f"induced module dimension {dim} exceeds budget {budget}")
 
     unit = np.eye(n, dtype=np.int64)
     P = np.vstack([unit[ce], h.space.even_rows(), unit[co], h.space.odd_rows()]).reshape(n, n)
-    g2 = change_basis(g, P)
-    chi2 = chi_value(g, chi, P[:s])
+    identity = np.array_equal(P, unit)
+    g2 = g if identity else change_basis(g, P)
+    chi2 = chi if identity else chi_value(g, chi, P[:s])
     induced = InducedModule(
         module=None,  # filled below
         h=h,
@@ -191,109 +377,80 @@ def induce(
         odd_cobasis=P[s : s + c1].copy(),
     )
 
-    p, add, mul = f.p, f.add, f.mul
-    L = c0 + c1
-    # g2 index of each letter; letter position of each g2 generator (None on h)
-    letters = list(range(c0)) + list(range(s, s + c1))
-    position = [None] * n
-    for i, u in enumerate(letters):
-        position[u] = i
-    # g2 generator -> the base module's generator
-    base_gen = [None] * n
-    for k, u in enumerate([u for u in range(n) if position[u] is None]):
-        base_gen[u] = k
+    p, L = f.p, c0 + c1
+    sch = _schedule(p, c0, c1, d, s, n)
+    letters, wy, cu, cy = sch.letters, sch.wy, sch.cu, sch.cy
+    # the shifts, then h on the degree-0 block through S
+    base = np.asarray(S.action, dtype=np.int64).transpose(0, 2, 1)  # [k, m, r]
+    k, m, r = base.nonzero()
+    shifts = sch.shift_ids.size
+    cols = _Columns(n * dim)
+    cols.store(np.concatenate([sch.shift_ids, (sch.hgen[:, None] * dim + np.arange(d)).ravel()]),
+               np.concatenate([np.arange(shifts), shifts + k * d + m]),
+               np.concatenate([sch.shift_rows, r]),
+               np.concatenate([np.ones(shifts, dtype=np.int64), base[k, m, r]]))
 
-    def terms(vec, scale=1):
-        return [(int(l), mul(scale, int(vec[l]))) for l in np.nonzero(vec)[0]]
+    # the rules at the bound, one row per letter: u^[p] (and chi(u)^p at
+    # m0) for even u, (1/2)[u, u] for odd u; and [u, y] for each (u, y)
+    rule = _term_table(np.concatenate([
+        g2.pmap[letters[:c0]], f.mul_arr(g2.structure[letters[c0:], letters[c0:]], f.inv(2))]))
+    bracket = _term_table(g2.structure[:, letters].reshape(n * L, n))
+    scalar = np.concatenate([f.pow_arr(chi2[:c0], p), np.zeros(c1, dtype=np.int64)])
+    ws = scalar[wy].nonzero()[0]
+    s_at = np.searchsorted(sch.w_deg[ws], np.arange(len(sch.t_at))).tolist()
+    s_keys, s_vals = sch.w_local[ws] * dim + sch.w_m0[ws], scalar[wy[ws]]
 
-    # [u, y] for every generator u and letter y, and the rules for a letter
-    # reaching its bound: u^[p] with chi(u)^p for even u, (1/2)[u, u] for odd
-    bracket = [[terms(g2.structure[u, y]) for y in letters] for u in range(n)]
-    half = f.inv(2)
-    bound = [(terms(g2.pmap[u]), f.pow(int(chi2[u]), p)) for u in letters[:c0]]
-    bound += [(terms(g2.structure[u, u], half), 0) for u in letters[c0:]]
-    sign = [[f.neg(1) if g2.parities[u] and i >= c0 else 1 for i in range(L)]
-            for u in range(n)]
+    # the reads of each degree, in two kinds: the terms that are final (the
+    # rule terms of the wraps, at m0; [u, y].m' of the commutations), then
+    # the first factor u.m' of y.(u.m'), with its sign
+    t, j = _ragged(rule[0][wy], rule[1][wy])[:2]
+    uy = cu * L + cy
+    tb, jb = _ragged(bracket[0][uy], bracket[1][uy])[:2]
+    req_ids = np.concatenate([rule[2][j] * dim + sch.w_m0[t], bracket[2][jb] * dim + sch.c_m1[tb],
+                              cu * dim + sch.c_m1])
+    req_coef = np.concatenate([rule[3][j], bracket[3][jb], np.where(sch.c_odd, f.neg(1), 1)])
+    req_seg = np.concatenate([sch.w_local[t], sch.c_local[tb], sch.c_local])
+    req_key = np.concatenate([2 * sch.w_deg[t], 2 * sch.c_deg[tb], 2 * sch.c_deg + 1])
+    o = req_key.argsort(kind="stable")
+    req_ids, req_coef, req_seg = req_ids[o], req_coef[o], req_seg[o]
+    r_at = np.searchsorted(req_key[o], 2 * np.arange(len(sch.t_at))[:, None] + np.arange(2)).tolist()
 
-    strides = induced.strides()
-    alpha, gamma, b = induced.exponents()
-    exps = np.hstack([alpha, gamma])
-    # the leftmost letter of each basis vector: the first nonzero exponent,
-    # or the sentinel column L on the base block
-    lead = np.argmax(np.hstack([exps > 0, np.ones((dim, 1), dtype=bool)]), axis=1).tolist()
-    deg = exps.sum(axis=1)
-    exps = exps.tolist()
+    t_at = sch.t_at
+    for level in range(1, len(t_at) - 1):
+        (r0, r1), r2 = r_at[level], r_at[level + 1][0]
+        which, rows, vals, ends = cols.gather(req_ids[r0:r2])
+        vals = f.mul_arr(req_coef[r0:r2][which], vals)
+        seg = req_seg[r0:r2][which]
+        e, t0 = int(ends[r1 - r0]), t_at[level]
+        # y.(u.m'): the columns of y at the rows of u.m', scaled
+        which2, rows2, vals2, _ = cols.gather(sch.t_yoff[t0 + seg[e:]] + rows[e:])
+        s0, s1 = s_at[level], s_at[level + 1]
+        key, tot = _segment_sum(
+            f,
+            np.concatenate([seg[:e] * dim + rows[:e], seg[e:][which2] * dim + rows2, s_keys[s0:s1]]),
+            np.concatenate([vals[:e], f.mul_arr(vals[e:][which2], vals2), s_vals[s0:s1]]))
+        cols.store(sch.t_ids[t0 : t_at[level + 1]], *np.divmod(key, dim), tot)
 
-    def axpy(acc, c, col):
-        """acc += c * col, dropping coefficients that cancel."""
-        for r, v in col.items():
-            w = add(acc.get(r, 0), mul(c, v))
-            if w:
-                acc[r] = w
-            else:
-                acc.pop(r, None)
-
-    # cols[u][m]: the column u.m as {row: coefficient}, nonzero entries only
-    cols: List[Dict[int, Dict[int, int]]] = [{} for _ in range(n)]
-    for level in range(int(deg.max(initial=0)) + 1):
-        ms = np.nonzero(deg == level)[0].tolist()
-        for m in ms:
-            for i in range(min(lead[m] + 1, L)):
-                u, e, st = letters[i], exps[m][i], strides[i]
-                if e + 1 < (p if i < c0 else 2):
-                    cols[u][m] = {m + st: 1}
-                    continue
-                rule, scalar = bound[i]
-                m0 = m - e * st
-                acc = {m0: scalar} if scalar else {}
-                for l, c in rule:
-                    axpy(acc, c, cols[l][m0])
-                cols[u][m] = acc
-        for m in ms:
-            y = lead[m]
-            if y == L:
-                for u in range(n):
-                    k = base_gen[u]
-                    if k is not None:
-                        cols[u][m] = {r: int(v) for r, v in enumerate(S.action[k][:, m]) if v}
-                continue
-            ycol, m1 = cols[letters[y]], m - strides[y]
-            for u in range(n):
-                i = position[u]
-                if i is not None and i <= y:
-                    continue
-                acc = {}
-                sg = sign[u][y]
-                for m2, c in cols[u][m1].items():
-                    axpy(acc, mul(sg, c), ycol[m2])
-                for l, c in bracket[u][y]:
-                    axpy(acc, c, cols[l][m1])
-                cols[u][m] = acc
-
-    # back to the original generators: x_i = sum_a Pinv[i, a] x'_a, applied
-    # entry by entry; entries that meet at one position are summed in GF(q)
-    gen, pos, val = [], [], []
-    for u, cu in enumerate(cols):
-        for m, col in cu.items():
-            for r, v in col.items():
-                gen.append(u)
-                pos.append(r * dim + m)
-                val.append(v)
-    gen, pos, val = (np.array(a, dtype=np.int64) for a in (gen, pos, val))
-    Pinv = inv_matrix(f, P)
-    # one empty part, so that the zero algebra (n = 0) concatenates too
-    keys, vals = [pos[:0]], [val[:0]]
-    for i in range(n):
-        coef = Pinv[i, gen]
-        sel = np.nonzero(coef)[0]
-        keys.append(i * dim * dim + pos[sel])
-        vals.append(f.mul_arr(coef[sel], val[sel]))
-    flat, where = np.unique(np.concatenate(keys), return_inverse=True)
-    # narrow from the start: no int64 tensor of the module's size is made
+    # the dense tensor, narrow from the start: no int64 tensor of the
+    # module's size is made.  Back to the original generators, x_i =
+    # sum_a Pinv[i, a] x'_a, unless the basis was g's own
+    ids, rows, vals = cols.entries()
+    u, m = np.divmod(ids, dim)
+    pos = rows * dim + m
     action = np.zeros((n, dim, dim), dtype=f.code_dtype)
-    action.reshape(-1)[flat] = f.narrow(f.sum_at(where, np.concatenate(vals), flat.size))
+    if identity:
+        action.reshape(-1)[u * dim * dim + pos] = f.narrow(vals)
+    else:
+        Pinv = inv_matrix(f, P)
+        keys, terms = [], []
+        for i in range(n):
+            sel = np.flatnonzero(Pinv[i, u])
+            keys.append(i * dim * dim + pos[sel])
+            terms.append(f.mul_arr(Pinv[i, u[sel]], vals[sel]))
+        key, tot = _segment_sum(f, np.concatenate(keys), np.concatenate(terms))
+        action.reshape(-1)[key] = f.narrow(tot)
 
-    parities = (gamma.sum(axis=1) + S.parities[b]) % 2
+    parities = (sch.parity + S.parities[sch.b]) % 2
 
     induced.module = SuperModule(alg=g, chi=chi, parities=parities, action=action)
     return induced

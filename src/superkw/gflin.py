@@ -47,16 +47,22 @@ def is_irreducible(coeffs: Iterable[int], p: int) -> bool:
 
 
 def _power(mul, one, base, e: int):
-    """base^e for e >= 0 by square-and-multiply, with the product `mul` and
-    its identity `one`.  The base is squared once more after the top bit of
-    e, a product whose result goes unused."""
-    r = one
-    while e:
+    """base^e for e >= 0 by square-and-multiply, with the product `mul`;
+    `one` is the answer at e = 0, and at e = 1 the answer is the base
+    itself.  The result starts as the base's power at the lowest set bit of
+    e, and the base is squared only while higher bits remain: (bit length
+    of e) - 1 squarings and (set bits of e) - 1 products, so 2 products at
+    e = 3 and 3 at e = 5."""
+    if e == 0:
+        return one
+    r = None
+    while True:
         if e & 1:
-            r = mul(r, base)
-        base = mul(base, base)
+            r = base if r is None else mul(r, base)
         e >>= 1
-    return r
+        if not e:
+            return r
+        base = mul(base, base)
 
 
 @lru_cache(maxsize=None)
@@ -237,19 +243,6 @@ class Field:
         a = np.asarray(a, dtype=np.int64)
         return _power(self.mul_arr, np.ones_like(a), a, e)
 
-    def sum_at(self, index, vals, size: int) -> np.ndarray:
-        """Length-`size` array whose entry j is the GF(q) sum of the `vals`
-        with index j.  Digits are summed in int64 and reduced once, exact
-        while no entry gathers 2^63 / p terms."""
-        index = np.asarray(index, dtype=np.intp)
-        if self.k == 1:
-            out = np.zeros(size, dtype=np.int64)
-            np.add.at(out, index, np.asarray(vals, dtype=np.int64))
-            return out % self.p
-        out = np.zeros((size, self.k), dtype=np.int64)
-        np.add.at(out, index, self.digits(vals))
-        return self.undigits(out)
-
     def rand(self, rng: np.random.Generator, shape=()) -> np.ndarray:
         return rng.integers(0, self.q, size=shape, dtype=np.int64)
 
@@ -325,8 +318,13 @@ class Field:
         return acc
 
     def mat_pow(self, a: np.ndarray, e: int) -> np.ndarray:
-        """a^e for a square matrix, or for each of a stack of them."""
-        return _power(self.matmul, self.eye(a.shape[-1]), a, e)
+        """a^e for a square matrix, or for each of a stack of them (a stack
+        of identities at e = 0)."""
+        a = np.asarray(a)
+        one = np.zeros(a.shape, dtype=np.int64)
+        diag = np.arange(a.shape[-1])
+        one[..., diag, diag] = 1
+        return _power(self.matmul, one, a, e)
 
     def __eq__(self, other):
         return (

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import WordStraightener, reference_induce
-from superkw import classical
-from superkw.chargeom import restrict_chi
+from superkw import classical, env, solvable
+from superkw.chargeom import chi_value, restrict_chi
 from superkw.classical import baby_verma, catalog
 from superkw.env import ReducedAlgebra, character_module, induce, regular_module
-from superkw.lsa import LsaError, Subspace, as_subalgebra
+from superkw.lsa import LsaError, Subspace, as_subalgebra, change_basis
 from superkw.lsafile import parse_lsa_path
 from superkw.modules import composition_series, validate_module
 
@@ -229,22 +229,82 @@ CI_BABY_VERMAS = [
     ("sl(2)", 5, 1, (0, 0, 0), (1,)),
     ("sl(2|1)", 3, 1, (0, 0, 0, 0), (1, 0)),
     ("gl(2|1)", 3, 1, (0, 0, 0, 0, 0), (1, 0, 0)),
+    ("gl(1|1)", 3, 3, (0, 0), (1, 0)),
+    ("osp(1|2)", 5, 2, (0, 0, 0), (0,)),
 ]
+# over GF(3^7), q > 1024: digit arithmetic with no tables, and a uint16 tensor
+DIGIT_BABY_VERMA = ("gl(1|1)", 3, 7, (0, 0), (1, 0))
 
 
-@pytest.mark.parametrize("name, p, k, chi, lam", CI_BABY_VERMAS)
-def test_baby_vermas_match_reference(name, p, k, chi, lam, monkeypatch):
+def _spy_on(monkeypatch, module):
+    """The argument tuples of every `induce` call made through ``module``."""
     calls = []
 
     def spy(*args, **kwargs):
         calls.append(args)
         return induce(*args, **kwargs)
 
-    monkeypatch.setattr(classical, "induce", spy)
+    monkeypatch.setattr(module, "induce", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name, p, k, chi, lam", CI_BABY_VERMAS + [DIGIT_BABY_VERMA])
+def test_baby_vermas_match_reference(name, p, k, chi, lam, monkeypatch):
+    calls = _spy_on(monkeypatch, classical)
     ent = catalog(name, p, k)
-    baby_verma(ent.algebra, ent.triangular, _vec(*chi), _vec(*lam))
+    M = baby_verma(ent.algebra, ent.triangular, _vec(*chi), _vec(*lam)).module
     assert len(calls) == 1
+    if ent.algebra.field.q > 1024:
+        assert M.action.dtype == np.uint16
     _assert_matches_reference(*calls[0])
+
+
+# the solvable-irr runs of CI: (file, chi)
+CI_SOLVABLE_IRR = [("heis_p3", (1, 0, 0)), ("gl1_1_p3", (1, 0)), ("oddheis_p3", (1,)),
+                   ("solv2_p5", (2, 0))]
+
+
+def _basis_change(g, h):
+    """The P of `induce`: unit rows of the even cobasis, h's even rows, unit
+    rows of the odd cobasis, h's odd rows."""
+    comp = h.space.complement_columns()
+    unit = np.eye(g.n, dtype=np.int64)
+    return np.vstack([unit[[c for c in comp if c < g.s_even]], h.space.even_rows(),
+                      unit[[c for c in comp if c >= g.s_even]], h.space.odd_rows()])
+
+
+def _sheared(g, chi):
+    """g in the basis x_i + x_{i+1} (x_i and x_{i+1} of one parity; the last
+    of each parity kept), with chi in that basis."""
+    Q = np.eye(g.n, dtype=np.int64)
+    for i in range(g.n - 1):
+        if (i < g.s_even) == (i + 1 < g.s_even):
+            Q[i, i + 1] = 1
+    return change_basis(g, Q), chi_value(g, chi, Q[: g.s_even])
+
+
+@pytest.mark.parametrize("shear", [False, True], ids=["file", "sheared"])
+@pytest.mark.parametrize("name, chi", CI_SOLVABLE_IRR)
+def test_solvable_irr_inductions_match_reference(name, chi, shear, monkeypatch):
+    # the descent's inductions, and the regular module of the oracle fallback
+    # (solv2_p5)
+    g, chi = _alg(name), _vec(*chi)
+    if shear:
+        g, chi = _sheared(g, chi)
+    descent, fallback = _spy_on(monkeypatch, solvable), _spy_on(monkeypatch, env)
+    solvable.construct_irreducible(g, chi)
+    calls = descent + fallback
+    assert calls
+    for args in calls:
+        _assert_matches_reference(*args)
+    permutation = []
+    for args in calls:
+        P = _basis_change(args[0], args[2])
+        permutation.append(np.isin(P, (0, 1)).all() and (P.sum(axis=0) == 1).all()
+                           and (P.sum(axis=1) == 1).all())
+    # in the files' own bases every P is a permutation; sheared, heis_p3's
+    # ideal descent induces through one that is not
+    assert all(permutation) == (not shear or name != "heis_p3")
 
 
 def test_gl11_subalgebra_case_matches_reference():
@@ -258,3 +318,20 @@ def test_base_module_with_another_character_is_refused():
     assert not np.array_equal(restrict_chi(other, sub), S.chi)
     with pytest.raises(LsaError, match="character"):
         induce(g, other, sub, S)
+
+
+def test_a_column_never_built_raises(monkeypatch):
+    # read through `_Columns`, and through an induction whose schedule has
+    # lost its shifts: a KeyError either way, never a zero column
+    cols = env._Columns(4)
+    cols.store(_vec(1, 3), _vec(0, 0, 1), _vec(2, 0, 1), _vec(1, 2, 2))
+    which, rows, vals, ends = cols.gather(_vec(3, 1))
+    assert (which.tolist(), rows.tolist(), vals.tolist(), ends.tolist()) == (
+        [0, 1, 1], [1, 2, 0], [2, 1, 2], [0, 1, 3])
+    with pytest.raises(KeyError):
+        cols.gather(_vec(1, 2))
+    schedule = env._schedule
+    monkeypatch.setattr(env, "_schedule", lambda *shape: schedule(*shape)._replace(
+        shift_ids=_vec(), shift_rows=_vec()))
+    with pytest.raises(KeyError):
+        _regular("heis_p3", (0, 1, 0))

@@ -533,11 +533,37 @@ def test_pow_arr_matches_repeated_product():
                 if x:
                     assert F.pow(x, -e) == F.pow(F.inv(x), e)
             assert np.array_equal(F.mat_pow(one, e), want_one)
-            # at e = 0 a stack's power is one identity, which broadcasts
-            assert np.array_equal(np.broadcast_to(F.mat_pow(stack, e), stack.shape), want_stack)
+            # a stack's power is a stack, of identities at e = 0
+            assert np.array_equal(F.mat_pow(stack, e), want_stack)
             want = F.mul_arr(want, a)
             want_one = F.matmul(want_one, one)
             want_stack = F.matmul(want_stack, stack)
+
+
+def test_powers_make_no_idle_products(monkeypatch):
+    """Square-and-multiply without a product by the identity or a square
+    past the top bit of e: (bit length - 1) squarings and (set bits - 1)
+    products, so mat_pow(a, 3) makes 2 matmul calls and mat_pow(a, 5) 3."""
+    F = Field(5)
+    calls = []
+    matmul, mul = F.matmul, F.mul
+    monkeypatch.setattr(F, "matmul", lambda a, b: calls.append("matmul") or matmul(a, b))
+    monkeypatch.setattr(F, "mul", lambda a, b: calls.append("mul") or mul(a, b))
+    a = F.rand(np.random.default_rng(3), (4, 4))
+    for e in range(40):
+        want = max(e.bit_length() - 1 + bin(e).count("1") - 1, 0)
+        calls.clear()
+        F.mat_pow(a, e)
+        assert calls == ["matmul"] * want, e
+        calls.clear()
+        F.pow(2, e)
+        assert calls == ["mul"] * want, e
+    calls.clear()
+    F.mat_pow(a, 3)
+    assert len(calls) == 2
+    calls.clear()
+    F.mat_pow(a, 5)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("field", [F3, F9])
