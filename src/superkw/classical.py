@@ -1,7 +1,6 @@
-"""Catalog of small classical and solvable test algebras, triangular
-decompositions, highest-weight sets, baby Verma modules, and the published
-desk-check targets (irreducibility of Verma modules at regular semisimple
-characters, divisibility of irreducible dimensions).
+"""Catalog of small classical and solvable test algebras, their triangular
+decompositions, and baby Verma modules: a weight line of the Borel
+subalgebra, induced to g.
 
 Every member, the solvable ones included, is a list of (name, parity,
 supermatrix) entries read off by one builder, `algebra_from_matrices`, and
@@ -16,19 +15,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from .chargeom import DEFAULT_BUDGET, check_chi, chi_geometry, chi_value, restrict_chi
+from .chargeom import DEFAULT_BUDGET, check_chi, chi_value, restrict_chi
 from .env import InducedModule, character_module, induce
 from .gflin import Field, solve as lin_solve
-from .lsa import (
-    LieSuperAlgebra,
-    LsaError,
-    Subspace,
-    as_subalgebra,
-    scalar_extensions,
-)
-from .modules import is_graded_irreducible, validate_module
-from .report import oracle_composition
-from .solvable import p_compatibility, solve_weight_equations
+from .lsa import LieSuperAlgebra, LsaError, Subspace, as_subalgebra
+from .modules import validate_module
+from .solvable import p_compatibility
 
 
 class CatalogError(ValueError):
@@ -224,64 +216,6 @@ def catalog(name: str, p: int, k: int = 1) -> CatalogEntry:
 # weights and baby Verma modules
 
 
-@dataclass
-class Completion:
-    """g, its triangular data and chi over the extension that completes the
-    weight set, with the complete set there."""
-    algebra: LieSuperAlgebra
-    triangular: TriangularData
-    chi: np.ndarray
-    weights: List[np.ndarray]
-
-
-@dataclass
-class LambdaSetReport:
-    weights: List[np.ndarray]     # values on the Cartan rows
-    expected: int                 # p^dim(h)
-    complete: bool
-    completion_degree: Optional[int]   # minimal extension degree filling the set
-    completion: Optional[Completion] = None   # the data over that extension
-
-
-def lambda_set(
-    g: LieSuperAlgebra, tri: TriangularData, chi, ext_cap: int = 4
-) -> LambdaSetReport:
-    """Solutions of the highest-weight compatibility equations on the Cartan.
-
-    Over a closed field there are exactly p^dim(h); over GF(p^k) the realized
-    subset can be smaller, and the report names the minimal extension degree
-    that completes it instead of silently extending."""
-    chi = check_chi(g, chi)
-    sub = as_subalgebra(g, tri.cartan)
-    chi_h = restrict_chi(chi, sub)
-    sols = solve_weight_equations(sub.alg, chi_h)
-    expected = g.field.p ** tri.cartan.dim
-    complete = len(sols) == expected
-    if not complete:
-        for d, gx, table in scalar_extensions(g, ext_cap):
-            if d == 1:
-                continue
-            trix = _extend_triangular(tri, gx.field, table, gx)
-            subx = as_subalgebra(gx, trix.cartan)
-            solx = solve_weight_equations(subx.alg, restrict_chi(table[chi], subx))
-            if len(solx) == expected:
-                return LambdaSetReport(sols, expected, complete, d,
-                                       Completion(gx, trix, table[chi], solx))
-    return LambdaSetReport(sols, expected, complete, None)
-
-
-def _extend_triangular(tri: TriangularData, big: Field, table, gx) -> TriangularData:
-    def ext_space(S: Subspace) -> Subspace:
-        return Subspace(big, S.s_even, S.ambient, table[S.basis])
-
-    return TriangularData(
-        ext_space(tri.cartan),
-        ext_space(tri.n_plus),
-        ext_space(tri.n_minus),
-        [Root(r.vector_index, table[r.coroot], r.parity) for r in tri.roots],
-    )
-
-
 def is_weight_admissible(g, tri, chi, lam) -> bool:
     """lam(h)^p - lam(h^[p]) = chi(h)^p on every Cartan basis row h."""
     sub = as_subalgebra(g, tri.cartan)
@@ -324,74 +258,3 @@ def baby_verma(
     if ind.module.dim != f.p**ne * 2**no:
         raise RuntimeError("baby Verma dimension disagrees with the negative part")
     return ind
-
-
-def is_regular_semisimple(g: LieSuperAlgebra, tri: TriangularData, chi) -> bool:
-    """chi nonzero on every coroot (chi assumed zero on both nilpotent parts)."""
-    chi = check_chi(g, chi)
-    for side in (tri.n_plus, tri.n_minus):
-        if np.any(chi_value(g, chi, side.even_rows())):
-            raise LsaError("character must vanish on the nilpotent parts")
-    coroots = np.array([r.coroot for r in tri.roots]).reshape(-1, g.n)
-    return bool(np.all(chi_value(g, chi, coroots)))
-
-
-@dataclass
-class ZhaoCheckReport:
-    verma_dims: List[int]
-    all_verma_irreducible: Optional[bool]  # None when no Verma was checked
-    weights_found: int
-    weights_expected: int
-    extension_degree: int
-    max_factor_dim: Optional[int]      # geometric, from the oracle
-    lemma_bound_ok: Optional[bool]     # every factor dim <= the Verma dim
-
-
-def zhao_check(
-    g: LieSuperAlgebra,
-    tri: TriangularData,
-    chi,
-    seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
-    ext_cap: int = 4,
-) -> ZhaoCheckReport:
-    """Desk check: at a regular semisimple character every baby Verma module
-    is graded-irreducible, and no irreducible module exceeds its dimension.
-    Both verdicts are None when no weight, hence no baby Verma module, was
-    found within `ext_cap`."""
-    chi = check_chi(g, chi)
-    if not is_regular_semisimple(g, tri, chi):
-        raise LsaError("the check applies to regular semisimple characters")
-    lrep = lambda_set(g, tri, chi, ext_cap=ext_cap)
-    degree = 1
-    gx, trix, chix, weights = g, tri, chi, lrep.weights
-    if lrep.completion is not None:
-        degree = lrep.completion_degree
-        c = lrep.completion
-        gx, trix, chix, weights = c.algebra, c.triangular, c.chi, c.weights
-    dims, irreducible = [], []
-    for lam in weights:
-        ind = baby_verma(gx, trix, chix, lam, budget=budget)
-        dims.append(ind.module.dim)
-        irreducible.append(is_graded_irreducible(ind.module, seed))
-    all_irr = max_factor = lemma_ok = None
-    if dims:
-        all_irr = all(irreducible)
-        max_factor = max(oracle_composition(gx, chix, seed, budget).geometric_dims)
-        lemma_ok = max_factor <= max(dims)
-    return ZhaoCheckReport(
-        verma_dims=dims,
-        all_verma_irreducible=all_irr,
-        weights_found=len(weights),
-        weights_expected=lrep.expected,
-        extension_degree=degree,
-        max_factor_dim=max_factor,
-        lemma_bound_ok=lemma_ok,
-    )
-
-
-def kw_divisibility_check(g: LieSuperAlgebra, chi, factor_dims) -> bool:
-    """Every factor dimension divisible by p^(b0/2) * 2^ceil(b1/2)."""
-    geo = chi_geometry(g, check_chi(g, chi))
-    divisor = geo.value(g.field.p)
-    return all(int(d) % divisor == 0 for d in factor_dims)

@@ -15,7 +15,7 @@ import numpy as np
 from .chargeom import DEFAULT_BUDGET, BudgetExceeded
 from .classical import CatalogError, baby_verma, catalog
 from .gflin import FieldError
-from .lsa import LsaError, NeedsFieldExtension
+from .lsa import LsaError, NeedsFieldExtension, is_solvable
 from .lsafile import LsaParseError, parse_lsa_path, write_lsa
 from .modules import MeataxeFailure, is_graded_irreducible, validate_module
 from .penv import minimal_p_envelope, verify_envelope
@@ -78,7 +78,8 @@ def _parse_chi(text: str, expected: int, q: int) -> np.ndarray:
 
 
 def _sample_count(text: str) -> int:
-    """An argparse type: an integer of at least 1."""
+    """An argparse type: an integer of at least 1 (a sample count or an
+    extension degree)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -174,6 +175,9 @@ def cmd_conjecture(args) -> int:
 
 def cmd_solvable_irr(args) -> int:
     g = _load_valid(args).algebra
+    if not g.restricted or not is_solvable(g):
+        print("error: solvable-irr needs a solvable restricted algebra", file=sys.stderr)
+        return EXIT_INPUT
     chi = _parse_chi(args.chi, g.s_even, g.field.q)
     try:
         M, trace = construct_irreducible(
@@ -300,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     seed(sp)
     budget(sp)
-    sp.add_argument("--ext-cap", dest="ext_cap", type=int, default=4)
+    sp.add_argument("--ext-cap", dest="ext_cap", type=_sample_count, default=4)
     sp.add_argument("--chi", required=True, help="comma-separated even values")
     sp.set_defaults(func=cmd_solvable_irr)
 

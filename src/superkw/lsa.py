@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -465,15 +465,6 @@ def centralizer_of(g: LieSuperAlgebra, S: Subspace) -> Subspace:
     return Subspace(g.field, g.s_even, g.n, nullspace(g.field, m))
 
 
-def subalgebra_closure(g: LieSuperAlgebra, vectors: Iterable[np.ndarray]) -> Subspace:
-    S = Subspace.from_vectors(g.field, g.s_even, g.n, list(vectors))
-    while True:
-        grown = S.sum_with(bracket_span(g, S, S))
-        if grown.dim == S.dim:
-            return S
-        S = grown
-
-
 def intersect_spaces(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient != b.ambient:
         raise LsaError("ambient dimension mismatch")
@@ -659,21 +650,20 @@ def extend_scalars(g: LieSuperAlgebra, big: Field):
 
 def scalar_extensions(g: LieSuperAlgebra, ext_cap: int):
     """(degree, base change of g, embedding table) for degree = 1, 2, ...
-    while the total degree over GF(p) stays within ext_cap; degree 1 is g
-    itself with the identity table.  Lazy, so a caller that stops early
-    builds no larger field."""
+    Degree 1 is g itself with the identity table, and comes first whatever
+    the cap; each larger degree follows while the total degree over GF(p)
+    stays within ext_cap.  Lazy, so a caller that stops early builds no
+    larger field."""
     f = g.field
-    degree = 1
+    yield 1, g, np.arange(f.q, dtype=np.int64)
+    degree = 2
     while f.k * degree <= ext_cap:
-        if degree == 1:
-            yield 1, g, np.arange(f.q, dtype=np.int64)
-        else:
-            yield (degree,) + extend_scalars(g, Field(f.p, f.k * degree))
+        yield (degree,) + extend_scalars(g, Field(f.p, f.k * degree))
         degree += 1
 
 
 # ---------------------------------------------------------------------------
-# flags of ideals and codimension-one extensions (completely solvable)
+# flags of ideals and graded hyperplanes (completely solvable)
 
 
 def _line_ideal(g: LieSuperAlgebra) -> Subspace:
@@ -789,22 +779,3 @@ def _normalized_functionals(f: Field, c: int):
     for t in range(c):
         for tail in product(range(f.q), repeat=c - t - 1):
             yield (0,) * t + (1,) + tail
-
-
-def codim1_extend(g: LieSuperAlgebra, h: Subspace) -> Subspace:
-    """A codimension-one subalgebra of g containing the proper subalgebra h."""
-    if h.dim >= g.n:
-        raise LsaError("subalgebra is not proper")
-    if h.dim == g.n - 1:
-        return h
-    # any hyperplane containing h + [g,g] is a subalgebra; try those first by
-    # seeding the search with the enlarged subspace, then fall back to a scan
-    D = derived_subalgebra(g)
-    seed = h.sum_with(D)
-    if seed.dim < g.n:
-        for H in graded_hyperplanes_containing(g, seed):
-            return H
-    for H in graded_hyperplanes_containing(g, h):
-        if is_subalgebra(g, H):
-            return H
-    raise NeedsFieldExtension("no codimension-one subalgebra over the working field")

@@ -5,8 +5,7 @@ test or, where that fails, from the module's even commutant), composition
 factors grouped into isomorphism classes, Hom(S, M) and End(S) of a
 certified simple S as one linear solve from its certificate (the
 standard-basis method), which also peels copies of a known S off a larger
-module as submodules, simultaneous eigenspaces, and the degree-reduction
-filtration check for induced modules.
+module as submodules.
 
 Module vectors are column vectors; a set of module vectors is handled as a
 row-space in reduced echelon form.  Because action matrices are parity
@@ -21,7 +20,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .chargeom import chi_value, restrict_chi
 from .gflin import (
     Echelon,
     Field,
@@ -33,7 +31,7 @@ from .gflin import (
     rref,
     solve,
 )
-from .lsa import LieSuperAlgebra, LsaError, Subspace, Violation
+from .lsa import LieSuperAlgebra, LsaError, Violation
 
 MEATAXE_ATTEMPTS = 64
 
@@ -752,101 +750,3 @@ def composition_factors(
     if total != M.dim:
         raise RuntimeError("composition factor dimensions do not sum correctly")
     return CompositionReport(records)
-
-
-def restrict_module(M: SuperModule, sub) -> SuperModule:
-    """View a module over the ambient algebra as a module over a subalgebra
-    presentation: one action matrix per subalgebra basis row."""
-    return SuperModule(
-        alg=sub.alg,
-        chi=restrict_chi(M.chi, sub) if M.chi.size else np.zeros(sub.alg.s_even, dtype=np.int64),
-        parities=M.parities.copy(),
-        action=M.rho(sub.rows),
-    )
-
-
-# ---------------------------------------------------------------------------
-# simultaneous eigenspaces and the filtration check
-
-
-def _shifted_action(M: SuperModule, x: np.ndarray, scalars: np.ndarray) -> np.ndarray:
-    """rho(x) - c.1 for a stack of algebra vectors x (m, n) and scalars c
-    (m,): (m, d, d)."""
-    ops = M.rho(x)
-    diag = np.arange(M.dim)
-    ops[:, diag, diag] = M.alg.field.sub_arr(ops[:, diag, diag], scalars[:, None])
-    return ops
-
-
-def v_i_chi(M: SuperModule, I: Subspace, chi) -> Echelon:
-    """Simultaneous chi-eigenspace {v : X v = chi(X) v for all X in I}."""
-    f = M.alg.field
-    chi = np.asarray(chi, dtype=np.int64)
-    # chi of an odd row is 0: chi only reads even coordinates
-    ops = _shifted_action(M, I.basis, chi_value(M.alg, chi, I.basis))
-    ker = nullspace(f, ops.reshape(-1, M.dim))
-    return graded_span(f, ker, M.parities == 1)
-
-
-def degree_reduction_check(g: LieSuperAlgebra, chi, induced, I: Subspace):
-    """Filtration congruences on an induced module built from an ideal.
-
-    With dual families Z_i in the even part of I pairing the even cobasis
-    (chi([Z_i, e_j]) = delta_ij) and T_j in the odd part pairing the odd
-    cobasis (chi([f_k, T_j]) = delta_kj), acting on a basis vector of degree
-    l yields, modulo the span of degree <= l-2 vectors:
-
-        (Z_i - chi(Z_i)) . e^a f^c (x) v  ==  a_i e^(a-eps_i) f^c (x) v
-        T_j . f^c (x) v                   ==  (-1)^(s_j) c_j f^(c-eps_j) (x) v
-
-    where s_j counts odd cobasis factors in front of slot j.  The odd-case
-    parity sign is forced by the supercommutation moves; it is verified here
-    exactly rather than up to units.  Every basis vector on which an
-    operator acts (Z_i where a_i > 0, T_j where a = 0 and c_j = 1) is
-    checked.  Returns (ok, number of congruences checked).
-    """
-    f = g.field
-    chi = np.asarray(chi, dtype=np.int64)
-    M = induced.module
-    # the base must be a chi-eigenspace for I inside the induced module: its
-    # block is the first base.dim columns
-    ops = _shifted_action(M, I.basis, chi_value(g, chi, I.basis))
-    if np.any(ops[:, :, : induced.base.dim]):
-        raise LsaError(
-            "base block is not a chi-eigenspace for the ideal; "
-            "the filtration check does not apply")
-
-    I_even = I.even_rows()
-    I_odd = I.odd_rows()
-    # mat[j, r] = chi([I_even[r], e_j]); Z_i = sum_r x[r, i] I_even[r]
-    mat = chi_value(g, chi, g.bracket(I_even, induced.even_cobasis[:, None]))
-    x = solve(f, mat, f.eye(induced.c0))
-    if x is None:
-        raise LsaError("pairing elements not found: the form degenerates "
-                       "between the ideal and the even cobasis")
-    Z = f.matmul(x.T, I_even)
-    # mat[k, r] = chi([f_k, I_odd[r]]); T_j = sum_r x[r, j] I_odd[r]
-    mat = chi_value(g, chi, g.bracket(induced.odd_cobasis[:, None], I_odd))
-    x = solve(f, mat, f.eye(induced.c1))
-    if x is None:
-        raise LsaError("pairing elements not found: the form degenerates "
-                       "between the ideal and the odd cobasis")
-    T = f.matmul(x.T, I_odd)
-
-    # Z_i - chi(Z_i) and T_j (chi(T_j) = 0), one stack of operators
-    ZT = np.vstack([Z, T])
-    ops = _shifted_action(M, ZT, chi_value(g, chi, ZT))
-    alpha, gamma, _ = induced.exponents()
-    degree = alpha.sum(axis=1) + gamma.sum(axis=1)
-    # applies[k, col]: operator k acts on basis vector col; lead[k, col]:
-    # the coefficient of its leading term, at col - strides[k]
-    applies = np.vstack([alpha.T > 0, (gamma.T == 1) & ~np.any(alpha, axis=1)])
-    sign = (np.cumsum(gamma, axis=1) - gamma).T % 2
-    lead = np.vstack([alpha.T, np.where(sign == 1, f.neg(1), 1)])
-    k, col = np.nonzero(applies)
-    row = col - np.array(induced.strides(), dtype=np.int64)[k]
-    ops[k, row, col] = f.sub_arr(ops[k, row, col], lead[k, col])
-    # what is left must lie in degree <= l - 2, l the degree of the column
-    above = degree[:, None] > degree[None, :] - 2
-    ok = not np.any(ops[applies[:, None, :] & above])
-    return ok, int(k.size)

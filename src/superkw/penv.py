@@ -19,7 +19,6 @@ import numpy as np
 from .gflin import Echelon, rref, solve as lin_solve
 from .lsa import (
     LieSuperAlgebra,
-    LsaError,
     Subspace,
     Violation,
     is_ideal,

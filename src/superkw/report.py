@@ -14,7 +14,6 @@ import json
 import os
 import tempfile
 from collections import Counter
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -23,7 +22,6 @@ from .chargeom import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     SCAN_CAP,
-    SuperDim,
     character_classes,
     characters,
     check_chi,
@@ -201,37 +199,6 @@ def chi_verdict(g: LieSuperAlgebra, chi, payload: dict) -> dict:
         "dim_form_ok": verify_dim_form(gd, g.field.p),
         "kw_divisible": all(int(d) % predicted == 0 for d in gd),
     }
-
-
-@dataclass
-class EquidimReport:
-    predicted_exponents: SuperDim
-    predicted_dim: int
-    factor_dims: List[int]           # raw dimensions over the working field
-    geometric_dims: List[int]        # divided by even endomorphism degree
-    equidimensional: bool
-    agrees_with_prediction: bool
-    dim_form_ok: bool
-
-
-def equidim_probe(g: LieSuperAlgebra, chi, seed: int = 0, budget: int = DEFAULT_BUDGET) -> EquidimReport:
-    """Compare the character-geometry prediction with the oracle's factors.
-
-    This is a report, never an assertion: the prediction can fail over a
-    non-closed field or for characters whose p-center behaviour depends on
-    the choice of p-operation, and the point of the probe is to record that
-    faithfully."""
-    chi = check_chi(g, chi)
-    v = chi_verdict(g, chi, oracle_factors(g, chi, seed, budget))
-    return EquidimReport(
-        predicted_exponents=SuperDim(*v["exp_pair"]),
-        predicted_dim=v["predicted_dim"]["value"],
-        factor_dims=v["factor_dims"]["value"],
-        geometric_dims=v["geometric_factor_dims"]["value"],
-        equidimensional=v["equidimensional"],
-        agrees_with_prediction=v["thm_agrees"],
-        dim_form_ok=v["dim_form_ok"],
-    )
 
 
 def mdim_fragment(g: LieSuperAlgebra, strategy, seed, samples) -> dict:

@@ -6,11 +6,12 @@ The descent mirrors the effective content of the inductive construction:
 find an abelian ideal on which the character geometry is nontrivial, pass to
 its stabilizer, recurse, and induce.  Where the literal recipe does not
 apply (the base weight has no solution over the working field, or no usable
-ideal exists) the engine extends the field up to a cap, falls over to the
-polarization route for completely solvable inputs, and finally to the brute
-force oracle (the largest composition factor of the regular module); every
-produced module is re-validated and its irreducibility re-checked, so wrong
-answers cannot escape, only honest fallbacks.
+ideal exists) the engine tries the polarization route for completely
+solvable inputs, extends the field up to a cap (the base field is always
+tried first), and finally falls back to the brute force oracle (the largest
+composition factor of the regular module); every produced module is
+re-validated and its irreducibility re-checked, so wrong answers cannot
+escape, only honest fallbacks.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 from .chargeom import (
     DEFAULT_BUDGET,
     BudgetExceeded,
-    SuperDim,
     check_chi,
     chi_value,
     polarization,
@@ -63,21 +63,6 @@ MAX_WEIGHT_SOLUTIONS = 4096
 
 class ConstructionFailure(RuntimeError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# stabilizer of an ideal
-
-
-def i_chi(g: LieSuperAlgebra, I: Subspace, chi) -> Subspace:
-    """Stabilizer {X : chi([X, I]) = 0}; a subalgebra, p-closed when g is
-    restricted.  It contains I precisely when chi kills [I, I]."""
-    chi = check_chi(g, chi)
-    if not is_ideal(g, I):
-        raise LsaError("the stabilizer is defined for ideals only")
-    # [e_j, row r] lies in I, so chi([e_j, row r]) is chi's values on the
-    # rows of I taken at its coordinates there
-    return _mu_stabilizer(g, I, chi_value(g, chi, I.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +240,8 @@ def construct_irreducible(
 ) -> Tuple[SuperModule, DescentTrace]:
     """A graded-irreducible module over U_chi(g) for solvable restricted g,
     with the construction trace.  The result may live over a field
-    extension (recorded in the trace)."""
+    extension (recorded in the trace).  When no constructive route applies
+    and the regular module is over the budget, raises BudgetExceeded."""
     chi = check_chi(g, chi)
     if not is_solvable(g) or not g.restricted:
         raise LsaError("the engine handles solvable restricted algebras")
@@ -272,9 +258,9 @@ def construct_irreducible(
     try:
         reg = regular_module(ReducedAlgebra(g, chi), budget=budget)
     except BudgetExceeded:
-        raise ConstructionFailure(
+        raise BudgetExceeded(
             f"constructive routes exhausted ({last_exc}) and the oracle "
-            "budget is insufficient")
+            "budget is insufficient") from None
     best = max(composition_factor_modules(reg.module, seed), key=lambda F: F.dim)
     return best, DescentTrace(terminal="oracle", fallback=True)
 
@@ -363,7 +349,7 @@ def _construct(g, chi, seed, budget, pins) -> Tuple[SuperModule, DescentTrace]:
     # polarization route for completely solvable inputs
     if is_completely_solvable(g):
         try:
-            M, lam = _polarization_module_inner(g, chi, seed, budget)
+            M, lam = _polarization_module_inner(g, chi, budget)
             if not validate_module(M) and is_graded_irreducible(M, seed):
                 trace = DescentTrace(terminal="polarization", terminal_weight=lam)
                 return M, trace
@@ -413,7 +399,7 @@ def _mu_stabilizer(g: LieSuperAlgebra, I: Subspace, mu_vals: np.ndarray) -> Subs
 # polarization modules
 
 
-def _polarization_module_inner(g, chi, seed, budget):
+def _polarization_module_inner(g, chi, budget):
     h_space = polarization(g, chi)
     if g.restricted and not is_p_closed(g, h_space):
         raise ConstructionFailure(
@@ -430,38 +416,3 @@ def _polarization_module_inner(g, chi, seed, budget):
         raise ConstructionFailure(f"polarization base character invalid: {bad[0]}")
     ind = induce(g, chi, sub, S, budget=budget)
     return ind.module, lam
-
-
-@dataclass
-class PolarizationModuleReport:
-    module: SuperModule
-    weight: np.ndarray
-    irreducible: bool
-    extension_degree: int
-    polarization_superdim: tuple
-
-
-def polarization_module(
-    g: LieSuperAlgebra, chi, seed: int = 0, ext_cap: int = 4, budget: int = DEFAULT_BUDGET
-) -> PolarizationModuleReport:
-    """Induce a one-dimensional character from a polarization; extends the
-    base field when the weight equations demand it."""
-    chi = check_chi(g, chi)
-    if not is_completely_solvable(g):
-        raise LsaError("polarization modules need a completely solvable algebra")
-    last = None
-    for degree, gx, table in scalar_extensions(g, ext_cap):
-        chix = table[chi]
-        try:
-            M, lam = _polarization_module_inner(gx, chix, seed, budget)
-            h_sd = SuperDim(*polarization(gx, chix).superdim)
-            return PolarizationModuleReport(
-                module=M,
-                weight=lam,
-                irreducible=is_graded_irreducible(M, seed),
-                extension_degree=degree,
-                polarization_superdim=h_sd,
-            )
-        except NeedsFieldExtension as exc:
-            last = exc
-    raise ConstructionFailure(f"field extension cap reached: {last}")

@@ -1,9 +1,28 @@
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 import pytest
 
-from superkw.classical import catalog
-from superkw.gflin import Echelon, nullspace
-from superkw.lsa import LieSuperAlgebra
+from superkw.chargeom import DEFAULT_BUDGET, check_chi, chi_value, polarization, restrict_chi
+from superkw.classical import Root, TriangularData, baby_verma, catalog
+from superkw.gflin import Echelon, graded_span, nullspace, solve
+from superkw.lsa import (
+    LieSuperAlgebra,
+    LsaError,
+    NeedsFieldExtension,
+    Subspace,
+    as_subalgebra,
+    is_completely_solvable,
+    scalar_extensions,
+)
+from superkw.modules import SuperModule, is_graded_irreducible
+from superkw.report import chi_verdict, oracle_composition, oracle_factors
+from superkw.solvable import (
+    ConstructionFailure,
+    _polarization_module_inner,
+    solve_weight_equations,
+)
 
 
 def reference_find_embedding(small, big):
@@ -164,8 +183,6 @@ def reference_bracket(g, x, y):
 def reference_bracket_span(g, a, b):
     """The span of the [u, v], u in a and v in b, one bracket per pair: a
     reference for `lsa.bracket_span`."""
-    from superkw.lsa import Subspace
-
     rows = [reference_bracket(g, u, v) for u in a.basis for v in b.basis]
     rows = [w for w in rows if np.any(w)]
     if not rows:
@@ -206,8 +223,6 @@ def reference_subalgebra_structure(g, S):
 def reference_centralizer(g, S):
     """All X with [X, S] = 0, one bracket per (generator, basis row): a
     reference for `lsa.centralizer_of`."""
-    from superkw.lsa import Subspace
-
     if S.dim == 0:
         return g.full_space()
     conditions = []
@@ -219,10 +234,8 @@ def reference_centralizer(g, S):
 
 def reference_i_chi(g, I, chi):
     """{X : chi([X, I]) = 0} for an ideal I, one bracket and one value per
-    (row of I, generator): a reference for `solvable.i_chi`."""
-    from superkw.chargeom import chi_value
-    from superkw.lsa import Subspace
-
+    (row of I, generator): a reference for `solvable._mu_stabilizer` at
+    chi's values on the rows of I."""
     if I.dim == 0:
         return g.full_space()
     K = np.array([
@@ -236,8 +249,6 @@ def reference_mu_stabilizer(g, I, mu_vals):
     """{X : mu([X, I]) = 0} for a functional given on the rows of I, with
     per-pair coordinates and scalar sums: a reference for
     `solvable._mu_stabilizer`."""
-    from superkw.lsa import LsaError, Subspace
-
     f = g.field
     K = np.zeros((I.dim, g.n), dtype=np.int64)
     for j in range(g.n):
@@ -427,8 +438,6 @@ def heis_p3():
 def borel_gl21():
     """The (4|2) upper-triangular subalgebra of gl(2|1) over GF(3):
     completely solvable, restricted."""
-    from superkw.lsa import Subspace, as_subalgebra
-
     ent = catalog("gl(2|1)", 3)
     g = ent.algebra
     idx = {nm: i for i, nm in enumerate(g.names)}
@@ -449,18 +458,12 @@ def random_solvable_stream(borel_gl21):
     replayed to every caller; the abelian-ideal candidates of each drawn
     algebra are computed once, keyed by its structure, p-map and parities
     (the stream draws many algebras more than once)."""
-    from superkw.chargeom import restrict_chi
     from superkw.env import character_module, induce
-    from superkw.lsa import (
-        as_subalgebra,
-        is_completely_solvable,
-        restricted_closure,
-        subalgebra_closure,
-    )
+    from superkw.lsa import restricted_closure
     from superkw.modules import validate_module
     from superkw.solvable import (
         _abelian_ideal_candidates,
-        i_chi,
+        _mu_stabilizer,
         one_dim_weights,
     )
 
@@ -484,7 +487,7 @@ def random_solvable_stream(borel_gl21):
                 if rng.random() < 0.5:
                     v[b.s_even:] = 0
                 vecs.append(v)
-            S = restricted_closure(b, subalgebra_closure(b, vecs))
+            S = restricted_closure(b, Subspace.from_vectors(f, b.s_even, b.n, vecs))
             if S.dim < 2 or S.dim > 6:
                 continue
             sub_h = as_subalgebra(b, S)
@@ -508,7 +511,7 @@ def random_solvable_stream(borel_gl21):
                 )
                 if not pairing:
                     continue
-                stab = i_chi(h, I, chi)
+                stab = _mu_stabilizer(h, I, chi_value(h, chi, I.basis))
                 if stab.dim == h.n:
                     continue
                 sub = as_subalgebra(h, stab)
@@ -562,8 +565,6 @@ class WordStraightener:
     """
 
     def __init__(self, g, chi, order_key=None):
-        from superkw.chargeom import check_chi
-
         self.g = g
         self.field = f = g.field
         self.chi = check_chi(g, chi)
@@ -702,11 +703,9 @@ def reference_induce(g, chi, h, S):
     module."""
     from itertools import product
 
-    from superkw.chargeom import chi_value
     from superkw.env import InducedModule
     from superkw.gflin import inv_matrix
     from superkw.lsa import change_basis
-    from superkw.modules import SuperModule
 
     f = g.field
     s, n = g.s_even, g.n
@@ -768,9 +767,8 @@ def reference_chi_geometry(g, chi):
     """The geometry from the whole Gram matrix: one kernel of G^T for the
     centralizer and a rank per block.  A reference for
     `chargeom.chi_geometry`."""
-    from superkw.chargeom import CharacterGeometry, SuperDim, check_chi, gram_matrix
+    from superkw.chargeom import CharacterGeometry, SuperDim, gram_matrix
     from superkw.gflin import rank
-    from superkw.lsa import Subspace
 
     f = g.field
     chi = check_chi(g, chi)
@@ -836,3 +834,247 @@ def reference_max_exponents(g, strategy="exhaustive", seed=0, samples=200):
     witnesses = [witnesses[i] for i in order]
     return MaxDimReport(pairs, witnesses, pairs[0], strategy == "exhaustive", scanned,
                         b0_max, b1_max, simultaneous)
+
+
+# ---------------------------------------------------------------------------
+# the paper's checks that the pipeline does not run, kept as test references
+# over the library's building blocks
+
+
+def regular_verdict(g, chi, seed=0):
+    """The per-character fields of a `conjecture` report at chi: the verdict
+    on the oracle's factors of the regular module."""
+    return chi_verdict(g, chi, oracle_factors(g, chi, seed, DEFAULT_BUDGET))
+
+
+@dataclass
+class Completion:
+    """g, its triangular data and chi over the extension that completes the
+    weight set, with the complete set there."""
+    algebra: LieSuperAlgebra
+    triangular: TriangularData
+    chi: np.ndarray
+    weights: list
+
+
+@dataclass
+class LambdaSetReport:
+    weights: list                      # values on the Cartan rows
+    expected: int                      # p^dim(h)
+    complete: bool
+    completion_degree: Optional[int]   # minimal extension degree filling the set
+    completion: Optional[Completion] = None   # the data over that extension
+
+
+def lambda_set(g, tri, chi, ext_cap=4) -> LambdaSetReport:
+    """Solutions of the highest-weight compatibility equations on the Cartan.
+
+    Over a closed field there are exactly p^dim(h); over GF(p^k) the realized
+    subset can be smaller, and the report names the minimal extension degree
+    that completes it instead of silently extending."""
+    chi = check_chi(g, chi)
+    sub = as_subalgebra(g, tri.cartan)
+    sols = solve_weight_equations(sub.alg, restrict_chi(chi, sub))
+    expected = g.field.p ** tri.cartan.dim
+    complete = len(sols) == expected
+    if not complete:
+        for d, gx, table in scalar_extensions(g, ext_cap):
+            if d == 1:
+                continue
+            trix = extend_triangular(tri, gx.field, table)
+            subx = as_subalgebra(gx, trix.cartan)
+            solx = solve_weight_equations(subx.alg, restrict_chi(table[chi], subx))
+            if len(solx) == expected:
+                return LambdaSetReport(sols, expected, complete, d,
+                                       Completion(gx, trix, table[chi], solx))
+    return LambdaSetReport(sols, expected, complete, None)
+
+
+def extend_triangular(tri, big, table) -> TriangularData:
+    """Triangular data carried to the extension field `big` by the
+    embedding table."""
+    def ext_space(S):
+        return Subspace(big, S.s_even, S.ambient, table[S.basis])
+
+    return TriangularData(
+        ext_space(tri.cartan),
+        ext_space(tri.n_plus),
+        ext_space(tri.n_minus),
+        [Root(r.vector_index, table[r.coroot], r.parity) for r in tri.roots],
+    )
+
+
+def is_regular_semisimple(g, tri, chi) -> bool:
+    """chi nonzero on every coroot (chi assumed zero on both nilpotent parts)."""
+    chi = check_chi(g, chi)
+    for side in (tri.n_plus, tri.n_minus):
+        if np.any(chi_value(g, chi, side.even_rows())):
+            raise LsaError("character must vanish on the nilpotent parts")
+    coroots = np.array([r.coroot for r in tri.roots]).reshape(-1, g.n)
+    return bool(np.all(chi_value(g, chi, coroots)))
+
+
+@dataclass
+class ZhaoCheckReport:
+    verma_dims: list
+    all_verma_irreducible: Optional[bool]  # None when no Verma was checked
+    weights_found: int
+    weights_expected: int
+    extension_degree: int
+    max_factor_dim: Optional[int]      # geometric, from the oracle
+    lemma_bound_ok: Optional[bool]     # every factor dim <= the Verma dim
+
+
+def zhao_check(g, tri, chi, seed=0, budget=DEFAULT_BUDGET, ext_cap=4) -> ZhaoCheckReport:
+    """At a regular semisimple character every baby Verma module is
+    graded-irreducible, and no irreducible module exceeds its dimension.
+    Both verdicts are None when no weight, hence no baby Verma module, was
+    found within `ext_cap`."""
+    chi = check_chi(g, chi)
+    if not is_regular_semisimple(g, tri, chi):
+        raise LsaError("the check applies to regular semisimple characters")
+    lrep = lambda_set(g, tri, chi, ext_cap=ext_cap)
+    degree = 1
+    gx, trix, chix, weights = g, tri, chi, lrep.weights
+    if lrep.completion is not None:
+        degree = lrep.completion_degree
+        c = lrep.completion
+        gx, trix, chix, weights = c.algebra, c.triangular, c.chi, c.weights
+    dims, irreducible = [], []
+    for lam in weights:
+        ind = baby_verma(gx, trix, chix, lam, budget=budget)
+        dims.append(ind.module.dim)
+        irreducible.append(is_graded_irreducible(ind.module, seed))
+    all_irr = max_factor = lemma_ok = None
+    if dims:
+        all_irr = all(irreducible)
+        max_factor = max(oracle_composition(gx, chix, seed, budget).geometric_dims)
+        lemma_ok = max_factor <= max(dims)
+    return ZhaoCheckReport(
+        verma_dims=dims,
+        all_verma_irreducible=all_irr,
+        weights_found=len(weights),
+        weights_expected=lrep.expected,
+        extension_degree=degree,
+        max_factor_dim=max_factor,
+        lemma_bound_ok=lemma_ok,
+    )
+
+
+def restrict_module(M, sub) -> SuperModule:
+    """View a module over the ambient algebra as a module over a subalgebra
+    presentation: one action matrix per subalgebra basis row."""
+    return SuperModule(
+        alg=sub.alg,
+        chi=restrict_chi(M.chi, sub) if M.chi.size else np.zeros(sub.alg.s_even, dtype=np.int64),
+        parities=M.parities.copy(),
+        action=M.rho(sub.rows),
+    )
+
+
+def _shifted_action(M, x, scalars):
+    """rho(x) - c.1 for a stack of algebra vectors x (m, n) and scalars c
+    (m,): (m, d, d)."""
+    ops = M.rho(x)
+    diag = np.arange(M.dim)
+    ops[:, diag, diag] = M.alg.field.sub_arr(ops[:, diag, diag], scalars[:, None])
+    return ops
+
+
+def v_i_chi(M, I, chi) -> Echelon:
+    """Simultaneous chi-eigenspace {v : X v = chi(X) v for all X in I}."""
+    f = M.alg.field
+    chi = np.asarray(chi, dtype=np.int64)
+    # chi of an odd row is 0: chi only reads even coordinates
+    ops = _shifted_action(M, I.basis, chi_value(M.alg, chi, I.basis))
+    ker = nullspace(f, ops.reshape(-1, M.dim))
+    return graded_span(f, ker, M.parities == 1)
+
+
+def degree_reduction_check(g, chi, induced, I):
+    """Filtration congruences on an induced module built from an ideal.
+
+    With dual families Z_i in the even part of I pairing the even cobasis
+    (chi([Z_i, e_j]) = delta_ij) and T_j in the odd part pairing the odd
+    cobasis (chi([f_k, T_j]) = delta_kj), acting on a basis vector of degree
+    l yields, modulo the span of degree <= l-2 vectors:
+
+        (Z_i - chi(Z_i)) . e^a f^c (x) v  ==  a_i e^(a-eps_i) f^c (x) v
+        T_j . f^c (x) v                   ==  (-1)^(s_j) c_j f^(c-eps_j) (x) v
+
+    where s_j counts odd cobasis factors in front of slot j.  The odd-case
+    parity sign is forced by the supercommutation moves; it is verified here
+    exactly rather than up to units.  Every basis vector on which an
+    operator acts (Z_i where a_i > 0, T_j where a = 0 and c_j = 1) is
+    checked.  Returns (ok, number of congruences checked).
+    """
+    f = g.field
+    chi = np.asarray(chi, dtype=np.int64)
+    M = induced.module
+    # the base must be a chi-eigenspace for I inside the induced module: its
+    # block is the first base.dim columns
+    ops = _shifted_action(M, I.basis, chi_value(g, chi, I.basis))
+    if np.any(ops[:, :, : induced.base.dim]):
+        raise LsaError(
+            "base block is not a chi-eigenspace for the ideal; "
+            "the filtration check does not apply")
+
+    I_even = I.even_rows()
+    I_odd = I.odd_rows()
+    # mat[j, r] = chi([I_even[r], e_j]); Z_i = sum_r x[r, i] I_even[r]
+    mat = chi_value(g, chi, g.bracket(I_even, induced.even_cobasis[:, None]))
+    x = solve(f, mat, f.eye(induced.c0))
+    if x is None:
+        raise LsaError("pairing elements not found: the form degenerates "
+                       "between the ideal and the even cobasis")
+    Z = f.matmul(x.T, I_even)
+    # mat[k, r] = chi([f_k, I_odd[r]]); T_j = sum_r x[r, j] I_odd[r]
+    mat = chi_value(g, chi, g.bracket(induced.odd_cobasis[:, None], I_odd))
+    x = solve(f, mat, f.eye(induced.c1))
+    if x is None:
+        raise LsaError("pairing elements not found: the form degenerates "
+                       "between the ideal and the odd cobasis")
+    T = f.matmul(x.T, I_odd)
+
+    # Z_i - chi(Z_i) and T_j (chi(T_j) = 0), one stack of operators
+    ZT = np.vstack([Z, T])
+    ops = _shifted_action(M, ZT, chi_value(g, chi, ZT))
+    alpha, gamma, _ = induced.exponents()
+    degree = alpha.sum(axis=1) + gamma.sum(axis=1)
+    # applies[k, col]: operator k acts on basis vector col; lead[k, col]:
+    # the coefficient of its leading term, at col - strides[k]
+    applies = np.vstack([alpha.T > 0, (gamma.T == 1) & ~np.any(alpha, axis=1)])
+    sign = (np.cumsum(gamma, axis=1) - gamma).T % 2
+    lead = np.vstack([alpha.T, np.where(sign == 1, f.neg(1), 1)])
+    k, col = np.nonzero(applies)
+    row = col - np.array(induced.strides(), dtype=np.int64)[k]
+    ops[k, row, col] = f.sub_arr(ops[k, row, col], lead[k, col])
+    # what is left must lie in degree <= l - 2, l the degree of the column
+    above = degree[:, None] > degree[None, :] - 2
+    ok = not np.any(ops[applies[:, None, :] & above])
+    return ok, int(k.size)
+
+
+@dataclass
+class PolarizationModuleReport:
+    module: SuperModule
+    irreducible: bool
+    extension_degree: int
+    polarization_superdim: tuple
+
+
+def polarization_module(g, chi, seed=0, ext_cap=4, budget=DEFAULT_BUDGET) -> PolarizationModuleReport:
+    """A one-dimensional character of a polarization, induced to g, over the
+    first field extension where its weight exists (completely solvable g)."""
+    chi = check_chi(g, chi)
+    if not is_completely_solvable(g):
+        raise LsaError("polarization modules need a completely solvable algebra")
+    for degree, gx, table in scalar_extensions(g, ext_cap):
+        chix = table[chi]
+        try:
+            M, _ = _polarization_module_inner(gx, chix, budget)
+        except NeedsFieldExtension:
+            continue
+        return PolarizationModuleReport(
+            M, is_graded_irreducible(M, seed), degree, polarization(gx, chix).superdim)
+    raise ConstructionFailure("field extension cap reached")

@@ -9,30 +9,25 @@ from contextlib import redirect_stdout
 import numpy as np
 
 from superkw.chargeom import SuperDim, chi_geometry, is_degraded, max_exponents, polarization
-from superkw.classical import (
-    baby_verma,
-    catalog,
-    is_regular_semisimple,
-    kw_divisibility_check,
-    lambda_set,
-    zhao_check,
-)
+from superkw.classical import catalog
 from superkw.cli import main as cli_main
 from superkw.env import ReducedAlgebra, regular_module
 from superkw.gflin import Field
 from superkw.lsa import LieSuperAlgebra, is_p_closed
 from superkw.lsafile import write_lsa
-from superkw.modules import (
-    composition_factors,
-    degree_reduction_check,
-    is_graded_irreducible,
-    validate_module,
-)
+from superkw.modules import composition_factors
 from superkw.penv import minimal_p_envelope, verify_envelope
-from superkw.report import conjecture_report, equidim_probe
-from superkw.solvable import polarization_module
+from superkw.report import chi_verdict, conjecture_report
 
-from conftest import pair_algebra
+from conftest import (
+    degree_reduction_check,
+    is_regular_semisimple,
+    lambda_set,
+    pair_algebra,
+    polarization_module,
+    regular_verdict,
+    zhao_check,
+)
 
 
 def vec(*vals):
@@ -164,18 +159,18 @@ def test_criterion_03_odd_heisenberg(oddheis_p3):
 
 def test_criterion_04_solvable_p5(solv2_p5):
     g = solv2_p5.algebra
-    r1 = equidim_probe(g, vec(0, 1))
-    r2 = equidim_probe(g, vec(3, 2))
-    r0 = equidim_probe(g, vec(0, 0))
-    rh = equidim_probe(g, vec(2, 0))
+    r1 = regular_verdict(g, vec(0, 1))
+    r2 = regular_verdict(g, vec(3, 2))
+    r0 = regular_verdict(g, vec(0, 0))
+    rh = regular_verdict(g, vec(2, 0))
     ok = (
-        r1.factor_dims == [5] * 5
-        and r1.predicted_dim == 5
-        and r1.agrees_with_prediction
-        and r2.factor_dims == [5] * 5
-        and r2.agrees_with_prediction
-        and all(d == 1 for d in r0.geometric_dims)
-        and all(d == 1 for d in rh.geometric_dims)
+        r1["factor_dims"]["value"] == [5] * 5
+        and r1["predicted_dim"]["value"] == 5
+        and r1["thm_agrees"]
+        and r2["factor_dims"]["value"] == [5] * 5
+        and r2["thm_agrees"]
+        and all(d == 1 for d in r0["geometric_factor_dims"]["value"])
+        and all(d == 1 for d in rh["geometric_factor_dims"]["value"])
     )
     report_line(
         4, ok,
@@ -202,7 +197,8 @@ def test_criterion_05_osp12_zhao():
     oracle = composition_factors(
         regular_module(ReducedAlgebra(g, chi)).module, 0
     )
-    kw = kw_divisibility_check(g, chi, oracle.geometric_dims)
+    kw = chi_verdict(g, chi, {"dims": oracle.dims, "geometric_dims": oracle.geometric_dims,
+                              "factors": []})["kw_divisible"]
     mrep = max_exponents(g)
     from superkw.lsafile import AlgebraFile
 
@@ -279,16 +275,16 @@ def test_criterion_07_polarization_pipeline(gl11):
 
 def test_criterion_08_equidim_tension_reported(gl11):
     g = gl11.algebra
-    r = equidim_probe(g, vec(0, 0))
+    r = regular_verdict(g, vec(0, 0))
     ok = (
-        r.predicted_dim == 1
-        and sorted(set(r.geometric_dims)) == [1, 2]
-        and r.agrees_with_prediction is False
-        and r.equidimensional is False
+        r["predicted_dim"]["value"] == 1
+        and sorted(set(r["geometric_factor_dims"]["value"])) == [1, 2]
+        and r["thm_agrees"] is False
+        and r["equidimensional"] is False
     )
     report_line(
         8, ok,
-        "gl(1|1) at chi = 0: probe reports factor dims {1,2} and "
+        "gl(1|1) at chi = 0: the verdict reports factor dims {1,2} and "
         "prediction 1, tension recorded (agrees=False) without failing",
     )
 

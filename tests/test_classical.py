@@ -13,17 +13,15 @@ from superkw.classical import (
     algebra_from_matrices,
     baby_verma,
     catalog,
-    is_regular_semisimple,
-    _extend_triangular,
-    kw_divisibility_check,
-    lambda_set,
-    zhao_check,
 )
 from superkw.env import ReducedAlgebra, regular_module
 from superkw.gflin import Field
 from superkw.lsa import LsaError, extend_scalars, is_p_closed
 from superkw.lsafile import parse_lsa, write_lsa
 from superkw.modules import composition_factors, validate_module
+from superkw.report import chi_verdict
+
+from conftest import extend_triangular, is_regular_semisimple, lambda_set, zhao_check
 
 ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
@@ -312,7 +310,7 @@ def test_lambda_set_hands_back_its_completion(gl11):
     c = lambda_set(g, tri, chi).completion
     big = Field(3, 3)
     gx, table = extend_scalars(g, big)
-    trix = _extend_triangular(tri, big, table, gx)
+    trix = extend_triangular(tri, big, table)
     want = lambda_set(gx, trix, table[chi])
     assert want.complete
     assert c.algebra.field == big
@@ -390,14 +388,18 @@ def test_zhao_check_max_factor_matches_the_whole_regular_module(name, p, k, chi)
 
 
 def test_kw_divisibility(gl11, osp12):
+    def kw_divisible(chi, dims):
+        payload = {"dims": dims, "geometric_dims": dims, "factors": []}
+        return chi_verdict(gl11.algebra, chi, payload)["kw_divisible"]
+
     # chi = 0: divisor 1
-    assert kw_divisibility_check(gl11.algebra, vec(0, 0), [1, 2, 7])
+    assert kw_divisible(vec(0, 0), [1, 2, 7])
     # typical gl(1|1): divisor 2
     rep = composition_factors(
         regular_module(ReducedAlgebra(gl11.algebra, vec(1, 0))).module, 0
     )
-    assert kw_divisibility_check(gl11.algebra, vec(1, 0), rep.geometric_dims)
-    assert not kw_divisibility_check(gl11.algebra, vec(1, 0), [3])
+    assert kw_divisible(vec(1, 0), rep.geometric_dims)
+    assert not kw_divisible(vec(1, 0), [3])
 
 
 def test_mdim_matches_scan_corollary(gl11, osp12):

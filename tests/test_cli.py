@@ -12,6 +12,8 @@ from superkw.cli import main
 from superkw.lsafile import LsaParseError, parse_lsa, write_lsa
 from superkw.report import OracleCache, oracle_factors
 
+ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
+
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
@@ -312,6 +314,17 @@ def test_chi_out_of_range_exit3(files):
     assert code == 3
 
 
+def test_solvable_irr_oracle_over_budget_exit2(capsys):
+    # at chi = (2, 0) the weight needs a degree-5 extension, beyond the
+    # default cap, and the oracle's 25-dim regular module is over budget 5
+    code = main(["solvable-irr", str(ALGEBRAS / "solv2_p5.lsa"), "--chi", "2,0",
+                 "--budget", "5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("budget:") and "oracle budget is insufficient" in err
+    assert "Traceback" not in err
+
+
 def test_corrupt_cache_exit3(files, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"abc": [1, 2')
@@ -329,11 +342,15 @@ def test_corrupt_cache_exit3(files, tmp_path, capsys):
     ["mdim", "{heis}", "--report", "{dir}/missing/out.txt"],
     ["conjecture", "{oddheis}", "--cache", "{dir}"],
     ["conjecture", "{oddheis}", "--cache", "{dir}/missing/c.json"],
+    # the descent needs a solvable algebra: refused before any construction
+    ["solvable-irr", "{algebras}/sl2_p5.lsa", "--chi", "1,0,0"],
+    ["solvable-irr", "{algebras}/osp1_2_p3.lsa", "--chi", "1,0,0"],
 ])
 def test_unreadable_input_or_unwritable_output_exit3(files, tmp_path, argv, capsys):
     latin1 = tmp_path / "latin1.lsa"
     latin1.write_bytes(b"superkw-lsa v1\n# caf\xe9\n")
-    code = main([a.format(dir=tmp_path, latin1=latin1, **files) for a in argv])
+    code = main([a.format(dir=tmp_path, latin1=latin1, algebras=ALGEBRAS, **files)
+                 for a in argv])
     err = capsys.readouterr().err
     assert code == 3
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
@@ -385,6 +402,8 @@ def test_meataxe_failure_exit2(files, monkeypatch, capsys):
     ["mdim", "{heis}", "--strategy", "random", "--samples", "0"],
     ["mdim", "{heis}", "--samples", "-2"],
     ["mdim", "{heis}", "--samples", "x"],
+    ["solvable-irr", "{heis}", "--chi", "1,0,0", "--ext-cap", "0"],
+    ["solvable-irr", "{heis}", "--chi", "1,0,0", "--ext-cap", "-1"],
     ["conjecture", "{heis}", "--strategy", "random", "--samples", "-4"],
     ["conjecture", "{heis}", "--samples", "0"],
     ["validate", "{oddheis}", "--seed", "-1"],
@@ -399,7 +418,8 @@ def test_usage_error_exit3(files, argv, capsys):
 
 
 def test_conjecture_on_unrestricted_algebra_exit3(tmp_path, capsys):
-    # no pmap lines: validate and mdim run, conjecture refuses before the scan
+    # no pmap lines: validate and mdim run, conjecture refuses before the
+    # scan and solvable-irr before any construction
     pth = tmp_path / "unrestricted.lsa"
     pth.write_text("superkw-lsa v1\nfield p=3 k=1\nbasis h even\nbasis x even\n"
                    "bracket h x x:1\n")
@@ -411,6 +431,11 @@ def test_conjecture_on_unrestricted_algebra_exit3(tmp_path, capsys):
     assert code == 3
     assert "restricted" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+    code = main(["solvable-irr", str(pth), "--chi", "1,0"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "restricted" in captured.err and "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1 and captured.out == ""
 
 
 def test_conjecture_random_samples_reported(files, capsys):

@@ -18,10 +18,11 @@ from superkw.modules import (
     _words_applied,
     composition_series,
     quotient_module,
-    restrict_module,
     spin_many,
     submodule_module,
 )
+
+from conftest import restrict_module
 
 ALGEBRAS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "algebras")
 

@@ -1,0 +1,45 @@
+"""Every module-level `def` and `class` in `src/superkw/` has a reference
+outside its own definition, in `src/superkw/` or in the benchmark scripts
+(`perfbench/*.py`).  A name that only tests reach belongs in the tests."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "superkw").glob("*.py"))
+SCRIPTS = sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def unreferenced(sources, scripts):
+    """(file name, definition name) of every module-level def or class of
+    `sources` whose name occurs nowhere in `sources` or `scripts` outside
+    the lines of its own definition."""
+    texts = {path: path.read_text(encoding="utf-8") for path in [*sources, *scripts]}
+    out = []
+    for path in sources:
+        lines = texts[path].splitlines()
+        for node in ast.parse(texts[path]).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            start = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+            rest = "\n".join(lines[: start - 1] + lines[node.end_lineno:])
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            if not any(word.search(rest if other == path else text)
+                       for other, text in texts.items()):
+                out.append((path.name, node.name))
+    return out
+
+
+def test_every_definition_in_src_has_a_reference():
+    assert unreferenced(SOURCES, SCRIPTS) == []
+
+
+def test_an_unreferenced_definition_is_reported(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("def used():\n    return 1\n\n\n@staticmethod\ndef unused():\n"
+                   "    # unused calls itself\n    return unused()\n\n\nclass Kept:\n"
+                   "    pass\n\n\nVALUE = used()\n")
+    script = tmp_path / "script.py"
+    script.write_text("from lib import Kept\n")
+    assert unreferenced([lib], [script]) == [("lib.py", "unused")]

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from superkw.chargeom import restrict_chi
+from superkw.chargeom import chi_value, restrict_chi
 from superkw.classical import baby_verma, catalog
 from superkw.env import ReducedAlgebra, character_module, induce, regular_module
 from superkw.gflin import Echelon, Field
@@ -13,17 +13,21 @@ from superkw.modules import (
     composition_factor_modules,
     composition_factors,
     FactorRecord,
-    degree_reduction_check,
     is_graded_irreducible,
-    restrict_module,
     spin,
     submodule_module,
-    v_i_chi,
     validate_module,
 )
-from superkw.solvable import i_chi, solve_weight_equations
+from superkw.solvable import _mu_stabilizer, solve_weight_equations
 
-from conftest import kronecker_endomorphism_dims, meataxe_inputs, pair_algebra
+from conftest import (
+    degree_reduction_check,
+    kronecker_endomorphism_dims,
+    meataxe_inputs,
+    pair_algebra,
+    restrict_module,
+    v_i_chi,
+)
 
 
 F3 = Field(3)
@@ -517,7 +521,7 @@ def test_restriction_of_factor_is_irreducible_over_stabilizer(solv2_p5):
     reg = regular_module(ReducedAlgebra(g, chi))
     factor = composition_factor_modules(reg.module, 0)[0]
     I = Subspace.from_vectors(F5, 2, 2, [vec(0, 1)])
-    stab = i_chi(g, I, chi)
+    stab = _mu_stabilizer(g, I, chi_value(g, chi, I.basis))
     sub = as_subalgebra(g, stab)
     W = v_i_chi(factor, I, chi)
     assert W.dim >= 1
@@ -531,7 +535,7 @@ def test_restriction_of_factor_is_irreducible_over_stabilizer(solv2_p5):
 
 
 def _induced_from_ideal(g, chi, I):
-    stab = i_chi(g, I, chi)
+    stab = _mu_stabilizer(g, I, chi_value(g, chi, I.basis))
     sub = as_subalgebra(g, stab)
     chi_sub = restrict_chi(chi, sub)
     pins = []

@@ -3,7 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from superkw.chargeom import SuperDim
+from superkw.chargeom import BudgetExceeded, SuperDim, chi_value
+from superkw.classical import catalog
 from superkw.env import ReducedAlgebra, regular_module
 from superkw.gflin import Field
 from superkw.lsa import LsaError, Subspace
@@ -13,16 +14,19 @@ from superkw.modules import (
     validate_module,
     verify_dim_form,
 )
-from superkw.report import equidim_probe
 from superkw.solvable import (
     DescentTrace,
+    _mu_stabilizer,
     construct_irreducible,
-    i_chi,
-    polarization_module,
     solve_weight_equations,
 )
 
-from conftest import kronecker_endomorphism_dims, pair_algebra
+from conftest import (
+    kronecker_endomorphism_dims,
+    pair_algebra,
+    polarization_module,
+    regular_verdict,
+)
 
 F3 = Field(3)
 F5 = Field(5)
@@ -33,7 +37,11 @@ def vec(*vals):
 
 
 # ---------------------------------------------------------------------------
-# stabilizers
+# stabilizers {X : chi([X, I]) = 0} of an ideal I
+
+
+def i_chi(g, I, chi):
+    return _mu_stabilizer(g, I, chi_value(g, chi, I.basis))
 
 
 def test_i_chi_zero_character(solv2_p5):
@@ -167,6 +175,23 @@ def test_engine_2dim_solvable_nilpotent_character(solv2_p5):
     assert M5.dim == 1 and tr5.extension_degree == 5
 
 
+def test_engine_oracle_over_budget_raises_budget_exceeded(solv2_p5):
+    # no constructive route within the cap, and the 25-dim regular module
+    # is over a budget of 5: an exhausted budget, not a failed construction
+    with pytest.raises(BudgetExceeded, match="oracle budget is insufficient"):
+        construct_irreducible(solv2_p5.algebra, vec(2, 0), budget=5)
+
+
+def test_engine_tries_the_base_field_whatever_the_cap():
+    # over GF(9) a cap of 1 is below the field's own degree 2; the base
+    # field is still tried, and the descent reaches a weight there
+    g = catalog("heisenberg", 3, 2).algebra
+    for cap in (1, 2):
+        M, tr = construct_irreducible(g, vec(1, 0, 0), ext_cap=cap)
+        assert (tr.terminal, tr.fallback, tr.extension_degree) == ("base", False, 1)
+        assert M.dim == 3 and validate_module(M) == []
+
+
 def test_engine_gl11_typical(gl11):
     g = gl11.algebra
     M, tr = construct_irreducible(g, vec(1, 0))
@@ -220,34 +245,34 @@ def test_verify_dim_form():
 
 
 def test_equidim_2dim_solvable_regular(solv2_p5):
-    r = equidim_probe(solv2_p5.algebra, vec(0, 1))
-    assert r.predicted_exponents == SuperDim(1, 0)
-    assert r.predicted_dim == 5
-    assert r.factor_dims == [5] * 5
-    assert r.equidimensional and r.agrees_with_prediction and r.dim_form_ok
+    r = regular_verdict(solv2_p5.algebra, vec(0, 1))
+    assert SuperDim(*r["exp_pair"]) == SuperDim(1, 0)
+    assert r["predicted_dim"]["value"] == 5
+    assert r["factor_dims"]["value"] == [5] * 5
+    assert r["equidimensional"] and r["thm_agrees"] and r["dim_form_ok"]
 
 
 def test_equidim_2dim_solvable_nilpotent(solv2_p5):
-    r = equidim_probe(solv2_p5.algebra, vec(0, 0))
-    assert r.predicted_dim == 1
-    assert all(d == 1 for d in r.geometric_dims)
-    assert r.agrees_with_prediction
+    r = regular_verdict(solv2_p5.algebra, vec(0, 0))
+    assert r["predicted_dim"]["value"] == 1
+    assert all(d == 1 for d in r["geometric_factor_dims"]["value"])
+    assert r["thm_agrees"]
 
 
 def test_equidim_gl11_chi0_reports_tension(gl11):
-    # the probe reports both sides; it must NOT raise on disagreement
-    r = equidim_probe(gl11.algebra, vec(0, 0))
-    assert r.predicted_dim == 1
-    assert sorted(set(r.geometric_dims)) == [1, 2]
-    assert not r.equidimensional
-    assert not r.agrees_with_prediction
-    assert r.dim_form_ok
+    # the verdict reports both sides; it must NOT raise on disagreement
+    r = regular_verdict(gl11.algebra, vec(0, 0))
+    assert r["predicted_dim"]["value"] == 1
+    assert sorted(set(r["geometric_factor_dims"]["value"])) == [1, 2]
+    assert not r["equidimensional"]
+    assert not r["thm_agrees"]
+    assert r["dim_form_ok"]
 
 
 def test_equidim_gl11_typical_agrees(gl11):
-    r = equidim_probe(gl11.algebra, vec(1, 0))
-    assert r.predicted_dim == 2
-    assert r.agrees_with_prediction  # geometric dimensions
+    r = regular_verdict(gl11.algebra, vec(1, 0))
+    assert r["predicted_dim"]["value"] == 2
+    assert r["thm_agrees"]  # geometric dimensions
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +324,7 @@ def test_polarization_module_matches_equidim(gl11, oddheis_p3, solv2_p5):
     cases = [(gl11, vec(1, 2)), (oddheis_p3, vec(2)), (solv2_p5, vec(0, 2))]
     for ent, chi in cases:
         g = ent.algebra
-        probe = equidim_probe(g, chi)
-        if probe.agrees_with_prediction:
+        verdict = regular_verdict(g, chi)
+        if verdict["thm_agrees"]:
             rep = polarization_module(g, chi)
-            assert rep.module.dim == probe.geometric_dims[0]
+            assert rep.module.dim == verdict["geometric_factor_dims"]["value"][0]
