@@ -367,7 +367,8 @@ def induce(
     unit = np.eye(n, dtype=np.int64)
     P = np.vstack([unit[ce], h.space.even_rows(), unit[co], h.space.odd_rows()]).reshape(n, n)
     identity = np.array_equal(P, unit)
-    g2 = g if identity else change_basis(g, P)
+    Pinv = None if identity else inv_matrix(f, P)
+    g2 = g if identity else change_basis(g, P, Pinv=Pinv)
     chi2 = chi if identity else chi_value(g, chi, P[:s])
     induced = InducedModule(
         module=None,  # filled below
@@ -441,7 +442,6 @@ def induce(
     if identity:
         action.reshape(-1)[u * dim * dim + pos] = f.narrow(vals)
     else:
-        Pinv = inv_matrix(f, P)
         keys, terms = [], []
         for i in range(n):
             sel = np.flatnonzero(Pinv[i, u])

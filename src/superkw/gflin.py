@@ -206,7 +206,9 @@ class Field:
 
     def sub_arr(self, a, b):
         if self.k == 1:
-            return (np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)) % self.p
+            d = np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)
+            d %= self.p
+            return d
         return self.add_arr(a, self.neg_arr(b))
 
     def mul_arr(self, a, b):
@@ -218,6 +220,12 @@ class Field:
         if self._mul_table is not None:
             return self._mul_table[a, b]
         return self._mul_digits(a, b)
+
+    def sub_outer(self, a, x, y):
+        """a - x (outer) y, for an array a (r, c), x (r,) and y (c,)."""
+        if self.k == 1:
+            return (a - x[:, None] * y) % self.p
+        return self.sub_arr(a, self.mul_arr(x[:, None], y))
 
     def _mul_digits(self, a, b):
         da, db = self.digits(a), self.digits(b)
@@ -278,8 +286,10 @@ class Field:
         exact = a.shape[-1] <= self._float_inner
         if self.k == 1:
             if exact:
-                c = np.rint(np.matmul(a, b, dtype=np.float64)).astype(np.int64)
-                return c % self.p
+                # the sums are exact integers: cast, then reduced in place
+                c = np.matmul(a, b, dtype=np.float64).astype(np.int64)
+                c %= self.p
+                return c
             return self._chunked_dot(a, b)
         p, k = self.p, self.k
         da, db = self.digits(a), self.digits(b)
@@ -491,24 +501,26 @@ def rref(f: Field, m: np.ndarray):
     pivots = []
     r = c = 0
     while r < rows and c < cols:
-        nz = np.nonzero(m[r:, c])[0]
+        nz = m[r:, c].nonzero()[0]
         if nz.size == 0:
             # skip to the next column with a nonzero entry below row r
-            ahead = np.nonzero(np.any(m[r:, c + 1 :], axis=0))[0]
+            ahead = m[r:, c + 1 :].any(axis=0).nonzero()[0]
             if ahead.size == 0:
                 break
             c += 1 + int(ahead[0])
-            nz = np.nonzero(m[r:, c])[0]
-        piv = r + nz[0]
+            nz = m[r:, c].nonzero()[0]
+        piv = r + int(nz[0])
         if piv != r:
             m[[r, piv]] = m[[piv, r]]
-        inv = f.inv(int(m[r, c]))
-        m[r] = f.mul_arr(m[r], inv)
-        other = np.nonzero(m[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            factors = m[other, c]
-            m[other] = f.sub_arr(m[other], f.mul_arr(factors[:, None], m[r][None, :]))
+        lead = int(m[r, c])
+        if lead != 1:
+            m[r, c:] = f.mul_arr(m[r, c:], f.inv(lead))
+        # the pivot row is zero left of c: only the rows nonzero at c change,
+        # and only from c on
+        other = m[:, c].nonzero()[0]
+        if other.size > 1:
+            other = other[other != r]
+            m[other, c:] = f.sub_outer(m[other, c:], m[other, c], m[r, c:])
         pivots.append(c)
         r += 1
         c += 1

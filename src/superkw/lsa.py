@@ -572,8 +572,9 @@ def quotient_by_ideal(g: LieSuperAlgebra, z: Subspace):
     return q, keep
 
 
-def change_basis(g: LieSuperAlgebra, P: np.ndarray, names=None) -> LieSuperAlgebra:
-    """Rewrite g in the basis given by the rows of P (old coordinates).
+def change_basis(g: LieSuperAlgebra, P: np.ndarray, Pinv=None) -> LieSuperAlgebra:
+    """Rewrite g in the basis given by the rows of P (old coordinates), with
+    basis names b0, b1, ...; Pinv, when given, is P's inverse.
 
     P must be invertible and graded: rows keep the even-first layout.
     """
@@ -587,13 +588,12 @@ def change_basis(g: LieSuperAlgebra, P: np.ndarray, names=None) -> LieSuperAlgeb
         par = g.parity_of(P[a])
         if par != expected:
             raise LsaError(f"basis-change row {a} is not homogeneous of the right parity")
-    Pinv = inv_matrix(f, P)
+    Pinv = inv_matrix(f, P) if Pinv is None else Pinv
     structure = f.matmul(g.bracket(P[:, None], P), Pinv)
     pmap = None
     if g.pmap is not None:
         pmap = f.matmul(g.p_power(P[:s]), Pinv)
-    names = names or [f"b{a}" for a in range(n)]
-    return LieSuperAlgebra(f, names, g.parities.copy(), structure, pmap)
+    return LieSuperAlgebra(f, [f"b{a}" for a in range(n)], g.parities.copy(), structure, pmap)
 
 
 @dataclass

@@ -273,15 +273,18 @@ def _find_singular_even(M: SuperModule, rng):
     increasing degree, so the eigenvalues of theta in GF(q) come first.
     Each divides the minimal polynomial of theta, so each f(theta) is
     singular.  A factor that v misses only leaves fewer candidates for this
-    theta; the Meataxe then draws the next one.  A scalar theta = c needs no
-    special case: its polynomial is x - c, and f(theta) = 0 has no proper
-    kernel."""
+    theta; the Meataxe then draws the next one.  A scalar theta = c on M of
+    dim > 1 gives None at once: its polynomial is x - c, whose factoring
+    draws nothing from rng, and f(theta) = 0 has no proper kernel."""
     f = M.alg.field
     dim = M.dim
     recipe = _random_even_recipe(M, rng)
     theta = _even_element(M, recipe)
+    v = f.rand(rng, dim)
+    if dim > 1 and np.array_equal(theta, theta[0, 0] * np.eye(dim, dtype=np.int64)):
+        return None
     best = None
-    for fac in irreducible_factors(f, _minimal_poly(M, theta, f.rand(rng, dim)), rng):
+    for fac in irreducible_factors(f, _minimal_poly(M, theta, v), rng):
         a = _poly_at_matrix(f, fac, theta)
         ker = nullspace(f, a)
         if ker.shape[0] == poly_deg(fac):
@@ -546,7 +549,7 @@ class FactorClass:
     parity-homogeneous basis of ker f(theta) the maps are the null space of
     the residuals of all generators: nullity f(theta) unknowns, not dim^2.
     T is even exactly when v has the parity of w.  M may be larger than S:
-    the same solve then finds the copies of S inside M (`embedding`).
+    the same solve then finds the copies of S inside M (`socle`).
 
     The standard basis is spun on first use, once per class, so that a
     certificate only asked whether S is simple costs no spin."""
@@ -583,7 +586,8 @@ class FactorClass:
         The residuals A'_i B' - B' C_i are solved one generator at a time,
         each on the solutions of the generators before it, so that no step
         holds more than one generator's residuals; B' is linear in v, and
-        the B' of the solutions so far are carried along in place of v."""
+        the B' of the solutions so far are carried along in place of v, in
+        the field's code dtype, as Y is."""
         f = M.alg.field
         d_s, d = Y.shape[0], M.dim
         B = Y
@@ -591,11 +595,12 @@ class FactorClass:
             k = B.shape[2]
             if not k:
                 break
-            # column l of A'_i B' - B' C_i is A'_i B'[l] - sum_m C_i[m, l] B'[m]
-            AB = f.matmul(A, B.transpose(1, 0, 2).reshape(d, -1)).reshape(d, d_s, k)
-            BC = f.matmul(C_i.T, B.reshape(d_s, -1)).reshape(d_s, d, k)
-            null = nullspace(f, f.sub_arr(AB, BC.transpose(1, 0, 2)).reshape(-1, k))
-            B = f.matmul(B.reshape(-1, k), null.T).reshape(d_s, d, -1)
+            # column l of A'_i B' - B' C_i is A'_i B'[l] - sum_m C_i[m, l] B'[m];
+            # neither product is held through the solve
+            res = f.sub_arr(f.matmul(A, B.transpose(1, 0, 2).reshape(d, -1)).reshape(d, d_s, k),
+                            f.matmul(C_i.T, B.reshape(d_s, -1)).reshape(d_s, d, k).transpose(1, 0, 2))
+            null = nullspace(f, res.reshape(-1, k))
+            B = f.matmul(B.reshape(-1, k), null.T).reshape(d_s, d, -1).astype(f.code_dtype)
         return B
 
     def _hom_system(self, M: SuperModule):
@@ -630,24 +635,29 @@ class FactorClass:
         Y, same = system
         return self._maps(M, Y[:, :, same]).shape[2], self._maps(M, Y[:, :, ~same]).shape[2]
 
-    def embedding(self, M: SuperModule) -> Optional[Echelon]:
-        """A submodule of M isomorphic to S or to its parity shift, or None
-        when there is no nonzero map S -> M.  A map T of one parity (w's
-        first) is found with its B'(Tw) = T B, whose rows, the words of S
-        applied to Tw, span the image T(S): the spin of Tw.  As S is
-        simple, T is injective and the image has S's dimension."""
+    def socle(self, M: SuperModule) -> Optional[Tuple[List[Echelon], Echelon]]:
+        """Copies of S and of its parity shift in M, each an Echelon, that
+        span all such copies, and their sum; None when there is no nonzero
+        map S -> M.  A basis of the maps T of each parity (w's first) is
+        found with their B'(Tw) = T B, whose rows span the image T(S), the
+        spin of Tw.  The images of a basis span those of all maps, and a
+        simple image meets a sum of copies in 0 or in all of itself, so it
+        is a new copy exactly when Tw is outside the sum so far."""
         system = self._hom_system(M)
         if system is None:
             return None
-        Y, same = system
+        f, (Y, same) = M.alg.field, system
+        copies, total = [], Echelon(f, M.dim)
         for side in (same, ~same):
             B = self._maps(M, Y[:, :, side])
-            if B.shape[2]:
-                W = Echelon(M.alg.field, M.dim, B[:, :, 0])
-                if W.dim != self.module.dim:
-                    raise RuntimeError("image of a map from a simple module has another dimension")
-                return W
-        return None
+            for j in range(B.shape[2]):
+                if not total.contains(B[0, :, j]):
+                    copies.append(Echelon(f, M.dim, B[:, :, j]))
+                    total.extend(copies[-1].basis)
+            del B  # not held through the other side's solve
+        if any(W.dim != self.module.dim for W in copies):
+            raise RuntimeError("image of a map from a simple module has another dimension")
+        return (copies, total) if copies else None
 
     def random_endomorphism(self, ker: np.ndarray, rng) -> Tuple[np.ndarray, int]:
         """A random element T of E = End_even(S), and dim E, where ker is a
@@ -689,9 +699,9 @@ def composition_series(
     """The graded composition factors by repeated splitting, each with its
     isomorphism class.  Before a piece goes to the Meataxe, each class found
     so far is tried against it, in order: where the class's simple module S
-    maps into the piece (`FactorClass.embedding`, one linear solve), the
-    image is a factor of that class, and only the quotient by it is split
-    further.  A piece isomorphic to S is recognised this way whole.
+    maps into the piece (`FactorClass.socle`, one linear solve), each copy
+    of S in it is a factor of that class, and only the quotient by their
+    sum is split further.  A piece isomorphic to S is recognised whole.
 
     `classes`, when given, holds classes known from other modules over the
     same algebra; it is searched first and extended in place."""
@@ -707,8 +717,8 @@ def composition_series(
         if cur.dim == 0:
             continue
         for known in classes:
-            W = known.embedding(cur)
-            if W is not None:
+            socle = known.socle(cur)
+            if socle is not None:
                 break
         else:
             known = _find_proper_submodule(cur, derived_seed(seed, index))
@@ -719,12 +729,13 @@ def composition_series(
                 stack.append(submodule_module(cur, known))
                 continue
             classes.append(known)
-            W = None
-        if W is None or W.dim == cur.dim:
+            socle = None
+        if socle is None or socle[0][0].dim == cur.dim:
             factors.append((cur, known))
             continue
-        factors.append((submodule_module(cur, W), known))
-        stack.append(quotient_module(cur, W))
+        factors.extend((submodule_module(cur, W), known) for W in socle[0])
+        if socle[1].dim < cur.dim:
+            stack.append(quotient_module(cur, socle[1]))
     return factors
 
 

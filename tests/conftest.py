@@ -57,6 +57,37 @@ def reference_find_embedding(small, big):
     return table
 
 
+def reference_rref(f, m):
+    """Reduced row echelon form, one full-width pivot step at a time: each
+    pivot row is scaled whole and subtracted from every other row with a
+    nonzero entry in its column.  A reference for `gflin.rref`."""
+    m = np.array(m, dtype=np.int64)
+    rows, cols = m.shape
+    pivots = []
+    r = c = 0
+    while r < rows and c < cols:
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            ahead = np.nonzero(np.any(m[r:, c + 1 :], axis=0))[0]
+            if ahead.size == 0:
+                break
+            c += 1 + int(ahead[0])
+            nz = np.nonzero(m[r:, c])[0]
+        piv = r + nz[0]
+        if piv != r:
+            m[[r, piv]] = m[[piv, r]]
+        m[r] = f.mul_arr(m[r], f.inv(int(m[r, c])))
+        other = np.nonzero(m[:, c])[0]
+        other = other[other != r]
+        if other.size:
+            factors = m[other, c]
+            m[other] = f.sub_arr(m[other], f.mul_arr(factors[:, None], m[r][None, :]))
+        pivots.append(c)
+        r += 1
+        c += 1
+    return m, pivots
+
+
 def reference_reduction_rows(p, modulus):
     """Row i: x^(k+i) mod the modulus as a k-vector, by the shift-and-subtract
     recurrence.  A reference for `Field._red`."""

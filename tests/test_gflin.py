@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_rref
+
 from superkw.gflin import (
     Field,
     FieldError,
@@ -494,6 +496,27 @@ def test_matmul_batched_matches_slices(case):
                     for i in range(batch)])
     assert got.shape == np.matmul(a, b).shape
     assert np.array_equal(got, ref)
+
+
+def test_rref_matches_full_width_reference():
+    # random, rank-deficient, zero-column, wide and tall matrices; the reduced
+    # echelon form is unique, so matrix and pivots must agree exactly
+    rng = np.random.default_rng(21)
+    for F in (F3, F5, F9):
+        for rows, cols in ((1, 1), (5, 5), (3, 9), (9, 3), (12, 12), (4, 17), (17, 4)):
+            for _ in range(4):
+                cases = [F.rand(rng, (rows, cols))]
+                low = min(rows, cols) // 2 + 1
+                cases.append(F.matmul(F.rand(rng, (rows, low)), F.rand(rng, (low, cols))))
+                holes = F.rand(rng, (rows, cols))
+                holes[:, rng.random(cols) < 0.4] = 0
+                cases.append(holes)
+                cases.append(np.zeros((rows, cols), dtype=np.int64))
+                for m in cases:
+                    r, pivots = rref(F, m)
+                    want, want_pivots = reference_rref(F, m)
+                    assert pivots == want_pivots
+                    assert np.array_equal(r, want)
 
 
 def test_nullspace_matches_loop_form():

@@ -14,7 +14,15 @@ from hypothesis import given, settings, strategies as st
 from superkw import modules
 from superkw.classical import catalog
 from superkw.env import ReducedAlgebra, regular_module
-from superkw.gflin import Echelon, inv_matrix, nullspace, poly_deg, poly_mod, rank
+from superkw.gflin import (
+    Echelon,
+    inv_matrix,
+    irreducible_factors,
+    nullspace,
+    poly_deg,
+    poly_mod,
+    rank,
+)
 from superkw.lsafile import parse_lsa_path
 from superkw.modules import (
     SuperModule,
@@ -390,6 +398,30 @@ def test_singular_even_is_a_factor_of_theta_with_a_proper_kernel():
     assert scalar > 0
 
 
+def test_scalar_theta_leaves_the_random_stream_as_the_whole_path_would():
+    # a scalar theta returns before Krylov and factoring; its polynomial
+    # x - c factors with no draw, so the stream after the call is where the
+    # recipe and the Krylov vector leave it, as on the whole path
+    M = next(fac for fac in modules.composition_factor_modules(_regular("gl1_1_p3", (0, 1)), 0)
+             if fac.dim > 1)
+    f = M.alg.field
+    scalar = 0
+    for seed in range(40):
+        probe = np.random.default_rng(seed)
+        theta = modules._even_element(M, modules._random_even_recipe(M, probe))
+        v = f.rand(probe, M.dim)
+        if not np.array_equal(theta, theta[0, 0] * f.eye(M.dim)):
+            continue
+        scalar += 1
+        rng = np.random.default_rng(seed)
+        assert modules._find_singular_even(M, rng) is None
+        assert rng.bit_generator.state == probe.bit_generator.state
+        assert [poly_deg(fac) for fac in
+                irreducible_factors(f, modules._minimal_poly(M, theta, v), probe)] == [1]
+        assert rng.bit_generator.state == probe.bit_generator.state
+    assert scalar > 0
+
+
 # ---------------------------------------------------------------------------
 # peeling known classes off larger modules
 
@@ -404,7 +436,8 @@ PEEL = [("heis_p3", (0, 0, 0)), ("heis_p3", (1, 0, 0)), ("gl(1|1) GF(9)", (0, 1)
 def test_embedding_exactly_when_a_map_exists(name, chi):
     # S maps into M exactly when the Kronecker reference finds a map; the
     # generalised Hom solve counts the maps into M larger than S, and the
-    # image found is a copy of S or of its parity shift
+    # socle found is a direct sum of copies of S or of its parity shift, as
+    # many as Hom(S, M) has dimensions over End(S)
     reg = _regular(name, chi)
     series = composition_series(reg, 0)
     classes = _classes(series)
@@ -419,17 +452,23 @@ def test_embedding_exactly_when_a_map_exists(name, chi):
     found = 0
     for K in classes:
         S = K.module
+        end = sum(kronecker_hom_dims(S, S))
         for M in targets:
             expect = kronecker_hom_dims(S, M)
             assert K.hom_dims(M) == expect, (M.superdim, S.superdim)
-            W = K.embedding(M)
-            assert (W is not None) == (expect != (0, 0)), (M.superdim, S.superdim)
-            if W is not None:
+            socle = K.socle(M)
+            assert (socle is not None) == (expect != (0, 0)), (M.superdim, S.superdim)
+            if socle is not None:
                 found += 1
-                assert W.dim == S.dim
-                sub = submodule_module(M, W)
-                assert modules.validate_module(sub) == []
-                assert sub.dim == K.module.dim and any(K.hom_dims(sub))
+                copies, total = socle
+                assert len(copies) * end == sum(expect)
+                assert total.dim == len(copies) * S.dim
+                assert modules.validate_module(submodule_module(M, total)) == []
+                for W in copies:
+                    assert W.dim == S.dim
+                    sub = submodule_module(M, W)
+                    assert modules.validate_module(sub) == []
+                    assert sub.dim == K.module.dim and any(K.hom_dims(sub))
     assert found > len(classes)
 
 
@@ -448,13 +487,24 @@ def test_sum_of_copies_peeled_without_meataxe(monkeypatch, name, chi):
         calls.append(M.superdim)
         return meataxe(M, seed)
 
+    hits = []
+    socle = modules.FactorClass.socle
+
+    def socle_spy(K, M):
+        got = socle(K, M)
+        hits.append(got is not None)
+        return got
+
     monkeypatch.setattr(modules, "_find_proper_submodule", spy)
+    monkeypatch.setattr(modules.FactorClass, "socle", socle_spy)
     for K in classes:
         for pattern in ((0, 0), (0, 1, 0), (1, 1, 0, 1)):
             M = _copies(K.module, pattern)
             for seed in (0, 5):
+                hits.clear()
                 series = composition_series(M, seed, classes=[K])
                 assert calls == []
+                assert hits == [True]
                 assert len(series) == len(pattern)
                 assert all(L is K for _, L in series)
                 assert sorted(fac.superdim for fac, _ in series) == sorted(

@@ -9,10 +9,8 @@ from superkw.lsa import (
     NeedsFieldExtension,
     Subspace,
     as_subalgebra,
-    bracket_span,
     center,
     change_basis,
-    derived_series,
     derived_subalgebra,
     extend_scalars,
     is_completely_solvable,

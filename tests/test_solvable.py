@@ -15,7 +15,6 @@ from superkw.modules import (
     verify_dim_form,
 )
 from superkw.solvable import (
-    DescentTrace,
     _mu_stabilizer,
     construct_irreducible,
     solve_weight_equations,
