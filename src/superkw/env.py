@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -83,9 +83,6 @@ class InducedModule:
     even_cobasis: np.ndarray   # (c0, n) vectors of the ambient algebra
     odd_cobasis: np.ndarray    # (c1, n)
 
-    def __post_init__(self):
-        self._strides = _strides(self.h.parent.field.p, self.c0, self.c1, self.base.dim)
-
     @property
     def c0(self) -> int:
         return self.even_cobasis.shape[0]
@@ -93,13 +90,6 @@ class InducedModule:
     @property
     def c1(self) -> int:
         return self.odd_cobasis.shape[0]
-
-    def strides(self) -> Tuple[int, ...]:
-        """The index step of each even exponent, then of each odd bit."""
-        return self._strides
-
-    def index(self, alpha: Sequence[int], gamma: Sequence[int], b: int) -> int:
-        return b + sum(st * e for st, e in zip(self._strides, (*alpha, *gamma)))
 
     def exponents(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The layout of every basis vector as arrays: alpha (dim, c0),

@@ -450,11 +450,6 @@ def is_completely_solvable(g: LieSuperAlgebra) -> bool:
     return is_nilpotent_subalg(g, derived_subalgebra(g))
 
 
-def center(g: LieSuperAlgebra) -> Subspace:
-    m = g.structure.transpose(1, 2, 0).reshape(g.n * g.n, g.n)
-    return Subspace(g.field, g.s_even, g.n, nullspace(g.field, m))
-
-
 def centralizer_of(g: LieSuperAlgebra, S: Subspace) -> Subspace:
     """All X with [X, S] = 0."""
     if S.dim == 0:

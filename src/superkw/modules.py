@@ -4,8 +4,8 @@ parity side and one transpose-kernel vector, then certifies by the Holt-Rees
 test or, where that fails, from the module's even commutant), composition
 factors grouped into isomorphism classes, Hom(S, M) and End(S) of a
 certified simple S as one linear solve from its certificate (the
-standard-basis method), which also peels copies of a known S off a larger
-module as submodules.
+standard-basis method), which also counts the copies of a known S in a
+larger module, so that a factor is recorded as its class and a parity side.
 
 Module vectors are column vectors; a set of module vectors is handled as a
 row-space in reduced echelon form.  Because action matrices are parity
@@ -432,8 +432,6 @@ class CompositionReport:
         return sorted(f.geometric_dim for f in self.factors)
 
 
-
-
 def verify_dim_form(dims, p: int) -> bool:
     """Every dimension factors as p^m * 2^n."""
     for d in dims:
@@ -635,29 +633,30 @@ class FactorClass:
         Y, same = system
         return self._maps(M, Y[:, :, same]).shape[2], self._maps(M, Y[:, :, ~same]).shape[2]
 
-    def socle(self, M: SuperModule) -> Optional[Tuple[List[Echelon], Echelon]]:
-        """Copies of S and of its parity shift in M, each an Echelon, that
-        span all such copies, and their sum; None when there is no nonzero
-        map S -> M.  A basis of the maps T of each parity (w's first) is
-        found with their B'(Tw) = T B, whose rows span the image T(S), the
-        spin of Tw.  The images of a basis span those of all maps, and a
+    def socle(self, M: SuperModule) -> Optional[Tuple[List[int], Echelon]]:
+        """The copies of S and of its parity shift in M, as one side each (0
+        for a copy of S, 1 for one of its parity shift), and the sum of all
+        such copies; None when there is no nonzero map S -> M.  A basis of
+        the maps T of each parity (w's first, whose images are copies of S)
+        is found with their B'(Tw) = T B, whose rows span the image T(S),
+        the spin of Tw.  The images of a basis span those of all maps, and a
         simple image meets a sum of copies in 0 or in all of itself, so it
-        is a new copy exactly when Tw is outside the sum so far."""
+        is a new copy exactly when Tw is outside the sum so far, and then it
+        grows the sum by dim S."""
         system = self._hom_system(M)
         if system is None:
             return None
         f, (Y, same) = M.alg.field, system
-        copies, total = [], Echelon(f, M.dim)
-        for side in (same, ~same):
-            B = self._maps(M, Y[:, :, side])
+        sides, total = [], Echelon(f, M.dim)
+        for side, cols in enumerate((same, ~same)):
+            B = self._maps(M, Y[:, :, cols])
             for j in range(B.shape[2]):
                 if not total.contains(B[0, :, j]):
-                    copies.append(Echelon(f, M.dim, B[:, :, j]))
-                    total.extend(copies[-1].basis)
+                    if len(total.extend(B[:, :, j])) != self.module.dim:
+                        raise RuntimeError("image of a map from a simple module has another dimension")
+                    sides.append(side)
             del B  # not held through the other side's solve
-        if any(W.dim != self.module.dim for W in copies):
-            raise RuntimeError("image of a map from a simple module has another dimension")
-        return (copies, total) if copies else None
+        return (sides, total) if sides else None
 
     def random_endomorphism(self, ker: np.ndarray, rng) -> Tuple[np.ndarray, int]:
         """A random element T of E = End_even(S), and dim E, where ker is a
@@ -695,17 +694,20 @@ def derived_seed(seed: int, index: int) -> int:
 
 def composition_series(
     M: SuperModule, seed: int = 0, classes: Optional[List[FactorClass]] = None
-) -> List[Tuple[SuperModule, FactorClass]]:
-    """The graded composition factors by repeated splitting, each with its
-    isomorphism class.  Before a piece goes to the Meataxe, each class found
-    so far is tried against it, in order: where the class's simple module S
-    maps into the piece (`FactorClass.socle`, one linear solve), each copy
-    of S in it is a factor of that class, and only the quotient by their
-    sum is split further.  A piece isomorphic to S is recognised whole.
+) -> List[Tuple[FactorClass, int]]:
+    """The graded composition factors by repeated splitting, each as its
+    isomorphism class and a side: 0 for the class's module S, 1 for its
+    parity shift.  Before a piece goes to the Meataxe, each class found so
+    far is tried against it, in order: where S maps into the piece
+    (`FactorClass.socle`, one linear solve), each copy of S or of its
+    parity shift in it is a factor of that class, and only the quotient by
+    their sum, unless that is the whole piece, is split further.  A piece
+    the Meataxe certifies is its class's S.  No module is built for a
+    factor, only for the parts of a piece the Meataxe splits.
 
     `classes`, when given, holds classes known from other modules over the
     same algebra; it is searched first and extended in place."""
-    factors: List[Tuple[SuperModule, FactorClass]] = []
+    factors: List[Tuple[FactorClass, int]] = []
     classes = [] if classes is None else classes
     stack = [M]
     index = 0
@@ -727,21 +729,15 @@ def composition_series(
                 # classes known, before the quotient is tried against them
                 stack.append(quotient_module(cur, known))
                 stack.append(submodule_module(cur, known))
-                continue
-            classes.append(known)
-            socle = None
-        if socle is None or socle[0][0].dim == cur.dim:
-            factors.append((cur, known))
+            else:
+                classes.append(known)
+                factors.append((known, 0))
             continue
-        factors.extend((submodule_module(cur, W), known) for W in socle[0])
-        if socle[1].dim < cur.dim:
-            stack.append(quotient_module(cur, socle[1]))
+        sides, total = socle
+        factors.extend((known, side) for side in sides)
+        if total.dim < cur.dim:
+            stack.append(quotient_module(cur, total))
     return factors
-
-
-def composition_factor_modules(M: SuperModule, seed: int = 0) -> List[SuperModule]:
-    """The graded composition factors themselves, by repeated splitting."""
-    return [fac for fac, _ in composition_series(M, seed)]
 
 
 def composition_factors(
@@ -751,9 +747,10 @@ def composition_factors(
     the endomorphism dimensions are solved once per isomorphism class.
     `classes` is passed on to `composition_series`."""
     records = []
-    for fac, known in composition_series(M, seed, classes):
-        ee, eo = known.endo()
-        records.append(FactorRecord(fac.dim, fac.superdim, ee, eo, fac.dim // ee))
+    for K, side in composition_series(M, seed, classes):
+        S, (ee, eo) = K.module, K.endo()
+        records.append(FactorRecord(S.dim, S.superdim[::-1] if side else S.superdim, ee, eo,
+                                    S.dim // ee))
     # by the whole record, so that the order does not depend on the path the
     # Meataxe took
     records.sort()

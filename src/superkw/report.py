@@ -135,7 +135,7 @@ def oracle_composition(g: LieSuperAlgebra, chi, seed: int, budget: int) -> Compo
     h = as_subalgebra(g, Subspace(f, s, g.n, f.eye(g.n)[:s]))
     reg0 = regular_module(ReducedAlgebra(h.alg, restrict_chi(chi, h)), budget).module
     # each class of g0 with its multiplicity, in the order found
-    multiplicity = Counter(K for _, K in composition_series(reg0, seed))
+    multiplicity = Counter(K for K, _ in composition_series(reg0, seed))
     known = []
     records = []
     for index, (K, mult) in enumerate(multiplicity.items()):

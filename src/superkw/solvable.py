@@ -53,7 +53,7 @@ from .lsa import (
 )
 from .modules import (
     SuperModule,
-    composition_factor_modules,
+    composition_series,
     is_graded_irreducible,
     validate_module,
 )
@@ -254,14 +254,16 @@ def construct_irreducible(
         except (NeedsFieldExtension, ConstructionFailure) as exc:
             last_exc = exc
     # out of extensions: the largest composition factor of the regular
-    # module over the base field (the first one found on a tie)
+    # module over the base field, the first one found on a tie.  The first
+    # factor of a class is the piece the Meataxe certified, the class's own
+    # module, so the module of the first largest class is that factor
     try:
         reg = regular_module(ReducedAlgebra(g, chi), budget=budget)
     except BudgetExceeded:
         raise BudgetExceeded(
             f"constructive routes exhausted ({last_exc}) and the oracle "
             "budget is insufficient") from None
-    best = max(composition_factor_modules(reg.module, seed), key=lambda F: F.dim)
+    best = max((K.module for K, _ in composition_series(reg.module, seed)), key=lambda S: S.dim)
     return best, DescentTrace(terminal="oracle", fallback=True)
 
 

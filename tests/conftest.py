@@ -6,6 +6,7 @@ import pytest
 
 from superkw.chargeom import DEFAULT_BUDGET, check_chi, chi_value, polarization, restrict_chi
 from superkw.classical import Root, TriangularData, baby_verma, catalog
+from superkw.env import _strides
 from superkw.gflin import Echelon, graded_span, nullspace, solve
 from superkw.lsa import (
     LieSuperAlgebra,
@@ -16,7 +17,7 @@ from superkw.lsa import (
     is_completely_solvable,
     scalar_extensions,
 )
-from superkw.modules import SuperModule, is_graded_irreducible
+from superkw.modules import SuperModule, composition_series, is_graded_irreducible
 from superkw.report import chi_verdict, oracle_composition, oracle_factors
 from superkw.solvable import (
     ConstructionFailure,
@@ -180,6 +181,12 @@ def kronecker_endomorphism_dims(M):
     """Dimensions of the even and odd commutants of M, by the Kronecker
     solve."""
     return kronecker_hom_dims(M, M)
+
+
+def center(g):
+    """The center of g: the null space of the structure constants."""
+    m = g.structure.transpose(1, 2, 0).reshape(g.n * g.n, g.n)
+    return Subspace(g.field, g.s_even, g.n, nullspace(g.field, m))
 
 
 def reference_s_corrections(g, x, y):
@@ -401,6 +408,18 @@ def reference_validate(g, samples=200, seed=0, p_power=reference_p_power):
                         "additive expansion of (x+y)^[p] fails on a sample"))
                     break
     return [(v.axiom, v.witness, v.message) for v in out]
+
+
+def parity_shift(M):
+    """The parity shift of a module: the same action, the other grading."""
+    return SuperModule(alg=M.alg, chi=M.chi, parities=1 - M.parities, action=M.action)
+
+
+def composition_factor_modules(M, seed=0):
+    """The graded composition factors as modules, in the order
+    `composition_series` finds them: each factor's class's module, or on
+    side 1 its parity shift."""
+    return [parity_shift(K.module) if side else K.module for K, side in composition_series(M, seed)]
 
 
 def meataxe_inputs(M, seed):
@@ -725,6 +744,17 @@ class WordStraightener:
         return [(int(l), int(row[l])) for l in nz]
 
 
+def layout_strides(ind):
+    """The basis-index step of each even exponent, then of each odd bit, of
+    an induced module (`env._strides`)."""
+    return _strides(ind.h.parent.field.p, ind.c0, ind.c1, ind.base.dim)
+
+
+def layout_index(ind, alpha, gamma, b):
+    """The basis index of e^alpha f^gamma (x) v_b in an induced module."""
+    return b + sum(st * e for st, e in zip(layout_strides(ind), (*alpha, *gamma)))
+
+
 def reference_induce(g, chi, h, S):
     """The induction by word straightening: every word u * e^alpha f^gamma
     is straightened with the cobasis generators ordered first, each normal
@@ -769,14 +799,14 @@ def reference_induce(g, chi, h, S):
                 alpha[gi] += 1
             else:
                 gamma[gi - s] += 1
-        return layout.index(alpha, gamma, 0), h_matrix(w[cut:])
+        return layout_index(layout, alpha, gamma, 0), h_matrix(w[cut:])
 
     triples = []
     for alpha in product(range(f.p), repeat=c0):
         for gamma in product(range(2), repeat=c1):
             tail = tuple(i for i, a in enumerate(alpha) for _ in range(a))
             tail += tuple(s + j for j, cb in enumerate(gamma) if cb)
-            col0 = layout.index(alpha, gamma, 0)
+            col0 = layout_index(layout, alpha, gamma, 0)
             for u in range(n):
                 for w, c in A.straighten({(u,) + tail: 1}).items():
                     row0, mat = place(w)
@@ -1078,7 +1108,7 @@ def degree_reduction_check(g, chi, induced, I):
     sign = (np.cumsum(gamma, axis=1) - gamma).T % 2
     lead = np.vstack([alpha.T, np.where(sign == 1, f.neg(1), 1)])
     k, col = np.nonzero(applies)
-    row = col - np.array(induced.strides(), dtype=np.int64)[k]
+    row = col - np.array(layout_strides(induced), dtype=np.int64)[k]
     ops[k, row, col] = f.sub_arr(ops[k, row, col], lead[k, col])
     # what is left must lie in degree <= l - 2, l the degree of the column
     above = degree[:, None] > degree[None, :] - 2

@@ -17,7 +17,6 @@ from superkw.lsa import (
     Subspace,
     as_subalgebra,
     bracket_span,
-    center,
     centralizer_of,
     derived_series,
     is_ideal,
@@ -28,6 +27,7 @@ from superkw.lsafile import parse_lsa_path
 from superkw.solvable import _mu_stabilizer
 
 from conftest import (
+    center,
     reference_bracket,
     reference_bracket_span,
     reference_centralizer,

@@ -217,7 +217,7 @@ def test_g0_class_induction_matches_reference(name):
     chi = np.eye(g.s_even, dtype=np.int64)[0]
     h = _even_part(g)
     reg0 = regular_module(ReducedAlgebra(h.alg, restrict_chi(chi, h))).module
-    _, K = composition_series(reg0, 0)[0]
+    K, _ = composition_series(reg0, 0)[0]
     _assert_matches_reference(g, chi, h, K.module)
 
 

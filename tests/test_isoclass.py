@@ -4,6 +4,7 @@ class's endomorphism data, and lets the Meataxe decide modules that are not
 absolutely irreducible from their even commutant."""
 
 import os
+from collections import Counter
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -33,9 +34,11 @@ from superkw.modules import (
 )
 
 from conftest import (
+    composition_factor_modules,
     kronecker_endomorphism_dims,
     kronecker_hom_dims,
     meataxe_inputs,
+    parity_shift,
 )
 
 ALGEBRAS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "algebras")
@@ -55,10 +58,16 @@ def _regular(name, chi):
 
 def _classes(series):
     out = []
-    for _, known in series:
+    for known, _ in series:
         if all(known is not K for K in out):
             out.append(known)
     return out
+
+
+def _side_module(K, side):
+    """The module a factor (K, side) names: K's module, or on side 1 its
+    parity shift."""
+    return parity_shift(K.module) if side else K.module
 
 
 def _direct_sum(*mods):
@@ -71,10 +80,6 @@ def _direct_sum(*mods):
         at += m.dim
     return SuperModule(alg=a.alg, chi=a.chi,
                        parities=np.concatenate([m.parities for m in mods]), action=action)
-
-
-def _shift(M):
-    return SuperModule(alg=M.alg, chi=M.chi, parities=1 - M.parities, action=M.action)
 
 
 def _random_even_basis_change(M, rng):
@@ -106,7 +111,7 @@ def test_conjugated_factor_recognised(name, chi):
             M = _random_even_basis_change(K.module, rng)
             assert M.dim == K.module.dim and any(K.hom_dims(M))
             # the parity shift has the same endomorphism dimensions
-            N = _shift(M)
+            N = parity_shift(M)
             assert N.dim == K.module.dim and any(K.hom_dims(N))
 
 
@@ -123,10 +128,13 @@ def test_gl11_gf9_classes_never_merged(seed):
                 assert not (K.module.dim == L.module.dim and any(L.hom_dims(K.module)))
                 assert kronecker_hom_dims(K.module, L.module) == (0, 0)
                 assert L.hom_dims(K.module) == (0, 0)
-    # every member maps isomorphically to its class, evenly or oddly
-    for fac, K in series:
-        assert kronecker_hom_dims(K.module, fac) in ((3, 0), (0, 3))
-        assert K.hom_dims(fac) == kronecker_hom_dims(K.module, fac)
+    # every factor is its class's module or that module's parity shift: End
+    # is (3, 0), so the maps onto a factor are even on side 0, odd on side 1
+    for K, side in series:
+        N = _side_module(K, side)
+        assert kronecker_hom_dims(K.module, N) == ((0, 3) if side else (3, 0))
+        assert K.hom_dims(N) == kronecker_hom_dims(K.module, N)
+    _check_sides(series, _regular("gl(1|1) GF(9)", (0, 1)))
 
 
 def _sum_of_smaller(S, facs):
@@ -165,8 +173,8 @@ def test_same_shape_non_isomorphic_never_accepted():
             assert any(K.hom_dims(zero)) == (not np.any(S.action))
             # the parity shift swaps the even and the odd maps
             ee, eo = K.endo()
-            assert ee > 0 and K.hom_dims(_shift(S)) == (eo, ee)
-            M = _sum_of_smaller(S, [fac for fac, _ in series])
+            assert ee > 0 and K.hom_dims(parity_shift(S)) == (eo, ee)
+            M = _sum_of_smaller(S, [_side_module(L, side) for L, side in series])
             if M is not None:
                 assert M.superdim == S.superdim
                 assert not (M.dim == K.module.dim and any(K.hom_dims(M)))
@@ -243,30 +251,47 @@ def class_cases(draw):
     return name, chi, draw(st.integers(0, 10**6))
 
 
-def _check_against_kronecker(series):
+def _check_sides(series, M):
+    """Each factor of a plain Meataxe recursion of M (`meataxe_inputs`) is
+    matched to the class of the series that maps onto it, on side 0 when an
+    even map does; the series holds each (class, side) as often.  When S has
+    an odd endomorphism, S and its parity shift are isomorphic, and every
+    factor of the class is on side 0."""
+    classes = _classes(series)
+    want = Counter()
+    for F in meataxe_inputs(M, 0)[1]:
+        matches = [(K, kronecker_hom_dims(K.module, F)) for K in classes if K.module.dim == F.dim]
+        [(K, hom)] = [(K, hom) for K, hom in matches if hom != (0, 0)]
+        want[id(K), 0 if hom[0] else 1] += 1
+    assert Counter((id(K), side) for K, side in series) == want
+
+
+def _check_against_kronecker(M, seed):
+    series = composition_series(M, seed)
     for K in _classes(series):
         assert K.endo() == kronecker_endomorphism_dims(K.module)
-    # every member, evenly or oddly isomorphic to its class
-    for fac, K in series:
-        assert K.hom_dims(fac) == kronecker_hom_dims(K.module, fac)
+    # every factor, its class's module or that module's parity shift
+    for K, side in series:
+        N = _side_module(K, side)
+        assert K.hom_dims(N) == kronecker_hom_dims(K.module, N)
+    _check_sides(series, M)
 
 
 @settings(max_examples=15, derandomize=True, deadline=None)
 @given(class_cases())
 def test_endo_matches_kronecker(case):
     name, chi, seed = case
-    _check_against_kronecker(composition_series(_regular(name, chi), seed))
+    _check_against_kronecker(_regular(name, chi), seed)
 
 
 @pytest.mark.parametrize("chi", [(0,), (1,), (2,)])
 def test_endo_matches_kronecker_oddheis(chi):
     # the 1-dim class at chi = 0 and the (1|1) classes, certified through
     # theta = 0, with an odd endomorphism
-    series = composition_series(_regular("oddheis_p3", chi), 0)
-    classes = _classes(series)
+    classes = _classes(composition_series(_regular("oddheis_p3", chi), 0))
     assert all(K.cert.recipe == (0, ()) and K.cert.poly == [0, 1] for K in classes)
     assert [K.endo() for K in classes] == ([(1, 0)] if chi == (0,) else [(1, 1)])
-    _check_against_kronecker(series)
+    _check_against_kronecker(_regular("oddheis_p3", chi), 0)
 
 
 def test_zero_divisor_of_even_commutant_splits(monkeypatch):
@@ -370,7 +395,7 @@ def test_singular_even_is_a_factor_of_theta_with_a_proper_kernel():
                        ("solv2_p5", [(0, 0), (1, 0), (0, 1)])):
         for chi in chis:
             seen = set()
-            for fac in modules.composition_factor_modules(_regular(name, chi), 0):
+            for fac in composition_factor_modules(_regular(name, chi), 0):
                 if fac.superdim not in seen:
                     seen.add(fac.superdim)
                     pool.append(fac)
@@ -402,7 +427,7 @@ def test_scalar_theta_leaves_the_random_stream_as_the_whole_path_would():
     # a scalar theta returns before Krylov and factoring; its polynomial
     # x - c factors with no draw, so the stream after the call is where the
     # recipe and the Krylov vector leave it, as on the whole path
-    M = next(fac for fac in modules.composition_factor_modules(_regular("gl1_1_p3", (0, 1)), 0)
+    M = next(fac for fac in composition_factor_modules(_regular("gl1_1_p3", (0, 1)), 0)
              if fac.dim > 1)
     f = M.alg.field
     scalar = 0
@@ -439,20 +464,16 @@ def test_embedding_exactly_when_a_map_exists(name, chi):
     # socle found is a direct sum of copies of S or of its parity shift, as
     # many as Hom(S, M) has dimensions over End(S)
     reg = _regular(name, chi)
-    series = composition_series(reg, 0)
-    classes = _classes(series)
-    first = {}
-    for fac, K in series:
-        first.setdefault(id(K), fac)
-    facs = list(first.values())
-    targets = [reg, _shift(reg)]
+    classes = _classes(composition_series(reg, 0))
+    facs = [K.module for K in classes]
+    targets = [reg, parity_shift(reg)]
     targets += [_direct_sum(a, b) for a, b in zip(facs, facs[1:] + facs[:1])]
-    targets += [_direct_sum(_shift(a), b) for a, b in zip(facs, facs[1:])]
+    targets += [_direct_sum(parity_shift(a), b) for a, b in zip(facs, facs[1:])]
     targets += [N for N in meataxe_inputs(reg, 0)[0] if N.dim > 1]
     found = 0
     for K in classes:
         S = K.module
-        end = sum(kronecker_hom_dims(S, S))
+        ee, eo = kronecker_hom_dims(S, S)
         for M in targets:
             expect = kronecker_hom_dims(S, M)
             assert K.hom_dims(M) == expect, (M.superdim, S.superdim)
@@ -460,21 +481,21 @@ def test_embedding_exactly_when_a_map_exists(name, chi):
             assert (socle is not None) == (expect != (0, 0)), (M.superdim, S.superdim)
             if socle is not None:
                 found += 1
-                copies, total = socle
-                assert len(copies) * end == sum(expect)
-                assert total.dim == len(copies) * S.dim
-                assert modules.validate_module(submodule_module(M, total)) == []
-                for W in copies:
-                    assert W.dim == S.dim
-                    sub = submodule_module(M, W)
-                    assert modules.validate_module(sub) == []
-                    assert sub.dim == K.module.dim and any(K.hom_dims(sub))
+                sides, total = socle
+                assert len(sides) * (ee + eo) == sum(expect)
+                assert total.dim == len(sides) * S.dim
+                sub = submodule_module(M, total)
+                assert modules.validate_module(sub) == []
+                # the sum is a copies of S and b of its parity shift, and
+                # every map S -> M lands in it
+                a, b = sides.count(0), sides.count(1)
+                assert (a * ee + b * eo, a * eo + b * ee) == expect == kronecker_hom_dims(S, sub)
     assert found > len(classes)
 
 
 def _copies(S, pattern):
     """A direct sum of copies of S, the ones marked 1 parity-shifted."""
-    return _direct_sum(*[_shift(S) if s else S for s in pattern])
+    return _direct_sum(*[parity_shift(S) if s else S for s in pattern])
 
 
 @pytest.mark.parametrize("name,chi", PEEL)
@@ -506,9 +527,13 @@ def test_sum_of_copies_peeled_without_meataxe(monkeypatch, name, chi):
                 assert calls == []
                 assert hits == [True]
                 assert len(series) == len(pattern)
-                assert all(L is K for _, L in series)
-                assert sorted(fac.superdim for fac, _ in series) == sorted(
+                assert all(L is K for L, _ in series)
+                assert sorted(_side_module(L, side).superdim for L, side in series) == sorted(
                     K.module.superdim[::-1] if s else K.module.superdim for s in pattern)
+                # a copy of the shift is on side 1, unless an odd endomorphism
+                # makes S and its shift isomorphic
+                sides = sorted(side for _, side in series)
+                assert sides == (sorted(pattern) if K.endo()[1] == 0 else [0] * len(pattern))
 
 
 # heis_p3 is nilpotent, so each of its characters has one simple module, and
@@ -529,7 +554,7 @@ def test_meataxe_only_sees_pieces_no_known_class_maps_into(monkeypatch, name, ch
     monkeypatch.setattr(modules, "_find_proper_submodule", spy)
     reg = _regular(name, chi)
     series = composition_series(reg, 0, classes)
-    assert sum(fac.dim for fac, _ in series) == reg.dim
+    assert sum(K.module.dim for K, _ in series) == reg.dim
     if len(classes) > 1:
         assert any(known for _, known in seen)
     for M, known in seen:

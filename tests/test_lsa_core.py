@@ -9,7 +9,6 @@ from superkw.lsa import (
     NeedsFieldExtension,
     Subspace,
     as_subalgebra,
-    center,
     change_basis,
     derived_subalgebra,
     extend_scalars,
@@ -24,7 +23,7 @@ from superkw.lsa import (
     scalar_extensions,
 )
 
-from conftest import pair_algebra
+from conftest import center, pair_algebra
 
 F3 = Field(3)
 F5 = Field(5)

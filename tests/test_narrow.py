@@ -126,8 +126,8 @@ def test_every_producer_yields_the_narrow_dtype(name, chi):
     rng = np.random.default_rng(1)
     W = _proper_invariant(M, rng)
     assert _narrow(submodule_module(M, W)) and _narrow(quotient_module(M, W))
-    for fac, _ in composition_series(M, seed=0):
-        assert _narrow(fac)
+    for K, _ in composition_series(M, seed=0):
+        assert _narrow(K.module)
     even = g.field.eye(g.n)[: g.s_even]
     h = as_subalgebra(g, Subspace(g.field, g.s_even, g.n, even))
     assert _narrow(restrict_module(M, h))

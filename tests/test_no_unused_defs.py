@@ -1,6 +1,6 @@
-"""Every module-level `def` and `class` in `src/superkw/` has a reference
-outside its own definition, in `src/superkw/` or in the benchmark scripts
-(`perfbench/*.py`).  A name that only tests reach belongs in the tests.
+"""Every module-level `def` and `class` in `src/superkw/` has a code
+reference outside its own definition, in `src/superkw/` or in the benchmark
+scripts (`perfbench/*.py`).  A name that only tests reach belongs in the tests.
 Every name a test file imports is used in that file."""
 
 import ast
@@ -13,22 +13,40 @@ SCRIPTS = sorted((ROOT / "perfbench").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
+def references(tree):
+    """The names that code in a syntax tree refers to: names, attributes,
+    imported names, and string constants that are identifiers
+    (`perfbench/tracer.py` names the functions it wraps by string).  Words
+    in comments and in prose strings do not count."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                out.add(node.value)
+    return out
+
+
 def unreferenced(sources, scripts):
     """(file name, definition name) of every module-level def or class of
-    `sources` whose name occurs nowhere in `sources` or `scripts` outside
-    the lines of its own definition."""
-    texts = {path: path.read_text(encoding="utf-8") for path in [*sources, *scripts]}
+    `sources` that no code in `sources` or `scripts` outside its own
+    definition refers to (`references`)."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in [*sources, *scripts]}
+    # the references of each top-level statement, so that a definition's
+    # own body is left out
+    refs = {path: [references(node) for node in tree.body] for path, tree in trees.items()}
     out = []
     for path in sources:
-        lines = texts[path].splitlines()
-        for node in ast.parse(texts[path]).body:
+        elsewhere = set().union(*(r for other, rs in refs.items() if other != path for r in rs))
+        for i, node in enumerate(trees[path].body):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            start = min([node.lineno, *(d.lineno for d in node.decorator_list)])
-            rest = "\n".join(lines[: start - 1] + lines[node.end_lineno:])
-            word = re.compile(rf"\b{re.escape(node.name)}\b")
-            if not any(word.search(rest if other == path else text)
-                       for other, text in texts.items()):
+            if node.name not in elsewhere.union(*(r for j, r in enumerate(refs[path]) if j != i)):
                 out.append((path.name, node.name))
     return out
 
@@ -41,10 +59,14 @@ def test_an_unreferenced_definition_is_reported(tmp_path):
     lib = tmp_path / "lib.py"
     lib.write_text("def used():\n    return 1\n\n\n@staticmethod\ndef unused():\n"
                    "    # unused calls itself\n    return unused()\n\n\nclass Kept:\n"
-                   "    pass\n\n\nVALUE = used()\n")
+                   "    pass\n\n\ndef prose():\n    pass\n\n\n"
+                   "def named():\n    pass\n\n\nVALUE = used()\n")
     script = tmp_path / "script.py"
-    script.write_text("from lib import Kept\n")
-    assert unreferenced([lib], [script]) == [("lib.py", "unused")]
+    # prose is named only in a comment and a docstring, named in a string
+    # that is an identifier, as a tracer names what it wraps
+    script.write_text("\"\"\"Calls the prose of lib.\"\"\"\n"
+                      "from lib import Kept  # not prose\n\nWRAPPED = [(\"lib\", \"named\")]\n")
+    assert unreferenced([lib], [script]) == [("lib.py", "unused"), ("lib.py", "prose")]
 
 
 def unused_imports(paths):

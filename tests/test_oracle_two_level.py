@@ -14,10 +14,10 @@ from superkw.cli import main
 from superkw.env import ReducedAlgebra, regular_module
 from superkw.gflin import Field
 from superkw.lsafile import parse_lsa_path
-from superkw.modules import FactorRecord, composition_factors, composition_factor_modules
+from superkw.modules import FactorRecord, composition_factors
 from superkw.report import oracle_composition
 
-from conftest import pair_algebra
+from conftest import composition_factor_modules, pair_algebra
 
 ALGEBRAS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "algebras")
 
@@ -65,8 +65,8 @@ def test_two_level_weights_by_multiplicity(monkeypatch):
     monkeypatch.setattr(report, "composition_factors", spy_factors)
     rep = oracle_composition(g, (1, 1, 0), 0, 4000)
     [series] = series0
-    assert [fac.dim for fac, _ in series] == [9, 9, 9]
-    assert len({id(K) for _, K in series}) == 1
+    assert [(K.module.dim, side) for K, side in series] == [(9, 0)] * 3
+    assert len({id(K) for K, _ in series}) == 1
     rec = FactorRecord(18, (9, 9), 3, 0, 6)
     assert induced == [(36, [rec, rec])]
     assert rep.factors == [rec] * 6

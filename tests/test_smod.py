@@ -10,7 +10,6 @@ from superkw.gflin import Echelon, Field
 from superkw.lsa import LsaError, Subspace, as_subalgebra
 from superkw.modules import (
     SuperModule,
-    composition_factor_modules,
     composition_factors,
     FactorRecord,
     is_graded_irreducible,
@@ -21,8 +20,11 @@ from superkw.modules import (
 from superkw.solvable import _mu_stabilizer, solve_weight_equations
 
 from conftest import (
+    composition_factor_modules,
     degree_reduction_check,
     kronecker_endomorphism_dims,
+    layout_index,
+    layout_strides,
     meataxe_inputs,
     pair_algebra,
     restrict_module,
@@ -108,7 +110,7 @@ def test_spin_socle_proper(gl11):
     M = ind.module
     # f (x) v spans a submodule of the atypical Verma module
     v = np.zeros(M.dim, dtype=np.int64)
-    v[ind.index((), (1,), 0)] = 1
+    v[layout_index(ind, (), (1,), 0)] = 1
     W = spin(M, v)
     assert 0 < W.dim < M.dim
 
@@ -633,9 +635,9 @@ def test_induced_exponents_match_index(solv2_p5, gl11):
     for m in (ind, bv):
         alpha, gamma, b = m.exponents()
         assert alpha.shape == (m.module.dim, m.c0) and gamma.shape == (m.module.dim, m.c1)
-        got = [m.index(a.tolist(), c.tolist(), int(d)) for a, c, d in zip(alpha, gamma, b)]
+        got = [layout_index(m, a.tolist(), c.tolist(), int(d)) for a, c, d in zip(alpha, gamma, b)]
         assert got == list(range(m.module.dim))
-        assert np.array_equal(np.hstack([alpha, gamma]) @ np.array(m.strides(), dtype=np.int64) + b,
+        assert np.array_equal(np.hstack([alpha, gamma]) @ np.array(layout_strides(m), dtype=np.int64) + b,
                               np.arange(m.module.dim))
 
 

@@ -1,3 +1,4 @@
+import os
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,7 @@ from superkw.classical import catalog
 from superkw.env import ReducedAlgebra, regular_module
 from superkw.gflin import Field
 from superkw.lsa import LsaError, Subspace
+from superkw.lsafile import parse_lsa_path
 from superkw.modules import (
     composition_factors,
     is_graded_irreducible,
@@ -27,6 +29,7 @@ from conftest import (
     regular_verdict,
 )
 
+ALGEBRAS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "algebras")
 F3 = Field(3)
 F5 = Field(5)
 
@@ -172,6 +175,18 @@ def test_engine_2dim_solvable_nilpotent_character(solv2_p5):
     # with the cap raised the constructive route reaches the weight
     M5, tr5 = construct_irreducible(g, vec(2, 0), ext_cap=5)
     assert M5.dim == 1 and tr5.extension_degree == 5
+
+
+def test_engine_oracle_fallback_on_a_superalgebra():
+    # gl(1|1) at chi = (1, 0): no one-dimensional weight over GF(3) and no
+    # extension within a cap of 1, so the engine falls over to the oracle,
+    # whose largest factor is a (3|3) module with an odd part
+    g = parse_lsa_path(os.path.join(ALGEBRAS, "gl1_1_p3.lsa")).algebra
+    M, tr = construct_irreducible(g, vec(1, 0), ext_cap=1)
+    assert (tr.terminal, tr.fallback) == ("oracle", True)
+    assert M.dim == 6 and M.superdim == (3, 3)
+    assert validate_module(M) == []
+    assert is_graded_irreducible(M, 0)
 
 
 def test_engine_oracle_over_budget_raises_budget_exceeded(solv2_p5):
