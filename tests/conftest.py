@@ -415,11 +415,16 @@ def parity_shift(M):
     return SuperModule(alg=M.alg, chi=M.chi, parities=1 - M.parities, action=M.action)
 
 
-def composition_factor_modules(M, seed=0):
-    """The graded composition factors as modules, in the order
-    `composition_series` finds them: each factor's class's module, or on
+def side_module(K, side):
+    """The module a composition factor (K, side) names: K's module, or on
     side 1 its parity shift."""
-    return [parity_shift(K.module) if side else K.module for K, side in composition_series(M, seed)]
+    return parity_shift(K.module) if side else K.module
+
+
+def composition_factor_modules(M, seed=0):
+    """The graded composition factors as modules (`side_module`), in the
+    order `composition_series` finds them."""
+    return [side_module(K, side) for K, side in composition_series(M, seed)]
 
 
 def meataxe_inputs(M, seed):

@@ -39,6 +39,7 @@ from conftest import (
     kronecker_hom_dims,
     meataxe_inputs,
     parity_shift,
+    side_module,
 )
 
 ALGEBRAS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "algebras")
@@ -62,12 +63,6 @@ def _classes(series):
         if all(known is not K for K in out):
             out.append(known)
     return out
-
-
-def _side_module(K, side):
-    """The module a factor (K, side) names: K's module, or on side 1 its
-    parity shift."""
-    return parity_shift(K.module) if side else K.module
 
 
 def _direct_sum(*mods):
@@ -131,7 +126,7 @@ def test_gl11_gf9_classes_never_merged(seed):
     # every factor is its class's module or that module's parity shift: End
     # is (3, 0), so the maps onto a factor are even on side 0, odd on side 1
     for K, side in series:
-        N = _side_module(K, side)
+        N = side_module(K, side)
         assert kronecker_hom_dims(K.module, N) == ((0, 3) if side else (3, 0))
         assert K.hom_dims(N) == kronecker_hom_dims(K.module, N)
     _check_sides(series, _regular("gl(1|1) GF(9)", (0, 1)))
@@ -174,7 +169,7 @@ def test_same_shape_non_isomorphic_never_accepted():
             # the parity shift swaps the even and the odd maps
             ee, eo = K.endo()
             assert ee > 0 and K.hom_dims(parity_shift(S)) == (eo, ee)
-            M = _sum_of_smaller(S, [_side_module(L, side) for L, side in series])
+            M = _sum_of_smaller(S, [side_module(L, side) for L, side in series])
             if M is not None:
                 assert M.superdim == S.superdim
                 assert not (M.dim == K.module.dim and any(K.hom_dims(M)))
@@ -272,7 +267,7 @@ def _check_against_kronecker(M, seed):
         assert K.endo() == kronecker_endomorphism_dims(K.module)
     # every factor, its class's module or that module's parity shift
     for K, side in series:
-        N = _side_module(K, side)
+        N = side_module(K, side)
         assert K.hom_dims(N) == kronecker_hom_dims(K.module, N)
     _check_sides(series, M)
 
@@ -528,7 +523,7 @@ def test_sum_of_copies_peeled_without_meataxe(monkeypatch, name, chi):
                 assert hits == [True]
                 assert len(series) == len(pattern)
                 assert all(L is K for L, _ in series)
-                assert sorted(_side_module(L, side).superdim for L, side in series) == sorted(
+                assert sorted(side_module(L, side).superdim for L, side in series) == sorted(
                     K.module.superdim[::-1] if s else K.module.superdim for s in pattern)
                 # a copy of the shift is on side 1, unless an odd endomorphism
                 # makes S and its shift isomorphic
