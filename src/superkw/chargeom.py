@@ -371,9 +371,7 @@ def polarization(g: LieSuperAlgebra, chi) -> Subspace:
     while SuperDim(*cand.superdim) != d:
         sub = as_subalgebra(g, cand, with_pmap=False)
         zc_rows = [sub.drop(row) for row in geo.centralizer.basis]
-        z_sub = Subspace.from_vectors(
-            g.field, sub.alg.s_even, sub.alg.n, zc_rows
-        )
+        z_sub = Subspace(g.field, sub.alg.s_even, sub.alg.n, zc_rows)
         found = None
         for H in graded_hyperplanes_containing(sub.alg, z_sub):
             sd = SuperDim(*H.superdim)

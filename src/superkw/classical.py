@@ -126,7 +126,7 @@ def triangular_data(g: LieSuperAlgebra, cartan, plus, minus) -> TriangularData:
     the first negative one, in the order given, whose bracket with it is a
     nonzero Cartan element: that bracket is its coroot."""
     def span(idxs):
-        return Subspace.from_vectors(g.field, g.s_even, g.n, [g.basis_vector(i) for i in idxs])
+        return Subspace(g.field, g.s_even, g.n, g.field.eye(g.n)[list(idxs)])
 
     h = span(cartan)
     roots = []

@@ -445,12 +445,14 @@ def distinct_degree_factors(f: Field, m):
         xqd = poly_mod(f, xqd, rem)
 
 
-def _equal_degree_split(f: Field, m, d: int, rng) -> Optional[list]:
+def _equal_degree_split(f: Field, m, d: int, rng) -> list:
     """Proper monic divisor of m, all of whose irreducible factors have
-    degree d and at least two are distinct (Cantor-Zassenhaus, odd q)."""
+    degree d and at least two are distinct (Cantor-Zassenhaus, odd q).  Las
+    Vegas: it draws until a draw splits m, which each draw does with
+    probability about 1/2."""
     dm = poly_deg(m)
     e = (f.q**d - 1) // 2
-    for _ in range(80):
+    while True:
         u = poly_trim([int(f.rand(rng)) for _ in range(dm)])
         if poly_deg(u) < 1:
             continue
@@ -466,7 +468,6 @@ def _equal_degree_split(f: Field, m, d: int, rng) -> Optional[list]:
         g = poly_gcd(f, m, acc)
         if 0 < poly_deg(g) < dm:
             return g
-    return None
 
 
 def _equal_degree_factors(f: Field, g, d: int, rng):
@@ -476,8 +477,6 @@ def _equal_degree_factors(f: Field, g, d: int, rng):
         yield g
         return
     h = _equal_degree_split(f, g, d, rng)
-    if h is None:
-        return
     yield from _equal_degree_factors(f, h, d, rng)
     yield from _equal_degree_factors(f, poly_divmod(f, g, h)[0], d, rng)
 
@@ -561,7 +560,16 @@ def ranks(f: Field, stack) -> np.ndarray:
 
 
 def nullspace(f: Field, m: np.ndarray) -> np.ndarray:
-    """Rows form a basis of the right kernel {x : m x = 0}."""
+    """Rows form a basis of the right kernel {x : m x = 0}, one row
+    e_c - sum_r m'[r, c] e_piv(r) per free column c of the rref m'.
+
+    Parity comes from construction: under any split of the columns into
+    even and odd, if every row of m is parity-homogeneous (as the rows of an
+    even or an odd operator are, and the echelon basis of a graded space),
+    so is every row of the basis.  Elimination only subtracts a pivot row
+    from rows that are nonzero at its pivot, so of its parity, and the rows
+    of m' stay homogeneous; then m'[r, c] is nonzero only for a row r of
+    c's parity, whose pivot piv(r) has that parity too."""
     m = np.asarray(m, dtype=np.int64)
     cols = m.shape[1]
     r, pivots = rref(f, m)
@@ -689,14 +697,6 @@ class Echelon:
     def complement_columns(self) -> List[int]:
         piv = set(self.pivots)
         return [c for c in range(self.ambient) if c not in piv]
-
-
-def graded_span(f: Field, rows, odd: np.ndarray) -> Echelon:
-    """The span of the even and odd parts of ``rows`` (r, n), split by the
-    mask ``odd`` (n,) of odd coordinates: every basis row is
-    parity-homogeneous, and parts that are zero drop out."""
-    rows = np.asarray(rows, dtype=np.int64)
-    return Echelon(f, odd.size, np.vstack([rows * ~odd, rows * odd]))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .gflin import (
     Echelon,
     Field,
     find_embedding,
-    graded_span,
     inv_matrix,
     nullspace,
     rank,
@@ -58,7 +57,9 @@ class Subspace(Echelon):
 
     Every basis row is parity-homogeneous; rows with pivots in the even
     coordinate block precede the odd ones because the ambient ordering is
-    even-first.
+    even-first.  A span is graded exactly when its rref rows are
+    homogeneous, so the constructor takes any spanning rows and raises
+    LsaError when their span is not graded.
     """
 
     def __init__(self, field: Field, s_even: int, ambient: int, basis: np.ndarray):
@@ -67,21 +68,6 @@ class Subspace(Echelon):
         for row in self.basis:
             if np.any(row[:s_even]) and np.any(row[s_even:]):
                 raise LsaError("subspace basis row is not parity-homogeneous")
-
-    @classmethod
-    def from_vectors(cls, field, s_even, ambient, vectors) -> "Subspace":
-        """Graded span: parity components of the inputs are split first."""
-        rows = np.array(vectors, dtype=np.int64).reshape(len(vectors), ambient)
-        span = graded_span(field, rows, np.arange(ambient) >= s_even)
-        return cls(field, s_even, ambient, span.basis)
-
-    @classmethod
-    def zero(cls, field, s_even, ambient) -> "Subspace":
-        return cls(field, s_even, ambient, np.zeros((0, ambient), dtype=np.int64))
-
-    @classmethod
-    def full(cls, field, s_even, ambient) -> "Subspace":
-        return cls(field, s_even, ambient, field.eye(ambient))
 
     def row_parity(self, r: int) -> int:
         return 0 if self.pivots[r] < self.s_even else 1
@@ -162,10 +148,10 @@ class LieSuperAlgebra:
         return v
 
     def full_space(self) -> Subspace:
-        return Subspace.full(self.field, self.s_even, self.n)
+        return Subspace(self.field, self.s_even, self.n, self.field.eye(self.n))
 
     def zero_space(self) -> Subspace:
-        return Subspace.zero(self.field, self.s_even, self.n)
+        return Subspace(self.field, self.s_even, self.n, np.zeros((0, self.n), dtype=np.int64))
 
     def parity_of(self, v: np.ndarray) -> Optional[int]:
         """0/1 for homogeneous vectors, None for mixed or zero."""
@@ -463,8 +449,6 @@ def centralizer_of(g: LieSuperAlgebra, S: Subspace) -> Subspace:
 def intersect_spaces(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient != b.ambient:
         raise LsaError("ambient dimension mismatch")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.field, a.s_even, a.ambient)
     stacked = np.concatenate([a.basis.T, a.field.neg_arr(b.basis.T)], axis=1)
     ker = nullspace(a.field, stacked)
     rows = a.field.matmul(ker[:, : a.dim], a.basis)

@@ -8,8 +8,10 @@ standard-basis method), which also counts the copies of a known S in a
 larger module, so that a factor is recorded as its class and a parity side.
 
 Module vectors are column vectors; a set of module vectors is handled as a
-row-space in reduced echelon form.  Because action matrices are parity
-homogeneous, every computed subspace has a parity-homogeneous echelon basis.
+row-space in reduced echelon form.  Parity comes from construction: action
+matrices are parity homogeneous, so every spun subspace has a
+parity-homogeneous echelon basis, and so has every null space computed here
+(the rule is stated and proved on `gflin.nullspace`).
 """
 
 from __future__ import annotations
@@ -23,13 +25,11 @@ import numpy as np
 from .gflin import (
     Echelon,
     Field,
-    graded_span,
     inv_matrix,
     irreducible_factors,
     nullspace,
     poly_deg,
     rref,
-    solve,
 )
 from .lsa import LieSuperAlgebra, LsaError, Violation
 
@@ -348,7 +348,6 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> Echelon | FactorClass:
         return FactorClass(M, Certificate((0, ()), [0, 1], 1, f.eye(1)[0]))
     rng = np.random.default_rng(seed)
     MT = M.transpose_module()
-    odd_mask = M.parities == 1
 
     def singular():
         # with the even part acting by scalars every theta is scalar, so no
@@ -364,31 +363,28 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> Echelon | FactorClass:
         yield (0, ()), [0, 1], np.zeros((dim, dim), dtype=np.int64), f.eye(dim)
 
     for recipe, poly, a, ker in singular():
-        ker = graded_span(f, ker, odd_mask).basis
+        # a is even, so the kernel rows are homogeneous (`nullspace`); in
+        # reduced echelon form, the first row of each side is spun
+        ker = rref(f, ker)[0]
         odd = M.parities[np.argmax(ker != 0, axis=1)] == 1
         sides = [side for side in (ker[~odd], ker[odd]) if len(side)]
         for side in sides:
             W = spin(M, side[0])
             if W.dim < dim:
                 return W
-        WT = spin(MT, graded_span(f, nullspace(f, a.T), odd_mask).basis[0])
+        WT = spin(MT, rref(f, nullspace(f, a.T))[0][0])
         if WT.dim < dim:
-            # proper transpose submodule = proper quotient; its annihilator
-            # in M is a proper nonzero submodule
-            W = spin_many(M, graded_span(f, nullspace(f, WT.basis), odd_mask).basis)
-            if 0 < W.dim < dim:
-                return W
-            raise RuntimeError("transpose witness did not yield a submodule")
+            # proper transpose submodule = proper quotient.  Its annihilator
+            # in M is a proper nonzero submodule, graded as WT's basis is:
+            # for y in WT, y.(A x) = (A^T y).x = 0
+            return Echelon(f, dim, nullspace(f, WT.basis))
         K = FactorClass(M, Certificate(recipe, poly, len(ker), sides[0][0]))
         if len(ker) == poly_deg(poly):
             # Holt-Rees
             return K
         T, dim_e = K.random_endomorphism(ker, rng)
         mu = _minimal_poly(M, T, K.cert.w)
-        g = next(irreducible_factors(f, mu, rng), None)
-        if g is None:
-            # equal-degree splitting gave up: mu is undecided
-            continue
+        g = next(irreducible_factors(f, mu, rng))
         if poly_deg(g) < poly_deg(mu):
             # g(T) is a zero divisor of E
             return spin(M, f.matmul(_poly_at_matrix(f, g, T), K.cert.w))
@@ -615,9 +611,8 @@ class FactorClass:
         sd, md = S.superdim, M.superdim
         if not any(a <= b and c <= e for (a, c), (b, e) in ((sd, md), (sd[::-1], md))):
             return None
-        # f(theta) is even, so each row of its null space basis (one per
-        # free column of the echelon form, whose rows are homogeneous) is
-        # parity-homogeneous already
+        # f(theta) is even, so each row of its null space basis is
+        # parity-homogeneous (`nullspace`)
         ker = nullspace(f, _poly_at_matrix(f, cert.poly, _even_element(M, cert.recipe)))
         if ker.shape[0] < cert.nullity or (M.dim == S.dim and ker.shape[0] != cert.nullity):
             return None
@@ -660,8 +655,9 @@ class FactorClass:
 
     def random_endomorphism(self, ker: np.ndarray, rng) -> Tuple[np.ndarray, int]:
         """A random element T of E = End_even(S), and dim E, where ker is a
-        parity-split basis of ker f(theta) on S.  The maps of w's parity are
-        E; a random combination of their B'(Tw) = T B gives T = (T B) B^-1."""
+        parity-homogeneous basis of ker f(theta) on S.  The maps of w's
+        parity are E; a random combination of their B'(Tw) = T B gives
+        T = (T B) B^-1."""
         f = self.module.alg.field
         d = self.module.dim
         Y, same = self._words(self.module, ker)

@@ -180,12 +180,6 @@ class DescentTrace:
     extension_degree: int = 1
     fallback: bool = False
 
-    def predicted_dim(self, p: int, base_dim: int) -> int:
-        d = base_dim
-        for st in self.steps:
-            d *= p ** st.codims[0] * 2 ** st.codims[1]
-        return d
-
 
 # ---------------------------------------------------------------------------
 # the constructive engine

@@ -7,7 +7,7 @@ import pytest
 from superkw.chargeom import DEFAULT_BUDGET, check_chi, chi_value, polarization, restrict_chi
 from superkw.classical import Root, TriangularData, baby_verma, catalog
 from superkw.env import _strides
-from superkw.gflin import Echelon, graded_span, nullspace, solve
+from superkw.gflin import Echelon, nullspace, solve
 from superkw.lsa import (
     LieSuperAlgebra,
     LsaError,
@@ -137,6 +137,15 @@ def reference_weight_system(alg, chi_h, pins):
     rhs = [f.pow(int(c), p) for c in chi_h] + [val for _, val in pins]
     b = np.array([d for v in rhs for d in f.digits(v).tolist()], dtype=np.int64)
     return M, b
+
+
+def graded_span(f, s_even, n, vecs) -> Subspace:
+    """The graded subspace that vectors of mixed parity span: the span of
+    the even and the odd part of each.  The random streams draw such
+    vectors; `Subspace` itself takes only rows whose span is graded."""
+    rows = np.asarray(vecs, dtype=np.int64).reshape(-1, n)
+    odd = np.arange(n) >= s_even
+    return Subspace(f, s_even, n, np.vstack([rows * ~odd, rows * odd]))
 
 
 def pair_algebra(field, names, parities, pairs, pmap_rows=None):
@@ -497,7 +506,7 @@ def borel_gl21():
     g = ent.algebra
     idx = {nm: i for i, nm in enumerate(g.names)}
     rows = [g.basis_vector(idx[nm]) for nm in ("E11", "E22", "E33", "E12", "E13", "E23")]
-    S = Subspace.from_vectors(g.field, g.s_even, g.n, rows)
+    S = Subspace(g.field, g.s_even, g.n, rows)
     return as_subalgebra(g, S).alg
 
 
@@ -542,7 +551,7 @@ def random_solvable_stream(borel_gl21):
                 if rng.random() < 0.5:
                     v[b.s_even:] = 0
                 vecs.append(v)
-            S = restricted_closure(b, Subspace.from_vectors(f, b.s_even, b.n, vecs))
+            S = restricted_closure(b, graded_span(f, b.s_even, b.n, vecs))
             if S.dim < 2 or S.dim > 6:
                 continue
             sub_h = as_subalgebra(b, S)
@@ -1053,8 +1062,8 @@ def v_i_chi(M, I, chi) -> Echelon:
     chi = np.asarray(chi, dtype=np.int64)
     # chi of an odd row is 0: chi only reads even coordinates
     ops = _shifted_action(M, I.basis, chi_value(M.alg, chi, I.basis))
-    ker = nullspace(f, ops.reshape(-1, M.dim))
-    return graded_span(f, ker, M.parities == 1)
+    # every row of ops is homogeneous, so the kernel rows are too
+    return Echelon(f, M.dim, nullspace(f, ops.reshape(-1, M.dim)))
 
 
 def degree_reduction_check(g, chi, induced, I):

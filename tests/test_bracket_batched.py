@@ -14,7 +14,6 @@ import pytest
 from superkw.chargeom import chi_value
 from superkw.lsa import (
     LsaError,
-    Subspace,
     as_subalgebra,
     bracket_span,
     centralizer_of,
@@ -28,6 +27,7 @@ from superkw.solvable import _mu_stabilizer
 
 from conftest import (
     center,
+    graded_span,
     reference_bracket,
     reference_bracket_span,
     reference_centralizer,
@@ -54,7 +54,7 @@ def _subspaces(g, rng, count=8):
     out = [g.zero_space(), g.full_space()]
     for _ in range(count):
         k = int(rng.integers(1, g.n + 1))
-        out.append(Subspace.from_vectors(f, g.s_even, g.n, f.rand(rng, (k, g.n))))
+        out.append(graded_span(f, g.s_even, g.n, f.rand(rng, (k, g.n))))
     return out
 
 
@@ -64,7 +64,7 @@ def _ideals(g, rng, count=3):
     out = [g.zero_space()] + derived_series(g) + [center(g)]
     full = g.full_space()
     for _ in range(count):
-        cur = Subspace.from_vectors(g.field, g.s_even, g.n, [g.field.rand(rng, g.n)])
+        cur = graded_span(g.field, g.s_even, g.n, [g.field.rand(rng, g.n)])
         while True:
             grown = cur.sum_with(reference_bracket_span(g, full, cur))
             if grown.dim == cur.dim:

@@ -150,7 +150,7 @@ def test_is_degraded_whole_algebra_chi0(gl11):
 def test_is_degraded_gl11_cases(gl11):
     g = gl11.algebra
     chi = vec(1, 0)
-    good = Subspace.from_vectors(F3, 2, 4, [vec(1, 0, 0, 0), vec(0, 1, 0, 0), vec(0, 0, 1, 0)])
+    good = Subspace(F3, 2, 4, [vec(1, 0, 0, 0), vec(0, 1, 0, 0), vec(0, 0, 1, 0)])
     ok, diag = is_degraded(g, chi, good)
     assert ok and diag["p_closed"] and diag["contains_centralizer"]
     bad = g.full_space()
@@ -201,7 +201,7 @@ def test_polarization_deterministic(gl11):
 
 def test_restrict_chi(gl11):
     g = gl11.algebra
-    S = Subspace.from_vectors(F3, 2, 4, [vec(1, 2, 0, 0)])
+    S = Subspace(F3, 2, 4, [vec(1, 2, 0, 0)])
     sub = as_subalgebra(g, S)
     got = restrict_chi(vec(1, 1), sub)
     assert got.shape == (1,)

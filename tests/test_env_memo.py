@@ -134,7 +134,7 @@ def _gl11_subalgebra_case():
     # h = span(E11 + E22, E12 + E21): P is not a permutation, h-words act on
     # the 6-dim regular module of U(h) and are not all trivial
     g = catalog("gl(1|1)", 3).algebra
-    space = Subspace.from_vectors(g.field, g.s_even, g.n, [_vec(1, 1, 0, 0), _vec(0, 0, 1, 1)])
+    space = Subspace(g.field, g.s_even, g.n, [_vec(1, 1, 0, 0), _vec(0, 0, 1, 1)])
     sub = as_subalgebra(g, space)
     chi = _vec(1, 2)
     S = regular_module(ReducedAlgebra(sub.alg, restrict_chi(chi, sub))).module

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import reference_rref
 
 from superkw.gflin import (
+    Echelon,
     Field,
     FieldError,
     find_embedding,
-    graded_span,
     inv_matrix,
     irreducible_factors,
     is_irreducible,
@@ -373,6 +373,37 @@ def test_irreducible_factors_match_root_search(pk, lows, seed):
     assert degs == sorted(degs)
 
 
+class _ZerosFirst:
+    """An rng whose first `zeros` draws are 0 and whose later draws come from
+    a seeded generator, as `Field.rand` asks for them."""
+
+    def __init__(self, zeros):
+        self.zeros = zeros
+        self.rng = np.random.default_rng(0)
+
+    def integers(self, low, high, size, dtype):
+        if self.zeros:
+            self.zeros -= 1
+            return np.zeros(size, dtype=dtype)
+        return self.rng.integers(low, high, size=size, dtype=dtype)
+
+
+@pytest.mark.parametrize("f, pieces", [
+    (F3, [[0, 1], [1, 1], [2, 1]]),
+    (F5, [[2, 0, 1], [3, 0, 1]]),
+    (F9, [[c, 1] for c in range(9)]),
+], ids=["GF3-linear", "GF5-quadratic", "GF9-linear"])
+def test_equal_degree_splitting_draws_until_it_splits(f, pieces):
+    # each attempt draws deg m coefficients, so the first 80 attempts draw
+    # the zero polynomial, which splits nothing; every factor still comes
+    # back, in the order of the distinct-degree products
+    m = [1]
+    for piece in pieces:
+        m = poly_mul(f, m, piece)
+    got = list(irreducible_factors(f, m, _ZerosFirst(80 * poly_deg(m))))
+    assert sorted(map(tuple, got)) == sorted(map(tuple, pieces))
+
+
 # naive GF(9) polynomial arithmetic on untrimmed lists, from the scalar tables
 ADD9 = [[F9.add(a, b) for b in range(9)] for a in range(9)]
 MUL9 = [[F9.mul(a, b) for b in range(9)] for a in range(9)]
@@ -589,20 +620,29 @@ def test_powers_make_no_idle_products(monkeypatch):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("field", [F3, F9])
-def test_graded_span_splits_each_row_by_parity(field):
-    # the split row by row, zero parts dropped, then one rref
+@pytest.mark.parametrize("field", [F3, F9, Field(3, 7)], ids=["GF3", "GF9", "GF3^7"])
+def test_nullspace_rows_are_homogeneous(field):
+    """Parity comes from construction: under a random split of the columns,
+    the null space basis of an even operator, an odd operator, or the
+    echelon basis of a graded span has homogeneous rows only."""
     rng = np.random.default_rng(4)
-    for r, n in [(0, 5), (1, 4), (3, 6), (6, 6)]:
-        rows = field.rand(rng, (r, n))
-        rows[:, rng.random(n) < 0.3] = 0
-        odd = rng.random(n) < 0.5
-        parts = [part for v in rows for part in (np.where(odd, 0, v), np.where(odd, v, 0))
-                 if np.any(part)]
-        want = rref(field, np.array(parts).reshape(-1, n))
-        span = graded_span(field, rows, odd)
-        assert np.array_equal(span.basis, want[0][: len(want[1])])
-        assert not np.any(np.any(span.basis * odd, axis=1) & np.any(span.basis * ~odd, axis=1))
+    for n in (1, 4, 6, 9):
+        for _ in range(4):
+            odd = rng.random(n) < 0.5
+            same = odd[:, None] == odd[None, :]
+            # a product through a few kept columns has a proper kernel
+            keep = rng.random(n) < 0.5
+            even_op = field.matmul(field.rand(rng, (n, n)) * same * keep,
+                                   field.rand(rng, (n, n)) * same)
+            odd_op = field.matmul(field.rand(rng, (n, n)) * same * keep,
+                                  field.rand(rng, (n, n)) * ~same)
+            sides = np.where(rng.random((n // 2 + 1, 1)) < 0.5, odd, ~odd)
+            span = Echelon(field, n, field.rand(rng, sides.shape) * sides).basis
+            for m in (even_op, odd_op, span):
+                null = nullspace(field, m)
+                assert null.shape[0] == n - rank(field, m)
+                assert not np.any(field.matmul(m, null.T))
+                assert not np.any(np.any(null * odd, axis=1) & np.any(null * ~odd, axis=1))
 
 
 @pytest.mark.parametrize("F", [F3, F5, F9, F27, Field(3, 7)],

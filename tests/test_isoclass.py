@@ -3,6 +3,7 @@ certificate that lets a piece inherit a certified factor's class, gives the
 class's endomorphism data, and lets the Meataxe decide modules that are not
 absolutely irreducible from their even commutant."""
 
+import glob
 import os
 from collections import Counter
 from functools import lru_cache
@@ -25,6 +26,7 @@ from superkw.gflin import (
     rank,
 )
 from superkw.lsafile import parse_lsa_path
+from superkw.report import conjecture_report
 from superkw.modules import (
     SuperModule,
     composition_factors,
@@ -555,3 +557,33 @@ def test_meataxe_only_sees_pieces_no_known_class_maps_into(monkeypatch, name, ch
     for M, known in seen:
         for K in known:
             assert kronecker_hom_dims(K.module, M) == (0, 0), (chi, M.superdim)
+
+
+def test_transpose_branch_returns_a_submodule(monkeypatch):
+    # the annihilator of a proper transpose spin is returned as it is, not
+    # spun: wherever that branch decides a piece in `conjecture` on the
+    # shipped files, it is a proper submodule already.  A result that no
+    # spin in M returned is the branch's
+    fired, spun = [], []
+    spin, meataxe = modules.spin, modules._find_proper_submodule
+
+    def spin_spy(M, v):
+        spun.append(spin(M, v))
+        return spun[-1]
+
+    def spy(M, seed):
+        spun.clear()
+        out = meataxe(M, seed)
+        if isinstance(out, Echelon) and all(out is not W for W in spun):
+            fired.append((M, out))
+        return out
+
+    monkeypatch.setattr(modules, "spin", spin_spy)
+    monkeypatch.setattr(modules, "_find_proper_submodule", spy)
+    for path in sorted(glob.glob(os.path.join(ALGEBRAS, "*.lsa"))):
+        conjecture_report(parse_lsa_path(path), seed=0)
+    assert fired
+    for M, W in fired:
+        assert 0 < W.dim < M.dim
+        assert np.array_equal(modules.spin_many(M, W.basis).basis, W.basis)
+        assert modules.validate_module(submodule_module(M, W)) == []

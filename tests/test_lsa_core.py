@@ -209,7 +209,7 @@ def test_center_sl2_zero(sl2_p5):
 
 
 def _closure(g, vecs):
-    return restricted_closure(g, Subspace.from_vectors(g.field, g.s_even, g.n, vecs))
+    return restricted_closure(g, Subspace(g.field, g.s_even, g.n, vecs))
 
 
 def test_closure_single_odd(gl11):
@@ -242,10 +242,10 @@ def test_centralizer_p_closed_probe(gl11):
 
 def test_ideal_and_p_closed(gl11):
     g = gl11.algebra
-    S = Subspace.from_vectors(F3, 2, 4, [vec(1, 1, 0, 0), vec(0, 0, 1, 0)])
+    S = Subspace(F3, 2, 4, [vec(1, 1, 0, 0), vec(0, 0, 1, 0)])
     assert is_ideal(g, S)
     assert is_p_closed(g, S)
-    T = Subspace.from_vectors(F3, 2, 4, [vec(0, 0, 1, 0)])
+    T = Subspace(F3, 2, 4, [vec(0, 0, 1, 0)])
     assert not is_ideal(g, T)
 
 
@@ -334,7 +334,7 @@ def test_quotient_is_lie(gl11):
     from superkw.lsa import quotient_by_ideal
 
     g = gl11.algebra
-    z = Subspace.from_vectors(F3, 2, 4, [vec(1, 1, 0, 0)])
+    z = Subspace(F3, 2, 4, [vec(1, 1, 0, 0)])
     q, keep = quotient_by_ideal(g, z)
     assert q.n == 3
     # quotient of a solvable algebra is solvable

@@ -17,7 +17,7 @@ from superkw.lsafile import parse_lsa_path
 from superkw.modules import FactorRecord, composition_factors
 from superkw.report import oracle_composition
 
-from conftest import composition_factor_modules, pair_algebra
+from conftest import pair_algebra
 
 ALGEBRAS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "algebras")
 
@@ -136,21 +136,31 @@ def test_purely_odd_algebra(monkeypatch):
 
 
 def test_meataxe_failure_names_chi_and_superdim(monkeypatch):
-    # with no factor of any polynomial found, no theta can certify a simple
-    # module of dimension > 1, and the Meataxe gives up on it
+    # with no singular even element found, only the a = 0 last resort is
+    # left, which certifies a piece only when each of its parity sides is as
+    # large as its even commutant; on the first piece of the oracle at
+    # (1, 1) that is not so, and the Meataxe gives up on it
     g = _algebra("gl1_1_p3")
-    M = regular_module(ReducedAlgebra(g, np.array([1, 1]))).module
-    S = next(fac for fac in composition_factor_modules(M, 0) if fac.dim > 1)
-    monkeypatch.setattr(modules, "irreducible_factors", lambda f, m, rng: iter(()))
+    pieces = []
+    meataxe = modules._find_proper_submodule
+
+    def spy(M, seed):
+        pieces.append(M)
+        return meataxe(M, seed)
+
+    monkeypatch.setattr(modules, "_find_singular_even", lambda M, rng: None)
+    monkeypatch.setattr(modules, "_find_proper_submodule", spy)
     with pytest.raises(modules.MeataxeFailure) as exc:
-        modules._find_proper_submodule(S, 0)
+        oracle_composition(g, np.array([1, 1]), 0, 4000)
+    S = pieces[-1]
+    assert S.dim > 1
     msg = str(exc.value)
     assert f"superdimension {S.superdim}" in msg
     assert "chi = [1, 1]" in msg
 
 
 def test_meataxe_failure_message_from_cli(monkeypatch, capsys):
-    monkeypatch.setattr(modules, "irreducible_factors", lambda f, m, rng: iter(()))
+    monkeypatch.setattr(modules, "_find_singular_even", lambda M, rng: None)
     code = main(["conjecture", os.path.join(ALGEBRAS, "gl1_1_p3.lsa")])
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err

@@ -223,7 +223,7 @@ def test_induce_dimension_formula(gl11, solv2_p5):
     # 2-dim solvable, h = span{x}, chi(x) = 1, 1-dim base: dim p
     g2 = solv2_p5.algebra
     chi2 = vec(0, 1)
-    S2space = Subspace.from_vectors(F5, 2, 2, [vec(0, 1)])
+    S2space = Subspace(F5, 2, 2, [vec(0, 1)])
     sub2 = as_subalgebra(g2, S2space)
     lam2 = np.array([1], dtype=np.int64)  # lambda(x)^5 = chi(x)^5
     S2 = character_module(sub2, restrict_chi(chi2, sub2), lam2)
@@ -239,7 +239,7 @@ def test_induce_rejects_non_p_closed(gl11):
     # subspace:  span{e} is p-closed trivially, so take span{h1 - h2, e}?
     # h1 - h2 has (h1-h2)^[3] = h1 - h2 inside, so instead drop the pmap by
     # presenting a non-restricted subalgebra artificially
-    S = Subspace.from_vectors(F3, 2, 4, [vec(0, 0, 1, 0)])
+    S = Subspace(F3, 2, 4, [vec(0, 0, 1, 0)])
     sub = as_subalgebra(g, S)
     object.__setattr__(sub, "alg", pair_algebra(F3, ["e"], [1], []))  # no pmap
     chi = vec(0, 0)

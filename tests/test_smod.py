@@ -172,7 +172,7 @@ def test_clifford_graded_vs_ungraded(oddheis_p3):
     # exists over GF(3); the module is still graded-irreducible
     g = oddheis_p3.algebra
     chi = vec(2)
-    S_space = Subspace.from_vectors(F3, 1, 2, [vec(1, 0)])
+    S_space = Subspace(F3, 1, 2, [vec(1, 0)])
     sub = as_subalgebra(g, S_space)
     lam = solve_weight_equations(sub.alg, restrict_chi(chi, sub))[0]
     ind = induce(g, chi, sub, character_module(sub, restrict_chi(chi, sub), lam))
@@ -494,7 +494,7 @@ def test_v_i_chi_zero_ideal(gl11):
 def test_v_i_chi_single_line(solv2_p5):
     g = solv2_p5.algebra
     chi = vec(0, 1)
-    I = Subspace.from_vectors(F5, 2, 2, [vec(0, 1)])
+    I = Subspace(F5, 2, 2, [vec(0, 1)])
     sub = as_subalgebra(g, I)
     lam = np.array([1], dtype=np.int64)
     S = character_module(sub, restrict_chi(chi, sub), lam)
@@ -506,7 +506,7 @@ def test_v_i_chi_single_line(solv2_p5):
 def test_v_i_chi_empty_when_no_eigenvector(solv2_p5):
     g = solv2_p5.algebra
     chi = vec(0, 1)
-    I = Subspace.from_vectors(F5, 2, 2, [vec(0, 1)])
+    I = Subspace(F5, 2, 2, [vec(0, 1)])
     sub = as_subalgebra(g, I)
     S = character_module(sub, restrict_chi(chi, sub), np.array([1], dtype=np.int64))
     ind = induce(g, chi, sub, S)
@@ -522,7 +522,7 @@ def test_restriction_of_factor_is_irreducible_over_stabilizer(solv2_p5):
     chi = vec(0, 1)
     reg = regular_module(ReducedAlgebra(g, chi))
     factor = composition_factor_modules(reg.module, 0)[0]
-    I = Subspace.from_vectors(F5, 2, 2, [vec(0, 1)])
+    I = Subspace(F5, 2, 2, [vec(0, 1)])
     stab = _mu_stabilizer(g, I, chi_value(g, chi, I.basis))
     sub = as_subalgebra(g, stab)
     W = v_i_chi(factor, I, chi)
@@ -563,7 +563,7 @@ def _induced_from_ideal(g, chi, I):
 def test_degree_reduction_2dim_solvable(solv2_p5):
     g = solv2_p5.algebra
     chi = vec(0, 1)
-    I = Subspace.from_vectors(F5, 2, 2, [vec(0, 1)])
+    I = Subspace(F5, 2, 2, [vec(0, 1)])
     ind = _induced_from_ideal(g, chi, I)
     assert ind is not None and ind.module.dim == 5
     ok, checked = degree_reduction_check(g, chi, ind, I)
@@ -575,7 +575,7 @@ def test_degree_reduction_trivial_case(solv2_p5):
     # checker must count it as vacuously consistent
     g = solv2_p5.algebra
     chi = vec(0, 1)
-    I = Subspace.from_vectors(F5, 2, 2, [vec(0, 1)])
+    I = Subspace(F5, 2, 2, [vec(0, 1)])
     ind = _induced_from_ideal(g, chi, I)
     ok, _ = degree_reduction_check(g, chi, ind, I)
     assert ok
@@ -590,7 +590,7 @@ def test_degree_reduction_odd_cobasis():
     g = pair_algebra(F3, ["z", "y1", "y2", "y3", "y4"], [0, 1, 1, 1, 1],
                      [(1, 3, z), (2, 4, z)], [[0, 0, 0, 0, 0]])
     chi = vec(1)
-    I = Subspace.from_vectors(F3, 1, 5, [z, vec(0, 0, 0, 1, 0), vec(0, 0, 0, 0, 1)])
+    I = Subspace(F3, 1, 5, [z, vec(0, 0, 0, 1, 0), vec(0, 0, 0, 0, 1)])
     ind = _induced_from_ideal(g, chi, I)
     assert (ind.c0, ind.c1, ind.module.dim) == (0, 2, 4)
     assert validate_module(ind.module) == []
@@ -605,7 +605,7 @@ def test_degree_reduction_two_even_cobasis_letters():
     g = pair_algebra(F3, ["z", "x1", "y1", "x2", "y2"], [0, 0, 0, 0, 0],
                      [(1, 2, z), (3, 4, z)], np.zeros((5, 5), dtype=np.int64))
     chi = vec(1, 0, 0, 0, 0)
-    I = Subspace.from_vectors(F3, 5, 5, [z, vec(0, 0, 1, 0, 0), vec(0, 0, 0, 0, 1)])
+    I = Subspace(F3, 5, 5, [z, vec(0, 0, 1, 0, 0), vec(0, 0, 0, 0, 1)])
     ind = _induced_from_ideal(g, chi, I)
     assert (ind.c0, ind.c1, ind.module.dim) == (2, 0, 9)
     assert validate_module(ind.module) == []
@@ -620,7 +620,7 @@ def test_degree_reduction_mixed_cobasis():
     g = pair_algebra(F3, ["z", "x", "y", "u", "v"], [0, 0, 0, 1, 1],
                      [(1, 2, z), (3, 4, z)], np.zeros((3, 5), dtype=np.int64))
     chi = vec(1, 0, 0)
-    I = Subspace.from_vectors(F3, 3, 5, [z, vec(0, 0, 1, 0, 0), vec(0, 0, 0, 0, 1)])
+    I = Subspace(F3, 3, 5, [z, vec(0, 0, 1, 0, 0), vec(0, 0, 0, 0, 1)])
     ind = _induced_from_ideal(g, chi, I)
     assert (ind.c0, ind.c1, ind.module.dim) == (1, 1, 6)
     assert validate_module(ind.module) == []
@@ -630,7 +630,7 @@ def test_degree_reduction_mixed_cobasis():
 def test_induced_exponents_match_index(solv2_p5, gl11):
     # the exponent arrays and the strides describe the same layout as index
     ind = _induced_from_ideal(solv2_p5.algebra, vec(0, 1),
-                              Subspace.from_vectors(F5, 2, 2, [vec(0, 1)]))
+                              Subspace(F5, 2, 2, [vec(0, 1)]))
     bv = baby_verma(gl11.algebra, gl11.triangular, vec(0, 0), vec(0, 0))
     for m in (ind, bv):
         alpha, gamma, b = m.exponents()
