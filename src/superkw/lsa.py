@@ -446,6 +446,31 @@ def centralizer_of(g: LieSuperAlgebra, S: Subspace) -> Subspace:
     return Subspace(g.field, g.s_even, g.n, nullspace(g.field, m))
 
 
+def kac_odd_space(g: LieSuperAlgebra) -> Subspace:
+    """An odd subspace V of g with [g0, V] in V and [V, V] = 0, read off the
+    bracket table, so that g0 + V is a subalgebra: of the eigenspaces of
+    ad z on the odd part, z a basis vector of the centre of g0 and the
+    eigenvalue in the working field, the first of largest dimension that
+    brackets to zero with itself; the zero space when there is none.  As
+    z is central in g0, ad z commutes with ad x for x in g0, so each of its
+    eigenspaces is g0-stable.  For gl(m|n) and sl(m|n) this is one of the
+    two odd blocks of the Z-grading g_-1 + g0 + g_1.  The search tries
+    every field element as an eigenvalue, and draws nothing at random."""
+    f, s, t = g.field, g.s_even, g.t_odd
+    even = Subspace(f, s, g.n, f.eye(g.n)[:s])
+    best = g.zero_space()
+    for z in centralizer_of(g, even).even_rows():
+        ad = g.ad_matrix(z)[s:, s:]
+        for lam in range(f.q):
+            rows = nullspace(f, f.sub_arr(ad, f.mul_arr(lam, f.eye(t))))
+            if rows.shape[0] <= best.dim:
+                continue
+            V = Subspace(f, s, g.n, np.hstack([np.zeros((len(rows), s), dtype=np.int64), rows]))
+            if not np.any(g.bracket(V.basis[:, None], V.basis)):
+                best = V
+    return best
+
+
 def intersect_spaces(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient != b.ambient:
         raise LsaError("ambient dimension mismatch")

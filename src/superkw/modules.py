@@ -16,6 +16,7 @@ parity-homogeneous echelon basis, and so has every null space computed here
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Tuple
@@ -218,7 +219,10 @@ def _poly_at_matrix(f: Field, coeffs, A: np.ndarray) -> np.ndarray:
 def _random_even_recipe(M: SuperModule, rng: np.random.Generator) -> tuple:
     """A random parity-even element of the acting algebra (with identity
     term), as its recipe (scalar, ((word, coefficient), ...)): the element
-    is scalar + sum of coefficient * product of the word's generators."""
+    is scalar + sum of coefficient * product of the word's generators.
+    There are 1-3 words of 1-3 letters each, drawn uniformly; a word of odd
+    parity gets one more odd letter, drawn uniformly, so that every word
+    drawn is kept and is even."""
     f = M.alg.field
     g = M.alg
     scalar = int(f.rand(rng))
@@ -227,7 +231,7 @@ def _random_even_recipe(M: SuperModule, rng: np.random.Generator) -> tuple:
         length = int(rng.integers(1, 4))
         word = tuple(int(rng.integers(0, g.n)) for _ in range(length))
         if sum(int(g.parities[i]) for i in word) % 2 != 0:
-            continue
+            word += (g.s_even + int(rng.integers(0, g.t_odd)),)
         terms.append((word, int(f.rand(rng))))
     return scalar, tuple(terms)
 
@@ -251,11 +255,11 @@ def _even_part_scalar(M: SuperModule) -> bool:
     """Every even generator and every product of two odd generators acts by
     a scalar.  Then so does every even element of the acting algebra: in an
     even word the even letters are scalars and the odd ones pair up."""
-    f = M.alg.field
-    par = M.alg.parities
-    even = [M.action[i] for i in range(M.alg.n) if par[i] == 0]
-    odd = [M.action[i] for i in range(M.alg.n) if par[i] == 1]
-    mats = even + [f.matmul(x, y) for x in odd for y in odd]
+    f, s = M.alg.field, M.alg.s_even
+    odd = M.action[s:]
+    # one matrix at a time, even generators first, so that the first one
+    # that is not a scalar ends the test before any later product is formed
+    mats = itertools.chain(M.action[:s], (f.matmul(x, y) for x in odd for y in odd))
     eye = np.eye(M.dim, dtype=np.int64)
     return all(np.array_equal(A, A[0, 0] * eye) for A in mats)
 

@@ -14,6 +14,7 @@ import json
 import os
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -30,9 +31,10 @@ from .chargeom import (
     restrict_chi,
 )
 from .env import ReducedAlgebra, induce, regular_module
-from .lsa import LieSuperAlgebra, Subspace, as_subalgebra
+from .lsa import LieSuperAlgebra, Subspace, as_subalgebra, kac_odd_space
 from .modules import (
     CompositionReport,
+    SuperModule,
     composition_factors,
     composition_series,
     derived_seed,
@@ -118,16 +120,31 @@ class OracleCache:
 def oracle_composition(g: LieSuperAlgebra, chi, seed: int, budget: int) -> CompositionReport:
     """Composition factors of the regular module of U_chi(g), in two levels.
 
-    U_chi(g) is free over U_chi(g0), g0 the even part, so the regular module
-    is induced from the regular module of U_chi(g0), and induction is exact:
-    [Reg g : S] = sum over S0 of [Reg g0 : S0] [Ind S0 : S].  The factors of
-    Reg g0 are found once, each class is induced once, and the factors of
-    its induced module count with the class's multiplicity.  g0 is purely
-    even, so every S0 is even and Ind S0 carries the grading of the regular
-    module: superdimensions and endomorphism degrees come out exactly.  The
-    induced modules share one list of classes, so a factor that an earlier
-    one found is recognised without the Meataxe.  When g0 = g or g0 = 0
-    there is nothing to gain: the regular module is decomposed itself."""
+    The factors of the regular module of U_chi(g0), g0 the even part, are
+    found once.  Each of their classes S0 is then induced once, through
+    p = g0 + V for an odd, g0-stable V with [V, V] = 0 (`kac_odd_space`;
+    V = 0 where there is none, and p = g0):
+
+    - U_chi(g) is free over U_chi(p), so induction from p is exact.  The
+      regular module of U_chi(p) has layers Lambda^k(V) (x) U_chi(g0), and
+      by the tensor identity each is a sum of copies of the regular module
+      of g0, parity-shifted for odd k.  Each S0, inflated to p with V
+      acting by 0, thus appears 2^(dim V - 1) times as itself and as many
+      times parity-shifted, and
+      [Reg g : S] = sum over S0 of [Reg g0 : S0] 2^(dim V - 1)
+      ([K(S0) : S] + [Pi K(S0) : S]), for the Kac module
+      K(S0) = U_chi(g) (x) over U_chi(p) of S0, of dimension
+      2^(t - dim V) dim S0.  Pi K(S0) has the factors of K(S0) with their
+      superdimensions reversed, so only K(S0) is decomposed.
+    - With V = 0 the formula reads [Reg g : S] = sum over S0 of
+      [Reg g0 : S0] [Ind S0 : S], induction from g0 itself.
+
+    g0 is purely even, so every S0 is even and K(S0) carries the grading
+    of the regular module: superdimensions and endomorphism degrees come
+    out exactly.  The induced modules share one list of classes, so a
+    factor that an earlier one found is recognised without the Meataxe.
+    When g0 = g or g0 = 0 there is nothing to gain: the regular module is
+    decomposed itself."""
     chi = check_chi(g, chi)
     if g.t_odd == 0 or g.s_even == 0:
         return composition_factors(regular_module(ReducedAlgebra(g, chi), budget).module, seed)
@@ -136,11 +153,22 @@ def oracle_composition(g: LieSuperAlgebra, chi, seed: int, budget: int) -> Compo
     reg0 = regular_module(ReducedAlgebra(h.alg, restrict_chi(chi, h)), budget).module
     # each class of g0 with its multiplicity, in the order found
     multiplicity = Counter(K for K, _ in composition_series(reg0, seed))
+    V = kac_odd_space(g)
+    p = as_subalgebra(g, h.space.sum_with(V))
     known = []
     records = []
     for index, (K, mult) in enumerate(multiplicity.items()):
-        ind = induce(g, chi, h, K.module, budget).module
-        records += composition_factors(ind, derived_seed(seed, index), known).factors * mult
+        S0 = K.module
+        # inflated to p, whose even rows are g0's: g0 acts through S0, V by 0
+        zero = np.zeros((V.dim, S0.dim, S0.dim), dtype=S0.action.dtype)
+        base = SuperModule(alg=p.alg, chi=S0.chi, parities=S0.parities,
+                           action=np.concatenate([S0.action, zero]))
+        ind = induce(g, chi, p, base, budget).module
+        found = composition_factors(ind, derived_seed(seed, index), known).factors
+        if V.dim:
+            found += [replace(r, superdim=r.superdim[::-1]) for r in found]
+            mult <<= V.dim - 1
+        records += found * mult
     return CompositionReport(sorted(records))
 
 

@@ -838,6 +838,27 @@ def reference_induce(g, chi, h, S):
     return SuperModule(alg=g, chi=np.asarray(chi, dtype=np.int64), parities=parities, action=action)
 
 
+def reference_oracle_composition(g, chi, seed, budget):
+    """The two-level oracle without Kac modules: each class S0 of the
+    regular module of U_chi(g0) is induced from g0 itself, over all of the
+    odd part, and the factors of Ind S0 count [Reg g0 : S0] times.  A
+    reference for `report.oracle_composition` when g0 != g and g0 != 0."""
+    from collections import Counter
+
+    from superkw.env import ReducedAlgebra, induce, regular_module
+    from superkw.modules import CompositionReport, composition_factors, derived_seed
+
+    f, s = g.field, g.s_even
+    h = as_subalgebra(g, Subspace(f, s, g.n, f.eye(g.n)[:s]))
+    reg0 = regular_module(ReducedAlgebra(h.alg, restrict_chi(chi, h)), budget).module
+    multiplicity = Counter(K for K, _ in composition_series(reg0, seed))
+    known, records = [], []
+    for index, (K, mult) in enumerate(multiplicity.items()):
+        ind = induce(g, chi, h, K.module, budget).module
+        records += composition_factors(ind, derived_seed(seed, index), known).factors * mult
+    return CompositionReport(sorted(records))
+
+
 def reference_chi_geometry(g, chi):
     """The geometry from the whole Gram matrix: one kernel of G^T for the
     centralizer and a rank per block.  A reference for

@@ -1,5 +1,6 @@
 """The two-level oracle: the composition factors of the regular module of
-U_chi(g) from those of U_chi(g0), each class induced once."""
+U_chi(g) from those of U_chi(g0), each class induced once, through
+g0 + V for the odd space V that `lsa.kac_odd_space` finds."""
 
 import os
 import re
@@ -10,20 +11,29 @@ import numpy as np
 import pytest
 
 from superkw import env, modules, report
+from superkw.classical import catalog
 from superkw.cli import main
 from superkw.env import ReducedAlgebra, regular_module
 from superkw.gflin import Field
+from superkw.lsa import kac_odd_space
 from superkw.lsafile import parse_lsa_path
 from superkw.modules import FactorRecord, composition_factors
 from superkw.report import oracle_composition
 
-from conftest import pair_algebra
+from conftest import pair_algebra, reference_oracle_composition
 
 ALGEBRAS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "algebras")
 
 
+# catalog algebras that are not in algebras/, by name
+CATALOG = {"gl(1|1) GF(9)": ("gl(1|1)", 3, 2), "sl(2|1)": ("sl(2|1)", 3, 1),
+           "gl(2|1)": ("gl(2|1)", 3, 1)}
+
+
 @lru_cache(maxsize=None)
 def _algebra(name):
+    if name in CATALOG:
+        return catalog(*CATALOG[name]).algebra
     return parse_lsa_path(os.path.join(ALGEBRAS, f"{name}.lsa")).algebra
 
 
@@ -41,6 +51,59 @@ def test_two_level_matches_regular_module(name, chi):
     chi = np.array(chi, dtype=np.int64)
     ref = composition_factors(regular_module(ReducedAlgebra(g, chi)).module, 0)
     assert oracle_composition(g, chi, 0, 4000).factors == ref.factors
+
+
+@pytest.mark.parametrize(
+    "name,chi",
+    _characters("gl1_1_p3") + [
+        pytest.param("gl(1|1) GF(9)", (0, 1), id="gl11-gf9-01"),
+        pytest.param("sl(2|1)", (0, 0, 0, 0), id="sl21-0000"),
+        pytest.param("sl(2|1)", (0, 1, 0, 0), id="sl21-0100"),
+        pytest.param("gl(2|1)", (0, 1, 0, 0, 1), id="gl21-01001"),
+        pytest.param("gl(2|1)", (1, 0, 0, 1, 1), id="gl21-10011")])
+def test_kac_path_matches_induction_from_g0(name, chi):
+    # the same sorted records as inducing each class from g0 over all of
+    # the odd part.  A count that drops the parity-shifted half misses half
+    # the regular module, and so does one that drops the 2^(dim V - 1)
+    # weight where dim V = 2 (sl(2|1), gl(2|1)); at chi = 0 the factors
+    # (a|b) with a != b tell K(S0) from its parity shift
+    g = _algebra(name)
+    assert kac_odd_space(g).dim > 0
+    chi = np.array(chi, dtype=np.int64)
+    ref = reference_oracle_composition(g, chi, 0, 4000)
+    assert sum(ref.dims) == g.field.p**g.s_even * 2**g.t_odd
+    assert oracle_composition(g, chi, 0, 4000).factors == ref.factors
+
+
+@pytest.mark.parametrize("name,dim_v", [("gl1_1_p3", 1), ("sl(2|1)", 2), ("gl(2|1)", 2),
+                                        ("gl(1|1) GF(9)", 1), ("osp1_2_p3", 0),
+                                        ("oddheis_p3", 0), ("heis_p3", 0)])
+def test_kac_odd_space_is_odd_g0_stable_and_abelian(name, dim_v):
+    g = _algebra(name)
+    f, s, n = g.field, g.s_even, g.n
+    V = kac_odd_space(g)
+    assert V.superdim == (0, dim_v)
+    assert not np.any(V.basis[:, :s])
+    assert V.contains(g.bracket(f.eye(n)[:s, None], V.basis).reshape(-1, n))
+    assert not np.any(g.bracket(V.basis[:, None], V.basis))
+
+
+def test_kac_path_induces_the_smaller_module(monkeypatch):
+    # on gl(2|1) each class S0 of g0 is induced once, to 2^(4 - 2) dim S0
+    # dimensions, not 2^4 dim S0
+    g = _algebra("gl(2|1)")
+    sizes = []
+    orig = report.induce
+
+    def spy(g, chi, h, S, budget):
+        out = orig(g, chi, h, S, budget)
+        sizes.append((S.dim, out.module.dim))
+        return out
+
+    monkeypatch.setattr(report, "induce", spy)
+    rep = oracle_composition(g, np.array([0, 1, 0, 0, 1]), 0, 4000)
+    assert sizes and all(d == 4 * d0 for d0, d in sizes)
+    assert sum(rep.dims) == 3**5 * 2**4
 
 
 def test_two_level_weights_by_multiplicity(monkeypatch):

@@ -371,6 +371,32 @@ def test_scalar_even_part_skips_singular_search(gl11, monkeypatch):
     assert calls == []
 
 
+def test_scalar_even_part_test_stops_at_the_first_nonscalar(gl11, monkeypatch):
+    # the test reads one matrix at a time, even generators first: on the
+    # regular module of gl(1|1) at chi = 0 the first even generator is not
+    # a scalar, so no product of odd generators is formed.  On a sum of two
+    # trivial modules every matrix is a scalar, so all 2 x 2 products are
+    from superkw import modules
+
+    products = []
+    orig = Field.matmul
+
+    def counting(self, a, b):
+        products.append(1)
+        return orig(self, a, b)
+
+    M = regular_module(ReducedAlgebra(gl11.algebra, vec(0, 0))).module
+    A = M.action[0]
+    assert not np.array_equal(A, A[0, 0] * np.eye(M.dim, dtype=A.dtype))
+    trivial = SuperModule(alg=gl11.algebra, chi=vec(0, 0), parities=vec(0),
+                          action=np.zeros((4, 1, 1), dtype=np.int64))
+    monkeypatch.setattr(Field, "matmul", counting)
+    assert not modules._even_part_scalar(M)
+    assert products == []
+    assert modules._even_part_scalar(direct_sum(trivial, trivial))
+    assert len(products) == 4
+
+
 def test_endomorphism_dims_exact_on_125_dim_simple_module():
     # the baby Verma of sl(3) at p = 5 for the regular nilpotent character
     # E21* + E32* and weight 0 is simple and absolutely irreducible; the
