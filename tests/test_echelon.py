@@ -119,8 +119,32 @@ GOLDEN = {
 }
 
 
+# The same at seed 1, which samples other characters than seed 0 on sl2_p5
+# and osp1_2_p3k2.  Recorded before the torus scalings joined the restricted
+# automorphisms: the oracle runs at fewer representatives since, and these
+# must hold.
+GOLDEN_SEED1 = {
+    "oddheis_p3": "ffe15b77ddf2cb5ed8aa48424f44b96db4b3aee2fae66b40d2e39452d10ecb5b",
+    "gl1_1_p3": "c64eac1f2603252e321ccd018cb6e54547f03ccd1d4223acf9bae7ce71554d48",
+    "heis_p3": "4b9d61b7a6aaa2a39ce709dda8313a1a2b897533659f0738831af5619566049d",
+    "solv2_p5": "e27f1c72a3922539df44a4e4fbaedbf1ce4912f77fc35eb4846fa7360945a471",
+    "osp1_2_p3": "b0f11fd774b35246b149ac6f15b3b6d9a96d61a16c7e4c6deb7fc73611bb4950",
+    "sl2_p5": "4ff1cb89e7ebb24156693ff78345aaa8a5a121c3f932a52f893cd35c4e699af6",
+    "osp1_2_p3k2": "fd9d206883d6f55db40639a5fc812b5007030dbdf8bdccfa4f0493eccb2165bc",
+}
+
+
+def _digest(name, seed):
+    af = parse_lsa_path(os.path.join(ALGEBRAS, f"{name}.lsa"))
+    text = render_report(conjecture_report(af, seed=seed))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_bytes_unchanged(name):
-    af = parse_lsa_path(os.path.join(ALGEBRAS, f"{name}.lsa"))
-    text = render_report(conjecture_report(af, seed=0))
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
+    assert _digest(name, 0) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SEED1))
+def test_seed1_report_bytes_unchanged(name):
+    assert _digest(name, 1) == GOLDEN_SEED1[name]
