@@ -13,7 +13,8 @@ characters in one product and their ranks in one batched elimination
 (`gflin.ranks`).  `characters` is the one enumeration of the character
 space, in blocks or one at a time, shared by the maximal-dimension scan and
 the report's oracle scan, and `character_classes` groups scanned characters
-under the restricted automorphisms that `lsa.restricted_automorphisms` finds.
+under the restricted automorphisms that `lsa.restricted_automorphisms` finds:
+the exponentials exp(t ad x) and the torus scalings e_i -> c_i e_i.
 
 Floor/ceiling convention: everything here uses the standard meaning.  With
 b0 = rank of the even Gram block and b1 = rank of the odd block, the
@@ -235,9 +236,12 @@ def character_classes(g: LieSuperAlgebra, chis) -> List[int]:
     every answer about U_chi(g) is constant on a class.  The classes are
     those of a union-find over `chis` alone: chi is joined to chi o phi =
     chi . Phi0 (Phi0 the even block of phi) for each generator phi of
-    `lsa.restricted_automorphisms`, when both are in `chis`.  On the whole
-    character space these are the orbits of the group the generators make;
-    on a sample every class still lies in one orbit."""
+    `lsa.restricted_automorphisms`, an exponential or a torus scaling, when
+    both are in `chis`.  On the whole character space these are the orbits
+    of the group the generators make; on a sample every class still lies in
+    one orbit.  More generators only merge classes, and a class keeps its
+    first character, so each representative is one that the exponentials
+    alone would pick."""
     f, s = g.field, g.s_even
     parent = list(range(len(chis)))
 

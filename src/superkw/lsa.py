@@ -530,11 +530,93 @@ def is_restricted_automorphism(g: LieSuperAlgebra, phi: np.ndarray) -> bool:
     return bool(np.array_equal(f.matmul(g.pmap, images), g.p_power(images[:s])))
 
 
+def _multiplicative_generator(f: Field) -> int:
+    """The smallest code of order q - 1 in GF(q)*."""
+    m = f.q - 1
+    primes, rest, r = [], m, 2
+    while r * r <= rest:
+        if rest % r == 0:
+            primes.append(r)
+            while rest % r == 0:
+                rest //= r
+        r += 1
+    if rest > 1:
+        primes.append(rest)
+    return next(w for w in range(1, f.q) if all(f.pow(w, m // r) != 1 for r in primes))
+
+
+def _kernel_mod(rows, n: int, m: int) -> List[List[int]]:
+    """Generators of the group {a in (Z/m)^n : rows . a = 0 mod m}, for
+    integer rows of length n.
+
+    Unimodular row and column operations, entries kept mod m, bring the
+    rows to a diagonal D = U rows V (Smith's elimination; the kernel needs
+    no divisibility chain between the d_t).  With a = V b the system is
+    d_t b_t = 0 mod m, whose solutions b_t are the multiples of m / gcd(d_t,
+    m), with d_t = 0 past the last pivot.  Each nonzero step times a column
+    of V is a generator."""
+    A = [[int(x) % m for x in row] for row in rows]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = []
+    while len(d) < min(len(A), n):
+        t = len(d)
+        entries = [(A[r][c], r, c) for r in range(t, len(A)) for c in range(t, n) if A[r][c]]
+        if not entries:
+            break
+        _, r, c = min(entries)
+        A[t], A[r] = A[r], A[t]
+        for row in A + V:
+            row[t], row[c] = row[c], row[t]
+        done = True
+        for r in range(t + 1, len(A)):
+            k = A[r][t] // A[t][t]
+            A[r] = [(x - k * y) % m for x, y in zip(A[r], A[t])]
+            done = done and not A[r][t]
+        for c in range(t + 1, n):
+            k = A[t][c] // A[t][t]
+            for row in A + V:
+                row[c] = (row[c] - k * row[t]) % m
+            done = done and not A[t][c]
+        if done:
+            d.append(A[t][t])
+    d += [0] * (n - len(d))
+    steps = [m // math.gcd(dt, m) for dt in d]
+    return [[step * V[i][t] % m for i in range(n)] for t, step in enumerate(steps) if step < m]
+
+
+def _diagonal_automorphisms(g: LieSuperAlgebra) -> List[np.ndarray]:
+    """Generators of the group of diagonal restricted automorphisms e_i ->
+    c_i e_i.  Such a map keeps the bracket exactly when c_k = c_i c_j for
+    each [e_i, e_j] with an e_k term, and the p-map exactly when c_k = c_i^p
+    for each e_i^[p] with an e_k term ((c x)^[p] = c^p x^[p]).  With c_i =
+    w^(a_i), w a generator of GF(q)*, that is one linear system on a over
+    Z/(q - 1), solved by `_kernel_mod`."""
+    f, n = g.field, g.n
+
+    def equation(k, *rest):
+        # a_k minus the a_i of `rest`, each as often as it occurs
+        row = [0] * n
+        row[k] += 1
+        for i in rest:
+            row[i] -= 1
+        return tuple(row)
+
+    system = {equation(k, i, j) for i, j, k in zip(*np.nonzero(g.structure))}
+    system |= {equation(k, *[i] * f.p) for i, k in zip(*np.nonzero(g.pmap))}
+    w = _multiplicative_generator(f)
+    return [np.diag([f.pow(w, e) for e in a]).astype(np.int64)
+            for a in _kernel_mod(sorted(system), n, f.q - 1)]
+
+
 def restricted_automorphisms(g: LieSuperAlgebra) -> np.ndarray:
-    """Generators exp(t ad x) = sum over k < p of (t ad x)^k / k!, for each
-    even basis vector x with ad x nonzero and (ad x)^p = 0 and each t in
-    GF(q)*, that pass `is_restricted_automorphism`; a stack (count, n, n) in
-    that order.  An algebra without a p-map has none."""
+    """Generators of restricted automorphisms, as a stack (count, n, n):
+    first exp(t ad x) = sum over k < p of (t ad x)^k / k!, for each even
+    basis vector x with ad x nonzero and (ad x)^p = 0 and each t in GF(q)*,
+    in that order; then generators of the group of diagonal automorphisms
+    e_i -> c_i e_i in the algebra's basis (the torus scalings, read off one
+    diagonal form of their linear system by `_diagonal_automorphisms`).
+    Each generator is kept only if it passes `is_restricted_automorphism`.
+    An algebra without a p-map has none."""
     f, p, n, s = g.field, g.field.p, g.n, g.s_even
     if g.pmap is None:
         return np.zeros((0, n, n), dtype=np.int64)
@@ -552,6 +634,7 @@ def restricted_automorphisms(g: LieSuperAlgebra) -> np.ndarray:
     for i in np.flatnonzero(nilpotent):
         phis = f.matmul(coeff, powers[i].reshape(p, n * n)).reshape(-1, n, n)
         found += [phi for phi in phis if is_restricted_automorphism(g, phi)]
+    found += [phi for phi in _diagonal_automorphisms(g) if is_restricted_automorphism(g, phi)]
     return np.array(found, dtype=np.int64).reshape(-1, n, n)
 
 

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -329,6 +330,39 @@ def reference_p_power(g, x):
             acc_pow = f.add_arr(f.add_arr(acc_pow, term_pow), corr)
             acc = f.add_arr(acc, term)
     return np.zeros(g.n, dtype=np.int64) if acc is None else acc_pow
+
+
+def reference_check(g, phi):
+    """The exact restricted-automorphism check pair by pair: parity, the
+    bracket on every basis pair and the p-map on every even basis vector."""
+    s = g.s_even
+    if np.any(phi[s:, :s]) or np.any(phi[:s, s:]):
+        return False
+    return brackets_preserved(g, phi) and pmap_preserved(g, phi)
+
+
+def brackets_preserved(g, phi):
+    f = g.field
+    return all(
+        np.array_equal(
+            f.matmul(phi, g.structure[i, j]),
+            reference_bracket(g, phi[:, i], phi[:, j]))
+        for i in range(g.n) for j in range(g.n))
+
+
+def pmap_preserved(g, phi):
+    f = g.field
+    return all(
+        np.array_equal(f.matmul(phi, g.pmap[i]), reference_p_power(g, phi[:, i]))
+        for i in range(g.s_even))
+
+
+def reference_diagonal_automorphisms(g):
+    """Every diagonal map e_i -> c_i e_i, c in (GF(q)*)^n, that passes
+    `reference_check`, as the set of its diagonals: a reference for the
+    torus generators of `lsa.restricted_automorphisms`, by enumeration."""
+    return {c for c in itertools.product(range(1, g.field.q), repeat=g.n)
+            if reference_check(g, np.diag(c))}
 
 
 def reference_validate(g, samples=200, seed=0, p_power=reference_p_power):

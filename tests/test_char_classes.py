@@ -1,35 +1,56 @@
-"""Characters up to restricted automorphisms: the generators exp(t ad x),
-their exact check, the classes they make on a scanned set, and one oracle
-call per class in the conjecture report."""
+"""Characters up to restricted automorphisms: the generators exp(t ad x)
+and the torus scalings, their exact check, the classes they make on a
+scanned set, and one oracle call per class in the conjecture report."""
 
 import glob
+import itertools
 import math
 import os
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superkw import chargeom, report
 from superkw.chargeom import character_classes, characters
 from superkw.classical import catalog
-from superkw.lsa import LieSuperAlgebra, LsaError, is_restricted_automorphism, restricted_automorphisms
+from superkw.gflin import Field
+from superkw.lsa import (
+    LieSuperAlgebra,
+    LsaError,
+    _kernel_mod,
+    is_restricted_automorphism,
+    restricted_automorphisms,
+)
 from superkw.lsafile import parse_lsa_path
 from superkw.report import OracleCache, conjecture_report, oracle_factors, render_report
 
-from conftest import reference_ad, reference_bracket, reference_p_power
+from conftest import (
+    brackets_preserved,
+    pmap_preserved,
+    reference_ad,
+    reference_bracket,
+    reference_check,
+    reference_diagonal_automorphisms,
+)
 
 ALGEBRAS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "algebras")
 FILES = sorted(os.path.basename(p)[:-4] for p in glob.glob(os.path.join(ALGEBRAS, "*.lsa")))
-CATALOG = {"sl(2|1) p=3": ("sl(2|1)", 3), "gl(2|1) p=3": ("gl(2|1)", 3)}
-# number of generators, and of classes on the whole character space
+CATALOG = {
+    "sl(2|1) p=3": ("sl(2|1)", 3), "gl(2|1) p=3": ("gl(2|1)", 3),
+    "gl(1|1) p=3 k=2": ("gl(1|1)", 3, 2),
+}
+# number of generators (exponentials, torus scalings), and of classes on the
+# whole character space
 GENERATORS = {
-    "gl1_1_p3": 0, "heis_p3": 4, "oddheis_p3": 0, "osp1_2_p3": 4, "osp1_2_p3k2": 16,
-    "sl2_p5": 8, "solv2_p5": 4, "sl(2|1) p=3": 4, "gl(2|1) p=3": 4,
+    "gl1_1_p3": (0, 1), "heis_p3": (4, 2), "oddheis_p3": (0, 1), "osp1_2_p3": (4, 1),
+    "osp1_2_p3k2": (16, 1), "sl2_p5": (8, 1), "solv2_p5": (4, 1), "sl(2|1) p=3": (4, 2),
+    "gl(2|1) p=3": (4, 2), "gl(1|1) p=3 k=2": (0, 1),
 }
 CLASSES = {
-    "gl1_1_p3": 9, "heis_p3": 11, "oddheis_p3": 3, "osp1_2_p3": 5, "osp1_2_p3k2": 11,
-    "sl2_p5": 7, "solv2_p5": 9, "sl(2|1) p=3": 15, "gl(2|1) p=3": 45,
+    "gl1_1_p3": 9, "heis_p3": 5, "oddheis_p3": 3, "osp1_2_p3": 5, "osp1_2_p3k2": 11,
+    "sl2_p5": 6, "solv2_p5": 6, "sl(2|1) p=3": 12, "gl(2|1) p=3": 36, "gl(1|1) p=3 k=2": 81,
 }
 
 
@@ -38,6 +59,11 @@ def _algebra(label):
     if label in CATALOG:
         return catalog(*CATALOG[label]).algebra
     return parse_lsa_path(os.path.join(ALGEBRAS, f"{label}.lsa")).algebra
+
+
+# the algebras whose (q - 1)^n diagonal maps are few enough to enumerate
+ENUMERABLE = [label for label in sorted(GENERATORS)
+              if (_algebra(label).field.q - 1) ** _algebra(label).n <= 2**12]
 
 
 def _all_characters(g):
@@ -61,31 +87,6 @@ def reference_exp(g, i, t):
     return np.array(cols, dtype=np.int64).T
 
 
-def reference_check(g, phi):
-    """The exact check pair by pair: parity, the bracket on every basis
-    pair and the p-map on every even basis vector."""
-    s = g.s_even
-    if np.any(phi[s:, :s]) or np.any(phi[:s, s:]):
-        return False
-    return brackets_preserved(g, phi) and pmap_preserved(g, phi)
-
-
-def brackets_preserved(g, phi):
-    f = g.field
-    return all(
-        np.array_equal(
-            f.matmul(phi, g.structure[i, j]),
-            reference_bracket(g, phi[:, i], phi[:, j]))
-        for i in range(g.n) for j in range(g.n))
-
-
-def pmap_preserved(g, phi):
-    f = g.field
-    return all(
-        np.array_equal(f.matmul(phi, g.pmap[i]), reference_p_power(g, phi[:, i]))
-        for i in range(g.s_even))
-
-
 def _nilpotent_even(g):
     p = g.field.p
     out = []
@@ -105,12 +106,90 @@ def test_generators_are_the_exponentials_and_pass_the_check(label):
     g = _algebra(label)
     gens = restricted_automorphisms(g)
     want = [reference_exp(g, i, t) for i in _nilpotent_even(g) for t in range(1, g.field.q)]
-    # every candidate passes, in the order (basis vector, t)
-    assert len(gens) == len(want) == GENERATORS[label]
+    # every candidate passes, in the order (basis vector, t), and the torus
+    # scalings follow the exponentials
+    assert (len(want), len(gens) - len(want)) == GENERATORS[label]
     for phi, ref in zip(gens, want):
         assert np.array_equal(phi, ref)
+    for phi in gens:
         assert is_restricted_automorphism(g, phi)
         assert reference_check(g, phi)
+    for phi in gens[len(want):]:
+        assert np.array_equal(phi, np.diag(phi.diagonal()))
+
+
+def _generated(one, gens, op):
+    """The finite group that `gens` make under `op`, from its identity."""
+    group, todo = {one}, [one]
+    while todo:
+        cur = todo.pop()
+        for a in gens:
+            img = op(cur, a)
+            if img not in group:
+                group.add(img)
+                todo.append(img)
+    return group
+
+
+def _diagonal_group(f, gens):
+    """The group that diagonal generators make, as the set of its diagonals."""
+    return _generated((1,) * gens.shape[-1], [phi.diagonal() for phi in gens],
+                      lambda x, c: tuple(int(v) for v in f.mul_arr(np.array(x), c)))
+
+
+@st.composite
+def systems(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.sampled_from([2, 4, 6, 8, 12]))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=4))
+    return n, m, rows
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(systems())
+def test_kernel_mod_generates_every_solution(case):
+    n, m, rows = case
+    group = _generated((0,) * n, _kernel_mod(rows, n, m),
+                       lambda x, a: tuple((u + v) % m for u, v in zip(x, a)))
+    assert group == {a for a in itertools.product(range(m), repeat=n)
+                     if all(np.dot(row, a) % m == 0 for row in rows)}
+
+
+@pytest.mark.parametrize("label", ENUMERABLE)
+def test_torus_generators_make_every_diagonal_automorphism(label):
+    g = _algebra(label)
+    torus = restricted_automorphisms(g)[GENERATORS[label][0]:]
+    assert _diagonal_group(g.field, torus) == reference_diagonal_automorphisms(g)
+
+
+def test_enumerable_algebras():
+    # osp1_2_p3k2 has 8^5 diagonal maps; every other label is enumerated
+    assert set(GENERATORS) - set(ENUMERABLE) == {"osp1_2_p3k2"}
+
+
+def test_scaling_that_breaks_the_pmap_is_rejected():
+    # a torus t with t^[3] = t over GF(9): t -> ct keeps the (zero) bracket,
+    # but (ct)^[3] = c^3 t, so only c in GF(3)* = {1, 2} keeps the p-map
+    f = Field(3, 2)
+    g = LieSuperAlgebra(f, ["t"], [0], np.zeros((1, 1, 1), dtype=np.int64), np.array([[1]]))
+    c = 3  # the generator of GF(9) over GF(3)
+    phi = np.array([[c]], dtype=np.int64)
+    assert brackets_preserved(g, phi)
+    assert not pmap_preserved(g, phi)
+    assert not is_restricted_automorphism(g, phi)
+    assert reference_diagonal_automorphisms(g) == {(1,), (2,)}
+    assert _diagonal_group(f, restricted_automorphisms(g)) == {(1,), (2,)}
+
+
+def test_scaling_of_h_alone_is_rejected():
+    # solv2_p5, [h, x] = x and h^[5] = h: h -> 2h keeps the p-map (2^5 = 2
+    # in GF(5)) but not the bracket, as [2h, x] = 2x; x -> cx alone keeps both
+    g = _algebra("solv2_p5")
+    phi = np.diag([2, 1])
+    assert pmap_preserved(g, phi)
+    assert not brackets_preserved(g, phi)
+    assert not is_restricted_automorphism(g, phi)
+    assert reference_diagonal_automorphisms(g) == {(1, c) for c in range(1, 5)}
 
 
 def test_changed_bracket_entry_is_rejected():
@@ -257,7 +336,7 @@ def _parse(name):
 
 
 @pytest.mark.parametrize("name,count", [
-    ("heis_p3", 11), ("solv2_p5", 9), ("osp1_2_p3", 5), ("gl1_1_p3", 9), ("oddheis_p3", 3)])
+    ("heis_p3", 5), ("solv2_p5", 6), ("osp1_2_p3", 5), ("gl1_1_p3", 9), ("oddheis_p3", 3)])
 def test_one_oracle_call_per_class(name, count, monkeypatch):
     calls = _count_calls(monkeypatch)
     af = _parse(name)
@@ -277,11 +356,11 @@ def test_cache_holds_the_representatives(tmp_path, monkeypatch):
     cache.save()
     h = af.content_hash()
     assert set(OracleCache(path).data) == {OracleCache.key(h, chi, 0, 4000) for chi in calls}
-    assert len(calls) == 11
+    assert len(calls) == 5
     calls.clear()
     fresh = OracleCache(path)
     again = render_report(conjecture_report(af, seed=0, cache=fresh))
-    assert calls == [] and fresh.hits == 11
+    assert calls == [] and fresh.hits == 5
     assert again == first
 
 
@@ -307,3 +386,20 @@ def test_geometry_once_per_class(monkeypatch):
     # and no geometry, then the report takes one geometry per class of the 27
     assert rows[0] == 27
     assert count[0] == 5
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", FILES)
+def test_oracle_characters_are_exponential_representatives(name, seed, monkeypatch):
+    # the torus scalings only merge classes, so the oracle runs at a subset
+    # of the characters it ran at with the exponentials alone, each with the
+    # same (chi, seed)
+    calls = _count_calls(monkeypatch)
+    af = _parse(name)
+    doc = conjecture_report(af, seed=seed)
+    chis = [row["chi"] for row in doc["per_chi"]]
+    g = af.algebra
+    exponentials = restricted_automorphisms(g)[: GENERATORS[name][0]]
+    monkeypatch.setattr(chargeom, "restricted_automorphisms", lambda g: exponentials)
+    reps = character_classes(g, chis)
+    assert calls and set(map(tuple, calls)) <= {tuple(chis[i]) for i, r in enumerate(reps) if r == i}
