@@ -9,11 +9,10 @@ expansion of (x + y)^[p] by the s_i corrections.
 
 `bracket`, `ad_matrix`, `s_corrections` and `p_power` take a single
 coordinate vector or a stack of them (shape (..., n)).  So `validate` checks
-its sampled p-map rules, and the super-Jacobi identity on all basis triples,
-in a few batched field products rather than one small product per vector;
-and each structural query builds its bracket table (`bracket` broadcasts
-two stacks against each other) in one product and tests it with one
-containment check.
+the super-Jacobi identity on all basis triples in a few batched field
+products rather than one small product per triple; and each structural
+query builds its bracket table (`bracket` broadcasts two stacks against
+each other) in one product and tests it with one containment check.
 """
 
 from __future__ import annotations
@@ -247,13 +246,23 @@ class LieSuperAlgebra:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self, samples: int = 200, seed: int = 0) -> List[Violation]:
+    def validate(self, seed: int = 0) -> List[Violation]:
         """Axiom violations, in a fixed order: grading, super-skew,
         super-Jacobi on every basis triple, then for a p-operation its
-        parity, ad(x_i^[p]) = ad(x_i)^p on the even basis, and, when all of
-        that holds, the scalar rule and the additive expansion on `samples`
-        random vectors each, drawn from `seed`.  Each sampled rule reports
-        its first failing sample only."""
+        parity and ad(x_i^[p]) = ad(x_i)^p on the even basis.  Every check
+        is exact: `seed` is accepted for callers that pass their run's seed,
+        and nothing is drawn from it.
+
+        The basis check is the whole of restrictedness.  By Jacobson's
+        theorem (Strade and Farnsteiner 1988, Thm 2.2.3), once g0 is a Lie
+        algebra with ad(x_i)^p = ad(x_i^[p]) on g0 for a basis x_i, exactly
+        one p-map on g0 takes these values; it obeys the scalar rule and
+        the additive expansion, so it is what `p_power` computes.  On all
+        of g, D(x) = ad(x)^p - ad(x^[p]) is p-semilinear: by Jacobi,
+        ad s_i(x, y) = s_i(ad x, ad y), so Jacobson's formula
+        (A + B)^p = A^p + B^p + sum s_i(A, B) in End(g) gives
+        D(x + y) = D(x) + D(y), and D(c x) = c^p D(x).  D is zero on the
+        even basis, hence on g0."""
         f = self.field
         n, s = self.n, self.s_even
         out: List[Violation] = []
@@ -328,62 +337,6 @@ class LieSuperAlgebra:
                         f"ad({names[i]}^[p]) differs from ad({names[i]})^p",
                     )
                 )
-            if not out and s > 0:
-                out.extend(self._sampled_pmap_rules(samples, seed))
-        return out
-
-    def _sampled_pmap_rules(self, samples: int, seed: int) -> List[Violation]:
-        """The scalar rule (c x)^[p] = c^p x^[p], then the additive expansion
-        (x + y)^[p] = x^[p] + y^[p] + s(x, y), each on one stack of `samples`
-        random even vectors.  The draws are those of checking one sample at
-        a time and stopping at the first failure: when the scalar rule fails
-        at sample t, the additive samples are drawn after sample t's."""
-        f, p, n, s = self.field, self.field.p, self.n, self.s_even
-        out: List[Violation] = []
-
-        def scalar_samples(rng, count):
-            X = np.zeros((count, n), dtype=np.int64)
-            C = np.zeros(count, dtype=np.int64)
-            for t in range(count):
-                X[t, :s] = f.rand(rng, s)
-                C[t] = int(f.rand(rng))
-            return X, C
-
-        rng = np.random.default_rng(seed)
-        X, C = scalar_samples(rng, samples)
-        lhs = self.p_power(f.mul_arr(C[:, None], X))
-        rhs = f.mul_arr(f.pow_arr(C, p)[:, None], self.p_power(X))
-        bad = np.flatnonzero(np.any(lhs != rhs, axis=1))
-        if len(bad):
-            t = int(bad[0])
-            out.append(
-                Violation(
-                    "p-map-scalar",
-                    (t,),
-                    "scalar-multiple rule (kx)^[p] = k^p x^[p] fails "
-                    f"for sampled k={int(C[t])}",
-                )
-            )
-            # replay the draws up to the failing sample
-            rng = np.random.default_rng(seed)
-            scalar_samples(rng, t + 1)
-
-        X = np.zeros((samples, n), dtype=np.int64)
-        Y = np.zeros((samples, n), dtype=np.int64)
-        for t in range(samples):
-            X[t, :s] = f.rand(rng, s)
-            Y[t, :s] = f.rand(rng, s)
-        pw = self.p_power(np.stack([f.add_arr(X, Y), X, Y]))
-        rhs = f.add_arr(f.add_arr(pw[1], pw[2]), self.s_corrections(X, Y))
-        bad = np.flatnonzero(np.any(pw[0] != rhs, axis=1))
-        if len(bad):
-            out.append(
-                Violation(
-                    "p-map-sum",
-                    (int(bad[0]),),
-                    "additive expansion of (x+y)^[p] fails on a sample",
-                )
-            )
         return out
 
     def __repr__(self):

@@ -533,6 +533,12 @@ def _words_applied(M: SuperModule, V: np.ndarray, levels) -> np.ndarray:
     return out
 
 
+def _even_traces(M: SuperModule) -> np.ndarray:
+    """The traces of the even generators' actions on M, summed in the field."""
+    f = M.alg.field
+    return f.undigits(f.digits(np.diagonal(M.action[: M.alg.s_even], axis1=1, axis2=2)).sum(axis=1))
+
+
 class FactorClass:
     """An isomorphism class of graded composition factors, up to parity
     shift, kept as its first member S with S's Certificate, the standard
@@ -609,11 +615,14 @@ class FactorClass:
         superdimension or its reverse fits inside M's, and the map sends
         ker f(theta) on S into ker f(theta) on M, which is then no smaller.
         When M has S's dimension the map is an isomorphism, and the two
-        nullities are equal."""
+        nullities are equal, as are the traces of every even generator: an
+        isomorphism of either parity conjugates an even element's action."""
         f = M.alg.field
         S, cert = self.module, self.cert
         sd, md = S.superdim, M.superdim
         if not any(a <= b and c <= e for (a, c), (b, e) in ((sd, md), (sd[::-1], md))):
+            return None
+        if M.dim == S.dim and np.any(_even_traces(M) != _even_traces(S)):
             return None
         # f(theta) is even, so each row of its null space basis is
         # parity-homogeneous (`nullspace`)

@@ -365,11 +365,10 @@ def reference_diagonal_automorphisms(g):
             if reference_check(g, np.diag(c))}
 
 
-def reference_validate(g, samples=200, seed=0, p_power=reference_p_power):
+def reference_validate(g):
     """`LieSuperAlgebra.validate` in loop form: one bracket per basis
-    triple, one vector per sample, stopping each sampled rule at its first
-    failure.  A reference for the batched checks; returns (axiom, witness,
-    message) triples."""
+    triple and one power of ad per even basis vector.  A reference for the
+    batched checks; returns (axiom, witness, message) triples."""
     from superkw.lsa import Violation
 
     f = g.field
@@ -423,33 +422,6 @@ def reference_validate(g, samples=200, seed=0, p_power=reference_p_power):
                 out.append(Violation(
                     "p-map-ad", (i,),
                     f"ad({g.names[i]}^[p]) differs from ad({g.names[i]})^p"))
-        rng = np.random.default_rng(seed)
-        if not out and s > 0:
-            for t in range(samples):
-                x = np.zeros(n, dtype=np.int64)
-                x[:s] = f.rand(rng, s)
-                c = int(f.rand(rng))
-                lhs = p_power(g, f.mul_arr(c, x))
-                rhs = f.mul_arr(f.pow(c, f.p), p_power(g, x))
-                if not np.array_equal(lhs, rhs):
-                    out.append(Violation(
-                        "p-map-scalar", (t,),
-                        "scalar-multiple rule (kx)^[p] = k^p x^[p] fails "
-                        f"for sampled k={c}"))
-                    break
-            for t in range(samples):
-                x = np.zeros(n, dtype=np.int64)
-                y = np.zeros(n, dtype=np.int64)
-                x[:s] = f.rand(rng, s)
-                y[:s] = f.rand(rng, s)
-                lhs = p_power(g, f.add_arr(x, y))
-                rhs = f.add_arr(f.add_arr(p_power(g, x), p_power(g, y)),
-                                reference_s_corrections(g, x, y))
-                if not np.array_equal(lhs, rhs):
-                    out.append(Violation(
-                        "p-map-sum", (t,),
-                        "additive expansion of (x+y)^[p] fails on a sample"))
-                    break
     return [(v.axiom, v.witness, v.message) for v in out]
 
 

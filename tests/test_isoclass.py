@@ -6,7 +6,7 @@ absolutely irreducible from their even commutant."""
 import glob
 import os
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product as iproduct
 
 import numpy as np
@@ -488,6 +488,39 @@ def test_embedding_exactly_when_a_map_exists(name, chi):
                 a, b = sides.count(0), sides.count(1)
                 assert (a * ee + b * eo, a * eo + b * ee) == expect == kronecker_hom_dims(S, sub)
     assert found > len(classes)
+
+
+@pytest.mark.parametrize("name", ["gl1_1_p3", "gl(1|1) GF(9)"])
+def test_even_traces_rule_out_a_map_before_the_kernel(monkeypatch, name):
+    # at chi = 0 the simple modules of equal dimension differ in the trace
+    # of some even generator (summed in the field), and no map is sought in
+    # the kernel of f(theta) for such a pair; the Kronecker reference
+    # agrees that there is none
+    classes = _classes(composition_series(_regular(name, (0, 0)), 0))
+    f, s = classes[0].module.alg.field, classes[0].module.alg.s_even
+
+    def traces(M):
+        return [reduce(f.add, (int(a) for a in np.diagonal(M.action[i])), 0) for i in range(s)]
+
+    kernels = []
+    poly_at = modules._poly_at_matrix
+
+    def spy(*args):
+        kernels.append(1)
+        return poly_at(*args)
+
+    monkeypatch.setattr(modules, "_poly_at_matrix", spy)
+    ruled = 0
+    for K in classes:
+        for L in classes:
+            if K is L or K.module.dim != L.module.dim:
+                continue
+            kernels.clear()
+            assert K.hom_dims(L.module) == (0, 0) == kronecker_hom_dims(K.module, L.module)
+            if traces(K.module) != traces(L.module):
+                assert kernels == []
+                ruled += 1
+    assert ruled > 0
 
 
 def _copies(S, pattern):

@@ -1,7 +1,10 @@
 """The batched axiom checks against their loop forms: `p_power` and
 `s_corrections` on stacks of vectors, and `validate`'s violation lists
 (axiom, witness, message and order) on corrupted copies of the shipped
-algebras, including the sample stream after a failing scalar rule."""
+algebras.  `validate` checks the p-map exactly on the basis and draws
+nothing; the scalar rule and the additive expansion that the basis check
+implies (Jacobson's theorem) are checked here on seeded samples of
+`p_power`, and on p-maps perturbed off their basis values."""
 
 import glob
 import os
@@ -9,10 +12,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superkw.classical import catalog
 from superkw.gflin import Field
-from superkw.lsa import LieSuperAlgebra
+from superkw.lsa import LieSuperAlgebra, centralizer_of
 from superkw.lsafile import parse_lsa_path
 
 from conftest import (
@@ -163,7 +167,7 @@ def test_validate_matches_reference_on_corruptions(name, kind):
         if bad is None:
             continue
         got = _listing(bad.validate(seed=seed))
-        assert got == reference_validate(bad, seed=seed)
+        assert got == reference_validate(bad)
         # the witnesses are plain ints, so a printed violation reads as before
         assert all(type(a) is int for _, w, _ in got for a in w)
 
@@ -179,35 +183,141 @@ def test_validate_finds_each_corruption(gl11):
         assert axiom in found, kind
 
 
+CATALOG = [("sl(2|1)", 3, 1), ("gl(2|1)", 3, 1), ("gl(1|1)", 3, 2)]
+ALL = NAMES + CATALOG
+
+
+def _label(source):
+    return source if isinstance(source, str) else "{}-p{}-k{}".format(*source)
+
+
+@lru_cache(maxsize=None)
+def _any_algebra(source):
+    """A shipped file by name, or a catalog entry (name, p, k)."""
+    return _algebra(source) if isinstance(source, str) else catalog(*source).algebra
+
+
+def _even_draws(g, rng, rows):
+    X = np.zeros((rows, g.n), dtype=np.int64)
+    X[:, :g.s_even] = g.field.rand(rng, (rows, g.s_even))
+    return X
+
+
+def _rule_failures(g, p_power, seed, samples=200):
+    """The p-map rules that fail for `p_power` on `samples` seeded draws
+    each: "scalar" if (c x)^[p] = c^p x^[p] fails for some draw, then, drawn
+    and checked whether or not that failed, "sum" if
+    (x + y)^[p] = x^[p] + y^[p] + sum s_i(x, y) fails for some draw.
+    `p_power(g, X)` takes a stack of even vectors."""
+    f = g.field
+    rng = np.random.default_rng(seed)
+    X = _even_draws(g, rng, samples)
+    C = f.rand(rng, samples)
+    out = []
+    if np.any(p_power(g, f.mul_arr(C[:, None], X))
+              != f.mul_arr(f.pow_arr(C, f.p)[:, None], p_power(g, X))):
+        out.append("scalar")
+    X, Y = _even_draws(g, rng, samples), _even_draws(g, rng, samples)
+    rhs = f.add_arr(f.add_arr(p_power(g, X), p_power(g, Y)), g.s_corrections(X, Y))
+    if np.any(p_power(g, f.add_arr(X, Y)) != rhs):
+        out.append("sum")
+    return out
+
+
+def _reference_rows(g, X):
+    return np.array([reference_p_power(g, x) for x in X], dtype=np.int64).reshape(X.shape)
+
+
+@pytest.mark.parametrize("source", ALL, ids=_label)
+def test_p_map_rules_hold_on_samples(source):
+    # the loop-form p-map obeys both rules on 200 draws each, and the
+    # batched one agrees with it on every draw
+    g = _any_algebra(source)
+    checked = []
+
+    def both(g, X):
+        got = g.p_power(X)
+        assert np.array_equal(got, _reference_rows(g, X))
+        checked.append(len(X))
+        return got
+
+    assert _rule_failures(g, both, seed=0) == []
+    assert sum(checked) == 5 * 200
+
+
 def _bump(f, x, out):
     """Add 1 to coordinate 0 of out on the rows whose input has coordinate
     0 equal to 1: a p-map that breaks the scalar rule and the additive
-    expansion on some samples, row by row."""
+    expansion on some draws, row by row."""
     out = out.copy()
     out[..., 0] = f.add_arr(out[..., 0], (np.asarray(x)[..., 0] == 1).astype(np.int64))
     return out
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_additive_samples_after_scalar_failure(name, monkeypatch):
+def test_additive_samples_after_scalar_failure(name):
+    # the sampled rules catch a p-map that breaks them, and the additive
+    # expansion is drawn and checked after the scalar rule has failed
     g = _algebra(name)
-    batched = LieSuperAlgebra.p_power
-    monkeypatch.setattr(LieSuperAlgebra, "p_power",
-                        lambda self, x: _bump(self.field, x, batched(self, x)))
-    both = 0
     for seed in range(4):
-        got = _listing(g.validate(seed=seed))
-        want = reference_validate(
-            g, seed=seed, p_power=lambda g, x: _bump(g.field, x, reference_p_power(g, x)))
-        assert got == want
-        assert got and got[0][0] == "p-map-scalar" and got[0][1][0] < 199
-        both += [a for a, _, _ in got] == ["p-map-scalar", "p-map-sum"]
-    # the additive rule fails on some seeds, so its witness pins the stream
-    assert both
+        assert _rule_failures(g, lambda g, X: _bump(g.field, X, g.p_power(X)), seed) \
+            == ["scalar", "sum"]
+        assert _rule_failures(g, LieSuperAlgebra.p_power, seed) == []
+
+
+def _centre_even(g):
+    """A basis of the even part of the centre of g, as rows."""
+    return centralizer_of(g, g.full_space()).even_rows()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(ALL), st.integers(0, 2**32 - 1), st.booleans())
+def test_perturbed_p_map_validates_exactly_when_ad_vanishes(source, seed, central):
+    # x_i^[p] + w is a p-map value exactly when ad w = 0; then the rules
+    # still hold for the new p-map, as Jacobson's theorem says
+    g = _any_algebra(source)
+    f, s = g.field, g.s_even
+    rng = np.random.default_rng(seed)
+    i = int(rng.integers(0, s))
+    centre = _centre_even(g)
+    if central and len(centre):
+        w = f.matmul(f.rand(rng, len(centre)), centre)
+    else:
+        w = _even_draws(g, rng, 1)[0]
+    pm = g.pmap.copy()
+    pm[i] = f.add_arr(pm[i], w)
+    h = _with(g, pmap=pm)
+    got = _listing(h.validate())
+    if np.any(g.ad_matrix(w)):
+        assert got == [("p-map-ad", (i,), f"ad({g.names[i]}^[p]) differs from ad({g.names[i]})^p")]
+    else:
+        assert got == []
+        assert _rule_failures(h, LieSuperAlgebra.p_power, seed, samples=50) == []
+
+
+@pytest.mark.parametrize("source", ALL, ids=_label)
+def test_validate_draws_nothing(source, monkeypatch):
+    g = _any_algebra(source)
+    bad = _corrupt(g, "p-map-ad", np.random.default_rng(0))
+    for h in (g, bad):
+        lists = [_listing(h.validate(seed=seed)) for seed in range(4)]
+        assert all(got == lists[0] for got in lists)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate computed a p-th power or drew a vector")
+
+    monkeypatch.setattr(LieSuperAlgebra, "p_power", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    if isinstance(source, str):
+        g = parse_lsa_path(os.path.join(ALGEBRAS, f"{source}.lsa")).algebra
+        assert g.validate() == []
+    else:
+        # the catalog validates what it builds
+        assert catalog(*source).algebra.validate() == []
 
 
 def test_validate_without_samples_or_even_part():
-    assert _algebra("osp1_2_p3").validate(samples=0) == []
+    assert _algebra("osp1_2_p3").validate() == []
     f = Field(3)
     odd_only = LieSuperAlgebra(f, ["a"], [1], np.zeros((1, 1, 1), dtype=np.int64),
                                np.zeros((0, 1), dtype=np.int64))
