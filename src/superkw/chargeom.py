@@ -373,7 +373,7 @@ def polarization(g: LieSuperAlgebra, chi) -> Subspace:
     d = geo.max_isotropic
     cand = g.full_space()
     while SuperDim(*cand.superdim) != d:
-        sub = as_subalgebra(g, cand, with_pmap=False)
+        sub = as_subalgebra(g, cand)
         zc_rows = [sub.drop(row) for row in geo.centralizer.basis]
         z_sub = Subspace(g.field, sub.alg.s_even, sub.alg.n, zc_rows)
         found = None
@@ -392,7 +392,7 @@ def polarization(g: LieSuperAlgebra, chi) -> Subspace:
                 "the completely solvable theory over a closed field")
         rows = g.field.matmul(found.basis, sub.rows)
         nxt = Subspace(g.field, g.s_even, g.n, rows)
-        nxt_sub = as_subalgebra(g, nxt, with_pmap=False)
+        nxt_sub = as_subalgebra(g, nxt)
         nxt_geo = chi_geometry(nxt_sub.alg, restrict_chi(chi, nxt_sub))
         if nxt_geo.max_isotropic != d:
             raise CounterexampleError(

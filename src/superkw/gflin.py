@@ -85,14 +85,16 @@ class Field:
     """GF(p^k); p an odd prime, modulus verified irreducible at construction."""
 
     def __init__(self, p: int, k: int = 1, modulus: Optional[Iterable[int]] = None):
-        if not _is_prime(p) or p < 3:
-            raise FieldError(f"p must be an odd prime, got {p}")
         if k < 1:
             raise FieldError(f"extension degree must be >= 1, got {k}")
-        if k * (p - 1) ** 2 >= 2**63 or p**k >= 2**63:
+        if p >= 3 and (k * (p - 1) ** 2 >= 2**63 or p**k >= 2**63):
             # elementwise products (summed over k digit pairs when k > 1)
-            # and the codes themselves must fit in int64
+            # and the codes themselves must fit in int64.  Checked before
+            # primality, so that trial division takes at most about 55,000
+            # steps (p < 2^31.5)
             raise FieldError(f"GF({p}^{k}) is too large for exact int64 arithmetic")
+        if p < 3 or not _is_prime(p):
+            raise FieldError(f"p must be an odd prime, got {p}")
         self.p = p
         self.k = k
         self.q = p**k

@@ -655,7 +655,7 @@ class Subalgebra:
         return c
 
 
-def as_subalgebra(g: LieSuperAlgebra, S: Subspace, with_pmap: bool = True) -> Subalgebra:
+def as_subalgebra(g: LieSuperAlgebra, S: Subspace) -> Subalgebra:
     rows = S.basis
     m = rows.shape[0]
     table = g.bracket(rows[:, None], rows)
@@ -667,7 +667,7 @@ def as_subalgebra(g: LieSuperAlgebra, S: Subspace, with_pmap: bool = True) -> Su
     names = [f"s{a}" for a in range(m)]
     s_ev = sum(1 for p in parities if p == 0)
     pmap = None
-    if with_pmap and g.pmap is not None:
+    if g.pmap is not None:
         pmap = np.zeros((s_ev, m), dtype=np.int64)
         for a, w in enumerate(g.p_power(rows[:s_ev])):
             c = S.coords(w)

@@ -139,7 +139,20 @@ def validate_module(M: SuperModule) -> List[Violation]:
     return out
 
 
-def spin(M: SuperModule, v: np.ndarray) -> Echelon:
+class Spin(Echelon):
+    """A spun subspace W (`spin_many`), with how it was spun.  `images`
+    (dim W, ambient), in the field's code dtype, is a basis of W of raw
+    images: the given rows the spin kept, then level by level the images it
+    kept.  `levels` holds each later level as a pair of arrays (generators,
+    sources): its k-th image is generator gens[k] applied to image
+    srcs[k].  Spun from one vector w, images.T is the standard basis B of W
+    from w, B[:, 0] = w, and the levels are its words (`_words_applied`)."""
+
+    images: np.ndarray
+    levels: list
+
+
+def spin(M: SuperModule, v: np.ndarray) -> Spin:
     """Smallest action-invariant subspace containing a homogeneous vector."""
     v = np.asarray(v, dtype=np.int64)
     if not np.any(v):
@@ -150,18 +163,37 @@ def spin(M: SuperModule, v: np.ndarray) -> Echelon:
     return spin_many(M, v[None, :])
 
 
-def spin_many(M: SuperModule, rows: np.ndarray) -> Echelon:
+def spin_many(M: SuperModule, rows: np.ndarray) -> Spin:
     """Smallest action-invariant subspace containing the given rows.
 
-    Breadth first: each level applies every generator to the rows the
-    previous level added, and adds their images in one block."""
+    Breadth first: each level applies every generator to the images the
+    previous level kept, and keeps the first images, in the order (image,
+    generator), that are independent modulo the span so far.  Neither the
+    spin nor that rule draws anything random."""
     f = M.alg.field
-    space = Echelon(f, M.dim)
-    fresh = space.extend(rows)
-    while fresh.shape[0] and space.dim < M.dim:
-        # (n, dim, m) images, one row per (generator, fresh row)
-        images = f.matmul(M.action, fresh.T)
-        fresh = space.extend(images.transpose(0, 2, 1).reshape(-1, M.dim))
+    d, n = M.dim, M.alg.n
+    space = Spin(f, d)
+    space.levels = []
+    images = np.empty((d, d), dtype=f.code_dtype)
+    cand = np.asarray(rows, dtype=np.int64).reshape(-1, d)
+    lo = hi = 0
+    while True:
+        res = space.reduce(cand)
+        # the pivot columns of the transposed residues are the candidates,
+        # in order, that are independent modulo the span so far
+        keep = np.array(rref(f, res.T)[1], dtype=np.int64)
+        if not keep.size:
+            break
+        space.extend(res[keep])
+        images[hi : hi + keep.size] = cand[keep]
+        if hi:
+            space.levels.append((keep % n, lo + keep // n))
+        lo, hi = hi, hi + keep.size
+        if hi == d:
+            break
+        # row t * n + i: generator i applied to image lo + t
+        cand = f.matmul(M.action, images[lo:hi].T).transpose(2, 0, 1).reshape(-1, d)
+    space.images = images[:hi]
     return space
 
 
@@ -300,23 +332,25 @@ def _find_singular_even(M: SuperModule, rng):
 
 @dataclass
 class Certificate:
-    """How the Meataxe certified a module S graded-simple: the recipe of an
-    even theta, a monic irreducible f, the nullity of f(theta) on S, and a
-    parity-homogeneous vector w of ker f(theta) that spins to all of S.
-    Where no theta served (dim 1, or the a = 0 last resort), theta = 0 and
-    f = x, so ker f(theta) is all of S."""
+    """How the Meataxe certified a module S graded-simple, with the work it
+    did for it: the recipe of an even theta, a monic irreducible f, a
+    parity-homogeneous basis of ker f(theta) on S in reduced echelon form,
+    and the spin of its first row w, which is all of S and whose images are
+    the standard basis of S from w (`Spin`).  Where no theta served (dim 1,
+    or the a = 0 last resort), theta = 0 and f = x, so ker f(theta) is all
+    of S."""
 
     recipe: tuple
     poly: list
-    nullity: int
-    w: np.ndarray
+    ker: np.ndarray
+    spun: Spin
 
 
 def _find_proper_submodule(M: SuperModule, seed: int) -> Echelon | FactorClass:
     """A proper nonzero graded submodule (an Echelon), or, once
     irreducibility is certified, M's isomorphism class, built on the
-    Certificate (with its standard basis already spun where the End(M)
-    step below needed it).
+    Certificate: the kernel of the attempt and the spin of its first vector
+    w, whose images are the class's standard basis.
 
     Each attempt takes a singular even a = f(theta) and spins the first
     vector of each parity side of ker(a) in M, and one homogeneous vector
@@ -349,7 +383,7 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> Echelon | FactorClass:
     f = M.alg.field
     dim = M.dim
     if dim == 1:
-        return FactorClass(M, Certificate((0, ()), [0, 1], 1, f.eye(1)[0]))
+        return FactorClass(M, Certificate((0, ()), [0, 1], f.eye(1), spin_many(M, f.eye(1))))
     rng = np.random.default_rng(seed)
     MT = M.transpose_module()
 
@@ -372,26 +406,27 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> Echelon | FactorClass:
         ker = rref(f, ker)[0]
         odd = M.parities[np.argmax(ker != 0, axis=1)] == 1
         sides = [side for side in (ker[~odd], ker[odd]) if len(side)]
+        spins = []
         for side in sides:
-            W = spin(M, side[0])
-            if W.dim < dim:
-                return W
+            spins.append(spin(M, side[0]))
+            if spins[-1].dim < dim:
+                return spins[-1]
         WT = spin(MT, rref(f, nullspace(f, a.T))[0][0])
         if WT.dim < dim:
             # proper transpose submodule = proper quotient.  Its annihilator
             # in M is a proper nonzero submodule, graded as WT's basis is:
             # for y in WT, y.(A x) = (A^T y).x = 0
             return Echelon(f, dim, nullspace(f, WT.basis))
-        K = FactorClass(M, Certificate(recipe, poly, len(ker), sides[0][0]))
+        K = FactorClass(M, Certificate(recipe, poly, ker, spins[0]))
         if len(ker) == poly_deg(poly):
             # Holt-Rees
             return K
-        T, dim_e = K.random_endomorphism(ker, rng)
-        mu = _minimal_poly(M, T, K.cert.w)
+        T, dim_e = K.random_endomorphism(rng)
+        mu = _minimal_poly(M, T, sides[0][0])
         g = next(irreducible_factors(f, mu, rng))
         if poly_deg(g) < poly_deg(mu):
             # g(T) is a zero divisor of E
-            return spin(M, f.matmul(_poly_at_matrix(f, g, T), K.cert.w))
+            return spin(M, f.matmul(_poly_at_matrix(f, g, T), sides[0][0]))
         if poly_deg(mu) == dim_e and all(len(side) == dim_e for side in sides):
             return K
     raise MeataxeFailure(
@@ -481,37 +516,9 @@ def quotient_module(M: SuperModule, W: Echelon) -> SuperModule:
     return SuperModule(alg=M.alg, chi=M.chi, parities=M.parities[keep], action=action)
 
 
-def _standard_basis(M: SuperModule, w: np.ndarray):
-    """Spin w, which generates M, into a basis B of M (as columns, B[:, 0] =
-    w) breadth first.  Each level is a pair of arrays (generators, sources):
-    its columns are the images of the given earlier columns under the given
-    generators, the first images, in order, that enlarge the span."""
-    f = M.alg.field
-    n, d = M.alg.n, M.dim
-    space = Echelon(f, d, w[None, :])
-    cols = [w]
-    levels = []
-    lo = 0
-    while len(cols) < d:
-        hi = len(cols)
-        # row (t, i): generator i applied to column lo + t
-        rows = f.matmul(M.action, np.array(cols[lo:hi]).T).transpose(2, 0, 1).reshape(-1, d)
-        # the pivot columns of the transposed residues are the rows, in
-        # order, that are independent modulo the span so far
-        _, piv = rref(f, space.reduce(rows).T)
-        if not piv:
-            raise LsaError("vector does not generate the module")
-        space.extend(rows[piv])
-        cols.extend(rows[piv])
-        keep = np.array(piv)
-        levels.append((keep % n, lo + keep // n))
-        lo = hi
-    return np.array(cols).T, levels
-
-
 def _words_applied(M: SuperModule, V: np.ndarray, levels) -> np.ndarray:
     """The images in M of the rows of V under the words of a standard basis
-    (the levels of `_standard_basis`): out[k, :, j] is word k applied to
+    (the levels of a `Spin`): out[k, :, j] is word k applied to
     V[j], so out[:, :, j].T is the basis the words spin from V[j].  out is
     held in the field's code dtype, which the products, being codes, fit
     exactly."""
@@ -541,8 +548,8 @@ def _even_traces(M: SuperModule) -> np.ndarray:
 
 class FactorClass:
     """An isomorphism class of graded composition factors, up to parity
-    shift, kept as its first member S with S's Certificate, the standard
-    basis B that spinning the certificate's w gives, and the generators in
+    shift, kept as its first member S with S's Certificate, whose spin of w
+    gives the standard basis B of S and its words, and the generators in
     that basis C_i = B^-1 A_i B.
 
     Hom(S, M) is one linear solve (Parker's standard-basis method).  A
@@ -555,47 +562,43 @@ class FactorClass:
     T is even exactly when v has the parity of w.  M may be larger than S:
     the same solve then finds the copies of S inside M (`socle`).
 
-    The standard basis is spun on first use, once per class, so that a
-    certificate only asked whether S is simple costs no spin."""
+    Nothing is spun here, and ker f(theta) on S is the certificate's.
+    End_even(S) is solved once, for the Meataxe's End(M) step and for the
+    class's endomorphism dimensions alike; B^-1 and C are formed on first
+    use, so that a certificate only asked whether S is simple costs no
+    inversion."""
 
     def __init__(self, module: SuperModule, cert: Certificate):
         self.module = module
         self.cert = cert
-        self.w_parity = int(module.parities[np.flatnonzero(cert.w)[0]])
-        self._endo = None
+        self.w_parity = int(module.parities[np.flatnonzero(cert.spun.images[0])[0]])
 
     @cached_property
     def _standard(self):
-        """(levels, B^-1, C) of the standard basis B spun from w."""
+        """(B^-1, C) of the standard basis B, the certificate's images."""
         f = self.module.alg.field
-        B, levels = _standard_basis(self.module, self.cert.w)
+        B = self.cert.spun.images.T
         B_inv = inv_matrix(f, B)
-        return levels, B_inv, f.matmul(B_inv, f.matmul(self.module.action, B))
+        return B_inv, f.matmul(B_inv, f.matmul(self.module.action, B))
 
-    def _words(self, M: SuperModule, ker: np.ndarray):
-        """For the parity-homogeneous rows v of ker, a basis of ker f(theta)
-        on M: the words of S applied to them (Y, from `_words_applied`), and
-        which rows have w's parity."""
-        levels = self._standard[0]
-        same = M.parities[np.argmax(ker != 0, axis=1)] == self.w_parity
-        return _words_applied(M, ker, levels), same
+    def _maps(self, M: SuperModule, V: np.ndarray) -> np.ndarray:
+        """For the rows of V, kernel vectors of one parity (a side of
+        `_hom_system`), the matrices B'(Tw) = T B of a basis of the maps T
+        whose Tw lies in their span, as (dim S, dim M, k), where [l, :, j]
+        is word l applied to the j-th map's Tw.
 
-    def _maps(self, M: SuperModule, Y: np.ndarray) -> np.ndarray:
-        """For Y (dim S, dim M, r), the words of S applied to r kernel
-        vectors of one parity: the matrices B'(Tw) = T B of a basis of the
-        maps T whose Tw lies in the span of those vectors, as
-        (dim S, dim M, k), where [l, :, j] is word l applied to the j-th
-        map's Tw.
-
-        The residuals A'_i B' - B' C_i are solved one generator at a time,
-        each on the solutions of the generators before it, so that no step
-        holds more than one generator's residuals; B' is linear in v, and
-        the B' of the solutions so far are carried along in place of v, in
-        the field's code dtype, as Y is."""
+        The B' of the rows of V are the words of S applied to them
+        (`_words_applied`).  The residuals A'_i B' - B' C_i are solved one
+        generator at a time, each on the solutions of the generators before
+        it, so that no step holds more than one generator's residuals; B' is
+        linear in v, and the B' of the solutions so far are carried along in
+        place of v, in the field's code dtype."""
         f = M.alg.field
-        d_s, d = Y.shape[0], M.dim
-        B = Y
-        for A, C_i in zip(M.action, self._standard[2]):
+        d_s, d = self.module.dim, M.dim
+        if not len(V):
+            return np.zeros((d_s, d, 0), dtype=f.code_dtype)
+        B = _words_applied(M, V, self.cert.spun.levels)
+        for A, C_i in zip(M.action, self._standard[1]):
             k = B.shape[2]
             if not k:
                 break
@@ -608,38 +611,32 @@ class FactorClass:
         return B
 
     def _hom_system(self, M: SuperModule):
-        """The one step of every Hom question: the words of S applied to a
-        parity-homogeneous basis of ker f(theta) on M, and which kernel rows
-        have w's parity (`_words`); None when there is no nonzero map
-        S -> M.  A nonzero map from the simple S is injective, so S's
-        superdimension or its reverse fits inside M's, and the map sends
-        ker f(theta) on S into ker f(theta) on M, which is then no smaller.
-        When M has S's dimension the map is an isomorphism, and the two
-        nullities are equal, as are the traces of every even generator: an
-        isomorphism of either parity conjugates an even element's action."""
-        f = M.alg.field
+        """The one step of every Hom question: a parity-homogeneous basis of
+        ker f(theta) on M, as its rows of w's parity and its other rows;
+        None when there is no nonzero map S -> M.  On S itself it is the
+        certificate's kernel.  A nonzero map from the simple S is injective,
+        so S's superdimension or its reverse fits inside M's, and the map
+        sends ker f(theta) on S into ker f(theta) on M, which is then no
+        smaller.  When M has S's dimension the map is an isomorphism, and
+        the two nullities are equal, as are the traces of every even
+        generator: an isomorphism of either parity conjugates an even
+        element's action."""
         S, cert = self.module, self.cert
-        sd, md = S.superdim, M.superdim
-        if not any(a <= b and c <= e for (a, c), (b, e) in ((sd, md), (sd[::-1], md))):
-            return None
-        if M.dim == S.dim and np.any(_even_traces(M) != _even_traces(S)):
-            return None
-        # f(theta) is even, so each row of its null space basis is
-        # parity-homogeneous (`nullspace`)
-        ker = nullspace(f, _poly_at_matrix(f, cert.poly, _even_element(M, cert.recipe)))
-        if ker.shape[0] < cert.nullity or (M.dim == S.dim and ker.shape[0] != cert.nullity):
-            return None
-        return self._words(M, ker)
-
-    def hom_dims(self, M: SuperModule) -> Tuple[int, int]:
-        """Dimensions of the even and the odd module maps S -> M.  Only when
-        M has S's dimension does a nullity of f(theta) on M other than on S
-        mean there is none (`_hom_system`)."""
-        system = self._hom_system(M)
-        if system is None:
-            return 0, 0
-        Y, same = system
-        return self._maps(M, Y[:, :, same]).shape[2], self._maps(M, Y[:, :, ~same]).shape[2]
+        ker, nullity = cert.ker, len(cert.ker)
+        if M is not S:
+            f = M.alg.field
+            sd, md = S.superdim, M.superdim
+            if not any(a <= b and c <= e for (a, c), (b, e) in ((sd, md), (sd[::-1], md))):
+                return None
+            if M.dim == S.dim and np.any(_even_traces(M) != _even_traces(S)):
+                return None
+            # f(theta) is even, so each row of its null space basis is
+            # parity-homogeneous (`nullspace`)
+            ker = nullspace(f, _poly_at_matrix(f, cert.poly, _even_element(M, cert.recipe)))
+            if ker.shape[0] < nullity or (M.dim == S.dim and ker.shape[0] != nullity):
+                return None
+        same = M.parities[np.argmax(ker != 0, axis=1)] == self.w_parity
+        return ker[same], ker[~same]
 
     def socle(self, M: SuperModule) -> Optional[Tuple[List[int], Echelon]]:
         """The copies of S and of its parity shift in M, as one side each (0
@@ -654,10 +651,9 @@ class FactorClass:
         system = self._hom_system(M)
         if system is None:
             return None
-        f, (Y, same) = M.alg.field, system
-        sides, total = [], Echelon(f, M.dim)
-        for side, cols in enumerate((same, ~same)):
-            B = self._maps(M, Y[:, :, cols])
+        sides, total = [], Echelon(M.alg.field, M.dim)
+        for side, V in enumerate(system):
+            B = self._maps(M, V)
             for j in range(B.shape[2]):
                 if not total.contains(B[0, :, j]):
                     if len(total.extend(B[:, :, j])) != self.module.dim:
@@ -666,32 +662,37 @@ class FactorClass:
             del B  # not held through the other side's solve
         return (sides, total) if sides else None
 
-    def random_endomorphism(self, ker: np.ndarray, rng) -> Tuple[np.ndarray, int]:
-        """A random element T of E = End_even(S), and dim E, where ker is a
-        parity-homogeneous basis of ker f(theta) on S.  The maps of w's
-        parity are E; a random combination of their B'(Tw) = T B gives
-        T = (T B) B^-1."""
+    @cached_property
+    def _end_even(self) -> np.ndarray:
+        """The B'(Tw) = T B of a basis of E = End_even(S) (`_maps`), solved
+        once."""
+        return self._maps(self.module, self._hom_system(self.module)[0])
+
+    def random_endomorphism(self, rng) -> Tuple[np.ndarray, int]:
+        """A random element T of E = End_even(S), and dim E: a random
+        combination of the T B of a basis of E gives T = (T B) B^-1."""
         f = self.module.alg.field
         d = self.module.dim
-        Y, same = self._words(self.module, ker)
-        E = self._maps(self.module, Y[:, :, same])
+        E = self._end_even
         TB = f.matmul(E.reshape(-1, E.shape[2]), f.rand(rng, E.shape[2])).reshape(d, d).T
-        return f.matmul(TB, self._standard[1]), E.shape[2]
+        return f.matmul(TB, self._standard[0]), E.shape[2]
 
+    @cached_property
     def endo(self) -> Tuple[int, int]:
-        if self._endo is None:
-            self._endo = endomorphism_dims(self)
-        return self._endo
+        """The dimensions of End_even(S) and End_odd(S), solved once per
+        class (`endomorphism_dims`)."""
+        return endomorphism_dims(self)
 
 
 def endomorphism_dims(K: FactorClass) -> Tuple[int, int]:
     """Dimensions of the parity-even and parity-odd commutants of a class's
-    simple module S, solved from its certificate.
+    simple module S, solved on its certificate's kernel; the even one is
+    the solve the Meataxe's End(M) step shares.
 
     The even commutant is a finite division ring, hence a field, so its
     dimension divides dim S and the quotient is the dimension over the
     splitting field."""
-    return K.hom_dims(K.module)
+    return K._end_even.shape[2], K._maps(K.module, K._hom_system(K.module)[1]).shape[2]
 
 
 def derived_seed(seed: int, index: int) -> int:
@@ -757,7 +758,7 @@ def composition_factors(
     `classes` is passed on to `composition_series`."""
     records = []
     for K, side in composition_series(M, seed, classes):
-        S, (ee, eo) = K.module, K.endo()
+        S, (ee, eo) = K.module, K.endo
         records.append(FactorRecord(S.dim, S.superdim[::-1] if side else S.superdim, ee, eo,
                                     S.dim // ee))
     # by the whole record, so that the order does not depend on the path the

@@ -169,14 +169,12 @@ class DescentStep:
     ideal_dim: tuple
     stabilizer_dim: tuple
     codims: tuple         # (even codim, odd codim) of the induction
-    weight_on_ideal: Optional[np.ndarray]  # values on the ideal's even rows
 
 
 @dataclass
 class DescentTrace:
     steps: List[DescentStep] = dfield(default_factory=list)
     terminal: str = ""            # "base" | "polarization" | "oracle"
-    terminal_weight: Optional[np.ndarray] = None
     extension_degree: int = 1
     fallback: bool = False
 
@@ -274,8 +272,7 @@ def _construct(g, chi, seed, budget, pins) -> Tuple[SuperModule, DescentTrace]:
         bad = validate_module(S)
         if bad:
             raise ConstructionFailure(f"base module failed validation: {bad[0]}")
-        trace = DescentTrace(terminal="base", terminal_weight=lam)
-        return S, trace
+        return S, DescentTrace(terminal="base")
 
     pending_extension = None
     for I in _abelian_ideal_candidates(g):
@@ -336,7 +333,6 @@ def _construct(g, chi, seed, budget, pins) -> Tuple[SuperModule, DescentTrace]:
                 ideal_dim=I.superdim,
                 stabilizer_dim=stab.superdim,
                 codims=(g.s_even - se, g.t_odd - so),
-                weight_on_ideal=mu_vals,
             )
             trace = subtrace
             trace.steps.insert(0, step)
@@ -345,10 +341,9 @@ def _construct(g, chi, seed, budget, pins) -> Tuple[SuperModule, DescentTrace]:
     # polarization route for completely solvable inputs
     if is_completely_solvable(g):
         try:
-            M, lam = _polarization_module_inner(g, chi, budget)
+            M = _polarization_module_inner(g, chi, budget)
             if not validate_module(M) and is_graded_irreducible(M, seed):
-                trace = DescentTrace(terminal="polarization", terminal_weight=lam)
-                return M, trace
+                return M, DescentTrace(terminal="polarization")
         except NeedsFieldExtension as exc:
             pending_extension = exc
         except (ConstructionFailure, LsaError):
@@ -411,4 +406,4 @@ def _polarization_module_inner(g, chi, budget):
     if bad:
         raise ConstructionFailure(f"polarization base character invalid: {bad[0]}")
     ind = induce(g, chi, sub, S, budget=budget)
-    return ind.module, lam
+    return ind.module

@@ -187,6 +187,17 @@ def kronecker_hom_dims(S, T):
     return (Echelon(f, S.dim * T.dim, even).dim, Echelon(f, S.dim * T.dim, odd).dim)
 
 
+def hom_dims(K, M):
+    """Dimensions of the even and the odd module maps S -> M from a class's
+    module S, by the solve from its certificate (`FactorClass._maps`).
+    Only when M has S's dimension does a nullity of f(theta) on M other
+    than on S mean there is none (`FactorClass._hom_system`)."""
+    system = K._hom_system(M)
+    if system is None:
+        return 0, 0
+    return tuple(K._maps(M, V).shape[2] for V in system)
+
+
 def kronecker_endomorphism_dims(M):
     """Dimensions of the even and odd commutants of M, by the Kronecker
     solve."""
@@ -460,7 +471,7 @@ def meataxe_inputs(M, seed):
         index += 1
         if cur.dim == 0:
             continue
-        if any(cur.dim == K.module.dim and any(K.hom_dims(cur)) for K in classes):
+        if any(cur.dim == K.module.dim and any(hom_dims(K, cur)) for K in classes):
             factors.append(cur)
             continue
         seen.append(cur)
@@ -1174,7 +1185,7 @@ def polarization_module(g, chi, seed=0, ext_cap=4, budget=DEFAULT_BUDGET) -> Pol
     for degree, gx, table in scalar_extensions(g, ext_cap):
         chix = table[chi]
         try:
-            M, _ = _polarization_module_inner(gx, chix, budget)
+            M = _polarization_module_inner(gx, chix, budget)
         except NeedsFieldExtension:
             continue
         return PolarizationModuleReport(

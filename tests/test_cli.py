@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -118,6 +119,17 @@ def test_validate_parse_error_exit3(tmp_path):
     pth.write_text("superkw-lsa v1\nfield p=3 k=1\nbasis a even\nbracket a a a:9\n")
     code, _ = run_cli(["validate", str(pth)])
     assert code == 3
+
+
+def test_validate_huge_prime_field_exit3(tmp_path):
+    # 2^61 - 1 is prime but too large for exact int64 arithmetic: the size
+    # bound rejects it before any trial division
+    pth = tmp_path / "huge.lsa"
+    pth.write_text("superkw-lsa v1\nfield p=2305843009213693951 k=1\nbasis a even\n")
+    start = time.perf_counter()
+    code, _ = run_cli(["validate", str(pth)])
+    assert code == 3
+    assert time.perf_counter() - start < 1
 
 
 def test_missing_file_exit3():

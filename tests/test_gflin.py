@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,6 +297,20 @@ def test_field_rejects_inexact_sizes():
     # p^k >= 2^63: codes do not fit in int64
     with pytest.raises(FieldError):
         Field(2147483647, 3)
+    # the Mersenne prime 2^61 - 1 is rejected by its size, before a trial
+    # division that would run for about 2^30 steps; an alarm ends the test
+    # if it does not return at once
+    def too_slow(signum, frame):
+        raise TimeoutError("Field(2^61 - 1) did not return within 2 s")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(2)
+    try:
+        with pytest.raises(FieldError, match="too large"):
+            Field(2**61 - 1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 # ---------------------------------------------------------------------------

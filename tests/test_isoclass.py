@@ -37,6 +37,7 @@ from superkw.modules import (
 
 from conftest import (
     composition_factor_modules,
+    hom_dims,
     kronecker_endomorphism_dims,
     kronecker_hom_dims,
     meataxe_inputs,
@@ -106,10 +107,10 @@ def test_conjugated_factor_recognised(name, chi):
     for K in classes:
         for _ in range(2):
             M = _random_even_basis_change(K.module, rng)
-            assert M.dim == K.module.dim and any(K.hom_dims(M))
+            assert M.dim == K.module.dim and any(hom_dims(K, M))
             # the parity shift has the same endomorphism dimensions
             N = parity_shift(M)
-            assert N.dim == K.module.dim and any(K.hom_dims(N))
+            assert N.dim == K.module.dim and any(hom_dims(K, N))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 7])
@@ -118,19 +119,19 @@ def test_gl11_gf9_classes_never_merged(seed):
     classes = _classes(series)
     # three classes alike in dimension, superdimension and nullity
     assert len(classes) == 3
-    assert {(K.module.dim, K.module.superdim, K.cert.nullity) for K in classes} == {(6, (3, 3), 3)}
+    assert {(K.module.dim, K.module.superdim, len(K.cert.ker)) for K in classes} == {(6, (3, 3), 3)}
     for K in classes:
         for L in classes:
             if K is not L:
-                assert not (K.module.dim == L.module.dim and any(L.hom_dims(K.module)))
+                assert not (K.module.dim == L.module.dim and any(hom_dims(L, K.module)))
                 assert kronecker_hom_dims(K.module, L.module) == (0, 0)
-                assert L.hom_dims(K.module) == (0, 0)
+                assert hom_dims(L, K.module) == (0, 0)
     # every factor is its class's module or that module's parity shift: End
     # is (3, 0), so the maps onto a factor are even on side 0, odd on side 1
     for K, side in series:
         N = side_module(K, side)
         assert kronecker_hom_dims(K.module, N) == ((0, 3) if side else (3, 0))
-        assert K.hom_dims(N) == kronecker_hom_dims(K.module, N)
+        assert hom_dims(K, N) == kronecker_hom_dims(K.module, N)
     _check_sides(series, _regular("gl(1|1) GF(9)", (0, 1)))
 
 
@@ -167,15 +168,15 @@ def test_same_shape_non_isomorphic_never_accepted():
                                action=np.zeros_like(S.action))
             # the zero action is S's own only on a trivial 1-dim S
             assert zero.dim == K.module.dim
-            assert any(K.hom_dims(zero)) == (not np.any(S.action))
+            assert any(hom_dims(K, zero)) == (not np.any(S.action))
             # the parity shift swaps the even and the odd maps
-            ee, eo = K.endo()
-            assert ee > 0 and K.hom_dims(parity_shift(S)) == (eo, ee)
+            ee, eo = K.endo
+            assert ee > 0 and hom_dims(K, parity_shift(S)) == (eo, ee)
             M = _sum_of_smaller(S, [side_module(L, side) for L, side in series])
             if M is not None:
                 assert M.superdim == S.superdim
-                assert not (M.dim == K.module.dim and any(K.hom_dims(M)))
-                assert K.hom_dims(M) == (0, 0) == kronecker_hom_dims(S, M)
+                assert not (M.dim == K.module.dim and any(hom_dims(K, M)))
+                assert hom_dims(K, M) == (0, 0) == kronecker_hom_dims(S, M)
                 sums += 1
     # the 2-dim classes of gl1_1_p3 and the 3- and 5-dim ones of osp1_2_p3
     assert sums >= 3
@@ -266,11 +267,11 @@ def _check_sides(series, M):
 def _check_against_kronecker(M, seed):
     series = composition_series(M, seed)
     for K in _classes(series):
-        assert K.endo() == kronecker_endomorphism_dims(K.module)
+        assert K.endo == kronecker_endomorphism_dims(K.module)
     # every factor, its class's module or that module's parity shift
     for K, side in series:
         N = side_module(K, side)
-        assert K.hom_dims(N) == kronecker_hom_dims(K.module, N)
+        assert hom_dims(K, N) == kronecker_hom_dims(K.module, N)
     _check_sides(series, M)
 
 
@@ -287,7 +288,7 @@ def test_endo_matches_kronecker_oddheis(chi):
     # theta = 0, with an odd endomorphism
     classes = _classes(composition_series(_regular("oddheis_p3", chi), 0))
     assert all(K.cert.recipe == (0, ()) and K.cert.poly == [0, 1] for K in classes)
-    assert [K.endo() for K in classes] == ([(1, 0)] if chi == (0,) else [(1, 1)])
+    assert [K.endo for K in classes] == ([(1, 0)] if chi == (0,) else [(1, 1)])
     _check_against_kronecker(_regular("oddheis_p3", chi), 0)
 
 
@@ -302,9 +303,9 @@ def test_zero_divisor_of_even_commutant_splits(monkeypatch):
     orig = modules.FactorClass.random_endomorphism
     dims = []
 
-    def spy(K, ker, rng):
-        T, dim_e = orig(K, ker, rng)
-        dims.append((ker.shape[0], dim_e))
+    def spy(K, rng):
+        T, dim_e = orig(K, rng)
+        dims.append((len(K.cert.ker), dim_e))
         return T, dim_e
 
     monkeypatch.setattr(modules.FactorClass, "random_endomorphism", spy)
@@ -329,39 +330,73 @@ def test_osp12_gf9_decomposes_at_seed_0(chi):
 
 def test_meataxe_class_is_the_series_class(monkeypatch):
     # heis_p3 at chi = (1,0,0) has factors certified in the End(M) step,
-    # whose standard basis the Meataxe already spun: the composition loop
-    # takes the class the Meataxe built and spins no certificate twice
+    # whose standard basis the Meataxe already used: the composition loop
+    # takes the class the Meataxe built, whose certificate holds a spin the
+    # Meataxe made, and no spin happens outside the Meataxe
     made, returned = [], []
     init = modules.FactorClass.__init__
     meataxe = modules._find_proper_submodule
-    spun = []
-    standard_basis = modules._standard_basis
+    spins, inside = [], []
+    spin = modules.spin_many
 
     def counting_init(K, module, cert):
         made.append(K)
         init(K, module, cert)
 
     def spy(M, seed):
-        out = meataxe(M, seed)
+        inside.append(1)
+        try:
+            out = meataxe(M, seed)
+        finally:
+            inside.pop()
         if isinstance(out, modules.FactorClass):
             assert out.module is M
             returned.append(out)
         return out
 
-    def counting_spin(M, w):
-        spun.append(1)
-        return standard_basis(M, w)
+    def counting_spin(M, rows):
+        assert inside, "a spin outside the Meataxe"
+        W = spin(M, rows)
+        spins.append(W)
+        return W
 
     monkeypatch.setattr(modules.FactorClass, "__init__", counting_init)
     monkeypatch.setattr(modules, "_find_proper_submodule", spy)
-    monkeypatch.setattr(modules, "_standard_basis", counting_spin)
+    monkeypatch.setattr(modules, "spin_many", counting_spin)
     for seed in (0, 3):
-        made.clear(), returned.clear(), spun.clear()
+        made.clear(), returned.clear(), spins.clear()
         classes = _classes(composition_series(_regular("heis_p3", (1, 0, 0)), seed))
+        assert all(K.endo[0] > 0 for K in classes)
         assert any("_standard" in K.__dict__ for K in returned)
         assert all(any(K is R for R in returned) for K in classes)
-        assert len({id(K.cert) for K in made}) == len(made)
-        assert len(spun) == sum("_standard" in K.__dict__ for K in made)
+        # each certificate holds a spin of its own, made by the Meataxe
+        assert len({id(K.cert.spun) for K in made}) == len(made)
+        assert all(any(K.cert.spun is W for W in spins) for K in made)
+
+
+@pytest.mark.parametrize("name,chi", [("heis_p3", (1, 0, 0)), ("osp1_2_p3", (1, 1, 0))])
+def test_end_even_is_solved_once_per_class(monkeypatch, name, chi):
+    # the Meataxe's End(M) step and the endomorphism dimensions share one
+    # solve of End_even(S); heis_p3 at chi = (1,0,0) has factors certified
+    # in that step
+    solves = Counter()
+    maps = modules.FactorClass._maps
+
+    def counting(K, M, V):
+        if M is K.module and len(V):
+            even = M.parities[np.argmax(V != 0, axis=1)] == K.w_parity
+            solves[id(K), bool(even[0])] += 1
+        return maps(K, M, V)
+
+    monkeypatch.setattr(modules.FactorClass, "_maps", counting)
+    for seed in (0, 3):
+        solves.clear()
+        series = composition_series(_regular(name, chi), seed)
+        classes = _classes(series)
+        for K in classes:
+            assert K.endo == kronecker_endomorphism_dims(K.module)
+        assert all(solves[id(K), True] == 1 for K in classes)
+        assert max(solves.values()) == 1
 
 
 @lru_cache(maxsize=None)
@@ -473,7 +508,7 @@ def test_embedding_exactly_when_a_map_exists(name, chi):
         ee, eo = kronecker_hom_dims(S, S)
         for M in targets:
             expect = kronecker_hom_dims(S, M)
-            assert K.hom_dims(M) == expect, (M.superdim, S.superdim)
+            assert hom_dims(K, M) == expect, (M.superdim, S.superdim)
             socle = K.socle(M)
             assert (socle is not None) == (expect != (0, 0)), (M.superdim, S.superdim)
             if socle is not None:
@@ -516,7 +551,7 @@ def test_even_traces_rule_out_a_map_before_the_kernel(monkeypatch, name):
             if K is L or K.module.dim != L.module.dim:
                 continue
             kernels.clear()
-            assert K.hom_dims(L.module) == (0, 0) == kronecker_hom_dims(K.module, L.module)
+            assert hom_dims(K, L.module) == (0, 0) == kronecker_hom_dims(K.module, L.module)
             if traces(K.module) != traces(L.module):
                 assert kernels == []
                 ruled += 1
@@ -563,7 +598,7 @@ def test_sum_of_copies_peeled_without_meataxe(monkeypatch, name, chi):
                 # a copy of the shift is on side 1, unless an odd endomorphism
                 # makes S and its shift isomorphic
                 sides = sorted(side for _, side in series)
-                assert sides == (sorted(pattern) if K.endo()[1] == 0 else [0] * len(pattern))
+                assert sides == (sorted(pattern) if K.endo[1] == 0 else [0] * len(pattern))
 
 
 # heis_p3 is nilpotent, so each of its characters has one simple module, and

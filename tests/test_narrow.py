@@ -14,7 +14,6 @@ from superkw.lsa import LsaError, Subspace, as_subalgebra
 from superkw.lsafile import parse_lsa_path
 from superkw.modules import (
     SuperModule,
-    _standard_basis,
     _words_applied,
     composition_series,
     quotient_module,
@@ -224,7 +223,7 @@ def test_words_applied_equals_the_all_generators_formula(name, chi):
     M = _regular(name, chi)
     f = M.alg.field
     # the unit of the regular module generates it
-    _, levels = _standard_basis(M, f.eye(M.dim)[0])
+    levels = spin_many(M, f.eye(M.dim)[:1]).levels
     rng = np.random.default_rng(3)
     for target in (M, M.transpose_module()):
         V = f.rand(rng, (3, M.dim))
