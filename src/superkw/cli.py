@@ -152,17 +152,17 @@ def cmd_conjecture(args) -> int:
         return EXIT_INPUT
     try:
         cache = OracleCache(args.cache) if args.cache else None
+        doc = conjecture_report(
+            af,
+            seed=args.seed,
+            budget=args.budget,
+            strategy=args.strategy,
+            samples=args.samples,
+            cache=cache,
+        )
     except CacheError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    doc = conjecture_report(
-        af,
-        seed=args.seed,
-        budget=args.budget,
-        strategy=args.strategy,
-        samples=args.samples,
-        cache=cache,
-    )
     if cache is not None:
         try:
             cache.save()

@@ -494,11 +494,20 @@ def irreducible_factors(f: Field, m, rng):
 # echelon forms
 
 def rref(f: Field, m: np.ndarray):
-    """Reduced row echelon form.  Returns (rref matrix, pivot column list)."""
+    """Reduced row echelon form.  Returns (rref matrix, pivot column list);
+    `_eliminate` also gives the input row each pivot row came from."""
+    return _eliminate(f, m)[:2]
+
+
+def _eliminate(f: Field, m: np.ndarray):
+    """`rref` and the input row each pivot row came from.  A pivot row is
+    its input row minus multiples of earlier pivot rows, so for any pivot
+    choice those input rows are independent and span the row space."""
     m = np.array(m, dtype=np.int64)
     if m.ndim != 2:
         raise ValueError("rref expects a 2-d matrix")
     rows, cols = m.shape
+    source = np.arange(rows)
     pivots = []
     r = c = 0
     while r < rows and c < cols:
@@ -513,6 +522,7 @@ def rref(f: Field, m: np.ndarray):
         piv = r + int(nz[0])
         if piv != r:
             m[[r, piv]] = m[[piv, r]]
+            source[[r, piv]] = source[[piv, r]]
         lead = int(m[r, c])
         if lead != 1:
             m[r, c:] = f.mul_arr(m[r, c:], f.inv(lead))
@@ -525,7 +535,7 @@ def rref(f: Field, m: np.ndarray):
         pivots.append(c)
         r += 1
         c += 1
-    return m, pivots
+    return m, pivots, source[: len(pivots)]
 
 
 def rank(f: Field, m: np.ndarray) -> int:
@@ -661,18 +671,18 @@ class Echelon:
         return f.sub_arr(block, f.matmul(block[..., self.pivots], self.basis))
 
     def extend(self, block) -> np.ndarray:
-        """Add the rows of ``block`` to the space.  Returns the new basis
-        rows: the reduced echelon form of the residues, which is zero on the
-        old pivot columns."""
+        """Add the rows of ``block`` to the space.  Returns the indices of
+        the rows whose residues gave the pivot rows (`_eliminate`): they are
+        independent modulo the old space and, with it, span the new one."""
         f = self.field
         block = np.asarray(block, dtype=np.int64)
         if block.size == 0:
-            return np.zeros((0, self.ambient), dtype=np.int64)
+            return np.zeros(0, dtype=np.int64)
         res = self.reduce(block.reshape(-1, self.ambient))
-        res = res[np.any(res, axis=1)]
-        if res.shape[0] == 0:
-            return res
-        r, piv = rref(f, res)
+        live = np.flatnonzero(np.any(res, axis=1))
+        if not live.size:
+            return live
+        r, piv, source = _eliminate(f, res[live])
         new = r[: len(piv)]
         old = self.basis
         if self.pivots:
@@ -682,7 +692,7 @@ class Echelon:
         order = np.argsort(pivots)
         self.basis = np.vstack([old, new])[order]
         self.pivots = [pivots[i] for i in order]
-        return new
+        return live[source]
 
     def contains(self, v) -> bool:
         return not np.any(self.reduce(v))

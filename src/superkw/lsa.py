@@ -666,16 +666,8 @@ def as_subalgebra(g: LieSuperAlgebra, S: Subspace) -> Subalgebra:
     parities = [S.row_parity(a) for a in range(m)]
     names = [f"s{a}" for a in range(m)]
     s_ev = sum(1 for p in parities if p == 0)
-    pmap = None
-    if g.pmap is not None:
-        pmap = np.zeros((s_ev, m), dtype=np.int64)
-        for a, w in enumerate(g.p_power(rows[:s_ev])):
-            c = S.coords(w)
-            if c is None:
-                # not p-closed: present it as a plain Lie superalgebra
-                pmap = None
-                break
-            pmap[a] = c
+    # None when S is not p-closed: then it is a plain Lie superalgebra
+    pmap = S.coords(g.p_power(rows[:s_ev])) if g.pmap is not None else None
     alg = LieSuperAlgebra(g.field, names, parities, structure, pmap)
     return Subalgebra(g, S, alg)
 
@@ -781,35 +773,19 @@ def _ideal_flag(g: LieSuperAlgebra) -> List[Subspace]:
 
 def graded_hyperplanes_containing(g: LieSuperAlgebra, W: Subspace):
     """Graded codimension-one subspaces of g containing W, in a fixed order:
-    even-side kernels first, functionals enumerated lexicographically."""
+    even-side kernels first, functionals enumerated lexicographically.  A
+    normalized phi on one side's complement columns of W gives ker(x ->
+    phi(x - x[pivots] W)), the null space of the one row psi that is phi on
+    those columns and -W phi at the pivots; psi is homogeneous, so that
+    null space is graded (`nullspace`)."""
     f = g.field
     comp = W.complement_columns()
-    comp_even = [c for c in comp if c < g.s_even]
-    comp_odd = [c for c in comp if c >= g.s_even]
-    for side in (comp_even, comp_odd):
-        c = len(side)
-        if c == 0:
-            continue
-        other = comp_odd if side is comp_even else comp_even
-        for phi in _normalized_functionals(f, c):
-            t = next(i for i in range(c) if phi[i])
-            rows = [W.basis] if W.dim else []
-            extra = []
-            for u in range(c):
-                if u == t:
-                    continue
-                vec = np.zeros(g.n, dtype=np.int64)
-                vec[side[u]] = 1
-                vec[side[t]] = f.neg(int(phi[u]))
-                extra.append(vec)
-            for cc in other:
-                vec = np.zeros(g.n, dtype=np.int64)
-                vec[cc] = 1
-                extra.append(vec)
-            if extra:
-                rows.append(np.array(extra))
-            basis = np.vstack(rows) if rows else np.zeros((0, g.n), dtype=np.int64)
-            yield Subspace(f, g.s_even, g.n, basis)
+    for side in ([c for c in comp if c < g.s_even], [c for c in comp if c >= g.s_even]):
+        for phi in _normalized_functionals(f, len(side)):
+            psi = np.zeros(g.n, dtype=np.int64)
+            psi[side] = phi
+            psi[W.pivots] = f.neg_arr(f.matmul(W.basis, psi))
+            yield Subspace(f, g.s_even, g.n, nullspace(f, psi[None, :]))
 
 
 def _normalized_functionals(f: Field, c: int):

@@ -43,7 +43,6 @@ class LsaParseError(ValueError):
 class AlgebraFile:
     algebra: LieSuperAlgebra
     triangular: Optional[TriangularData]
-    source_text: str
 
     def content_hash(self) -> str:
         """Hash of the canonical serialization, not of the raw input."""
@@ -227,7 +226,7 @@ def parse_lsa(text: str) -> AlgebraFile:
         if covered != list(range(n)):
             raise LsaParseError(no, "triangular blocks must partition the basis")
         tri = triangular_data(alg, cart, plus, minus)
-    return AlgebraFile(alg, tri, text)
+    return AlgebraFile(alg, tri)
 
 
 def parse_lsa_path(path: str) -> AlgebraFile:

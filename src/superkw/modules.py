@@ -142,10 +142,10 @@ def validate_module(M: SuperModule) -> List[Violation]:
 class Spin(Echelon):
     """A spun subspace W (`spin_many`), with how it was spun.  `images`
     (dim W, ambient), in the field's code dtype, is a basis of W of raw
-    images: the given rows the spin kept, then level by level the images it
-    kept.  `levels` holds each later level as a pair of arrays (generators,
+    images: the given rows the spin took, then level by level the images it
+    took.  `levels` holds each later level as a pair of arrays (generators,
     sources): its k-th image is generator gens[k] applied to image
-    srcs[k].  Spun from one vector w, images.T is the standard basis B of W
+    srcs[k].  Spun from one vector w, images.T is a standard basis B of W
     from w, B[:, 0] = w, and the levels are its words (`_words_applied`)."""
 
     images: np.ndarray
@@ -167,9 +167,9 @@ def spin_many(M: SuperModule, rows: np.ndarray) -> Spin:
     """Smallest action-invariant subspace containing the given rows.
 
     Breadth first: each level applies every generator to the images the
-    previous level kept, and keeps the first images, in the order (image,
-    generator), that are independent modulo the span so far.  Neither the
-    spin nor that rule draws anything random."""
+    previous level took, and takes those that `Echelon.extend` takes in one
+    elimination: with the span so far they span the whole level.  Nothing
+    random is drawn."""
     f = M.alg.field
     d, n = M.dim, M.alg.n
     space = Spin(f, d)
@@ -178,13 +178,9 @@ def spin_many(M: SuperModule, rows: np.ndarray) -> Spin:
     cand = np.asarray(rows, dtype=np.int64).reshape(-1, d)
     lo = hi = 0
     while True:
-        res = space.reduce(cand)
-        # the pivot columns of the transposed residues are the candidates,
-        # in order, that are independent modulo the span so far
-        keep = np.array(rref(f, res.T)[1], dtype=np.int64)
+        keep = space.extend(cand)
         if not keep.size:
             break
-        space.extend(res[keep])
         images[hi : hi + keep.size] = cand[keep]
         if hi:
             space.levels.append((keep % n, lo + keep // n))
@@ -645,9 +641,9 @@ class FactorClass:
         the maps T of each parity (w's first, whose images are copies of S)
         is found with their B'(Tw) = T B, whose rows span the image T(S),
         the spin of Tw.  The images of a basis span those of all maps, and a
-        simple image meets a sum of copies in 0 or in all of itself, so it
-        is a new copy exactly when Tw is outside the sum so far, and then it
-        grows the sum by dim S."""
+        simple image meets a sum of copies in 0 or in all of itself, so its
+        rows grow the sum so far by dim S when it is a new copy and by 0
+        otherwise."""
         system = self._hom_system(M)
         if system is None:
             return None
@@ -655,10 +651,10 @@ class FactorClass:
         for side, V in enumerate(system):
             B = self._maps(M, V)
             for j in range(B.shape[2]):
-                if not total.contains(B[0, :, j]):
-                    if len(total.extend(B[:, :, j])) != self.module.dim:
-                        raise RuntimeError("image of a map from a simple module has another dimension")
+                if (added := len(total.extend(B[:, :, j]))) == self.module.dim:
                     sides.append(side)
+                elif added:
+                    raise RuntimeError("image of a map from a simple module has another dimension")
             del B  # not held through the other side's solve
         return (sides, total) if sides else None
 

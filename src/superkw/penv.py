@@ -39,25 +39,19 @@ class Envelope:
     ad_image_dim: int                # dim of ad(g_0)
 
 
-def _ad_flat(g: LieSuperAlgebra, i: int) -> np.ndarray:
-    return g.ad_matrix(g.basis_vector(i)).ravel()
-
-
 def minimal_p_envelope(g: LieSuperAlgebra) -> Envelope:
     """Envelope of a (not necessarily restricted) Lie superalgebra; the
     stored p-operation of the input, if any, is ignored."""
     f = g.field
     n, s, t = g.n, g.s_even, g.t_odd
-    ad_rows = np.array([_ad_flat(g, i) for i in range(s)], dtype=np.int64)
-    if ad_rows.size == 0:
-        ad_rows = np.zeros((0, n * n), dtype=np.int64)
+    ad_rows = g.ad_matrix(f.eye(n)[:s]).reshape(s, n * n)
     ad = Echelon(f, n * n, ad_rows)
 
     # p-closure of the ad image under matrix p-th powers
     W = Echelon(f, n * n, ad.basis)
     while True:
         powers = f.mat_pow(W.basis.reshape(-1, n, n), f.p).reshape(-1, n * n)
-        if not W.extend(powers).shape[0]:
+        if not len(W.extend(powers)):
             break
     closure_dim = W.dim
     ad_dim = ad.dim

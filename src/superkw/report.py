@@ -14,7 +14,7 @@ import json
 import os
 import tempfile
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -34,6 +34,7 @@ from .env import ReducedAlgebra, induce, regular_module
 from .lsa import LieSuperAlgebra, Subspace, as_subalgebra, kac_odd_space
 from .modules import (
     CompositionReport,
+    FactorRecord,
     SuperModule,
     composition_factors,
     composition_series,
@@ -63,6 +64,32 @@ class CacheError(ValueError):
     """An oracle cache file that cannot be read back."""
 
 
+FACTOR_KEYS = {f.name for f in fields(FactorRecord)}
+
+
+def _is_payload(got) -> bool:
+    """A cache entry of the shape `oracle_factors` writes: nonnegative ints
+    throughout, a nonempty list of factors, each with a superdim that sums
+    to its positive dim = endo_even * geometric_dim, and `dims` and
+    `geometric_dims` the sorted dims and geometric dims of the factors."""
+    def ints(xs):
+        return isinstance(xs, list) and all(type(x) is int and x >= 0 for x in xs)
+
+    def factor(r):
+        return (isinstance(r, dict) and set(r) == FACTOR_KEYS
+                and ints(r["superdim"]) and len(r["superdim"]) == 2
+                and ints([r[k] for k in FACTOR_KEYS - {"superdim"}])
+                and 0 < sum(r["superdim"]) == r["dim"] == r["endo_even"] * r["geometric_dim"])
+
+    if not (isinstance(got, dict) and set(got) == {"dims", "geometric_dims", "factors"}):
+        return False
+    facs = got["factors"]
+    return (isinstance(facs, list) and facs != [] and all(factor(r) for r in facs)
+            and ints(got["dims"]) and got["dims"] == sorted(r["dim"] for r in facs)
+            and ints(got["geometric_dims"])
+            and got["geometric_dims"] == sorted(r["geometric_dim"] for r in facs))
+
+
 class OracleCache:
     """Composition-factor results keyed by (payload schema, algebra hash,
     chi, seed, budget)."""
@@ -90,9 +117,14 @@ class OracleCache:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def get(self, key: str) -> Optional[dict]:
+        """The payload stored under key, None on a miss.  Raises CacheError
+        when the entry does not have the shape `oracle_factors` writes."""
         got = self.data.get(key)
-        if got is not None:
-            self.hits += 1
+        if got is None:
+            return None
+        if not _is_payload(got):
+            raise CacheError(f"cache file {self.path} holds a malformed entry {key}")
+        self.hits += 1
         return got
 
     def put(self, key: str, payload: dict):
@@ -190,16 +222,8 @@ def oracle_factors(
     payload = {
         "dims": rep.dims,
         "geometric_dims": rep.geometric_dims,
-        "factors": [
-            {
-                "dim": r.dim,
-                "superdim": list(r.superdim),
-                "endo_even": r.endo_even,
-                "endo_odd": r.endo_odd,
-                "geometric_dim": r.geometric_dim,
-            }
-            for r in rep.factors
-        ],
+        # one entry per FactorRecord, its fields as keys (`FACTOR_KEYS`)
+        "factors": [dict(asdict(r), superdim=list(r.superdim)) for r in rep.factors],
     }
     if cache is not None:
         cache.put(key, payload)

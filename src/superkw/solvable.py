@@ -176,7 +176,11 @@ class DescentTrace:
     steps: List[DescentStep] = dfield(default_factory=list)
     terminal: str = ""            # "base" | "polarization" | "oracle"
     extension_degree: int = 1
-    fallback: bool = False
+
+    @property
+    def fallback(self) -> bool:
+        """No route applied; the module is the oracle's largest factor."""
+        return self.terminal == "oracle"
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +260,7 @@ def construct_irreducible(
             f"constructive routes exhausted ({last_exc}) and the oracle "
             "budget is insufficient") from None
     best = max((K.module for K, _ in composition_series(reg.module, seed)), key=lambda S: S.dim)
-    return best, DescentTrace(terminal="oracle", fallback=True)
+    return best, DescentTrace(terminal="oracle")
 
 
 def _construct(g, chi, seed, budget, pins) -> Tuple[SuperModule, DescentTrace]:

@@ -14,6 +14,7 @@ from superkw.lsa import (
     LsaError,
     NeedsFieldExtension,
     Subspace,
+    _normalized_functionals,
     as_subalgebra,
     is_completely_solvable,
     scalar_extensions,
@@ -147,6 +148,41 @@ def graded_span(f, s_even, n, vecs) -> Subspace:
     rows = np.asarray(vecs, dtype=np.int64).reshape(-1, n)
     odd = np.arange(n) >= s_even
     return Subspace(f, s_even, n, np.vstack([rows * ~odd, rows * odd]))
+
+
+def reference_graded_hyperplanes(g, W):
+    """`lsa.graded_hyperplanes_containing` as it was written first: W's
+    basis, then for a functional phi with leading 1 at column t of one
+    side, e_u - phi[u] e_t for the side's other complement columns u, and
+    every complement column of the other side."""
+    f = g.field
+    comp = W.complement_columns()
+    comp_even = [c for c in comp if c < g.s_even]
+    comp_odd = [c for c in comp if c >= g.s_even]
+    for side in (comp_even, comp_odd):
+        c = len(side)
+        if c == 0:
+            continue
+        other = comp_odd if side is comp_even else comp_even
+        for phi in _normalized_functionals(f, c):
+            t = next(i for i in range(c) if phi[i])
+            rows = [W.basis] if W.dim else []
+            extra = []
+            for u in range(c):
+                if u == t:
+                    continue
+                vec = np.zeros(g.n, dtype=np.int64)
+                vec[side[u]] = 1
+                vec[side[t]] = f.neg(int(phi[u]))
+                extra.append(vec)
+            for cc in other:
+                vec = np.zeros(g.n, dtype=np.int64)
+                vec[cc] = 1
+                extra.append(vec)
+            if extra:
+                rows.append(np.array(extra))
+            basis = np.vstack(rows) if rows else np.zeros((0, g.n), dtype=np.int64)
+            yield Subspace(f, g.s_even, g.n, basis)
 
 
 def pair_algebra(field, names, parities, pairs, pmap_rows=None):

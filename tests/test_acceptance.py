@@ -111,7 +111,7 @@ def test_criterion_02_gl11_exhaustive_scan(gl11):
     g = gl11.algebra
     from superkw.lsafile import AlgebraFile
 
-    af = AlgebraFile(g, gl11.triangular, "")
+    af = AlgebraFile(g, gl11.triangular)
     doc = conjecture_report(af, seed=0, budget=4000, strategy="exhaustive")
     mdim_pairs = doc["mdim"]["pairs"]
     mval = doc["mdim"]["value"]["value"]
@@ -202,7 +202,7 @@ def test_criterion_05_osp12_zhao():
     mrep = max_exponents(g)
     from superkw.lsafile import AlgebraFile
 
-    af = AlgebraFile(g, tri, "")
+    af = AlgebraFile(g, tri)
     doc = conjecture_report(af, seed=0, budget=4000, strategy="random", samples=1)
     ok = (
         zr.weights_found == 3

@@ -348,6 +348,34 @@ def test_corrupt_cache_exit3(files, tmp_path, capsys):
     assert main(["conjecture", files["oddheis"], "--cache", str(bad)]) == 3
 
 
+def test_malformed_cache_entry_exit3(tmp_path, capsys):
+    # an entry at a valid key that is not a payload oracle_factors writes
+    # is refused, not served: neither a traceback nor a false verdict
+    heis = str(ALGEBRAS / "heis_p3.lsa")
+    path = tmp_path / "c.json"
+    assert main(["conjecture", heis, "--cache", str(path)]) == 0
+    good = json.loads(path.read_text())
+    key = sorted(good)[0]
+    factor = {"dim": 3, "superdim": [3, 0], "endo_even": 1, "endo_odd": 0, "geometric_dim": 3}
+    for entry in [{"dims": [3]},
+                  {"dims": [1], "geometric_dims": [999], "factors": []},
+                  {"dims": [3], "geometric_dims": [999], "factors": [factor]},
+                  {"dims": [3.0], "geometric_dims": [3], "factors": [factor]},
+                  {"dims": [3], "geometric_dims": [3], "factors": [dict(factor, endo_even=True)]},
+                  {"dims": [3], "geometric_dims": [3], "factors": [dict(factor, superdim=[2, 0])]},
+                  {"dims": [3], "geometric_dims": [1], "factors": [dict(factor, geometric_dim=1)]},
+                  {"dims": [3], "geometric_dims": [3], "factors": [[3]]},
+                  {"dims": [4], "geometric_dims": [3], "factors": [factor]},
+                  [3]]:
+        path.write_text(json.dumps(dict(good, **{key: entry})))
+        capsys.readouterr()
+        code = main(["conjecture", heis, "--cache", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 3, entry
+        assert out == "" and "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert "malformed" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "{dir}"],
     ["mdim", "{latin1}"],

@@ -2,14 +2,16 @@
 
 import hashlib
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from superkw.env import ReducedAlgebra, regular_module
-from superkw.gflin import Echelon, Field, reduce_vector, rref
+from superkw.gflin import Echelon, Field, rank, reduce_vector, rref
 from superkw.lsafile import parse_lsa_path
+from superkw import modules
 from superkw.modules import spin, spin_many
 from superkw.report import conjecture_report, render_report
 
@@ -31,21 +33,24 @@ def blocks(draw):
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(blocks())
+# the second row's residue vanishes in the elimination, so the pivot row of
+# the second step comes from the third row
+@example((Field(3), 2, [np.array([[1, 0], [2, 0], [0, 1]])]))
 def test_extend_blockwise_equals_rref(case):
     f, n, bl = case
     E = Echelon(f, n)
     seen = np.zeros((0, n), dtype=np.int64)
     for b in bl:
-        before = E.dim
-        new = E.extend(b)
+        old = E.basis
+        took = E.extend(b)
         seen = np.vstack([seen, b])
         r, piv = rref(f, seen)
         assert np.array_equal(E.basis, r[: len(piv)])
         assert E.pivots == piv
-        assert new.shape[0] == E.dim - before
-        # the returned rows are rows of the new basis
-        for row in new:
-            assert any(np.array_equal(row, b_row) for b_row in E.basis)
+        # the rows taken are independent modulo the old space and, with it,
+        # span the new one
+        assert len(set(took.tolist())) == len(took)
+        assert rank(f, np.vstack([old, b[took]])) == len(old) + len(took) == E.dim
     probe = np.vstack([seen, np.eye(n, dtype=np.int64)])
     red = E.reduce(probe)
     for v, rv in zip(probe, red):
@@ -148,3 +153,40 @@ def test_report_bytes_unchanged(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_SEED1))
 def test_seed1_report_bytes_unchanged(name):
     assert _digest(name, 1) == GOLDEN_SEED1[name]
+
+
+# The Meataxe's path in the seed-0 conjecture run: the calls of
+# `_find_singular_even`, `spin`, `FactorClass` constructions and
+# `FactorClass._maps`.  Which images a spin takes for its standard basis
+# changes no Hom or End answer (each is a null space over the kernel rows,
+# whose basis depends only on the subspace), so it must change none of
+# these counts either.
+MEATAXE_PATH = {
+    "oddheis_p3": (19, 12, 6, 20),
+    "gl1_1_p3": (316, 141, 68, 212),
+    "heis_p3": (51, 20, 6, 129),
+    "solv2_p5": (36, 21, 10, 106),
+    "osp1_2_p3": (52, 88, 29, 125),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEATAXE_PATH))
+def test_meataxe_path_is_pinned(monkeypatch, name):
+    calls = Counter()
+
+    def counted(owner, attr):
+        inner = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(modules, "_find_singular_even")
+    counted(modules, "spin")
+    counted(modules.FactorClass, "__init__")
+    counted(modules.FactorClass, "_maps")
+    conjecture_report(parse_lsa_path(os.path.join(ALGEBRAS, f"{name}.lsa")), seed=0)
+    got = tuple(calls[a] for a in ("_find_singular_even", "spin", "__init__", "_maps"))
+    assert got == MEATAXE_PATH[name]

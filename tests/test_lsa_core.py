@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superkw.chargeom import chi_geometry
 from superkw.gflin import Field
@@ -12,6 +13,7 @@ from superkw.lsa import (
     change_basis,
     derived_subalgebra,
     extend_scalars,
+    graded_hyperplanes_containing,
     is_completely_solvable,
     is_ideal,
     is_nilpotent_subalg,
@@ -23,10 +25,11 @@ from superkw.lsa import (
     scalar_extensions,
 )
 
-from conftest import center, pair_algebra
+from conftest import center, graded_span, pair_algebra, reference_graded_hyperplanes
 
 F3 = Field(3)
 F5 = Field(5)
+F9 = Field(3, 2)
 
 
 def vec(*vals):
@@ -360,3 +363,32 @@ def test_scalar_extensions(k, cap):
         assert np.array_equal(gx.structure, table[g.structure])
     # the base field comes first, even when k alone is over the cap
     assert degrees == list(range(1, max(cap // k, 1) + 1))
+
+
+# ---------------------------------------------------------------------------
+# graded hyperplanes
+
+
+@st.composite
+def graded_subspaces(draw):
+    f = draw(st.sampled_from([F3, F5, F9]))
+    s_even = draw(st.integers(0, 3))
+    t_odd = draw(st.integers(0 if s_even else 1, 3))
+    n = s_even + t_odd
+    entry = st.one_of(st.just(0), st.integers(0, f.q - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4))
+    g = pair_algebra(f, [f"e{i}" for i in range(n)], [0] * s_even + [1] * t_odd, [])
+    return g, graded_span(f, s_even, n, rows)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(graded_subspaces())
+def test_graded_hyperplanes_match_reference(case):
+    # the same subspaces in the same order as the row-by-row construction
+    g, W = case
+    got = list(graded_hyperplanes_containing(g, W))
+    want = list(reference_graded_hyperplanes(g, W))
+    assert got == want
+    assert [H.pivots for H in got] == [H.pivots for H in want]
+    for H in got:
+        assert H.dim == g.n - 1 and all(H.contains(row) for row in W.basis)
