@@ -33,6 +33,7 @@ from .gflin import Field, nullspace, ranks
 from .lsa import (
     LieSuperAlgebra,
     LsaError,
+    NeedsFieldExtension,
     Subalgebra,
     Subspace,
     as_subalgebra,
@@ -362,9 +363,13 @@ def polarization(g: LieSuperAlgebra, chi) -> Subspace:
     """A degraded subalgebra of a completely solvable algebra.
 
     Descends from the whole algebra through codimension-one subalgebras that
-    contain the centralizer and keep the super-dimension at or above the
-    isotropy target; among valid steps the first in the fixed hyperplane
-    enumeration order is taken, so the output is deterministic.
+    contain the centralizer and keep the isotropy target (the maximal
+    isotropic super-dimension of chi restricted to them); among valid steps
+    the first in the fixed hyperplane enumeration order is taken, so the
+    output is deterministic.  A step can lower the target, for instance a
+    hyperplane whose normal line is not isotropic, so the target is part of
+    what makes a step valid.  Raises NeedsFieldExtension when no step is
+    valid over the working field.
     """
     chi = check_chi(g, chi)
     if not is_completely_solvable(g):
@@ -376,28 +381,19 @@ def polarization(g: LieSuperAlgebra, chi) -> Subspace:
         sub = as_subalgebra(g, cand)
         zc_rows = [sub.drop(row) for row in geo.centralizer.basis]
         z_sub = Subspace(g.field, sub.alg.s_even, sub.alg.n, zc_rows)
-        found = None
         for H in graded_hyperplanes_containing(sub.alg, z_sub):
             sd = SuperDim(*H.superdim)
-            if sd.even < d.even or sd.odd < d.odd:
+            if sd.even < d.even or sd.odd < d.odd or not is_subalgebra(sub.alg, H):
                 continue
-            if not is_subalgebra(sub.alg, H):
-                continue
-            found = H
-            break
-        if found is None:
-            raise CounterexampleError(
-                "polarization descent found no valid codimension-one step at "
-                f"super-dimension {SuperDim(*cand.superdim)}; this contradicts "
-                "the completely solvable theory over a closed field")
-        rows = g.field.matmul(found.basis, sub.rows)
-        nxt = Subspace(g.field, g.s_even, g.n, rows)
-        nxt_sub = as_subalgebra(g, nxt)
-        nxt_geo = chi_geometry(nxt_sub.alg, restrict_chi(chi, nxt_sub))
-        if nxt_geo.max_isotropic != d:
-            raise CounterexampleError(
-                "isotropy target changed under a codimension-one step that "
-                "contains the centralizer; monotonicity probe failed")
+            nxt = Subspace(g.field, g.s_even, g.n, g.field.matmul(H.basis, sub.rows))
+            nxt_sub = as_subalgebra(g, nxt)
+            if chi_geometry(nxt_sub.alg, restrict_chi(chi, nxt_sub)).max_isotropic == d:
+                break
+        else:
+            raise NeedsFieldExtension(
+                "polarization descent found no codimension-one subalgebra that keeps "
+                f"the isotropy target {d} at super-dimension {SuperDim(*cand.superdim)} "
+                f"over {g.field}")
         cand = nxt
     verdict, diag = is_degraded(g, chi, cand, geo)
     if not verdict:

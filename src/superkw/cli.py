@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .chargeom import DEFAULT_BUDGET, BudgetExceeded
+from .chargeom import DEFAULT_BUDGET, BudgetExceeded, CounterexampleError
 from .classical import CatalogError, baby_verma, catalog
 from .gflin import FieldError
 from .lsa import LsaError, NeedsFieldExtension, is_solvable
@@ -332,7 +332,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code)
-    except NeedsFieldExtension as exc:
+    except (NeedsFieldExtension, CounterexampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     except (BudgetExceeded, MeataxeFailure) as exc:

@@ -1,9 +1,9 @@
 """Graded modules over a reduced enveloping algebra: validation, spinning,
 graded irreducibility (a randomized Meataxe that spins one kernel vector per
 parity side and one transpose-kernel vector, then certifies by the Holt-Rees
-test or, where that fails, from the module's even commutant), composition
-factors grouped into isomorphism classes, Hom(S, M) and End(S) of a
-certified simple S as one linear solve from its certificate (the
+test or, where that fails, from the module's even commutant, solved once per
+module), composition factors grouped into isomorphism classes, Hom(S, M) and
+End(S) of a certified simple S as one linear solve from its certificate (the
 standard-basis method), which also counts the copies of a known S in a
 larger module, so that a factor is recorded as its class and a parity side.
 
@@ -30,7 +30,6 @@ from .gflin import (
     irreducible_factors,
     nullspace,
     poly_deg,
-    rref,
 )
 from .lsa import LieSuperAlgebra, LsaError, Violation
 
@@ -329,12 +328,12 @@ def _find_singular_even(M: SuperModule, rng):
 @dataclass
 class Certificate:
     """How the Meataxe certified a module S graded-simple, with the work it
-    did for it: the recipe of an even theta, a monic irreducible f, a
-    parity-homogeneous basis of ker f(theta) on S in reduced echelon form,
-    and the spin of its first row w, which is all of S and whose images are
-    the standard basis of S from w (`Spin`).  Where no theta served (dim 1,
-    or the a = 0 last resort), theta = 0 and f = x, so ker f(theta) is all
-    of S."""
+    did for it: the recipe of an even theta, a monic irreducible f, the
+    homogeneous `nullspace` basis of ker f(theta) on S, and the spin of the
+    first row w of its first parity side, which is all of S and whose
+    images are the standard basis of S from w (`Spin`).  Where no theta
+    served (the a = 0 last resort, where every 1-dimensional S goes),
+    theta = 0 and f = x, so ker f(theta) is all of S."""
 
     recipe: tuple
     poly: list
@@ -363,23 +362,23 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> Echelon | FactorClass:
       graded U that meets ker(a) meets it in a nonzero K-subspace, so
       contains all of it.
     - Otherwise, as for factors that are not absolutely irreducible, the
-      even commutant E = End_even(M) is solved from the residual system
-      of the class M would have (`FactorClass`), with w the first kernel
-      vector.  Take a random T in E and its minimal polynomial mu relative
-      to w, which is T's minimal polynomial on M since w generates M.  A
-      proper factor g of mu makes g(T) a nonzero endomorphism that is not
-      invertible, so g(T)M, spun from g(T)w, is a proper submodule.  If mu
-      is irreducible of degree dim E, then E = GF(q)[T] is a field.  E maps
+      even commutant E = End_even(M) decides, once per call: the first
+      attempt that gets here solves E from the residual system of the
+      class M would have (`FactorClass`), with w the first kernel vector,
+      and draws random T in E, with mu the minimal polynomial of T relative
+      to w, which is T's on M since w generates M.  A proper factor g of
+      mu makes g(T) a nonzero endomorphism that is not invertible, so
+      g(T)M, spun from g(T)w, is a proper submodule.  If mu is irreducible
+      of degree dim E, then E = GF(q)[T] is a field; T in a proper subfield
+      is the only other case, so the draws end with probability 1.  E maps
       each parity side of ker(a) into itself, and for the spun vector u of
       a side, T -> Tu is injective on the field E; so a side of dimension
       dim E is E.u, and each of its nonzero vectors Tu spins to T M = M.
       When every side has dimension dim E, M is certified; otherwise the
-      next theta is tried.
+      next theta, the a = 0 last resort too, is only compared with dim E.
     """
     f = M.alg.field
     dim = M.dim
-    if dim == 1:
-        return FactorClass(M, Certificate((0, ()), [0, 1], f.eye(1), spin_many(M, f.eye(1))))
     rng = np.random.default_rng(seed)
     MT = M.transpose_module()
 
@@ -396,10 +395,10 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> Echelon | FactorClass:
         # copies of one factor): a = 0, whose kernel is the whole module
         yield (0, ()), [0, 1], np.zeros((dim, dim), dtype=np.int64), f.eye(dim)
 
+    dim_e = None
     for recipe, poly, a, ker in singular():
-        # a is even, so the kernel rows are homogeneous (`nullspace`); in
-        # reduced echelon form, the first row of each side is spun
-        ker = rref(f, ker)[0]
+        # a is even, so the kernel rows are homogeneous (`nullspace`); the
+        # first row of each side is spun
         odd = M.parities[np.argmax(ker != 0, axis=1)] == 1
         sides = [side for side in (ker[~odd], ker[odd]) if len(side)]
         spins = []
@@ -407,7 +406,7 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> Echelon | FactorClass:
             spins.append(spin(M, side[0]))
             if spins[-1].dim < dim:
                 return spins[-1]
-        WT = spin(MT, rref(f, nullspace(f, a.T))[0][0])
+        WT = spin(MT, nullspace(f, a.T)[0])
         if WT.dim < dim:
             # proper transpose submodule = proper quotient.  Its annihilator
             # in M is a proper nonzero submodule, graded as WT's basis is:
@@ -417,13 +416,16 @@ def _find_proper_submodule(M: SuperModule, seed: int) -> Echelon | FactorClass:
         if len(ker) == poly_deg(poly):
             # Holt-Rees
             return K
-        T, dim_e = K.random_endomorphism(rng)
-        mu = _minimal_poly(M, T, sides[0][0])
-        g = next(irreducible_factors(f, mu, rng))
-        if poly_deg(g) < poly_deg(mu):
-            # g(T) is a zero divisor of E
-            return spin(M, f.matmul(_poly_at_matrix(f, g, T), sides[0][0]))
-        if poly_deg(mu) == dim_e and all(len(side) == dim_e for side in sides):
+        w = sides[0][0]
+        while dim_e is None:
+            T, n = K.random_endomorphism(rng)
+            mu = _minimal_poly(M, T, w)
+            g = next(irreducible_factors(f, mu, rng))
+            if poly_deg(g) < poly_deg(mu):
+                # g(T) is a zero divisor of E
+                return spin(M, f.matmul(_poly_at_matrix(f, g, T), w))
+            dim_e = n if poly_deg(mu) == n else None
+        if all(len(side) == dim_e for side in sides):
             return K
     raise MeataxeFailure(
         f"graded Meataxe could not certify a verdict after {MEATAXE_ATTEMPTS} attempts "

@@ -203,6 +203,18 @@ def pair_algebra(field, names, parities, pairs, pmap_rows=None):
     return LieSuperAlgebra(field, names, parities, c, pmap)
 
 
+def clifford_text(k: int) -> str:
+    """The .lsa text of z even and y1, y2 odd over GF(3^k), with
+    [y1, y1] = [y2, y2] = z and z^[p] = 0.  At chi(z) = 1, z acts by 1 on a
+    simple module, y1 and y2 square to 1/2 = -1 and anticommute, so y1 y2
+    squares to -1 on the even side.  Over GF(3), which has no square root of
+    -1, the simple modules are (2|2) with End_even = GF(9), and no even
+    element has a proper kernel on them; over GF(9) they are (1|1)."""
+    one = ",".join(["1"] + ["0"] * (k - 1))
+    return (f"superkw-lsa v1\nfield p=3 k={k}\nbasis z even\nbasis y1 odd\nbasis y2 odd\n"
+            f"bracket y1 y1 z:{one}\nbracket y2 y2 z:{one}\npmap z\n")
+
+
 def kronecker_hom_dims(S, T):
     """Dimensions of the even and odd module maps S -> T, by the Kronecker
     solve of A_T X = X A_S on row-major vec(X), one generator at a time on

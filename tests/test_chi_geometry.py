@@ -12,9 +12,10 @@ from superkw.chargeom import (
     restrict_chi,
 )
 from superkw.gflin import Field
-from superkw.lsa import Subspace, as_subalgebra, change_basis, is_p_closed
+from superkw.lsa import NeedsFieldExtension, Subspace, as_subalgebra, change_basis, is_p_closed
+from superkw.lsafile import parse_lsa
 
-from conftest import pair_algebra
+from conftest import clifford_text, pair_algebra
 
 F3 = Field(3)
 F5 = Field(5)
@@ -190,6 +191,21 @@ def test_polarization_odd_heisenberg(oddheis_p3):
     assert SuperDim(*P.superdim) == SuperDim(1, 0)
     ok, _ = is_degraded(g, vec(1), P)
     assert ok
+
+
+def test_polarization_keeps_the_isotropy_target_or_asks_for_an_extension():
+    # z even, y1 and y2 odd, [y1, y1] = [y2, y2] = z, chi(z) = 1: the target
+    # is (1|1), and the odd hyperplane y of a step keeps it only when its
+    # normal line is isotropic, that is y = y1 + i y2 with i^2 = -1.  GF(3)
+    # has no such i, so no step keeps the target there; GF(9) has one
+    g = parse_lsa(clifford_text(1)).algebra
+    assert chi_geometry(g, vec(1)).max_isotropic == SuperDim(1, 1)
+    with pytest.raises(NeedsFieldExtension):
+        polarization(g, vec(1))
+    g9 = parse_lsa(clifford_text(2)).algebra
+    P = polarization(g9, vec(1))
+    assert SuperDim(*P.superdim) == SuperDim(1, 1)
+    assert is_degraded(g9, vec(1), P)[0]
 
 
 def test_polarization_deterministic(gl11):

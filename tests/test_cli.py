@@ -514,3 +514,26 @@ def test_seed_and_budget_only_where_read():
         "--seed": ["baby-verma", "conjecture", "mdim", "solvable-irr", "validate"],
         "--budget": ["baby-verma", "conjecture", "solvable-irr"],
     }
+
+
+def test_counterexample_exit1_without_traceback(files, monkeypatch, capsys):
+    # the two places a CounterexampleError can still come from: a Gram
+    # matrix that breaks the grading in the character scan, and a
+    # polarization that is not degraded
+    import superkw.chargeom as chargeom
+
+    def broken_grams(*args):
+        raise chargeom.CounterexampleError("odd Gram block is not symmetric")
+
+    monkeypatch.setattr(chargeom, "_check_grams", broken_grams)
+    code = main(["conjecture", files["heis"]])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    assert err == "error: odd Gram block is not symmetric\n"
+    monkeypatch.undo()
+
+    monkeypatch.setattr(chargeom, "is_degraded", lambda *args: (False, {"superdim": "(0|0)"}))
+    code = main(["solvable-irr", files["gl11"], "--chi", "1,0"])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    assert err == "error: polarization candidate is not degraded: {'superdim': '(0|0)'}\n"

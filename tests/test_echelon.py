@@ -160,13 +160,15 @@ def test_seed1_report_bytes_unchanged(name):
 # `FactorClass._maps`.  Which images a spin takes for its standard basis
 # changes no Hom or End answer (each is a null space over the kernel rows,
 # whose basis depends only on the subspace), so it must change none of
-# these counts either.
+# these counts either.  A 1-dimensional piece takes the one path of every
+# piece, to the a = 0 last resort, with two spins (e_0 in the module and in
+# its transpose); the End_even decision is made once per piece.
 MEATAXE_PATH = {
-    "oddheis_p3": (19, 12, 6, 20),
-    "gl1_1_p3": (316, 141, 68, 212),
-    "heis_p3": (51, 20, 6, 129),
-    "solv2_p5": (36, 21, 10, 106),
-    "osp1_2_p3": (52, 88, 29, 125),
+    "oddheis_p3": (19, 20, 6, 20),
+    "gl1_1_p3": (314, 161, 66, 210),
+    "heis_p3": (51, 28, 6, 129),
+    "solv2_p5": (36, 31, 10, 106),
+    "osp1_2_p3": (51, 92, 29, 121),
 }
 
 

@@ -16,7 +16,7 @@ from superkw.cli import main
 from superkw.env import ReducedAlgebra, regular_module
 from superkw.gflin import Field
 from superkw.lsa import kac_odd_space
-from superkw.lsafile import parse_lsa_path
+from superkw.lsafile import parse_lsa, parse_lsa_path
 from superkw.modules import FactorRecord, composition_factors
 from superkw.report import oracle_composition
 
@@ -136,9 +136,9 @@ def test_two_level_weights_by_multiplicity(monkeypatch):
 
 
 def test_induced_modules_share_classes(monkeypatch):
-    # osp(1|2) at chi = (0,1,2): the first induced module has two 12-dim
-    # factor classes, and the 12-dim second one is recognised as one of them
-    # without a Meataxe certificate
+    # osp(1|2) at chi = (0,1,2): the first induced module has one 12-dim
+    # factor class, and of the two 12-dim factors of the second, one is
+    # recognised as that class without a Meataxe certificate
     g = _algebra("osp1_2_p3")
     seen = []
     orig = report.composition_factors
@@ -160,7 +160,7 @@ def test_induced_modules_share_classes(monkeypatch):
     monkeypatch.setattr(report, "composition_factors", spy)
     monkeypatch.setattr(modules, "_find_proper_submodule", spy_meataxe)
     oracle_composition(g, (0, 1, 2), 0, 4000)
-    assert seen == [([12, 12], 2), ([12], 2)]
+    assert seen == [([12], 1), ([12, 12], 2)]
     assert certified.count(12) == 2
 
 
@@ -198,12 +198,35 @@ def test_purely_odd_algebra(monkeypatch):
     assert direct == [] and len(ref.factors) == 4
 
 
+# z1, z2 even and y1-y4 odd, [y1, y1] = [y2, y2] = z1 and [y3, y3] = [y4, y4]
+# = z2.  At chi = (1, 1) its simple modules are (2|2) and absolutely
+# irreducible: each parity side is larger than End_even = GF(3).
+# gl1_1_p3's simple modules at (1, 1) are (3|3) with End_even = GF(27), as
+# large as their sides
+CLIFFORD4 = """superkw-lsa v1
+field p=3 k=1
+basis z1 even
+basis z2 even
+basis y1 odd
+basis y2 odd
+basis y3 odd
+basis y4 odd
+bracket y1 y1 z1:1
+bracket y2 y2 z1:1
+bracket y3 y3 z2:1
+bracket y4 y4 z2:1
+pmap z1
+pmap z2
+"""
+
+
 def test_meataxe_failure_names_chi_and_superdim(monkeypatch):
     # with no singular even element found, only the a = 0 last resort is
-    # left, which certifies a piece only when each of its parity sides is as
-    # large as its even commutant; on the first piece of the oracle at
-    # (1, 1) that is not so, and the Meataxe gives up on it
-    g = _algebra("gl1_1_p3")
+    # left, which certifies a simple piece only when each of its parity
+    # sides is as large as its even commutant; on CLIFFORD4's (2|2) pieces
+    # at (1, 1) that is not so, and the Meataxe gives up on the first
+    g = parse_lsa(CLIFFORD4).algebra
+    assert g.validate() == []
     pieces = []
     meataxe = modules._find_proper_submodule
 
@@ -222,9 +245,11 @@ def test_meataxe_failure_names_chi_and_superdim(monkeypatch):
     assert "chi = [1, 1]" in msg
 
 
-def test_meataxe_failure_message_from_cli(monkeypatch, capsys):
+def test_meataxe_failure_message_from_cli(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "clifford4.lsa"
+    path.write_text(CLIFFORD4)
     monkeypatch.setattr(modules, "_find_singular_even", lambda M, rng: None)
-    code = main(["conjecture", os.path.join(ALGEBRAS, "gl1_1_p3.lsa")])
+    code = main(["conjecture", str(path)])
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err
     assert re.search(r"superdimension \(\d+, \d+\) at chi = \[\d+, \d+\]", err)

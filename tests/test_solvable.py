@@ -10,7 +10,7 @@ from superkw.classical import catalog
 from superkw.env import ReducedAlgebra, regular_module
 from superkw.gflin import Field
 from superkw.lsa import LsaError, Subspace
-from superkw.lsafile import parse_lsa_path
+from superkw.lsafile import parse_lsa, parse_lsa_path
 from superkw.modules import (
     composition_factors,
     is_graded_irreducible,
@@ -24,6 +24,7 @@ from superkw.solvable import (
 )
 
 from conftest import (
+    clifford_text,
     kronecker_endomorphism_dims,
     pair_algebra,
     polarization_module,
@@ -343,3 +344,15 @@ def test_polarization_module_matches_equidim(gl11, oddheis_p3, solv2_p5):
         if verdict["thm_agrees"]:
             rep = polarization_module(g, chi)
             assert rep.module.dim == verdict["geometric_factor_dims"]["value"][0]
+
+
+@pytest.mark.parametrize("k,degree", [(1, 2), (2, 1)])
+def test_polarization_route_extends_the_field(k, degree):
+    # over GF(3) no polarization step keeps chi's isotropy target, and the
+    # descent asks for an extension instead of stopping: the engine finds
+    # the (1|1) module of GF(9) by the polarization route
+    g = parse_lsa(clifford_text(k)).algebra
+    M, tr = construct_irreducible(g, vec(1))
+    assert (tr.terminal, tr.extension_degree) == ("polarization", degree)
+    assert M.superdim == (1, 1) and validate_module(M) == []
+    assert is_graded_irreducible(M)
