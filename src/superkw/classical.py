@@ -17,7 +17,7 @@ import numpy as np
 
 from .chargeom import DEFAULT_BUDGET, check_chi, chi_value, restrict_chi
 from .env import InducedModule, character_module, induce
-from .gflin import Field, solve as lin_solve
+from .gflin import Field, shared_field, solve as lin_solve
 from .lsa import LieSuperAlgebra, LsaError, Subspace, as_subalgebra
 from .modules import validate_module
 from .solvable import p_compatibility
@@ -186,7 +186,7 @@ _GL_RE = re.compile(r"^(gl|sl)\((\d+)\|(\d+)\)$")
 def catalog(name: str, p: int, k: int = 1) -> CatalogEntry:
     """Validated catalog algebra with its triangular decomposition (where one
     exists)."""
-    field = Field(p, k)
+    field = shared_field(p, k)
     name = name.strip()
     m = _GL_RE.match(name)
     if m:
@@ -249,7 +249,7 @@ def baby_verma(
         raise LsaError("Borel row is outside Cartan + positive part")
     lam_b = f.matmul(coords[: tri.cartan.dim].T, lam)
     chi_b = restrict_chi(chi, sub)
-    S = character_module(sub, chi_b, lam_b)
+    S = character_module(sub.alg, chi_b, lam_b)
     bad = validate_module(S)
     if bad:
         raise LsaError(f"weight line is not a valid module: {bad[0]}")

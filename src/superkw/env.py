@@ -111,11 +111,10 @@ def _exponents(p: int, c0: int, c1: int, d: int) -> Tuple[np.ndarray, np.ndarray
     return e[:, :c0], e[:, c0:], idx % d
 
 
-def character_module(h: Subalgebra, chi_h, lam: np.ndarray) -> SuperModule:
-    """One-dimensional module of a restricted subalgebra: even generators act
+def character_module(alg: LieSuperAlgebra, chi_h, lam: np.ndarray) -> SuperModule:
+    """One-dimensional module of a restricted algebra: even generators act
     by the weight, odd ones by zero.  The caller is responsible for the
     weight solving the p-compatibility equations."""
-    alg = h.alg
     s = alg.s_even
     action = np.zeros((alg.n, 1, 1), dtype=np.int64)
     for a in range(s):
@@ -450,4 +449,4 @@ def regular_module(ralg: ReducedAlgebra, budget: int = DEFAULT_BUDGET) -> Induce
     """Left regular module of U_chi(g), as induction from the zero subalgebra."""
     g = ralg.g
     zero = as_subalgebra(g, g.zero_space())
-    return induce(g, ralg.chi, zero, character_module(zero, (), ()), budget=budget)
+    return induce(g, ralg.chi, zero, character_module(zero.alg, (), ()), budget=budget)

@@ -42,8 +42,8 @@ def is_irreducible(coeffs: Iterable[int], p: int) -> bool:
         return False
     if k == 1:
         return True
-    # built only now: Field(p) checks its own modulus x + 1 through here
-    return next(distinct_degree_factors(Field(p), m))[0] == k
+    # built only now: shared_field(p) checks its own modulus x + 1 through here
+    return next(distinct_degree_factors(shared_field(p), m))[0] == k
 
 
 def _power(mul, one, base, e: int):
@@ -118,7 +118,7 @@ class Field:
         if k > 1:
             # row i: x^(k+i) mod modulus, as a k-vector; products of two
             # degree-<k polynomials need degrees up to 2k-2
-            prime = Field(p)
+            prime = shared_field(p)
             self._red = np.array(
                 [(poly_mod(prime, [0] * (k + i) + [1], self.modulus) + [0] * k)[:k]
                  for i in range(k - 1)],
@@ -353,6 +353,14 @@ class Field:
         if self.k == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.k})"
+
+
+@lru_cache(maxsize=None)
+def shared_field(p: int, k: int = 1) -> Field:
+    """The one `Field` of GF(p^k) with the default modulus in this process:
+    its tables (q^2 entries each up to q = 1024) are built at the first call
+    only, however many algebras are extended to it."""
+    return Field(p, k)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .gflin import (
     inv_matrix,
     nullspace,
     rank,
+    shared_field,
 )
 
 
@@ -685,12 +686,13 @@ def scalar_extensions(g: LieSuperAlgebra, ext_cap: int):
     Degree 1 is g itself with the identity table, and comes first whatever
     the cap; each larger degree follows while the total degree over GF(p)
     stays within ext_cap.  Lazy, so a caller that stops early builds no
-    larger field."""
+    larger field, and each extension field is the process's `shared_field`,
+    built once."""
     f = g.field
     yield 1, g, np.arange(f.q, dtype=np.int64)
     degree = 2
     while f.k * degree <= ext_cap:
-        yield (degree,) + extend_scalars(g, Field(f.p, f.k * degree))
+        yield (degree,) + extend_scalars(g, shared_field(f.p, f.k * degree))
         degree += 1
 
 

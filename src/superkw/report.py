@@ -34,6 +34,7 @@ from .env import ReducedAlgebra, induce, regular_module
 from .lsa import LieSuperAlgebra, Subspace, as_subalgebra, kac_odd_space
 from .modules import (
     CompositionReport,
+    FactorClass,
     FactorRecord,
     SuperModule,
     composition_factors,
@@ -149,7 +150,9 @@ class OracleCache:
             raise
 
 
-def oracle_composition(g: LieSuperAlgebra, chi, seed: int, budget: int) -> CompositionReport:
+def oracle_composition(
+    g: LieSuperAlgebra, chi, seed: int, budget: int, classes: Optional[List[FactorClass]] = None
+) -> CompositionReport:
     """Composition factors of the regular module of U_chi(g), in two levels.
 
     The factors of the regular module of U_chi(g0), g0 the even part, are
@@ -176,10 +179,14 @@ def oracle_composition(g: LieSuperAlgebra, chi, seed: int, budget: int) -> Compo
     out exactly.  The induced modules share one list of classes, so a
     factor that an earlier one found is recognised without the Meataxe.
     When g0 = g or g0 = 0 there is nothing to gain: the regular module is
-    decomposed itself."""
+    decomposed itself.
+
+    `classes`, when given, receives the factor classes of g in the order
+    found, as `composition_series` fills it (not those of g0)."""
     chi = check_chi(g, chi)
     if g.t_odd == 0 or g.s_even == 0:
-        return composition_factors(regular_module(ReducedAlgebra(g, chi), budget).module, seed)
+        reg = regular_module(ReducedAlgebra(g, chi), budget).module
+        return composition_factors(reg, seed, classes)
     f, s = g.field, g.s_even
     h = as_subalgebra(g, Subspace(f, s, g.n, f.eye(g.n)[:s]))
     reg0 = regular_module(ReducedAlgebra(h.alg, restrict_chi(chi, h)), budget).module
@@ -187,7 +194,7 @@ def oracle_composition(g: LieSuperAlgebra, chi, seed: int, budget: int) -> Compo
     multiplicity = Counter(K for K, _ in composition_series(reg0, seed))
     V = kac_odd_space(g)
     p = as_subalgebra(g, h.space.sum_with(V))
-    known = []
+    known = [] if classes is None else classes
     records = []
     for index, (K, mult) in enumerate(multiplicity.items()):
         S0 = K.module

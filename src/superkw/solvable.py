@@ -8,8 +8,9 @@ its stabilizer, recurse, and induce.  Where the literal recipe does not
 apply (the base weight has no solution over the working field, or no usable
 ideal exists) the engine tries the polarization route for completely
 solvable inputs, extends the field up to a cap (the base field is always
-tried first), and finally falls back to the brute force oracle (the largest
-composition factor of the regular module); every produced module is
+tried first), and finally falls back to the brute force oracle: the largest
+composition factor of the regular module, from the two-level oracle that
+`conjecture` runs (`report.oracle_composition`).  Every produced module is
 re-validated and its irreducibility re-checked, so wrong answers cannot
 escape, only honest fallbacks.
 """
@@ -30,8 +31,8 @@ from .chargeom import (
     polarization,
     restrict_chi,
 )
-from .env import ReducedAlgebra, character_module, induce, regular_module
-from .gflin import Field, nullspace, solve as lin_solve
+from .env import character_module, induce
+from .gflin import nullspace, shared_field, solve as lin_solve
 from .lsa import (
     LieSuperAlgebra,
     LsaError,
@@ -44,21 +45,14 @@ from .lsa import (
     derived_subalgebra,
     intersect_spaces,
     is_completely_solvable,
-    is_ideal,
     is_nilpotent_subalg,
     is_p_closed,
     is_solvable,
     one_dim_ideal_flag,
     scalar_extensions,
 )
-from .modules import (
-    SuperModule,
-    composition_series,
-    is_graded_irreducible,
-    validate_module,
-)
-
-MAX_WEIGHT_SOLUTIONS = 4096
+from .modules import SuperModule, is_graded_irreducible, validate_module
+from .report import oracle_composition
 
 
 class ConstructionFailure(RuntimeError):
@@ -119,7 +113,7 @@ def _weight_solutions(
     M = f.digits(vals).reshape(s * k, -1).T
     b = f.digits(np.concatenate([f.pow_arr(chi_h, p), pin_vals])).ravel()
 
-    prime = Field(p)
+    prime = shared_field(p)
     x0 = lin_solve(prime, M, b)
     if x0 is None:
         return 0, iter(())
@@ -132,32 +126,14 @@ def _weight_solutions(
     return p ** ker.shape[0], sols
 
 
-def solve_weight_equations(
-    alg: LieSuperAlgebra,
-    chi_h: np.ndarray,
-    pins: Tuple[Tuple[np.ndarray, int], ...] = (),
-) -> List[np.ndarray]:
-    """All weights of `_weight_solutions`, in lexicographic order of their
-    codes (capped)."""
-    count, sols = _weight_solutions(alg, chi_h, pins)
-    if count > MAX_WEIGHT_SOLUTIONS:
-        raise BudgetExceeded(
-            f"weight solution set has {count} elements, "
-            f"cap is {MAX_WEIGHT_SOLUTIONS}")
-    return list(sols)
-
-
-def one_dim_weights(
-    sub: Subalgebra, chi_sub: np.ndarray, pins=()
-) -> Optional[np.ndarray]:
-    """The first weight of a one-dimensional module, or None: kill the even
-    part of the derived subalgebra and satisfy the p-compatibility equations.
-    Only that weight is computed, however many there are."""
-    alg = sub.alg
+def one_dim_weights(alg: LieSuperAlgebra, chi: np.ndarray, pins=()) -> Optional[np.ndarray]:
+    """The first weight of a one-dimensional module of alg, or None: kill
+    the even part of the derived subalgebra and satisfy the p-compatibility
+    equations.  Only that weight is computed, however many there are."""
     der = derived_subalgebra(alg)
     all_pins = [(row[: alg.s_even], 0) for row in der.even_rows()]
     all_pins.extend(pins)
-    return next(_weight_solutions(alg, chi_sub, tuple(all_pins))[1], None)
+    return next(_weight_solutions(alg, chi, tuple(all_pins))[1], None)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +164,10 @@ class DescentTrace:
 
 
 def _abelian_ideal_candidates(g: LieSuperAlgebra) -> List[Subspace]:
-    """Deterministically ordered abelian ideals to try in the descent."""
+    """Deterministically ordered abelian ideals to try in the descent.  The
+    terms of the derived series, the members of a flag of ideals and their
+    intersections with the derived subalgebra are ideals by construction,
+    so only abelianness is checked."""
     cands: List[Subspace] = []
     seen = set()
 
@@ -197,8 +176,6 @@ def _abelian_ideal_candidates(g: LieSuperAlgebra) -> List[Subspace]:
             return
         keyb = (S.dim, S.basis.tobytes())
         if keyb in seen:
-            return
-        if not is_ideal(g, S):
             return
         if bracket_span(g, S, S).dim != 0:
             return
@@ -237,7 +214,8 @@ def construct_irreducible(
     """A graded-irreducible module over U_chi(g) for solvable restricted g,
     with the construction trace.  The result may live over a field
     extension (recorded in the trace).  When no constructive route applies
-    and the regular module is over the budget, raises BudgetExceeded."""
+    and a module the oracle builds is over the budget, raises
+    BudgetExceeded."""
     chi = check_chi(g, chi)
     if not is_solvable(g) or not g.restricted:
         raise LsaError("the engine handles solvable restricted algebras")
@@ -250,29 +228,42 @@ def construct_irreducible(
         except (NeedsFieldExtension, ConstructionFailure) as exc:
             last_exc = exc
     # out of extensions: the largest composition factor of the regular
-    # module over the base field, the first one found on a tie.  The first
-    # factor of a class is the piece the Meataxe certified, the class's own
-    # module, so the module of the first largest class is that factor
+    # module over the base field, from conjecture's oracle, the first class
+    # found on a tie.  A class's module is the piece the Meataxe certified
+    classes = []
     try:
-        reg = regular_module(ReducedAlgebra(g, chi), budget=budget)
+        oracle_composition(g, chi, seed, budget, classes)
     except BudgetExceeded:
         raise BudgetExceeded(
             f"constructive routes exhausted ({last_exc}) and the oracle "
             "budget is insufficient") from None
-    best = max((K.module for K, _ in composition_series(reg.module, seed)), key=lambda S: S.dim)
+    best = max((K.module for K in classes), key=lambda S: S.dim)
     return best, DescentTrace(terminal="oracle")
+
+
+def _ideal_weights(g, chi, I: Subspace, sub_I: Subalgebra) -> Iterator[np.ndarray]:
+    """The eigenvalue functionals to try on an abelian ideal, lazily: chi
+    restricted to I first when chi vanishes on I^[p], then the weights of
+    `_weight_solutions` in code order."""
+    chi_I = restrict_chi(chi, sub_I)
+    first = not np.any(chi_value(g, chi, g.p_power(I.even_rows())))
+    if first:
+        yield chi_I
+    if sub_I.alg.restricted:
+        for lam in _weight_solutions(sub_I.alg, chi_I)[1]:
+            if not (first and np.array_equal(lam, chi_I)):
+                yield lam
 
 
 def _construct(g, chi, seed, budget, pins) -> Tuple[SuperModule, DescentTrace]:
     f = g.field
     derived = derived_subalgebra(g)
     chi_kills_derived = not np.any(chi_value(g, chi, derived.even_rows()))
-    whole = as_subalgebra(g, g.full_space())
     if chi_kills_derived and is_nilpotent_subalg(g, derived):
-        lam = one_dim_weights(whole, chi, pins=_pins_to_sub(whole, pins))
+        lam = one_dim_weights(g, chi, pins)
         if lam is None:
             raise NeedsFieldExtension("no one-dimensional weight over the working field")
-        S = character_module(whole, chi, lam)
+        S = character_module(g, chi, lam)
         bad = validate_module(S)
         if bad:
             raise ConstructionFailure(f"base module failed validation: {bad[0]}")
@@ -283,20 +274,8 @@ def _construct(g, chi, seed, budget, pins) -> Tuple[SuperModule, DescentTrace]:
         # chi([e_j, row]) for every generator and every row of I
         if not np.any(chi_value(g, chi, g.bracket(f.eye(g.n)[:, None], I.basis))):
             continue
-        # admissible eigenvalue functionals on the ideal
         sub_I = as_subalgebra(g, I)
-        chi_I = restrict_chi(chi, sub_I)
-        mu_list = []
-        if not np.any(chi_value(g, chi, g.p_power(I.even_rows()))):
-            mu_list.append(chi_I)
-        if sub_I.alg.restricted:
-            try:
-                for lam in solve_weight_equations(sub_I.alg, chi_I):
-                    if not any(np.array_equal(lam, m) for m in mu_list):
-                        mu_list.append(lam)
-            except BudgetExceeded:
-                pass
-        for mu in mu_list:
+        for mu in _ideal_weights(g, chi, I, sub_I):
             # mu as values on the rows of I (odd rows get zero)
             mu_vals = np.zeros(I.dim, dtype=np.int64)
             s_I = sub_I.alg.s_even
@@ -401,11 +380,11 @@ def _polarization_module_inner(g, chi, budget):
             "polarization subalgebra is not p-closed; reported rather than assumed")
     sub = as_subalgebra(g, h_space)
     chi_h = restrict_chi(chi, sub)
-    lam = one_dim_weights(sub, chi_h)
+    lam = one_dim_weights(sub.alg, chi_h)
     if lam is None:
         raise NeedsFieldExtension(
             "no weight for the polarization over the working field")
-    S = character_module(sub, chi_h, lam)
+    S = character_module(sub.alg, chi_h, lam)
     bad = validate_module(S)
     if bad:
         raise ConstructionFailure(f"polarization base character invalid: {bad[0]}")

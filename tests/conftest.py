@@ -24,7 +24,7 @@ from superkw.report import chi_verdict, oracle_composition, oracle_factors
 from superkw.solvable import (
     ConstructionFailure,
     _polarization_module_inner,
-    solve_weight_equations,
+    _weight_solutions,
 )
 
 
@@ -662,10 +662,10 @@ def random_solvable_stream(borel_gl21):
                 if not ok:
                     continue
                 chi_sub = restrict_chi(chi, sub)
-                lam = one_dim_weights(sub, chi_sub, pins=tuple(pins))
+                lam = one_dim_weights(sub.alg, chi_sub, pins=tuple(pins))
                 if lam is None:
                     continue
-                Sm = character_module(sub, chi_sub, lam)
+                Sm = character_module(sub.alg, chi_sub, lam)
                 if validate_module(Sm):
                     continue
                 ind = induce(h, chi, sub, Sm, budget=4000)
@@ -1035,7 +1035,7 @@ def lambda_set(g, tri, chi, ext_cap=4) -> LambdaSetReport:
     that completes it instead of silently extending."""
     chi = check_chi(g, chi)
     sub = as_subalgebra(g, tri.cartan)
-    sols = solve_weight_equations(sub.alg, restrict_chi(chi, sub))
+    sols = list(_weight_solutions(sub.alg, restrict_chi(chi, sub))[1])
     expected = g.field.p ** tri.cartan.dim
     complete = len(sols) == expected
     if not complete:
@@ -1044,7 +1044,7 @@ def lambda_set(g, tri, chi, ext_cap=4) -> LambdaSetReport:
                 continue
             trix = extend_triangular(tri, gx.field, table)
             subx = as_subalgebra(gx, trix.cartan)
-            solx = solve_weight_equations(subx.alg, restrict_chi(table[chi], subx))
+            solx = list(_weight_solutions(subx.alg, restrict_chi(table[chi], subx))[1])
             if len(solx) == expected:
                 return LambdaSetReport(sols, expected, complete, d,
                                        Completion(gx, trix, table[chi], solx))

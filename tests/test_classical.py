@@ -15,7 +15,7 @@ from superkw.classical import (
     catalog,
 )
 from superkw.env import ReducedAlgebra, regular_module
-from superkw.gflin import Field
+from superkw.gflin import Field, shared_field
 from superkw.lsa import LsaError, extend_scalars, is_p_closed
 from superkw.lsafile import parse_lsa, write_lsa
 from superkw.modules import composition_factors, validate_module
@@ -331,6 +331,8 @@ def test_zhao_check_builds_the_completion_field_once(gl11, monkeypatch):
         inner(self, p, k, modulus)
 
     monkeypatch.setattr(Field, "__init__", counting)
+    # extension fields are shared in the process: start with none built
+    shared_field.cache_clear()
     rep = zhao_check(gl11.algebra, gl11.triangular, vec(1, 1), seed=0)
     assert rep.extension_degree == 3
     assert built.count((3, 3)) == 1

@@ -365,6 +365,16 @@ def test_scalar_extensions(k, cap):
     assert degrees == list(range(1, max(cap // k, 1) + 1))
 
 
+def test_scalar_extensions_share_their_fields():
+    # each extension field is built once: a second pass hands back the same
+    # Field object at every degree, the base field's own included
+    g = pair_algebra(Field(3), ["z", "y"], [0, 1], [(1, 1, [1, 0])])
+    first = [gx.field for _, gx, _ in scalar_extensions(g, 6)]
+    second = [gx.field for _, gx, _ in scalar_extensions(g, 6)]
+    assert [f.k for f in first] == [1, 2, 3, 4, 5, 6]
+    assert all(a is b for a, b in zip(first, second, strict=True))
+
+
 # ---------------------------------------------------------------------------
 # graded hyperplanes
 

@@ -117,7 +117,7 @@ def _narrow(M):
 def test_every_producer_yields_the_narrow_dtype(name, chi):
     g = _alg(name)
     chi = np.array(chi, dtype=np.int64)
-    base = character_module(as_subalgebra(g, g.zero_space()), (), ())
+    base = character_module(as_subalgebra(g, g.zero_space()).alg, (), ())
     assert _narrow(base)
     M = regular_module(ReducedAlgebra(g, chi)).module
     assert _narrow(M)
@@ -141,7 +141,7 @@ def test_character_and_induced_modules_are_narrow():
         ind = baby_verma(g, tri, np.zeros(g.s_even, dtype=np.int64),
                          np.zeros(tri.cartan.dim, dtype=np.int64))
         assert _narrow(ind.base) and _narrow(ind.module)
-        S = character_module(ind.h, ind.base.chi, np.zeros(ind.h.alg.s_even, dtype=np.int64))
+        S = character_module(ind.h.alg, ind.base.chi, np.zeros(ind.h.alg.s_even, dtype=np.int64))
         assert _narrow(S)
         assert np.array_equal(S.action, ind.base.action)
 

@@ -193,8 +193,8 @@ def test_induce_from_whole_algebra_is_identity(gl11):
     from superkw.solvable import one_dim_weights
     from superkw.chargeom import restrict_chi
 
-    lam = one_dim_weights(sub, restrict_chi(chi, sub))
-    S = character_module(sub, restrict_chi(chi, sub), lam)
+    lam = one_dim_weights(sub.alg, restrict_chi(chi, sub))
+    S = character_module(sub.alg, restrict_chi(chi, sub), lam)
     ind = induce(g, chi, sub, S)
     assert ind.module.dim == 1
     assert validate_module(ind.module) == []
@@ -213,8 +213,8 @@ def test_induce_dimension_formula(gl11, solv2_p5):
     P27 = Subspace(g27.field, 2, 4, table[P.basis])
     sub = as_subalgebra(g27, P27)
     chi_h = restrict_chi(chi27, sub)
-    lam = one_dim_weights(sub, chi_h)
-    S = character_module(sub, chi_h, lam)
+    lam = one_dim_weights(sub.alg, chi_h)
+    S = character_module(sub.alg, chi_h, lam)
     ind = induce(g27, chi27, sub, S)
     assert ind.module.dim == 2
     assert validate_module(ind.module) == []
@@ -226,7 +226,7 @@ def test_induce_dimension_formula(gl11, solv2_p5):
     S2space = Subspace(F5, 2, 2, [vec(0, 1)])
     sub2 = as_subalgebra(g2, S2space)
     lam2 = np.array([1], dtype=np.int64)  # lambda(x)^5 = chi(x)^5
-    S2 = character_module(sub2, restrict_chi(chi2, sub2), lam2)
+    S2 = character_module(sub2.alg, restrict_chi(chi2, sub2), lam2)
     ind2 = induce(g2, chi2, sub2, S2)
     assert ind2.module.dim == 5
     assert (ind2.c0, ind2.c1) == (1, 0)
@@ -243,6 +243,6 @@ def test_induce_rejects_non_p_closed(gl11):
     sub = as_subalgebra(g, S)
     object.__setattr__(sub, "alg", pair_algebra(F3, ["e"], [1], []))  # no pmap
     chi = vec(0, 0)
-    base = character_module(sub, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    base = character_module(sub.alg, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     with pytest.raises(LsaError):
         induce(g, chi, sub, base)

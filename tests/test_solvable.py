@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 from collections import Counter
@@ -5,13 +6,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from superkw.chargeom import BudgetExceeded, SuperDim, chi_value
+from superkw.chargeom import BudgetExceeded, SuperDim, characters, chi_value
 from superkw.classical import catalog
 from superkw.env import ReducedAlgebra, regular_module
 from superkw.gflin import Field
 from superkw.lsa import LsaError, Subspace
 from superkw.lsafile import parse_lsa, parse_lsa_path
 from superkw.modules import (
+    SuperModule,
     composition_factors,
     is_graded_irreducible,
     validate_module,
@@ -19,8 +21,8 @@ from superkw.modules import (
 )
 from superkw.solvable import (
     _mu_stabilizer,
+    _weight_solutions,
     construct_irreducible,
-    solve_weight_equations,
 )
 
 from conftest import (
@@ -95,8 +97,8 @@ def test_weight_equations_torus_chi0(gl11):
     g = gl11.algebra
     cart = Subspace(F3, 2, 4, [vec(1, 0, 0, 0), vec(0, 1, 0, 0)])
     sub = as_subalgebra(g, cart)
-    sols = solve_weight_equations(sub.alg, vec(0, 0))
-    assert len(sols) == 9  # x^p - x = 0 splits over the prime field
+    count, sols = _weight_solutions(sub.alg, vec(0, 0))
+    assert count == len(list(sols)) == 9  # x^p - x = 0 splits over the prime field
 
 
 def test_weight_equations_pins(gl11):
@@ -105,8 +107,9 @@ def test_weight_equations_pins(gl11):
     g = gl11.algebra
     cart = Subspace(F3, 2, 4, [vec(1, 0, 0, 0), vec(0, 1, 0, 0)])
     sub = as_subalgebra(g, cart)
-    sols = solve_weight_equations(sub.alg, vec(0, 0), pins=((vec(1, 1), 0),))
-    assert len(sols) == 3
+    count, sols = _weight_solutions(sub.alg, vec(0, 0), pins=((vec(1, 1), 0),))
+    sols = list(sols)
+    assert count == len(sols) == 3
     for lam in sols:
         assert (int(lam[0]) + int(lam[1])) % 3 == 0
 
@@ -198,6 +201,62 @@ def test_engine_oracle_over_budget_raises_budget_exceeded(solv2_p5):
         construct_irreducible(solv2_p5.algebra, vec(2, 0), budget=5)
 
 
+def test_engine_oracle_fallback_builds_no_regular_module_of_g(monkeypatch):
+    # the fallback runs conjecture's two-level oracle: the 9-dim regular
+    # module of g0 and the Kac modules induced from its classes, never the
+    # p^s * 2^t = 36-dim regular module of U_chi(g)
+    g = parse_lsa_path(os.path.join(ALGEBRAS, "gl1_1_p3.lsa")).algebra
+    dims = []
+    post_init = SuperModule.__post_init__
+    monkeypatch.setattr(SuperModule, "__post_init__", lambda M: dims.append(M.dim) or post_init(M))
+    M, tr = construct_irreducible(g, vec(1, 0), ext_cap=1)
+    assert tr.terminal == "oracle" and M.superdim == (3, 3)
+    assert max(dims) == 9
+
+
+def test_engine_oracle_fallback_gates_on_the_modules_it_builds():
+    # a budget of 20 admits every module the two-level oracle builds (at
+    # most 9-dim), though not U_chi(g)'s 36-dim regular module; a budget of
+    # 8 refuses g0's regular module
+    g = parse_lsa_path(os.path.join(ALGEBRAS, "gl1_1_p3.lsa")).algebra
+    M, tr = construct_irreducible(g, vec(1, 0), ext_cap=1, budget=20)
+    assert tr.terminal == "oracle" and M.superdim == (3, 3)
+    assert validate_module(M) == [] and is_graded_irreducible(M, 0)
+    with pytest.raises(BudgetExceeded, match="oracle budget is insufficient"):
+        construct_irreducible(g, vec(1, 0), ext_cap=1, budget=8)
+
+
+def test_descent_draws_ideal_weights_lazily(monkeypatch):
+    # gl(1|1) at chi = (1, 0) descends over GF(27) through a (1|1) ideal
+    # with 3 weights, chi not vanishing on its p-th powers.  The first weight
+    # induces an irreducible module, so it is the only one drawn
+    from superkw import solvable
+
+    g = parse_lsa_path(os.path.join(ALGEBRAS, "gl1_1_p3.lsa")).algebra
+    inner = solvable._weight_solutions
+    calls = []
+
+    def counting(alg, chi_h, pins=()):
+        count, sols = inner(alg, chi_h, pins)
+        record = {"q": alg.field.q, "superdim": (alg.s_even, alg.t_odd), "count": count,
+                  "drawn": 0}
+        calls.append(record)
+
+        def draw():
+            for lam in sols:
+                record["drawn"] += 1
+                yield lam
+
+        return count, draw()
+
+    monkeypatch.setattr(solvable, "_weight_solutions", counting)
+    M, tr = construct_irreducible(g, vec(1, 0))
+    assert (tr.terminal, tr.extension_degree) == ("base", 3)
+    assert [st.ideal_dim for st in tr.steps] == [(1, 1)]
+    ideal = [(r["count"], r["drawn"]) for r in calls if r["q"] == 27 and r["superdim"] == (1, 1)]
+    assert ideal == [(3, 1)]
+
+
 def test_engine_tries_the_base_field_whatever_the_cap():
     # over GF(9) a cap of 1 is below the field's own degree 2; the base
     # field is still tried, and the descent reaches a weight there
@@ -247,6 +306,27 @@ def test_engine_outputs_validate_and_irreducible(gl11, heis_p3):
             M, tr = construct_irreducible(g, chi)
             assert validate_module(M) == []
             assert is_graded_irreducible(M, 1)
+
+
+# sha256 of `construct_irreducible(g, chi, seed=0)` at every character of
+# the four solvable files: each module's dim, superdim, route, extension
+# degree and steps, then its parities and action as int64 bytes.  A change
+# to the engine that keeps every module keeps this digest
+SOLVABLE_IRR_DIGEST = "99a3883dac239a5a30b7840c2eae2c38d5bcdf2c3c5e6ba1bbe49dee4587ced2"
+
+
+def test_solvable_irr_modules_are_pinned():
+    digest = hashlib.sha256()
+    for name in ("heis_p3", "solv2_p5", "gl1_1_p3", "oddheis_p3"):
+        g = parse_lsa_path(os.path.join(ALGEBRAS, name + ".lsa")).algebra
+        for chi in characters(g.field, g.s_even, True):
+            M, tr = construct_irreducible(g, chi, seed=0)
+            steps = [(st.ideal_dim, st.stabilizer_dim, st.codims) for st in tr.steps]
+            digest.update(repr((name, [int(c) for c in chi], M.dim, M.superdim, tr.terminal,
+                                tr.extension_degree, steps)).encode())
+            digest.update(np.asarray(M.parities, dtype=np.int64).tobytes())
+            digest.update(np.asarray(M.action, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == SOLVABLE_IRR_DIGEST
 
 
 # ---------------------------------------------------------------------------
