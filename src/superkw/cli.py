@@ -26,7 +26,7 @@ from .report import (
     mdim_fragment,
     render_report,
 )
-from .solvable import ConstructionFailure, construct_irreducible
+from .solvable import construct_irreducible
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -183,7 +183,7 @@ def cmd_solvable_irr(args) -> int:
         M, trace = construct_irreducible(
             g, chi, seed=args.seed, ext_cap=args.ext_cap, budget=args.budget
         )
-    except (ConstructionFailure, LsaError) as exc:
+    except LsaError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     irr = is_graded_irreducible(M, args.seed)

@@ -157,29 +157,19 @@ def parse_lsa(text: str) -> AlgebraFile:
         if (i, j) in given:
             raise LsaParseError(no, f"duplicate bracket entry ({ni},{nj})")
         given[(i, j)] = (no, vec)
-    filled = np.zeros((n, n), dtype=bool)
-    for (i, j), (no, vec) in sorted(given.items()):
-        if i > j:
-            continue
-        structure[i, j] = vec
-        filled[i, j] = True
-        if i != j:
-            sign_neg = (parities[i] * parities[j]) % 2 == 0
-            structure[j, i] = field.neg_arr(vec) if sign_neg else vec
-            filled[j, i] = True
-    for (i, j), (no, vec) in sorted(given.items()):
-        if i <= j:
-            continue
-        if filled[i, j]:
+    # every i <= j entry first; the mirror before the entry itself, so that
+    # an (i, i) line keeps its own value
+    for (i, j), (no, vec) in sorted(given.items(), key=lambda e: (e[0][0] > e[0][1], e[0])):
+        if i > j and (j, i) in given:
             if not np.array_equal(structure[i, j], vec):
                 raise LsaParseError(
                     no,
                     f"bracket ({basis[i][0]},{basis[j][0]}) disagrees with the "
                     "sign rule applied to the (i,j) entry")
-        else:
-            structure[i, j] = vec
-            sign_neg = (parities[i] * parities[j]) % 2 == 0
-            structure[j, i] = field.neg_arr(vec) if sign_neg else vec
+            continue
+        sign_neg = (parities[i] * parities[j]) % 2 == 0
+        structure[j, i] = field.neg_arr(vec) if sign_neg else vec
+        structure[i, j] = vec
 
     pmap = None
     if pmap_lines:

@@ -4,15 +4,17 @@ polarization-induced modules.
 
 The descent mirrors the effective content of the inductive construction:
 find an abelian ideal on which the character geometry is nontrivial, pass to
-its stabilizer, recurse, and induce.  Where the literal recipe does not
-apply (the base weight has no solution over the working field, or no usable
-ideal exists) the engine tries the polarization route for completely
-solvable inputs, extends the field up to a cap (the base field is always
-tried first), and finally falls back to the brute force oracle: the largest
-composition factor of the regular module, from the two-level oracle that
-`conjecture` runs (`report.oracle_composition`).  Every produced module is
-re-validated and its irreducibility re-checked, so wrong answers cannot
-escape, only honest fallbacks.
+its stabilizer, recurse, and induce.  Each route (the base character, a
+descent step, the polarization module for completely solvable inputs)
+returns a module or None; None covers a missing weight over the working
+field, a missing usable ideal, a polarization that is not p-closed and a
+module that fails the check.  One check, `_accepted`, accepts every module
+a route returns: it is a valid module and graded irreducible, so wrong
+answers cannot escape, only honest fallbacks.  On None the engine extends
+the field up to a cap (the base field is always tried first), and finally
+falls back to the brute force oracle: the largest composition factor of the
+regular module, from the two-level oracle that `conjecture` runs
+(`report.oracle_composition`).
 """
 
 from __future__ import annotations
@@ -53,10 +55,6 @@ from .lsa import (
 )
 from .modules import SuperModule, is_graded_irreducible, validate_module
 from .report import oracle_composition
-
-
-class ConstructionFailure(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +217,11 @@ def construct_irreducible(
     chi = check_chi(g, chi)
     if not is_solvable(g) or not g.restricted:
         raise LsaError("the engine handles solvable restricted algebras")
-    last_exc: Optional[Exception] = None
     for degree, gx, table in scalar_extensions(g, ext_cap):
-        try:
-            M, trace = _construct(gx, table[chi], seed, budget, pins=())
-            trace.extension_degree = degree
-            return M, trace
-        except (NeedsFieldExtension, ConstructionFailure) as exc:
-            last_exc = exc
+        found = _construct(gx, table[chi], seed, budget, pins=())
+        if found is not None:
+            found[1].extension_degree = degree
+            return found
     # out of extensions: the largest composition factor of the regular
     # module over the base field, from conjecture's oracle, the first class
     # found on a tie.  A class's module is the piece the Meataxe certified
@@ -235,8 +230,8 @@ def construct_irreducible(
         oracle_composition(g, chi, seed, budget, classes)
     except BudgetExceeded:
         raise BudgetExceeded(
-            f"constructive routes exhausted ({last_exc}) and the oracle "
-            "budget is insufficient") from None
+            f"constructive routes exhausted up to --ext-cap {ext_cap} and the "
+            "oracle budget is insufficient") from None
     best = max((K.module for K in classes), key=lambda S: S.dim)
     return best, DescentTrace(terminal="oracle")
 
@@ -255,21 +250,25 @@ def _ideal_weights(g, chi, I: Subspace, sub_I: Subalgebra) -> Iterator[np.ndarra
                 yield lam
 
 
-def _construct(g, chi, seed, budget, pins) -> Tuple[SuperModule, DescentTrace]:
+def _accepted(M: SuperModule, seed: int) -> bool:
+    """The one check on every module a route returns: valid and graded
+    irreducible."""
+    return not validate_module(M) and is_graded_irreducible(M, seed)
+
+
+def _construct(g, chi, seed, budget, pins) -> Optional[Tuple[SuperModule, DescentTrace]]:
+    """A module over U_chi(g) with its trace, by the base, descent or
+    polarization route, or None when no route gives one over g's field."""
     f = g.field
     derived = derived_subalgebra(g)
     chi_kills_derived = not np.any(chi_value(g, chi, derived.even_rows()))
     if chi_kills_derived and is_nilpotent_subalg(g, derived):
         lam = one_dim_weights(g, chi, pins)
         if lam is None:
-            raise NeedsFieldExtension("no one-dimensional weight over the working field")
+            return None
         S = character_module(g, chi, lam)
-        bad = validate_module(S)
-        if bad:
-            raise ConstructionFailure(f"base module failed validation: {bad[0]}")
-        return S, DescentTrace(terminal="base")
+        return (S, DescentTrace(terminal="base")) if _accepted(S, seed) else None
 
-    pending_extension = None
     for I in _abelian_ideal_candidates(g):
         # chi([e_j, row]) for every generator and every row of I
         if not np.any(chi_value(g, chi, g.bracket(f.eye(g.n)[:, None], I.basis))):
@@ -293,48 +292,27 @@ def _construct(g, chi, seed, budget, pins) -> Tuple[SuperModule, DescentTrace]:
             sub_pins = _pins_to_sub(h, [*zip(I.basis, mu_vals.tolist()), *pins])
             if sub_pins is None:
                 continue
+            found = _construct(h.alg, chi_h, seed, budget, pins=sub_pins)
+            if found is None or not _module_is_eigen(I, found[0], h, mu_vals):
+                continue
+            S, trace = found
             try:
-                S, subtrace = _construct(h.alg, chi_h, seed, budget, pins=sub_pins)
-            except ConstructionFailure:
-                continue
-            except NeedsFieldExtension as exc:
-                pending_extension = exc
-                continue
-            if not _module_is_eigen(I, S, h, mu_vals):
-                continue
-            try:
-                ind = induce(g, chi, h, S, budget=budget)
+                M = induce(g, chi, h, S, budget=budget).module
             except BudgetExceeded:
                 continue
-            M = ind.module
-            if validate_module(M):
-                continue
-            if not is_graded_irreducible(M, seed):
+            if not _accepted(M, seed):
                 continue
             se, so = stab.superdim
-            step = DescentStep(
-                ideal_dim=I.superdim,
-                stabilizer_dim=stab.superdim,
-                codims=(g.s_even - se, g.t_odd - so),
-            )
-            trace = subtrace
-            trace.steps.insert(0, step)
+            codims = (g.s_even - se, g.t_odd - so)
+            trace.steps.insert(0, DescentStep(I.superdim, stab.superdim, codims))
             return M, trace
 
     # polarization route for completely solvable inputs
     if is_completely_solvable(g):
-        try:
-            M = _polarization_module_inner(g, chi, budget)
-            if not validate_module(M) and is_graded_irreducible(M, seed):
-                return M, DescentTrace(terminal="polarization")
-        except NeedsFieldExtension as exc:
-            pending_extension = exc
-        except (ConstructionFailure, LsaError):
-            pass
-
-    if pending_extension is not None:
-        raise pending_extension
-    raise ConstructionFailure("no constructive route applied over this field")
+        M = _polarization_module(g, chi, budget)
+        if M is not None and _accepted(M, seed):
+            return M, DescentTrace(terminal="polarization")
+    return None
 
 
 def _pins_to_sub(h: Subalgebra, pins):
@@ -364,8 +342,6 @@ def _mu_stabilizer(g: LieSuperAlgebra, I: Subspace, mu_vals: np.ndarray) -> Subs
         raise LsaError("ideal is not ad-invariant")
     # conditions (rows of I) x generators
     K = f.matmul(t[..., I.pivots], mu_vals.reshape(-1, 1))[..., 0]
-    if K.size == 0:
-        return g.full_space()
     return Subspace(f, g.s_even, g.n, nullspace(f, K))
 
 
@@ -373,20 +349,19 @@ def _mu_stabilizer(g: LieSuperAlgebra, I: Subspace, mu_vals: np.ndarray) -> Subs
 # polarization modules
 
 
-def _polarization_module_inner(g, chi, budget):
-    h_space = polarization(g, chi)
-    if g.restricted and not is_p_closed(g, h_space):
-        raise ConstructionFailure(
-            "polarization subalgebra is not p-closed; reported rather than assumed")
+def _polarization_module(g, chi, budget) -> Optional[SuperModule]:
+    """A one-dimensional character of a polarization, induced to g, or None
+    when the polarization is missing over g's field, is not p-closed or has
+    no weight there."""
+    try:
+        h_space = polarization(g, chi)
+    except (NeedsFieldExtension, LsaError):
+        return None
+    if not is_p_closed(g, h_space):
+        return None
     sub = as_subalgebra(g, h_space)
     chi_h = restrict_chi(chi, sub)
     lam = one_dim_weights(sub.alg, chi_h)
     if lam is None:
-        raise NeedsFieldExtension(
-            "no weight for the polarization over the working field")
-    S = character_module(sub.alg, chi_h, lam)
-    bad = validate_module(S)
-    if bad:
-        raise ConstructionFailure(f"polarization base character invalid: {bad[0]}")
-    ind = induce(g, chi, sub, S, budget=budget)
-    return ind.module
+        return None
+    return induce(g, chi, sub, character_module(sub.alg, chi_h, lam), budget=budget).module

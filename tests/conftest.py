@@ -12,7 +12,6 @@ from superkw.gflin import Echelon, nullspace, solve
 from superkw.lsa import (
     LieSuperAlgebra,
     LsaError,
-    NeedsFieldExtension,
     Subspace,
     _normalized_functionals,
     as_subalgebra,
@@ -21,11 +20,7 @@ from superkw.lsa import (
 )
 from superkw.modules import SuperModule, composition_series, is_graded_irreducible
 from superkw.report import chi_verdict, oracle_composition, oracle_factors
-from superkw.solvable import (
-    ConstructionFailure,
-    _polarization_module_inner,
-    _weight_solutions,
-)
+from superkw.solvable import _polarization_module, _weight_solutions
 
 
 def reference_find_embedding(small, big):
@@ -1216,6 +1211,10 @@ def degree_reduction_check(g, chi, induced, I):
     return ok, int(k.size)
 
 
+class PolarizationCapReached(RuntimeError):
+    pass
+
+
 @dataclass
 class PolarizationModuleReport:
     module: SuperModule
@@ -1232,10 +1231,8 @@ def polarization_module(g, chi, seed=0, ext_cap=4, budget=DEFAULT_BUDGET) -> Pol
         raise LsaError("polarization modules need a completely solvable algebra")
     for degree, gx, table in scalar_extensions(g, ext_cap):
         chix = table[chi]
-        try:
-            M = _polarization_module_inner(gx, chix, budget)
-        except NeedsFieldExtension:
-            continue
-        return PolarizationModuleReport(
-            M, is_graded_irreducible(M, seed), degree, polarization(gx, chix).superdim)
-    raise ConstructionFailure("field extension cap reached")
+        M = _polarization_module(gx, chix, budget)
+        if M is not None:
+            return PolarizationModuleReport(
+                M, is_graded_irreducible(M, seed), degree, polarization(gx, chix).superdim)
+    raise PolarizationCapReached("field extension cap reached")

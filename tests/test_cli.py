@@ -63,16 +63,35 @@ def test_parse_rejects_odd_before_even():
         parse_lsa(text)
 
 
+EVEN3 = "superkw-lsa v1\nfield p=3 k=1\nbasis a even\nbasis b even\nbasis c even\n"
+ODD2 = "superkw-lsa v1\nfield p=3 k=1\nbasis a even\nbasis x odd\nbasis y odd\n"
+
+
 def test_parse_sign_rule_consistency():
-    good = (
-        "superkw-lsa v1\nfield p=3 k=1\n"
-        "basis a even\nbasis b even\nbasis c even\n"
-        "bracket a b c:1\nbracket b a c:2\n"
-    )
-    parse_lsa(good)  # -1 = 2 mod 3: consistent
-    bad = good.replace("bracket b a c:2", "bracket b a c:1")
-    with pytest.raises(LsaParseError):
-        parse_lsa(bad)
+    # (canonical file, a file with reversed lines): a (j, i) line follows
+    # the sign rule, -1 = 2 mod 3 on an even pair and +1 on an odd one
+    for canonical, text in [
+        (EVEN3 + "bracket a b c:1\n", EVEN3 + "bracket a b c:1\nbracket b a c:2\n"),
+        # reversed only, on an even pair and on an odd pair
+        (EVEN3 + "bracket a b c:1\n", EVEN3 + "bracket b a c:2\n"),
+        (ODD2 + "bracket x y a:1\n", ODD2 + "bracket y x a:1\n"),
+        # the reversed line before its forward line
+        (EVEN3 + "bracket a b c:1\n", EVEN3 + "bracket b a c:2\nbracket a b c:1\n"),
+        # an odd self-bracket keeps its own value
+        (ODD2 + "bracket x x a:1\nbracket x y a:2\n", ODD2 + "bracket y x a:2\nbracket x x a:1\n"),
+    ]:
+        structure = parse_lsa(text).algebra.structure
+        assert np.array_equal(structure, parse_lsa(canonical).algebra.structure)
+    assert structure[1, 1, 0] == 1  # [x, x] = a, in the last file
+    # a reversed line that disagrees is named by its own line number
+    for text, line_no in [
+        (EVEN3 + "bracket a b c:1\nbracket b a c:1\n", 7),
+        (EVEN3 + "bracket b a c:1\nbracket a b c:1\n", 6),
+        (ODD2 + "bracket x y a:1\nbracket y x a:2\n", 7),
+    ]:
+        with pytest.raises(LsaParseError) as exc:
+            parse_lsa(text)
+        assert exc.value.line_no == line_no and f"line {line_no}:" in str(exc.value)
 
 
 def test_parse_k2_scalars():

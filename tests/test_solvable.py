@@ -6,11 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from superkw.chargeom import BudgetExceeded, SuperDim, characters, chi_value
+from superkw import solvable
+from superkw.chargeom import DEFAULT_BUDGET, BudgetExceeded, SuperDim, characters, chi_value
 from superkw.classical import catalog
 from superkw.env import ReducedAlgebra, regular_module
 from superkw.gflin import Field
-from superkw.lsa import LsaError, Subspace
+from superkw.lsa import LsaError, Subspace, as_subalgebra
 from superkw.lsafile import parse_lsa, parse_lsa_path
 from superkw.modules import (
     SuperModule,
@@ -20,6 +21,7 @@ from superkw.modules import (
     verify_dim_form,
 )
 from superkw.solvable import (
+    _construct,
     _mu_stabilizer,
     _weight_solutions,
     construct_irreducible,
@@ -30,6 +32,7 @@ from conftest import (
     kronecker_endomorphism_dims,
     pair_algebra,
     polarization_module,
+    reference_weight_system,
     regular_verdict,
 )
 
@@ -119,11 +122,6 @@ def test_weight_equations_pins(gl11):
     ("osp(1|2)", 3, 2), ("sl(2)", 5, 1), ("heisenberg", 3, 1),
 ])
 def test_weight_system_matches_scalar_reference(name, p, k, monkeypatch):
-    from superkw import solvable
-    from superkw.classical import catalog
-
-    from conftest import reference_weight_system
-
     systems = []
     solve = solvable.lin_solve
     monkeypatch.setattr(solvable, "lin_solve",
@@ -196,9 +194,59 @@ def test_engine_oracle_fallback_on_a_superalgebra():
 
 def test_engine_oracle_over_budget_raises_budget_exceeded(solv2_p5):
     # no constructive route within the cap, and the 25-dim regular module
-    # is over a budget of 5: an exhausted budget, not a failed construction
-    with pytest.raises(BudgetExceeded, match="oracle budget is insufficient"):
+    # is over a budget of 5: an exhausted budget, not a failed construction.
+    # The message names the cap the routes were tried up to
+    with pytest.raises(BudgetExceeded, match="oracle budget is insufficient") as exc:
         construct_irreducible(solv2_p5.algebra, vec(2, 0), budget=5)
+    assert "--ext-cap 4" in str(exc.value)
+    with pytest.raises(BudgetExceeded, match="--ext-cap 2 "):
+        construct_irreducible(solv2_p5.algebra, vec(2, 0), ext_cap=2, budget=5)
+
+
+def test_construct_returns_none_without_a_route():
+    # gl(1|1) at chi = (1, 0) over GF(3): its weights need GF(27), so no
+    # route gives a module over the base field
+    g = parse_lsa_path(os.path.join(ALGEBRAS, "gl1_1_p3.lsa")).algebra
+    assert _construct(g, vec(1, 0), 0, DEFAULT_BUDGET, pins=()) is None
+
+
+@pytest.mark.parametrize("rejected", [1, 2])
+def test_descent_skips_a_rejected_module(heis_p3, rejected, monkeypatch):
+    # the check turns down the module of its `rejected`-th call: the base
+    # character inside the descent (the descent step then has no module),
+    # or the module the descent induces.  Either way the descent has
+    # nothing more to try, and the polarization route gives the module
+    accepted = solvable._accepted
+    calls = []
+
+    def reject_once(M, seed):
+        calls.append(M.dim)
+        return len(calls) != rejected and accepted(M, seed)
+
+    monkeypatch.setattr(solvable, "_accepted", reject_once)
+    M, tr = construct_irreducible(heis_p3.algebra, vec(1, 0, 0))
+    assert calls == [1, 3, 3][: rejected + 1]
+    assert (tr.terminal, tr.extension_degree, tr.steps) == ("polarization", 1, [])
+    assert M.dim == 3 and is_graded_irreducible(M, 0)
+
+
+def test_descent_skips_an_induction_over_budget(heis_p3, monkeypatch):
+    # the first induction, the descent's, is over budget: the descent skips
+    # it, and the polarization route induces the module
+    induce = solvable.induce
+    calls = []
+
+    def over_budget_once(*args, **kwargs):
+        calls.append(args[2].space.superdim)
+        if len(calls) == 1:
+            raise BudgetExceeded("first induction")
+        return induce(*args, **kwargs)
+
+    monkeypatch.setattr(solvable, "induce", over_budget_once)
+    M, tr = construct_irreducible(heis_p3.algebra, vec(1, 0, 0))
+    assert calls == [(2, 0), (2, 0)]
+    assert (tr.terminal, tr.extension_degree, tr.steps) == ("polarization", 1, [])
+    assert M.dim == 3 and is_graded_irreducible(M, 0)
 
 
 def test_engine_oracle_fallback_builds_no_regular_module_of_g(monkeypatch):
@@ -230,8 +278,6 @@ def test_descent_draws_ideal_weights_lazily(monkeypatch):
     # gl(1|1) at chi = (1, 0) descends over GF(27) through a (1|1) ideal
     # with 3 weights, chi not vanishing on its p-th powers.  The first weight
     # induces an irreducible module, so it is the only one drawn
-    from superkw import solvable
-
     g = parse_lsa_path(os.path.join(ALGEBRAS, "gl1_1_p3.lsa")).algebra
     inner = solvable._weight_solutions
     calls = []
@@ -308,17 +354,13 @@ def test_engine_outputs_validate_and_irreducible(gl11, heis_p3):
             assert is_graded_irreducible(M, 1)
 
 
-# sha256 of `construct_irreducible(g, chi, seed=0)` at every character of
-# the four solvable files: each module's dim, superdim, route, extension
-# degree and steps, then its parities and action as int64 bytes.  A change
-# to the engine that keeps every module keeps this digest
-SOLVABLE_IRR_DIGEST = "99a3883dac239a5a30b7840c2eae2c38d5bcdf2c3c5e6ba1bbe49dee4587ced2"
-
-
-def test_solvable_irr_modules_are_pinned():
+def irr_digest(algebras) -> str:
+    """sha256 of `construct_irreducible(g, chi, seed=0)` at every character
+    of each named algebra: each module's dim, superdim, route, extension
+    degree and steps, then its parities and action as int64 bytes.  A
+    change to the engine that keeps every module keeps the digest."""
     digest = hashlib.sha256()
-    for name in ("heis_p3", "solv2_p5", "gl1_1_p3", "oddheis_p3"):
-        g = parse_lsa_path(os.path.join(ALGEBRAS, name + ".lsa")).algebra
+    for name, g in algebras:
         for chi in characters(g.field, g.s_even, True):
             M, tr = construct_irreducible(g, chi, seed=0)
             steps = [(st.ideal_dim, st.stabilizer_dim, st.codims) for st in tr.steps]
@@ -326,7 +368,30 @@ def test_solvable_irr_modules_are_pinned():
                                 tr.extension_degree, steps)).encode())
             digest.update(np.asarray(M.parities, dtype=np.int64).tobytes())
             digest.update(np.asarray(M.action, dtype=np.int64).tobytes())
-    assert digest.hexdigest() == SOLVABLE_IRR_DIGEST
+    return digest.hexdigest()
+
+
+# the four solvable files
+SOLVABLE_IRR_DIGEST = "99a3883dac239a5a30b7840c2eae2c38d5bcdf2c3c5e6ba1bbe49dee4587ced2"
+# the Borel subalgebras of sl(2|1) and osp(1|2) at p = 3 and of sl(2) at
+# p = 5: the first takes the polarization route over GF(27) at 12
+# characters, the last the oracle fallback at 4
+BOREL_IRR_DIGEST = "20c585299320015ed8e19664ad8e6d2d856088c3393546996f37c762aaa83185"
+
+
+def test_solvable_irr_modules_are_pinned():
+    names = ("heis_p3", "solv2_p5", "gl1_1_p3", "oddheis_p3")
+    assert irr_digest(
+        (name, parse_lsa_path(os.path.join(ALGEBRAS, name + ".lsa")).algebra) for name in names
+    ) == SOLVABLE_IRR_DIGEST
+
+
+def test_solvable_irr_modules_of_borel_subalgebras_are_pinned():
+    borels = []
+    for name, p in (("sl(2|1)", 3), ("osp(1|2)", 3), ("sl(2)", 5)):
+        e = catalog(name, p)
+        borels.append((name, as_subalgebra(e.algebra, e.triangular.borel()).alg))
+    assert irr_digest(borels) == BOREL_IRR_DIGEST
 
 
 # ---------------------------------------------------------------------------
